@@ -17,6 +17,7 @@ import scipy.linalg
 import scipy.signal
 
 from ssanc import wavio
+from ssanc.convmat import frame_products, lagged_products
 from ssanc.scene import MicSignals
 
 
@@ -64,14 +65,14 @@ def estimate_reirs(mics: MicSignals, spatial_ref: int, Lh: int, reg: float | Non
         raise ValueError("ReIR estimation requires a desired-only rendering (zero noise components)")
 
     ref = mics.x_s[spatial_ref]
-    # regressor rows: [ref(n), ref(n-1), ..., ref(n-Lh+1)] for n = Lh-1 .. N-1
-    frames = np.lib.stride_tricks.sliding_window_view(ref, Lh)[:, ::-1]
-    targets = np.vstack([mics.x_s, mics.p_s[None, :]])[:, Lh - 1 :]
+    targets = np.vstack([mics.x_s, mics.p_s[None, :]])
 
-    R = frames.T @ frames
+    # normal equations of the regressor rows [ref(n), ..., ref(n-Lh+1)],
+    # n = Lh-1 .. N-1, from the Toeplitz structure instead of the N x Lh rows
+    R = frame_products(ref[None, :], Lh)[0, :, 0, :]
     if reg is None:
         reg = 1e-8 * float(np.mean(np.diag(R)))
-    rhs = frames.T @ targets.T
+    rhs = lagged_products(targets, ref[None, :], Lh)[:, 0, :].T
     try:
         cho = scipy.linalg.cho_factor(R + reg * np.eye(Lh))
     except np.linalg.LinAlgError as exc:
@@ -80,9 +81,10 @@ def estimate_reirs(mics: MicSignals, spatial_ref: int, Lh: int, reg: float | Non
         ) from exc
     h = scipy.linalg.cho_solve(cho, rhs).T
 
-    fit = frames @ h.T
+    targets = targets[:, Lh - 1 :]
+    fit = np.vstack([np.convolve(ref, h_k, mode="valid") for h_k in h])
     denom = np.sqrt(np.mean(targets**2, axis=1))
-    residuals = np.sqrt(np.mean((targets.T - fit) ** 2, axis=0)) / np.maximum(denom, 1e-300)
+    residuals = np.sqrt(np.mean((targets - fit) ** 2, axis=1)) / np.maximum(denom, 1e-300)
     return ReIRSet(h=h, spatial_ref=spatial_ref, residuals=residuals)
 
 

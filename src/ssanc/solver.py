@@ -32,7 +32,13 @@ import numpy as np
 import scipy.linalg
 
 from ssanc import wavio
-from ssanc.convmat import block_diag_secondary, build_conv_matrix, build_q, unit_pulse
+from ssanc.convmat import (
+    block_diag_secondary,
+    build_conv_matrix,
+    build_q,
+    frame_products,
+    unit_pulse,
+)
 from ssanc.reir import ReIRSet
 from ssanc.scene import MicSignals
 
@@ -150,17 +156,51 @@ def stacked_frames(channels, L: int, block: int = 16384):
         yield np.hstack([v[start:stop] for v in views])
 
 
-def input_frames(mics: MicSignals, L: int, block: int = 16384):
-    """Stacked frames of the observed inputs: K reference signals then the primary signal."""
-    return stacked_frames([*(mics.x), mics.p], L, block=block)
+@dataclass(frozen=True, eq=False)
+class InputFrames:
+    """The (C, N) channel stack and frame history L behind a set of stacked frames.
+
+    Iterating yields the explicit frame blocks of ``stacked_frames``;
+    ``estimate_autocorrelation`` never builds them.
+    """
+
+    channels: np.ndarray
+    L: int
+    block: int = 16384
+
+    def __iter__(self):
+        return stacked_frames(self.channels, self.L, block=self.block)
+
+
+def input_frames(mics: MicSignals, L: int, block: int = 16384) -> InputFrames:
+    """Stacked frames of the observed inputs: K reference signals then the primary signal.
+
+    Returns an ``InputFrames`` holding the channel stack, not the
+    frames: ``estimate_autocorrelation`` computes their product from the
+    Toeplitz structure, and iterating still yields the frame blocks.
+    """
+    if mics.N < L:
+        raise ValueError(f"signal length {mics.N} shorter than frame history {L}")
+    return InputFrames(np.vstack([mics.x, mics.p[None, :]]), L, block)
 
 
 def estimate_autocorrelation(x_frames) -> np.ndarray:
     """Sample-average autocorrelation matrix (1/N) sum_n x(n) x'(n), symmetrized.
 
-    Accepts a single (n_frames, dim) array or an iterable of such
-    chunks (e.g. the generator returned by ``input_frames``).
+    For the ``InputFrames`` returned by ``input_frames`` the sum over
+    the N - L + 1 fully excited frames comes from the channels'
+    cross-correlations (``convmat.frame_products``) without forming any
+    frame, and is exactly symmetric as computed.  A single
+    (n_frames, dim) array or an iterable of such chunks is summed
+    explicitly, chunk by chunk; that is the reference the structural
+    form is tested against.
     """
+    if isinstance(x_frames, InputFrames):
+        C, N = x_frames.channels.shape
+        L = x_frames.L
+        phi = frame_products(x_frames.channels, L).reshape(C * L, C * L)
+        phi /= N - L + 1
+        return phi
     if isinstance(x_frames, np.ndarray):
         if x_frames.ndim == 1:
             x_frames = x_frames[None, :]

@@ -6,14 +6,17 @@ simulate it on the rendered microphone signals and collect the metric
 row.  Results go to CSV with a fixed column order.
 
 The default configuration is desk-scale (short filters, K = 2,
-synthetic scene) so a full sweep takes well under a minute; a
-paper-scale configuration (280-tap filters, K = 4) works the same way
-but is slow.
+synthetic scene) and sweeps in a few seconds.  The paper-scale
+configuration (280-tap filters, K = 4, 141 delays) works the same way;
+its input autocorrelation comes from the signals' cross-correlations
+rather than the 2795-wide frame matrix, so the sweep is dominated by
+the per-delay solve, simulation and metrics.
 """
 
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 import warnings
@@ -128,6 +131,22 @@ def zero_latency_scene_dict() -> dict:
     return scene
 
 
+def _integer(key: str, value) -> int:
+    """A JSON number with an integral value, as int; anything else is a config error."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _real(key: str, value) -> float:
+    """A finite JSON number, as float; anything else is a config error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything one sweep needs; ``from_dict`` validates a JSON config."""
@@ -155,6 +174,8 @@ class SweepConfig:
         "Lw", "Lg", "Lh", "target_kind", "delta_range", "psi",
         "beta_div", "rho_div", "reir_reg", "seed", "out",
     )
+    _INTEGERS = ("fs", "Lw", "Lg", "Lh", "seed")
+    _REALS = ("duration_s", "snr_db", "beta_div", "rho_div")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
@@ -167,14 +188,19 @@ class SweepConfig:
         if "scene" not in d or d["scene"] is None:
             merged["scene"] = default_scene_dict()
 
-        psi = merged.get("psi")
+        for key in cls._INTEGERS:
+            merged[key] = _integer(key, merged[key])
+        for key in cls._REALS:
+            merged[key] = _real(key, merged[key])
+        psi = merged["psi"]
         if psi in ("off", None):
             merged["psi"] = None
+        elif isinstance(psi, str):
+            raise ConfigError(f'psi must be "off" or a cutoff in Hz, got {psi!r}')
         else:
-            try:
-                merged["psi"] = float(psi)
-            except (TypeError, ValueError):
-                raise ConfigError(f'psi must be "off" or a cutoff in Hz, got {psi!r}') from None
+            merged["psi"] = _real("psi", psi)
+        if merged["reir_reg"] is not None:
+            merged["reir_reg"] = _real("reir_reg", merged["reir_reg"])
 
         dr = merged.get("delta_range")
         try:

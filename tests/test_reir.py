@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ssanc.convmat import unit_pulse
 from ssanc.reir import (
@@ -67,6 +68,43 @@ def test_residuals_reported_per_channel():
     assert reirs.residuals is not None
     assert reirs.residuals.shape == (4,)
     assert np.all(reirs.residuals < 1e-5)
+
+
+def explicit_frames_reirs(mics, spatial_ref, Lh):
+    """Ridge regression on the explicit N x Lh regressor rows (the reference form)."""
+    ref = mics.x_s[spatial_ref]
+    frames = np.lib.stride_tricks.sliding_window_view(ref, Lh)[:, ::-1]
+    targets = np.vstack([mics.x_s, mics.p_s[None, :]])[:, Lh - 1 :]
+    R = frames.T @ frames
+    reg = 1e-8 * float(np.mean(np.diag(R)))
+    cho = scipy.linalg.cho_factor(R + reg * np.eye(Lh))
+    h = scipy.linalg.cho_solve(cho, frames.T @ targets.T).T
+    fit = frames @ h.T
+    denom = np.sqrt(np.mean(targets**2, axis=1))
+    residuals = np.sqrt(np.mean((targets.T - fit) ** 2, axis=0)) / denom
+    return h, residuals
+
+
+def test_structural_estimate_matches_explicit_frames_on_reverberant_scene():
+    scene = synth_scene(
+        K=3,
+        speech_delays=[2, 5, 9, 6],
+        noise_delays=[4, 1, 3, 2],
+        gains=[(1.0, 0.5), (0.8, 1.0), (0.5, 0.7), (0.6, 0.9)],
+        sec_delay=1,
+        sec_ir_len=8,
+        fs=16000,
+        seed=0,
+        tail_amp=0.3,
+        tail_decay=12.0,
+    )
+    mics = render_mics(scene, white_noise(20000, 1))
+    reirs = estimate_reirs(mics, scene.spatial_ref, 24)
+    h, residuals = explicit_frames_reirs(mics, scene.spatial_ref, 24)
+    others = np.arange(4) != scene.spatial_ref
+    assert np.all((residuals[others] > 0.25) & (residuals[others] < 0.5))
+    assert np.max(np.abs(reirs.h - h)) <= 1e-10 * np.max(np.abs(h))
+    np.testing.assert_allclose(reirs.residuals, residuals, rtol=0, atol=1e-10)
 
 
 def test_rejects_noisy_rendering():

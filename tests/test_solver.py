@@ -3,7 +3,7 @@ import pytest
 
 from ssanc.convmat import build_conv_matrix, build_q, block_diag_secondary
 from ssanc.reir import ReIRSet, estimate_reirs
-from ssanc.scene import render_mics, synth_scene
+from ssanc.scene import MicSignals, render_mics, synth_scene
 from ssanc.signals import white_noise
 from ssanc.solver import (
     Constraint,
@@ -117,6 +117,44 @@ def test_input_frames_uses_observed_mix():
     x0 = mics.x[0]
     np.testing.assert_array_equal(frames[0, :L], x0[L - 1 :: -1])
     np.testing.assert_array_equal(frames[0, L:], mics.p[L - 1 :: -1])
+
+
+def random_mics(K, N, seed):
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.1, 10.0, size=(K, 1))
+    return MicSignals(
+        x_s=scale * rng.standard_normal((K, N)),
+        x_v=rng.standard_normal((K, N)),
+        p_s=rng.standard_normal(N),
+        p_v=3.0 * rng.standard_normal(N),
+    )
+
+
+def assert_structural_matches_frames(K, L, N, seed):
+    frames = input_frames(random_mics(K, N, seed), L)
+    phi = estimate_autocorrelation(frames)
+    oracle = estimate_autocorrelation(np.vstack(list(frames)))
+    assert phi.shape == oracle.shape == ((K + 1) * L, (K + 1) * L)
+    assert np.max(np.abs(phi - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    np.testing.assert_array_equal(phi, phi.T)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("L", [1, 2, 5, 17])
+@pytest.mark.parametrize("length", ["L", "L+1", "3L", "1000"])
+def test_structural_autocorrelation_matches_frame_product(K, L, length):
+    N = {"L": L, "L+1": L + 1, "3L": 3 * L, "1000": 1000}[length]
+    assert_structural_matches_frames(K, L, N, seed=10 * K + L)
+
+
+def test_structural_autocorrelation_at_paper_dimension():
+    L = 280 + 280 - 1
+    assert_structural_matches_frames(4, L, L + 200, seed=5)
+
+
+def test_input_frames_rejects_short_signals():
+    with pytest.raises(ValueError, match="shorter than frame history"):
+        input_frames(random_mics(1, 4, 0), 5)
 
 
 # ---------------------------------------------------------------------------

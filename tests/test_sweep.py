@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,3 +281,35 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
     bad.write_text(json.dumps({"target_kind": "nonsense"}))
     assert cli_main(["sweep", "--config", str(bad)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("duration_s", float("nan")),
+        ("Lw", 48.5),
+        ("snr_db", "abc"),
+        ("beta_div", float("nan")),
+        ("fs", 16000.5),
+        ("Lh", "48"),
+        ("seed", True),
+        ("psi", float("inf")),
+        ("rho_div", float("-inf")),
+    ],
+)
+def test_cli_mistyped_config_value_is_one_line_error(tmp_path, capsys, key, value):
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "fig3_synthetic.json").read_text())
+    cfg[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "rows.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_config_accepts_integral_floats():
+    cfg = SweepConfig.from_dict({"fs": 16000.0, "Lw": 48.0, "seed": 3.0})
+    assert (cfg.fs, cfg.Lw, cfg.seed) == (16000, 48, 3)
+    assert all(type(v) is int for v in (cfg.fs, cfg.Lw, cfg.seed))
