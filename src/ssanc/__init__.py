@@ -8,8 +8,6 @@ trade-off.
 """
 
 from ssanc.convmat import (
-    ConvMatrix,
-    StackedVector,
     block_diag_secondary,
     build_conv_matrix,
     build_q,
@@ -42,8 +40,6 @@ from ssanc.sweep import SweepConfig, SweepRow, cli_main, run_sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvMatrix",
-    "StackedVector",
     "build_conv_matrix",
     "block_diag_secondary",
     "unit_pulse",

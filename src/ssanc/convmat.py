@@ -11,48 +11,18 @@ the Toeplitz structure of the frames instead (the covariance method of
 linear prediction), which is exact up to rounding.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft
 import scipy.linalg
 
 
-@dataclass(frozen=True, eq=False)
-class ConvMatrix:
-    """Dense Toeplitz matrix realizing full linear convolution.
+def build_conv_matrix(h, input_len: int) -> np.ndarray:
+    """Full-convolution matrix of the taps ``h`` for inputs of length ``input_len``.
 
-    ``data @ x`` equals ``conv(coeffs, x)`` for any ``x`` of length
-    ``cols``.  Entry (i, j) is ``coeffs[i - j]`` when 0 <= i - j <
-    len(coeffs), else 0, so ``rows = len(coeffs) + cols - 1``.
+    Returns the dense (len(h) + input_len - 1, input_len) Toeplitz array
+    G with ``G[i, j] = h[i - j]`` when 0 <= i - j < len(h), else 0, so
+    ``G @ x`` equals ``np.convolve(h, x)``.
     """
-
-    coeffs: np.ndarray
-    rows: int
-    cols: int
-    data: np.ndarray
-
-    def __matmul__(self, x):
-        return self.data @ x
-
-
-@dataclass(frozen=True, eq=False)
-class StackedVector:
-    """A vector made of equal-length per-channel blocks, stored (n_blocks, block_len)."""
-
-    blocks: np.ndarray
-
-    @property
-    def block_len(self) -> int:
-        return self.blocks.shape[1]
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.blocks.ravel()
-
-
-def build_conv_matrix(h, input_len: int) -> ConvMatrix:
-    """Full-convolution matrix of the taps ``h`` for inputs of length ``input_len``."""
     h = np.asarray(h, dtype=float).ravel()
     if h.size < 1:
         raise ValueError("filter taps must be non-empty")
@@ -60,15 +30,14 @@ def build_conv_matrix(h, input_len: int) -> ConvMatrix:
         raise ValueError(f"input_len must be >= 1, got {input_len}")
     col = np.concatenate([h, np.zeros(input_len - 1)])
     row = np.concatenate([h[:1], np.zeros(input_len - 1)])
-    data = scipy.linalg.toeplitz(col, row)
-    return ConvMatrix(coeffs=h.copy(), rows=data.shape[0], cols=input_len, data=data)
+    return scipy.linalg.toeplitz(col, row)
 
 
-def block_diag_secondary(G: ConvMatrix, K: int) -> np.ndarray:
-    """K+1 copies of ``G`` on the diagonal: one block per filter channel."""
+def block_diag_secondary(G: np.ndarray, K: int) -> np.ndarray:
+    """K+1 copies of the convolution matrix ``G`` on the diagonal: one block per filter channel."""
     if K < 1:
         raise ValueError(f"K must be >= 1 (at least one reference microphone), got {K}")
-    return scipy.linalg.block_diag(*([G.data] * (K + 1)))
+    return scipy.linalg.block_diag(*([G] * (K + 1)))
 
 
 def unit_pulse(delta: int, length: int) -> np.ndarray:
@@ -82,19 +51,20 @@ def unit_pulse(delta: int, length: int) -> np.ndarray:
     return v
 
 
-def build_q(K: int, L: int) -> StackedVector:
+def build_q(K: int, L: int) -> np.ndarray:
     """Selection vector picking the current primary sample out of the stacked input.
 
-    K zero blocks followed by ``unit_pulse(0, L)``: the dot product with
-    a stacked input vector returns the first entry of its last block.
+    The flat (K+1)*L vector of K zero blocks followed by
+    ``unit_pulse(0, L)``: its dot product with a stacked input vector
+    returns the first entry of the last block.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    blocks = np.zeros((K + 1, L))
-    blocks[K, 0] = 1.0
-    return StackedVector(blocks=blocks)
+    q = np.zeros((K + 1) * L)
+    q[K * L] = 1.0
+    return q
 
 
 def lagged_products(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:

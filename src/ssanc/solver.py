@@ -49,14 +49,6 @@ class SingularSystemError(RuntimeError):
     """A factorization in the design failed; larger beta/rho usually fixes it."""
 
 
-class ConvergenceError(RuntimeError):
-    """Power iteration did not meet its tolerance; carries the best estimate."""
-
-    def __init__(self, message: str, best_estimate: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-
-
 class InfeasibleConstraintError(RuntimeError):
     """The equality constraint is inconsistent after rank reduction."""
 
@@ -166,22 +158,22 @@ class InputFrames:
 
     channels: np.ndarray
     L: int
-    block: int = 16384
 
     def __iter__(self):
-        return stacked_frames(self.channels, self.L, block=self.block)
+        return stacked_frames(self.channels, self.L)
 
 
-def input_frames(mics: MicSignals, L: int, block: int = 16384) -> InputFrames:
+def input_frames(mics: MicSignals, L: int) -> InputFrames:
     """Stacked frames of the observed inputs: K reference signals then the primary signal.
 
-    Returns an ``InputFrames`` holding the channel stack, not the
-    frames: ``estimate_autocorrelation`` computes their product from the
-    Toeplitz structure, and iterating still yields the frame blocks.
+    Returns an ``InputFrames`` holding the (K+1, N) channel stack and L,
+    not the frames: ``estimate_autocorrelation`` computes their product
+    from the Toeplitz structure, and iterating yields the frame blocks
+    of ``stacked_frames`` at its default block size.
     """
     if mics.N < L:
         raise ValueError(f"signal length {mics.N} shorter than frame history {L}")
-    return InputFrames(np.vstack([mics.x, mics.p[None, :]]), L, block)
+    return InputFrames(np.vstack([mics.x, mics.p[None, :]]), L)
 
 
 def estimate_autocorrelation(x_frames) -> np.ndarray:
@@ -230,7 +222,7 @@ def estimate_autocorrelation(x_frames) -> np.ndarray:
 
 def _constraint_matrix(reirs: ReIRSet, L: int) -> np.ndarray:
     """Vertical stack of transposed per-channel ReIR convolution matrices."""
-    return np.vstack([build_conv_matrix(h_k, L).data.T for h_k in reirs.h])
+    return np.vstack([build_conv_matrix(h_k, L).T for h_k in reirs.h])
 
 
 def _constraint_vector(reirs: ReIRSet, psi: np.ndarray, target_kind: str, delta: int, L: int) -> np.ndarray:
@@ -278,38 +270,23 @@ def build_constraint(
     return Constraint(H=H, f=f, target_kind=target_kind, delta=int(delta), psi=psi)
 
 
-def largest_eigenvalue(A, tol: float = 1e-10, max_iter: int = 100000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
+def largest_eigenvalue(A) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix, clipped at 0.
 
-    Stops when the relative change of the Rayleigh quotient drops below
-    tol.  Raises ConvergenceError (carrying the best estimate) if that
-    does not happen within max_iter iterations.
+    One LAPACK call (``scipy.linalg.eigh`` restricted to the top index)
+    on the symmetrized matrix: exact to rounding and bounded in time,
+    whatever the gap to the second eigenvalue.  The clip absorbs the
+    rounding that can leave the top eigenvalue of a numerically zero
+    matrix just below 0.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
     if not np.all(np.isfinite(A)):
         raise ValueError("A must be finite")
-    S = (A + A.T) / 2.0
-    n = S.shape[0]
-
-    x = np.random.default_rng(0).standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = S @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0  # x in the null space of a PSD matrix: lam_max could still be 0
-        lam_new = float(x @ y)
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return max(lam_new, 0.0)
-        lam = lam_new
-        x = y / ny
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations (best {lam:.6g})",
-        best_estimate=max(lam, 0.0),
-    )
+    n = A.shape[0]
+    top = scipy.linalg.eigh((A + A.T) / 2.0, eigvals_only=True, subset_by_index=[n - 1, n - 1])
+    return max(float(top[0]), 0.0)
 
 
 class _DesignContext:
@@ -340,7 +317,7 @@ class _DesignContext:
         self.phi_xx = phi_xx
         self.H = H
         self.Gt = block_diag_secondary(build_conv_matrix(g, Lw), K)
-        self.q = build_q(K, L).flat
+        self.q = build_q(K, L)
 
         S = self.Gt.T @ phi_xx @ self.Gt
         S = (S + S.T) / 2.0
@@ -450,7 +427,7 @@ def kkt_oracle(phi_xx, g, constraint: Constraint | None, beta: float, K: int, Lw
         raise ValueError(f"beta must be > 0, got {beta}")
     L = g.shape[0] + Lw - 1
     Gt = block_diag_secondary(build_conv_matrix(g, Lw), K)
-    q = build_q(K, L).flat
+    q = build_q(K, L)
     Phi_rr = Gt.T @ phi_xx @ Gt + beta * np.eye((K + 1) * Lw)
     phi = Gt.T @ (phi_xx @ q)
 
@@ -492,25 +469,20 @@ def kkt_oracle(phi_xx, g, constraint: Constraint | None, beta: float, K: int, Lw
     return ControlFilter(w=w.reshape(K + 1, Lw))
 
 
-def save_filter_json(result_or_filter, path) -> None:
-    """Export a control filter (channel-major taps) plus diagnostics if available."""
-    if isinstance(result_or_filter, DesignResult):
-        flt = result_or_filter.filter
-        diag = {
-            "beta": result_or_filter.beta,
-            "rho": result_or_filter.rho,
-            "constraint_residual": result_or_filter.constraint_residual,
-            "predicted_error_power": result_or_filter.predicted_error_power,
-            "filter_norm": float(np.linalg.norm(flt.stacked)),
-        }
-    else:
-        flt = result_or_filter
-        diag = {"filter_norm": float(np.linalg.norm(flt.stacked))}
+def save_filter_json(result: DesignResult, path) -> None:
+    """Export a designed filter (channel-major taps) plus the diagnostics of its solve."""
+    flt = result.filter
     payload = {
         "K": flt.K,
         "Lw": flt.Lw,
         "w": [list(map(float, row)) for row in flt.w],
-        "diagnostics": diag,
+        "diagnostics": {
+            "beta": result.beta,
+            "rho": result.rho,
+            "constraint_residual": result.constraint_residual,
+            "predicted_error_power": result.predicted_error_power,
+            "filter_norm": float(np.linalg.norm(flt.stacked)),
+        },
     }
     Path(path).write_text(json.dumps(payload, indent=2))
 

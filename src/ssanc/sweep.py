@@ -21,7 +21,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +33,6 @@ from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import ScalingError, Scene, SceneLoadError, load_scene_wav, render_mics, synth_scene
 from ssanc.simulate import apply_control, export_run_wavs
 from ssanc.solver import (
-    Constraint,
-    ConvergenceError,
     DesignParams,
     InfeasibleConstraintError,
     SingularSystemError,
@@ -63,7 +61,6 @@ CSV_COLUMNS = (
 
 NUMERIC_ERRORS = (
     SingularSystemError,
-    ConvergenceError,
     InfeasibleConstraintError,
     np.linalg.LinAlgError,
     FloatingPointError,
@@ -169,11 +166,6 @@ class SweepConfig:
     seed: int = 0
     out: str = "sweep.csv"
 
-    _KEYS = (
-        "fs", "scene", "speech_wav", "noise_wav", "duration_s", "snr_db",
-        "Lw", "Lg", "Lh", "target_kind", "delta_range", "psi",
-        "beta_div", "rho_div", "reir_reg", "seed", "out",
-    )
     _INTEGERS = ("fs", "Lw", "Lg", "Lh", "seed")
     _REALS = ("duration_s", "snr_db", "beta_div", "rho_div")
 
@@ -181,10 +173,11 @@ class SweepConfig:
     def from_dict(cls, d: dict) -> "SweepConfig":
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
-        unknown = set(d) - set(cls._KEYS)
+        keys = [f.name for f in fields(cls)]
+        unknown = set(d) - set(keys)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged = {**{k: getattr(cls, k, None) for k in cls._KEYS}, **d}
+        merged = {**{k: getattr(cls, k, None) for k in keys}, **d}
         if "scene" not in d or d["scene"] is None:
             merged["scene"] = default_scene_dict()
 
@@ -233,19 +226,25 @@ class SweepConfig:
         start, stop, step = self.delta_range
         if start < 0 or stop < start or step < 1:
             raise ConfigError(f"bad delta_range {self.delta_range}")
-        L = self.Lg + self.Lw - 1
-        max_delta = self.Lh - 1 if self.target_kind == "reference_mic" else L - 1
-        if stop > max_delta:
-            raise ConfigError(
-                f"delta_range stop {stop} beyond the causality bound {max_delta} "
-                f"for target_kind={self.target_kind}"
-            )
+        self.check_delta(stop, "delta_range stop")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.psi is not None and not 0.0 < self.psi < self.fs / 2.0:
             raise ConfigError(f"psi cutoff {self.psi} Hz outside (0, fs/2)")
         if self.beta_div <= 0 or self.rho_div <= 0:
             raise ConfigError("beta_div and rho_div must be positive")
         if not isinstance(self.scene, dict) or self.scene.get("kind") not in ("synthetic", "manifest"):
             raise ConfigError('scene.kind must be "synthetic" or "manifest"')
+
+    def check_delta(self, delta: int, name: str) -> None:
+        """Refuse a target delay that would push the pulse or delayed ReIR out of range."""
+        L = self.Lg + self.Lw - 1
+        bound = self.Lh - 1 if self.target_kind == "reference_mic" else L - 1
+        if not 0 <= delta <= bound:
+            raise ConfigError(
+                f"{name} {delta} outside [0, {bound}], the causality bound "
+                f"for target_kind={self.target_kind}"
+            )
 
     def deltas(self) -> list[int]:
         start, stop, step = self.delta_range
@@ -378,6 +377,21 @@ def _fit_secondary(g, Lg: int) -> np.ndarray:
     return g
 
 
+def _prepare_design(config: SweepConfig) -> tuple[PreparedScene, np.ndarray, _DesignContext]:
+    """Scene, fitted secondary path and factorized design: all that no delay changes.
+
+    ``run_sweep`` and ``ssanc design`` both start here; ``ctx.solve``
+    then designs the filter for one target vector.
+    """
+    prep = prepare_scene(config)
+    g = _fit_secondary(prep.scene.g, config.Lg)
+    phi_xx = estimate_autocorrelation(input_frames(prep.mics, prep.L))
+    H = _constraint_matrix(prep.reirs, prep.L)
+    params = DesignParams(beta_div=config.beta_div, rho_div=config.rho_div)
+    ctx = _DesignContext(phi_xx, g, H, params, prep.scene.K, config.Lw)
+    return prep, g, ctx
+
+
 def run_sweep(config: SweepConfig, threads: int = 1) -> list[SweepRow]:
     """Design, simulate and score one filter per delay in the configured range.
 
@@ -387,26 +401,19 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> list[SweepRow]:
     simulation.  A failure at one delay yields an error row and the
     sweep continues.
     """
-    prep = prepare_scene(config)
-    scene, mics, reirs = prep.scene, prep.mics, prep.reirs
-    g = _fit_secondary(scene.g, config.Lg)
-
-    phi_xx = estimate_autocorrelation(input_frames(mics, prep.L))
-    H = _constraint_matrix(reirs, prep.L)
-    params = DesignParams(beta_div=config.beta_div, rho_div=config.rho_div)
-    ctx = _DesignContext(phi_xx, g, H, params, scene.K, config.Lw)
+    prep, g, ctx = _prepare_design(config)
 
     def one_delta(delta: int) -> SweepRow:
         try:
             t0 = time.perf_counter()
-            f = _constraint_vector(reirs, prep.psi, config.target_kind, delta, prep.L)
+            f = _constraint_vector(prep.reirs, prep.psi, config.target_kind, delta, prep.L)
             res = ctx.solve(f)
             design_ms = (time.perf_counter() - t0) * 1e3
             run = apply_control(
-                res.filter, mics, g,
-                target_kind=config.target_kind, delta=delta, spatial_ref=scene.spatial_ref,
+                res.filter, prep.mics, g,
+                target_kind=config.target_kind, delta=delta, spatial_ref=prep.scene.spatial_ref,
             )
-            mb = evaluate_run(run, mics)
+            mb = evaluate_run(run, prep.mics)
             return SweepRow(
                 delta=delta,
                 nr_db=mb.nr_db,
@@ -504,9 +511,8 @@ def verify_against_oracle(trials: int = 20, dims: tuple[int, int, int] | None = 
         base = build_constraint(reirs, [1.0], "error_mic", 0, Lw, Lg)
 
         Gt = block_diag_secondary(build_conv_matrix(g, Lw), K)
-        q = build_q(K, L).flat
         w0 = rng.standard_normal((K + 1) * Lw)
-        constraint = replace_constraint_f(base, base.H.T @ (q + Gt @ w0))
+        constraint = replace(base, f=base.H.T @ (build_q(K, L) + Gt @ w0))
 
         res = design_control_filter(phi_xx, g, constraint, DesignParams(rho=0.0), K, Lw)
         oracle = kkt_oracle(phi_xx, g, constraint, res.beta, K, Lw)
@@ -516,21 +522,17 @@ def verify_against_oracle(trials: int = 20, dims: tuple[int, int, int] | None = 
     return max(gaps), gaps
 
 
-def replace_constraint_f(constraint, f):
-    """Constraint with the same matrix but a custom target vector."""
-    return Constraint(
-        H=constraint.H,
-        f=np.asarray(f, dtype=float),
-        target_kind=constraint.target_kind,
-        delta=constraint.delta,
-        psi=constraint.psi,
-    )
-
-
-def _cmd_sweep(args) -> int:
+def _load_config(args) -> SweepConfig:
+    """The config named by ``--config``, with ``--seed`` applied and validated."""
     config = SweepConfig.from_json(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+        config.validate()
+    return config
+
+
+def _cmd_sweep(args) -> int:
+    config = _load_config(args)
     rows = run_sweep(config, threads=args.threads)
     out = args.out or config.out
     write_rows_csv(rows, out, timings=args.timings)
@@ -544,17 +546,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    config = SweepConfig.from_json(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    prep = prepare_scene(config)
-    g = _fit_secondary(prep.scene.g, config.Lg)
-    phi_xx = estimate_autocorrelation(input_frames(prep.mics, prep.L))
-    constraint = build_constraint(
-        prep.reirs, prep.psi, config.target_kind, args.delta, config.Lw, config.Lg
-    )
-    params = DesignParams(beta_div=config.beta_div, rho_div=config.rho_div)
-    res = design_control_filter(phi_xx, g, constraint, params, prep.scene.K, config.Lw)
+    config = _load_config(args)
+    config.check_delta(args.delta, "--delta")
+    prep, _, ctx = _prepare_design(config)
+    res = ctx.solve(_constraint_vector(prep.reirs, prep.psi, config.target_kind, args.delta, prep.L))
     out = args.out or f"design_delta{args.delta}.json"
     save_filter_json(res, out)
     norm = float(np.linalg.norm(res.filter.stacked))
@@ -566,13 +561,19 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = SweepConfig.from_json(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = _load_config(args)
+    config.check_delta(args.delta, "--delta")
+    try:
+        flt = load_filter_json(args.filter)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read filter {args.filter}: {exc}") from None
     prep = prepare_scene(config)
-    flt = load_filter_json(args.filter)
+    if flt.K != prep.scene.K:
+        raise ConfigError(
+            f"filter {args.filter} has {flt.K} reference channels, the scene has {prep.scene.K}"
+        )
     run = apply_control(
-        flt, prep.mics, prep.scene.g,
+        flt, prep.mics, _fit_secondary(prep.scene.g, config.Lg),
         target_kind=config.target_kind, delta=args.delta, spatial_ref=prep.scene.spatial_ref,
     )
     out = args.out or "simulation"
@@ -589,8 +590,15 @@ def _cmd_verify(args) -> int:
             Lw, Lg, Lh = (int(v) for v in args.verify_dims.split(","))
         except ValueError:
             raise ConfigError(f"--verify-dims must be Lw,Lg,Lh, got {args.verify_dims!r}") from None
+        if min(Lw, Lg, Lh) < 1:
+            raise ConfigError(f"--verify-dims must all be >= 1, got {args.verify_dims!r}")
         dims = (Lw, Lg, Lh)
-    worst, _ = verify_against_oracle(trials=args.trials, dims=dims, seed=args.seed or 0)
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    seed = args.seed or 0
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    worst, _ = verify_against_oracle(trials=args.trials, dims=dims, seed=seed)
     print(f"max relative deviation vs KKT oracle over {args.trials} trials: {worst:.3e}")
     return 0 if worst <= 1e-8 else 2
 

@@ -50,7 +50,7 @@ def test_streaming_matches_dense_stacked_form():
     run = apply_control(w, mics, g)
 
     Gt = block_diag_secondary(build_conv_matrix(g, Lw), K)
-    u = build_q(K, L).flat + Gt @ w.stacked
+    u = build_q(K, L) + Gt @ w.stacked
     x = mics.x
     p = mics.p
     for t in range(n):

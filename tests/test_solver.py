@@ -7,7 +7,6 @@ from ssanc.scene import MicSignals, render_mics, synth_scene
 from ssanc.signals import white_noise
 from ssanc.solver import (
     Constraint,
-    ConvergenceError,
     DesignParams,
     InfeasibleConstraintError,
     build_constraint,
@@ -37,7 +36,7 @@ def random_instance(rng, K=None, Lw=None, Lg=None, Lh=None):
     reirs = ReIRSet(h=rng.standard_normal((K + 1, Lh)), spatial_ref=0)
     base = build_constraint(reirs, [1.0], "error_mic", 0, Lw, Lg)
     Gt = block_diag_secondary(build_conv_matrix(g, Lw), K)
-    q = build_q(K, L).flat
+    q = build_q(K, L)
     w0 = rng.standard_normal((K + 1) * Lw)
     feasible = Constraint(
         H=base.H, f=base.H.T @ (q + Gt @ w0), target_kind="error_mic", delta=0, psi=base.psi
@@ -178,7 +177,7 @@ def test_zero_action_constraint_is_satisfied_by_zero_filter():
     L = Lg + Lw - 1
     reirs = ReIRSet(h=rng.standard_normal((K + 1, Lh)), spatial_ref=0)
     c = build_constraint(reirs, [1.0], "error_mic", 0, Lw, Lg)
-    q = build_q(K, L).flat
+    q = build_q(K, L)
     np.testing.assert_array_equal(c.H.T @ q, c.f)
 
 
@@ -256,7 +255,7 @@ def test_largest_eigenvalue_matches_dense_solver():
     rng = np.random.default_rng(10)
     for _ in range(20):
         A = random_psd(20, rng)
-        lam = largest_eigenvalue(A, tol=1e-12)
+        lam = largest_eigenvalue(A)
         lam_ref = float(np.linalg.eigvalsh(A)[-1])
         assert lam == pytest.approx(lam_ref, rel=1e-6)
 
@@ -265,11 +264,15 @@ def test_largest_eigenvalue_zero_matrix():
     assert largest_eigenvalue(np.zeros((4, 4))) == 0.0
 
 
-def test_largest_eigenvalue_nonconvergence_carries_estimate():
-    A = np.diag([1.0, 1.0 - 1e-12, 0.5])
-    with pytest.raises(ConvergenceError) as err:
-        largest_eigenvalue(A + 1e-13 * np.ones((3, 3)), tol=1e-16, max_iter=3)
-    assert err.value.best_estimate > 0.0
+def test_largest_eigenvalue_near_degenerate_top_pair():
+    # lambda_2 / lambda_1 = 1 - 1e-6: power iteration converges at that
+    # ratio per step, so only an exact eigensolver meets the bound
+    rng = np.random.default_rng(16)
+    Q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
+    spectrum = np.concatenate([[1.0, 1.0 - 1e-6], rng.uniform(0.0, 0.9, 62)])
+    A = (Q * spectrum) @ Q.T
+    lam_ref = float(np.linalg.eigvalsh(A)[-1])
+    assert abs(largest_eigenvalue(A) - lam_ref) <= 1e-12 * lam_ref
 
 
 def test_largest_eigenvalue_rejects_bad_input():
@@ -321,7 +324,7 @@ def test_kkt_unconstrained_limit_is_ridge_solution():
     beta = 0.05
     w = kkt_oracle(phi_xx, g, None, beta, K, Lw).stacked
     Gt = block_diag_secondary(build_conv_matrix(g, Lw), K)
-    q = build_q(K, L).flat
+    q = build_q(K, L)
     ridge = np.linalg.solve(
         Gt.T @ phi_xx @ Gt + beta * np.eye((K + 1) * Lw), -Gt.T @ phi_xx @ q
     )
@@ -341,7 +344,7 @@ def test_kkt_zero_action_case():
     # here we only check the constraint itself holds at the solution
     w = kkt_oracle(phi_xx, g, constraint, 0.1, K, Lw).stacked
     C = constraint.H.T @ block_diag_secondary(build_conv_matrix(g, Lw), K)
-    v = constraint.f - constraint.H.T @ build_q(K, L).flat
+    v = constraint.f - constraint.H.T @ build_q(K, L)
     assert np.linalg.norm(C @ w - v) <= 1e-8
 
 

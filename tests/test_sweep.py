@@ -5,6 +5,13 @@ import numpy as np
 import pytest
 
 import ssanc.sweep as sweep_mod
+from ssanc.solver import (
+    DesignParams,
+    build_constraint,
+    design_control_filter,
+    estimate_autocorrelation,
+    input_frames,
+)
 from ssanc.sweep import (
     ConfigError,
     SweepConfig,
@@ -295,6 +302,7 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
         ("seed", True),
         ("psi", float("inf")),
         ("rho_div", float("-inf")),
+        ("seed", -1),
     ],
 )
 def test_cli_mistyped_config_value_is_one_line_error(tmp_path, capsys, key, value):
@@ -307,6 +315,63 @@ def test_cli_mistyped_config_value_is_one_line_error(tmp_path, capsys, key, valu
     assert err.startswith("config error:") and key in err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+FIG3 = str(Path(__file__).parents[1] / "configs" / "fig3_synthetic.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--config", FIG3, "--delta", "999"],
+        ["design", "--config", FIG3, "--delta", "-1"],
+        ["design", "--config", FIG3, "--delta", "0", "--seed", "-1"],
+        ["sweep", "--config", FIG3, "--seed", "-1"],
+        ["simulate", "--config", FIG3, "--filter", "{not_json}"],
+        ["simulate", "--config", FIG3, "--filter", "{wrong_k}"],
+        ["simulate", "--config", FIG3, "--filter", "{wrong_k}", "--delta", "-1"],
+        ["verify", "--trials", "0"],
+        ["verify", "--verify-dims", "0,1,1"],
+        ["verify", "--seed", "-1"],
+    ],
+    ids=["delta-high", "delta-negative", "design-seed", "sweep-seed", "filter-not-json",
+         "filter-wrong-k", "simulate-delta", "verify-trials", "verify-dims", "verify-seed"],
+)
+def test_cli_bad_argument_is_one_line_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # default outputs, should a case get that far
+    not_json = tmp_path / "not.json"
+    not_json.write_text("w = [1, 2]\n")
+    wrong_k = tmp_path / "k1.json"  # fig3 has K = 2 reference microphones
+    wrong_k.write_text(json.dumps({"K": 1, "Lw": 2, "w": [[0.0, 0.0], [0.0, 0.0]]}))
+    argv = [a.format(not_json=not_json, wrong_k=wrong_k) for a in argv]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_cli_design_matches_library_path(tmp_path):
+    cfg = write_quick_config(tmp_path)
+    out = tmp_path / "filter.json"
+    assert cli_main(["design", "--config", str(cfg), "--delta", "2", "--seed", "5", "--out", str(out)]) == 0
+    config = SweepConfig.from_dict({**json.loads(cfg.read_text()), "seed": 5})
+    prep = sweep_mod.prepare_scene(config)
+    g = sweep_mod._fit_secondary(prep.scene.g, config.Lg)
+    phi_xx = estimate_autocorrelation(input_frames(prep.mics, prep.L))
+    constraint = build_constraint(prep.reirs, prep.psi, config.target_kind, 2, config.Lw, config.Lg)
+    params = DesignParams(beta_div=config.beta_div, rho_div=config.rho_div)
+    res = design_control_filter(phi_xx, g, constraint, params, prep.scene.K, config.Lw)
+
+    payload = json.loads(out.read_text())
+    assert np.array_equal(np.array(payload["w"]), res.filter.w)
+    assert payload["diagnostics"] == {
+        "beta": res.beta,
+        "rho": res.rho,
+        "constraint_residual": res.constraint_residual,
+        "predicted_error_power": res.predicted_error_power,
+        "filter_norm": float(np.linalg.norm(res.filter.stacked)),
+    }
 
 
 def test_config_accepts_integral_floats():
