@@ -15,6 +15,9 @@ from ssanc.scene import MicSignals
 from ssanc.simulate import RunResult
 
 SDI_FLOOR_DB = -120.0
+# voiced frames transformed per batch by quality_proxy: bounds its
+# temporaries to a few MB whatever the signal length
+_QUALITY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -86,23 +89,23 @@ def quality_proxy(t, u, frame: int = 512, hop: int = 256) -> float:
         raise ValueError(f"signal length {t.shape[0]} shorter than one frame ({frame})")
 
     window = np.hanning(frame)
-    starts = range(0, t.shape[0] - frame + 1, hop)
-    energies = np.array([float(np.sum(t[s : s + frame] ** 2)) for s in starts])
+    t_frames = np.lib.stride_tricks.sliding_window_view(t, frame)[::hop]
+    u_frames = np.lib.stride_tricks.sliding_window_view(u, frame)[::hop]
+    energies = np.sum(t_frames**2, axis=1)
     peak = float(np.max(energies))
     if peak <= 0.0:
         raise ValueError("all-silent reference signal")
-    voiced = energies >= peak * 1e-4  # 40 dB below the loudest frame
+    voiced = np.flatnonzero(energies >= peak * 1e-4)  # 40 dB below the loudest frame
 
     dists = []
-    for s, keep in zip(starts, voiced):
-        if not keep:
-            continue
-        T = np.abs(np.fft.rfft(window * t[s : s + frame]))
-        U = np.abs(np.fft.rfft(window * u[s : s + frame]))
-        floor = max(float(np.max(T)), 1e-300) * 1e-7
+    for start in range(0, voiced.shape[0], _QUALITY_BLOCK):
+        rows = voiced[start : start + _QUALITY_BLOCK]
+        T = np.abs(np.fft.rfft(window * t_frames[rows], axis=1))
+        U = np.abs(np.fft.rfft(window * u_frames[rows], axis=1))
+        floor = np.maximum(np.max(T, axis=1, keepdims=True), 1e-300) * 1e-7
         d = 20.0 * np.log10(np.maximum(U, floor) / np.maximum(T, floor))
-        dists.append(float(np.sqrt(np.mean(d**2))))
-    return float(np.mean(dists))
+        dists.append(np.sqrt(np.mean(d**2, axis=1)))
+    return float(np.mean(np.concatenate(dists)))
 
 
 def evaluate_run(result: RunResult, mics: MicSignals, frame: int = 512, hop: int = 256) -> MetricBundle:

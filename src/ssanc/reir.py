@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from ssanc import wavio
 from ssanc.convmat import frame_products, lagged_products
@@ -103,6 +102,8 @@ def design_min_phase_highpass(cutoff_hz: float, fs: float, length: int) -> np.nd
         raise ValueError(f"cutoff {cutoff_hz} Hz outside (0, fs/2) for fs={fs}")
     if length < 8:
         raise ValueError(f"length must be >= 8, got {length}")
+
+    import scipy.signal  # deferred: costs most of the package's import time
 
     m = length if length % 2 == 1 else length - 1
     proto = scipy.signal.firwin(m, cutoff_hz, pass_zero=False, fs=fs)

@@ -3,15 +3,16 @@
 The default mode assumes the primary-signal estimate is perfect (the
 acoustic feedback of the loudspeaker into the estimate is exactly
 removed), which makes the whole pipeline a feed-forward chain of
-convolutions.  ``closed_loop_sim`` additionally models an imperfect
-secondary-path estimate, which closes a feedback loop; it is a
-diagnostic, not part of the evaluation pipeline.
+convolutions, evaluated blockwise in the frequency domain.
+``closed_loop_sim`` additionally models an imperfect secondary-path
+estimate, which closes a feedback loop; it is a diagnostic, not part
+of the evaluation pipeline.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
+import scipy.fft
 
 from ssanc.scene import MicSignals
 from ssanc.solver import ControlFilter
@@ -68,6 +69,71 @@ def _drive(w: np.ndarray, refs: np.ndarray, primary: np.ndarray, N: int) -> np.n
     return y
 
 
+class _FeedForward:
+    """Input spectra of one set of microphone signals, ready to run any number of filters.
+
+    The feed-forward chain is evaluated by overlap-save: the speech and
+    noise inputs are cut into blocks of ``nfft`` samples that overlap by
+    M = Lw + Lg - 2 (the memory of w * g), and every block's spectrum is
+    taken once, here.  A filter then costs the transforms of its K+1
+    channels and three inverse transforms of the blocks (y, and e_s and
+    e_v through g), whose first M samples are circular wrap and are
+    dropped.  Blocks of a few thousand samples stay in cache, which
+    makes them two to three times faster than one transform of the
+    whole signal.
+    """
+
+    def __init__(self, mics: MicSignals, g, Lw: int):
+        g = np.asarray(g, dtype=float).ravel()
+        self.mics = mics
+        self.Lw = Lw
+        self.M = Lw + g.shape[0] - 2
+        # at least 4 M per block keeps the discarded overlap under a quarter;
+        # a signal shorter than one block is a single transform
+        self.nfft = scipy.fft.next_fast_len(min(max(4096, 4 * self.M), mics.N + self.M), real=True)
+        self.hop = self.nfft - self.M
+        self.S = self._spectra(np.vstack([mics.x_s, mics.p_s[None, :]]))
+        self.V = self._spectra(np.vstack([mics.x_v, mics.p_v[None, :]]))
+        self.G = np.fft.rfft(g, self.nfft)
+        self.p = mics.p
+
+    def _spectra(self, channels: np.ndarray) -> np.ndarray:
+        """(C, blocks, bins) spectra of the overlapping blocks of C channels."""
+        C, N = channels.shape
+        blocks = -(-N // self.hop)
+        padded = np.zeros((C, self.M + blocks * self.hop))
+        padded[:, self.M : self.M + N] = channels
+        frames = np.lib.stride_tricks.sliding_window_view(padded, self.nfft, axis=1)
+        return np.fft.rfft(frames[:, :: self.hop], axis=-1)
+
+    def _signal(self, Y: np.ndarray) -> np.ndarray:
+        """The N-sample signal whose block spectra are Y."""
+        blocks = np.fft.irfft(Y, self.nfft, axis=-1)
+        return blocks[:, self.M :].reshape(-1)[: self.mics.N]
+
+    def run(
+        self, w: ControlFilter, target_kind: str | None = None, delta: int = 0, spatial_ref: int = 0
+    ) -> RunResult:
+        """Simulate one filter; the result shares its ``p_hat`` array with every other run."""
+        if w.K != self.mics.K:
+            raise ValueError(f"filter has {w.K} reference channels, signals have {self.mics.K}")
+        if w.Lw != self.Lw:
+            raise ValueError(f"filter has {w.Lw} taps per channel, expected {self.Lw}")
+        W = np.fft.rfft(w.w, self.nfft)
+        Y_s = np.einsum("kb,knb->nb", W, self.S)
+        Y_v = np.einsum("kb,knb->nb", W, self.V)
+        y = self._signal(Y_s + Y_v)
+        Y_s *= self.G
+        Y_v *= self.G
+        e_s = self.mics.p_s + self._signal(Y_s)
+        e_v = self.mics.p_v + self._signal(Y_v)
+
+        t = None
+        if target_kind is not None:
+            t = realize_target(self.mics, target_kind, delta, spatial_ref)
+        return RunResult(y=y, e=e_s + e_v, e_s=e_s, e_v=e_v, p_hat=self.p, t=t)
+
+
 def apply_control(
     w: ControlFilter,
     mics: MicSignals,
@@ -81,27 +147,17 @@ def apply_control(
     y is the loudspeaker drive (control filter applied to the reference
     signals and the primary signal), e = p + g*y the resulting error
     signal.  Passing a target configuration fills in the realized
-    target t.
+    target t.  This is one run of the kernel a sweep reuses for all of
+    its filters.
     """
-    g = np.asarray(g, dtype=float).ravel()
-    if w.K != mics.K:
-        raise ValueError(f"filter has {w.K} reference channels, signals have {mics.K}")
-    N = mics.N
-
-    y_s = _drive(w.w, mics.x_s, mics.p_s, N)
-    y_v = _drive(w.w, mics.x_v, mics.p_v, N)
-    e_s = mics.p_s + np.convolve(g, y_s)[:N]
-    e_v = mics.p_v + np.convolve(g, y_v)[:N]
-
-    t = None
-    if target_kind is not None:
-        t = realize_target(mics, target_kind, delta, spatial_ref)
-    return RunResult(y=y_s + y_v, e=e_s + e_v, e_s=e_s, e_v=e_v, p_hat=mics.p.copy(), t=t)
+    return _FeedForward(mics, g, w.Lw).run(w, target_kind, delta, spatial_ref)
 
 
 def _closed_loop_component(w, refs, primary, g, g_hat, N):
     # y = c + (w_last * (g - g_hat)) * y  with zero instantaneous term,
     # i.e. a pure IIR driven by the feed-forward part c
+    import scipy.signal  # deferred: costs most of the package's import time
+
     c = _drive(w, refs, primary, N)
     d = np.zeros(max(g.shape[0], g_hat.shape[0]))
     d[: g.shape[0]] += g

@@ -293,8 +293,9 @@ class _DesignContext:
     """Factorized design state shared across constraint vectors.
 
     Everything except f is independent of the target delay, so a sweep
-    assembles this once and solves per delta.  ``design_control_filter``
-    is the one-shot wrapper around the same code path.
+    assembles this once and solves all its target vectors in one call.
+    ``design_control_filter`` is the one-shot wrapper around the same
+    code path.
     """
 
     def __init__(self, phi_xx, g, H, params: DesignParams, K: int, Lw: int):
@@ -367,28 +368,47 @@ class _DesignContext:
 
     def _solve_inner(self, s: np.ndarray) -> np.ndarray:
         if self._cho_M is not None:
-            return scipy.linalg.cho_solve(self._cho_M, s)
+            # a non-finite column must fail only its own design, not the batch
+            return scipy.linalg.cho_solve(self._cho_M, s, check_finite=False)
         vecs, inv = self._pinv
-        return vecs @ (inv * (vecs.T @ s))
+        return vecs @ (inv[:, None] * (vecs.T @ s))
 
-    def solve(self, f: np.ndarray) -> DesignResult:
-        v = f - self.Hq
-        mu = self._solve_inner(v + self.A.T @ self.xphi)
-        w_flat = -self.xphi + self.XA @ mu
-        if not np.all(np.isfinite(w_flat)):
-            raise SingularSystemError(
-                "design produced non-finite taps; increase beta/rho or check inputs"
-            )
-        u = self.q + self.Gt @ w_flat
-        residual = float(np.linalg.norm(self.H.T @ u - f))
-        predicted = float(u @ (self.phi_xx @ u))
-        return DesignResult(
-            filter=ControlFilter(w=w_flat.reshape(self.K + 1, self.Lw)),
-            beta=float(self.beta),
-            rho=float(self.rho),
-            constraint_residual=residual,
-            predicted_error_power=predicted,
-        )
+    def solve(self, f: np.ndarray):
+        """Design the filter for one target vector, or for each column of a matrix.
+
+        A (flen,) vector returns its ``DesignResult`` and raises
+        ``SingularSystemError`` if the taps come out non-finite.  A
+        (flen, D) matrix is solved in one multi-right-hand-side pass and
+        returns a list of D entries, each the ``DesignResult`` of its
+        column or, where that column's taps are non-finite, the
+        ``SingularSystemError`` it would have raised.
+        """
+        F = np.asarray(f, dtype=float)
+        columns = F if F.ndim == 2 else F[:, None]
+        mu = self._solve_inner(columns - self.Hq[:, None] + (self.A.T @ self.xphi)[:, None])
+        W = self.XA @ mu - self.xphi[:, None]
+        U = self.q[:, None] + self.Gt @ W
+        residuals = np.linalg.norm(self.H.T @ U - columns, axis=0)
+        predicted = np.einsum("ij,ij->j", U, self.phi_xx @ U)
+        results = []
+        for j, w_flat in enumerate(np.ascontiguousarray(W.T)):
+            if not np.all(np.isfinite(w_flat)):
+                results.append(SingularSystemError(
+                    "design produced non-finite taps; increase beta/rho or check inputs"
+                ))
+                continue
+            results.append(DesignResult(
+                filter=ControlFilter(w=w_flat.reshape(self.K + 1, self.Lw)),
+                beta=float(self.beta),
+                rho=float(self.rho),
+                constraint_residual=float(residuals[j]),
+                predicted_error_power=float(predicted[j]),
+            ))
+        if F.ndim == 2:
+            return results
+        if isinstance(results[0], SingularSystemError):
+            raise results[0]
+        return results[0]
 
 
 def design_control_filter(

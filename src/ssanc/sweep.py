@@ -5,12 +5,14 @@ range, build the spatial constraint, design the control filter,
 simulate it on the rendered microphone signals and collect the metric
 row.  Results go to CSV with a fixed column order.
 
-The default configuration is desk-scale (short filters, K = 2,
-synthetic scene) and sweeps in a few seconds.  The paper-scale
-configuration (280-tap filters, K = 4, 141 delays) works the same way;
-its input autocorrelation comes from the signals' cross-correlations
-rather than the 2795-wide frame matrix, so the sweep is dominated by
-the per-delay solve, simulation and metrics.
+Only the target vector depends on the delay.  A sweep therefore stacks
+the target vectors of all its delays and designs every filter in one
+multi-right-hand-side solve, takes the spectra of the input signals
+once, and then spends per delay only the filter's own transforms and
+the metrics.  The default configuration is desk-scale (short filters,
+K = 2, synthetic scene) and sweeps in about a second; the paper-scale
+configuration (280-tap filters, K = 4, 141 delays) works the same way
+in a few seconds.
 """
 
 import argparse
@@ -20,7 +22,6 @@ import math
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -30,8 +31,10 @@ from ssanc import signals, wavio
 from ssanc.convmat import build_conv_matrix, build_q, block_diag_secondary
 from ssanc.metrics import evaluate_run
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
-from ssanc.scene import ScalingError, Scene, SceneLoadError, load_scene_wav, render_mics, synth_scene
-from ssanc.simulate import apply_control, export_run_wavs
+from ssanc.scene import (
+    MicSignals, ScalingError, Scene, SceneLoadError, load_scene_wav, render_mics, synth_scene,
+)
+from ssanc.simulate import _FeedForward, apply_control, export_run_wavs
 from ssanc.solver import (
     DesignParams,
     InfeasibleConstraintError,
@@ -256,7 +259,7 @@ class PreparedScene:
     """Scene, rendered signals and estimated ReIRs for one configuration."""
 
     scene: Scene
-    mics: object
+    mics: MicSignals
     reirs: ReIRSet
     psi: np.ndarray
     L: int
@@ -324,11 +327,11 @@ def _load_source(path, config: SweepConfig, n: int) -> np.ndarray:
     return data[:n] if data.shape[0] >= n else data
 
 
-def prepare_scene(config: SweepConfig) -> PreparedScene:
-    """Render microphone signals and estimate ReIRs for a configuration.
+def render_scene(config: SweepConfig) -> tuple[Scene, MicSignals]:
+    """The configured scene and its microphone signals at the configured SNR.
 
-    Source seeds derive from the config seed: speech uses seed, noise
-    seed+1, the white-noise ReIR excitation seed+2, scene tails seed+3.
+    Speech uses the config seed and noise seed+1; synthetic scene tails
+    use seed+3.
     """
     scene = _build_scene(config)
     n = int(round(config.duration_s * config.fs))
@@ -344,13 +347,19 @@ def prepare_scene(config: SweepConfig) -> PreparedScene:
         else signals.speech_shaped_noise(n, config.fs, config.seed + 1)
     )
     n = min(speech.shape[0], noise.shape[0])
-    speech, noise = speech[:n], noise[:n]
+    return scene, render_mics(scene, speech[:n], noise[:n], config.snr_db)
 
-    white = signals.white_noise(n, config.seed + 2)
-    mics_white = render_mics(scene, white)
-    reirs = estimate_reirs(mics_white, scene.spatial_ref, config.Lh, reg=config.reir_reg)
 
-    mics = render_mics(scene, speech, noise, config.snr_db)
+def prepare_scene(config: SweepConfig) -> PreparedScene:
+    """Render microphone signals and estimate ReIRs for a configuration.
+
+    The ReIRs come from a white-noise rendering of the desired source
+    with its own seed, seed+2, so they do not change the signals of
+    ``render_scene``.
+    """
+    scene, mics = render_scene(config)
+    white = signals.white_noise(mics.N, config.seed + 2)
+    reirs = estimate_reirs(render_mics(scene, white), scene.spatial_ref, config.Lh, reg=config.reir_reg)
 
     L = config.Lg + config.Lw - 1
     psi = (
@@ -392,46 +401,44 @@ def _prepare_design(config: SweepConfig) -> tuple[PreparedScene, np.ndarray, _De
     return prep, g, ctx
 
 
-def run_sweep(config: SweepConfig, threads: int = 1) -> list[SweepRow]:
+def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Design, simulate and score one filter per delay in the configured range.
 
-    The scene rendering, ReIR estimation, input autocorrelation and all
-    delay-independent factorizations are shared across the sweep; each
-    delay then contributes one constraint vector, one solve and one
-    simulation.  A failure at one delay yields an error row and the
-    sweep continues.
+    The scene rendering, ReIR estimation, input autocorrelation, all
+    delay-independent factorizations and the input spectra are shared
+    across the sweep, and the filters of all delays come from one
+    batched solve.  A numeric failure at one delay yields an error row
+    and the sweep continues; any other exception propagates.
     """
     prep, g, ctx = _prepare_design(config)
-
-    def one_delta(delta: int) -> SweepRow:
-        try:
-            t0 = time.perf_counter()
-            f = _constraint_vector(prep.reirs, prep.psi, config.target_kind, delta, prep.L)
-            res = ctx.solve(f)
-            design_ms = (time.perf_counter() - t0) * 1e3
-            run = apply_control(
-                res.filter, prep.mics, g,
-                target_kind=config.target_kind, delta=delta, spatial_ref=prep.scene.spatial_ref,
-            )
-            mb = evaluate_run(run, prep.mics)
-            return SweepRow(
-                delta=delta,
-                nr_db=mb.nr_db,
-                sdi_db=mb.sdi_db,
-                quality_db=mb.quality_db,
-                effort=mb.effort,
-                constraint_residual=res.constraint_residual,
-                design_ms=design_ms,
-            )
-        except Exception as exc:  # record and continue with the other deltas
-            return SweepRow(delta=delta, error=f"{type(exc).__name__}: {exc}")
-
     deltas = config.deltas()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_delta, deltas))
-    else:
-        rows = [one_delta(d) for d in deltas]
+    t0 = time.perf_counter()
+    F = np.column_stack([
+        _constraint_vector(prep.reirs, prep.psi, config.target_kind, delta, prep.L) for delta in deltas
+    ])
+    designs = ctx.solve(F)
+    design_ms = (time.perf_counter() - t0) * 1e3 / len(deltas)
+
+    sim = _FeedForward(prep.mics, g, config.Lw)
+    rows = []
+    for delta, res in zip(deltas, designs):
+        try:
+            if isinstance(res, Exception):
+                raise res
+            run = sim.run(res.filter, config.target_kind, delta, prep.scene.spatial_ref)
+            mb = evaluate_run(run, prep.mics)
+        except NUMERIC_ERRORS as exc:  # record and continue with the other deltas
+            rows.append(SweepRow(delta=delta, error=f"{type(exc).__name__}: {exc}"))
+            continue
+        rows.append(SweepRow(
+            delta=delta,
+            nr_db=mb.nr_db,
+            sdi_db=mb.sdi_db,
+            quality_db=mb.quality_db,
+            effort=mb.effort,
+            constraint_residual=res.constraint_residual,
+            design_ms=design_ms,
+        ))
     return rows
 
 
@@ -444,7 +451,9 @@ def write_rows_csv(rows, path, timings: bool = False) -> None:
 
     design_ms is wall time and varies run to run, so it is left empty
     unless ``timings`` is requested; this keeps the CSV byte-identical
-    for identical configs and seeds.
+    for identical configs and seeds.  ``run_sweep`` designs all filters
+    in one batched solve, so its design_ms is that solve's time
+    (target vectors included) divided by the number of delays.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -533,7 +542,7 @@ def _load_config(args) -> SweepConfig:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    rows = run_sweep(config, threads=args.threads)
+    rows = run_sweep(config)
     out = args.out or config.out
     write_rows_csv(rows, out, timings=args.timings)
     failures = [r for r in rows if r.error]
@@ -567,18 +576,18 @@ def _cmd_simulate(args) -> int:
         flt = load_filter_json(args.filter)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read filter {args.filter}: {exc}") from None
-    prep = prepare_scene(config)
-    if flt.K != prep.scene.K:
+    scene, mics = render_scene(config)
+    if flt.K != scene.K:
         raise ConfigError(
-            f"filter {args.filter} has {flt.K} reference channels, the scene has {prep.scene.K}"
+            f"filter {args.filter} has {flt.K} reference channels, the scene has {scene.K}"
         )
     run = apply_control(
-        flt, prep.mics, _fit_secondary(prep.scene.g, config.Lg),
-        target_kind=config.target_kind, delta=args.delta, spatial_ref=prep.scene.spatial_ref,
+        flt, mics, _fit_secondary(scene.g, config.Lg),
+        target_kind=config.target_kind, delta=args.delta, spatial_ref=scene.spatial_ref,
     )
     out = args.out or "simulation"
     export_run_wavs(run, out, config.fs)
-    mb = evaluate_run(run, prep.mics)
+    mb = evaluate_run(run, mics)
     print(f"NR={mb.nr_db:.2f} dB SDI={mb.sdi_db:.2f} dB effort={mb.effort:.6g} -> {out}/")
     return 0
 
@@ -615,7 +624,6 @@ def cli_main(argv=None) -> int:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--timings", action="store_true", help="record wall-clock design_ms in the CSV")
     p.add_argument("--gnuplot", action="store_true", help="emit a companion gnuplot script")
     p.set_defaults(func=_cmd_sweep)

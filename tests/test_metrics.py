@@ -111,6 +111,38 @@ def test_quality_proxy_skips_silent_frames():
         quality_proxy(np.zeros(1024), np.ones(1024))
 
 
+def quality_proxy_loop(t, u, frame=512, hop=256):
+    """Frame-by-frame reference for ``quality_proxy``."""
+    window = np.hanning(frame)
+    starts = range(0, t.shape[0] - frame + 1, hop)
+    energies = np.array([float(np.sum(t[s : s + frame] ** 2)) for s in starts])
+    voiced = energies >= float(np.max(energies)) * 1e-4
+    dists = []
+    for s, keep in zip(starts, voiced):
+        if keep:
+            T = np.abs(np.fft.rfft(window * t[s : s + frame]))
+            U = np.abs(np.fft.rfft(window * u[s : s + frame]))
+            floor = max(float(np.max(T)), 1e-300) * 1e-7
+            d = 20.0 * np.log10(np.maximum(U, floor) / np.maximum(T, floor))
+            dists.append(float(np.sqrt(np.mean(d**2))))
+    return float(np.mean(dists))
+
+
+@pytest.mark.parametrize("case", ["unvoiced_frames", "one_frame", "u_equals_t", "many_blocks"])
+def test_quality_proxy_matches_frame_loop(case):
+    rng = np.random.default_rng(14)
+    n = {"unvoiced_frames": 20000, "one_frame": 512, "u_equals_t": 6000, "many_blocks": 80000}[case]
+    # speech-like bursts: blocks of 100 samples whose gains span over 60 dB
+    t = rng.standard_normal(n) * np.repeat(rng.uniform(0.0, 1.0, n // 100 + 1) ** 6, 100)[:n]
+    if case == "unvoiced_frames":
+        t[3000:9000] *= 1e-4
+    u = t.copy() if case == "u_equals_t" else t + 0.05 * rng.standard_normal(n)
+    expected = quality_proxy_loop(t, u)
+    assert quality_proxy(t, u) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    if case == "u_equals_t":
+        assert quality_proxy(t, u) == 0.0
+
+
 def test_quality_proxy_validates_args():
     with pytest.raises(ValueError):
         quality_proxy(np.ones(10), np.ones(10), frame=512)

@@ -63,6 +63,25 @@ def test_streaming_matches_dense_stacked_form():
         assert run.e[t] == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("n, Lw, Lg", [(10000, 5, 4), (9000, 1, 1), (5000, 300, 280), (700, 6, 3)])
+def test_blockwise_run_matches_direct_convolution(n, Lw, Lg):
+    """Across block boundaries, and for one short block, as np.convolve gives it."""
+    rng = np.random.default_rng(14)
+    mics = random_mics(rng, K=2, n=n)
+    w = random_filter(rng, K=2, Lw=Lw)
+    g = rng.standard_normal(Lg)
+    run = apply_control(w, mics, g)
+
+    def drive(refs, primary):
+        return sum(np.convolve(w.w[k], refs[k])[:n] for k in range(2)) + np.convolve(w.w[2], primary)[:n]
+
+    y_s, y_v = drive(mics.x_s, mics.p_s), drive(mics.x_v, mics.p_v)
+    np.testing.assert_allclose(run.y, y_s + y_v, rtol=0, atol=1e-12 * np.max(np.abs(y_s + y_v)))
+    for got, p, y in ((run.e_s, mics.p_s, y_s), (run.e_v, mics.p_v, y_v)):
+        want = p + np.convolve(g, y)[:n]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
 def test_component_split_is_exact_and_linear():
     rng = np.random.default_rng(2)
     mics = random_mics(rng)

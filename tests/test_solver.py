@@ -9,6 +9,8 @@ from ssanc.solver import (
     Constraint,
     DesignParams,
     InfeasibleConstraintError,
+    SingularSystemError,
+    _DesignContext,
     build_constraint,
     design_control_filter,
     estimate_autocorrelation,
@@ -296,6 +298,37 @@ def test_design_matches_kkt_oracle_on_random_instances():
         gap = np.linalg.norm(res.filter.stacked - oracle.stacked)
         assert gap <= 1e-8 * max(np.linalg.norm(oracle.stacked), 1e-12)
         assert res.constraint_residual <= 1e-8
+
+
+@pytest.mark.parametrize("rho", [None, 0.0], ids=["rho-rule", "rho-zero"])
+def test_batched_solve_equals_one_solve_per_column(rho):
+    rng = np.random.default_rng(21)
+    phi_xx, g, constraint, K, Lw, Gt, q = random_instance(rng, K=2, Lw=5, Lg=4, Lh=6)
+    ctx = _DesignContext(phi_xx, g, constraint.H, DesignParams(rho=rho), K, Lw)
+    F = np.column_stack([constraint.f, *rng.standard_normal((4, constraint.f.shape[0]))])
+    batched = ctx.solve(F)
+    assert len(batched) == F.shape[1]
+    for j, res in enumerate(batched):
+        one = ctx.solve(F[:, j])
+        np.testing.assert_allclose(res.filter.w, one.filter.w, rtol=0, atol=1e-12 * np.max(np.abs(one.filter.w)))
+        assert res.constraint_residual == pytest.approx(one.constraint_residual, rel=1e-9, abs=1e-12)
+        assert res.predicted_error_power == pytest.approx(one.predicted_error_power, rel=1e-12)
+        assert (res.beta, res.rho) == (one.beta, one.rho)
+    if rho == 0.0:
+        assert batched[0].constraint_residual <= 1e-8  # column 0 is feasible
+
+
+def test_batched_solve_fails_only_the_non_finite_column():
+    rng = np.random.default_rng(22)
+    phi_xx, g, constraint, K, Lw, _, _ = random_instance(rng)
+    ctx = _DesignContext(phi_xx, g, constraint.H, DesignParams(), K, Lw)
+    F = np.column_stack([constraint.f] * 3)
+    F[0, 1] = np.nan
+    first, bad, last = ctx.solve(F)
+    assert isinstance(bad, SingularSystemError)
+    np.testing.assert_array_equal(first.filter.w, last.filter.w)
+    with pytest.raises(SingularSystemError, match="non-finite taps"):
+        ctx.solve(F[:, 1])
 
 
 def test_kkt_solution_beats_feasible_perturbations():

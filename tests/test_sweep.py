@@ -1,4 +1,8 @@
+import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +26,8 @@ from ssanc.sweep import (
     write_rows_csv,
     zero_latency_scene_dict,
 )
+
+ROOT = Path(__file__).parents[1]
 
 
 def quick_config(**overrides):
@@ -103,19 +109,21 @@ def test_run_sweep_rows_ordered_and_complete():
         assert r.design_ms >= 0.0
 
 
-def test_run_sweep_parallel_matches_serial():
-    cfg = quick_config()
-    serial = run_sweep(cfg, threads=1)
-    parallel = run_sweep(cfg, threads=3)
-    for a, b in zip(serial, parallel):
-        assert a.delta == b.delta
-        assert a.nr_db == b.nr_db
-        assert a.sdi_db == b.sdi_db
-        assert a.effort == b.effort
-        assert a.constraint_residual == b.constraint_residual
-
-
 def test_run_sweep_error_rows_continue(monkeypatch):
+    real = sweep_mod._constraint_vector
+
+    def non_finite_at_two(reirs, psi, target_kind, delta, L):
+        f = real(reirs, psi, target_kind, delta, L)
+        return f * np.nan if delta == 2 else f
+
+    monkeypatch.setattr(sweep_mod, "_constraint_vector", non_finite_at_two)
+    rows = run_sweep(quick_config())
+    assert rows[2].error.startswith("SingularSystemError: design produced non-finite taps")
+    assert np.isnan(rows[2].nr_db)
+    assert all(r.error == "" for i, r in enumerate(rows) if i != 2)
+
+
+def test_run_sweep_programming_error_propagates(monkeypatch):
     real = sweep_mod._constraint_vector
 
     def flaky(reirs, psi, target_kind, delta, L):
@@ -124,10 +132,8 @@ def test_run_sweep_error_rows_continue(monkeypatch):
         return real(reirs, psi, target_kind, delta, L)
 
     monkeypatch.setattr(sweep_mod, "_constraint_vector", flaky)
-    rows = run_sweep(quick_config())
-    assert rows[2].error == "RuntimeError: boom"
-    assert np.isnan(rows[2].nr_db)
-    assert all(r.error == "" for i, r in enumerate(rows) if i != 2)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_sweep(quick_config())
 
 
 def test_sweep_deterministic_csv_bytes(tmp_path):
@@ -272,6 +278,44 @@ def test_cli_simulate_writes_wavs(tmp_path):
         assert (out_dir / f"{name}.wav").exists()
 
 
+def test_cli_simulate_renders_without_reir_estimation(tmp_path, monkeypatch):
+    cfg = write_quick_config(tmp_path)
+    flt = tmp_path / "filter.json"
+    assert cli_main(["design", "--config", str(cfg), "--delta", "1", "--out", str(flt)]) == 0
+    config = SweepConfig.from_json(cfg)
+    prep = sweep_mod.prepare_scene(config)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("simulate must not estimate ReIRs")
+
+    monkeypatch.setattr(sweep_mod, "estimate_reirs", unused)
+    _, mics = sweep_mod.render_scene(config)
+    for name in ("x_s", "x_v", "p_s", "p_v"):
+        assert np.array_equal(getattr(mics, name), getattr(prep.mics, name))
+    assert cli_main([
+        "simulate", "--config", str(cfg), "--filter", str(flt), "--delta", "1", "--out", str(tmp_path / "sim"),
+    ]) == 0
+
+
+def test_psi_off_sweep_never_imports_scipy_signal():
+    code = (
+        "import json, sys\n"
+        "import ssanc\n"
+        "from ssanc.sweep import SweepConfig, run_sweep\n"
+        "rows = run_sweep(SweepConfig.from_dict(json.loads(sys.argv[1])))\n"
+        "assert all(r.error == '' for r in rows)\n"
+        "print('scipy.signal' in sys.modules)\n"
+    )
+    config = {"duration_s": 1.5, "Lw": 12, "Lg": 12, "Lh": 12, "delta_range": [0, 2, 1], "psi": "off"}
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(config)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_verify_passes(capsys):
     assert cli_main(["verify", "--trials", "5", "--seed", "3"]) == 0
     assert "deviation" in capsys.readouterr().out
@@ -378,3 +422,77 @@ def test_config_accepts_integral_floats():
     cfg = SweepConfig.from_dict({"fs": 16000.0, "Lw": 48.0, "seed": 3.0})
     assert (cfg.fs, cfg.Lw, cfg.seed) == (16000, 48, 3)
     assert all(type(v) is int for v in (cfg.fs, cfg.Lw, cfg.seed))
+
+
+# ---------------------------------------------------------------------------
+# shipped configurations: per-delay oracle and captured reference rows
+# ---------------------------------------------------------------------------
+
+METRIC_COLUMNS = ("nr_db", "sdi_db", "quality_db", "effort", "constraint_residual")
+
+
+@pytest.fixture(scope="module")
+def shipped_rows():
+    """run_sweep rows of a shipped config at seed 0, computed once per module."""
+    cache = {}
+
+    def rows(name):
+        if name not in cache:
+            cache[name] = run_sweep(SweepConfig.from_json(ROOT / "configs" / f"{name}.json"))
+        return cache[name]
+
+    return rows
+
+
+def assert_columns_close(rows, expected, rtol):
+    """Each metric column within rtol of that column's largest magnitude."""
+    actual = np.array([[getattr(r, c) for c in METRIC_COLUMNS] for r in rows])
+    expected = np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    scale = np.max(np.abs(expected), axis=0)
+    worst = np.max(np.abs(actual - expected), axis=0) / scale
+    assert np.all(worst <= rtol), dict(zip(METRIC_COLUMNS, worst))
+
+
+def convolve_oracle_row(prep, g, ctx, config, delta):
+    """One delay designed alone and simulated with explicit np.convolve."""
+    from ssanc.metrics import evaluate_run
+    from ssanc.simulate import RunResult, realize_target
+
+    f = sweep_mod._constraint_vector(prep.reirs, prep.psi, config.target_kind, delta, prep.L)
+    res = ctx.solve(f)
+    w, m, N = res.filter.w, prep.mics, prep.mics.N
+
+    def drive(refs, primary):
+        y = np.convolve(w[-1], primary)[:N]
+        for k in range(m.K):
+            y = y + np.convolve(w[k], refs[k])[:N]
+        return y
+
+    y_s, y_v = drive(m.x_s, m.p_s), drive(m.x_v, m.p_v)
+    e_s = m.p_s + np.convolve(g, y_s)[:N]
+    e_v = m.p_v + np.convolve(g, y_v)[:N]
+    t = realize_target(m, config.target_kind, delta, prep.scene.spatial_ref)
+    mb = evaluate_run(RunResult(y=y_s + y_v, e=e_s + e_v, e_s=e_s, e_v=e_v, p_hat=m.p, t=t), m)
+    return [mb.nr_db, mb.sdi_db, mb.quality_db, mb.effort, res.constraint_residual]
+
+
+@pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic"])
+def test_batched_sweep_matches_per_delay_convolution_oracle(shipped_rows, name):
+    config = SweepConfig.from_json(ROOT / "configs" / f"{name}.json")
+    rows = shipped_rows(name)
+    prep, g, ctx = sweep_mod._prepare_design(config)
+    assert [r.delta for r in rows] == config.deltas()
+    assert all(r.error == "" for r in rows)
+    oracle = [convolve_oracle_row(prep, g, ctx, config, d) for d in config.deltas()]
+    assert_columns_close(rows, oracle, 1e-12)
+
+
+@pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic", "paper_scale"])
+def test_shipped_sweep_matches_captured_reference(shipped_rows, name):
+    with (ROOT / "perfbench" / "reference" / f"{name}_s0.csv").open(newline="") as fh:
+        reference = list(csv.DictReader(fh))
+    rows = shipped_rows(name)
+    assert [r.delta for r in rows] == [int(r["delta"]) for r in reference]
+    assert all(r.error == "" for r in rows) and all(r["error"] == "" for r in reference)
+    assert_columns_close(rows, [[float(r[c]) for c in METRIC_COLUMNS] for r in reference], 1e-6)
