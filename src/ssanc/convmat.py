@@ -1,14 +1,15 @@
 """Dense convolution-matrix algebra.
 
-Lower-banded Toeplitz builders, block-diagonal stacking for multichannel
-filters, the unit-pulse / selection vectors the filter designer is
-built on, and the structural frame products behind the autocorrelation
-and ReIR estimates.  The matrices are plain float64 and dense on
-purpose: the problem sizes stay small enough that exactness and clarity
-win.  The frame products are the exception, because their frame
-matrices have N rows: they are formed from FFT cross-correlations and
-the Toeplitz structure of the frames instead (the covariance method of
-linear prediction), which is exact up to rounding.
+Lower-banded Toeplitz builders, their per-channel application to
+stacked multichannel vectors, the unit-pulse / selection vectors the
+filter designer is built on, and the structural frame products behind
+the autocorrelation and ReIR estimates.  The matrices are plain float64
+and dense on purpose: the problem sizes stay small enough that
+exactness and clarity win.  The frame products are the exception,
+because their frame matrices have N rows: they are formed from FFT
+cross-correlations and the Toeplitz structure of the frames instead
+(the covariance method of linear prediction), which is exact up to
+rounding.
 """
 
 import numpy as np
@@ -33,11 +34,15 @@ def build_conv_matrix(h, input_len: int) -> np.ndarray:
     return scipy.linalg.toeplitz(col, row)
 
 
-def block_diag_secondary(G: np.ndarray, K: int) -> np.ndarray:
-    """K+1 copies of the convolution matrix ``G`` on the diagonal: one block per filter channel."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1 (at least one reference microphone), got {K}")
-    return scipy.linalg.block_diag(*([G] * (K + 1)))
+def per_channel(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``G`` applied to each of the C channel blocks stacked along the first axis of ``X``.
+
+    For X of shape (C * G.shape[1], ...) returns the (C * G.shape[0], ...)
+    array ``np.kron(np.eye(C), G) @ X``, without forming that
+    block-diagonal matrix.
+    """
+    C = X.shape[0] // G.shape[1]
+    return (G @ X.reshape(C, G.shape[1], -1)).reshape(C * G.shape[0], *X.shape[1:])
 
 
 def unit_pulse(delta: int, length: int) -> np.ndarray:

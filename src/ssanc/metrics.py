@@ -15,6 +15,8 @@ from ssanc.scene import MicSignals
 from ssanc.simulate import RunResult
 
 SDI_FLOOR_DB = -120.0
+# default quality_proxy frame: the shortest signal a run can be scored on
+QUALITY_FRAME = 512
 # voiced frames transformed per batch by quality_proxy: bounds its
 # temporaries to a few MB whatever the signal length
 _QUALITY_BLOCK = 256
@@ -70,7 +72,7 @@ def control_effort(y) -> float:
     return float(np.sum(y**2))
 
 
-def quality_proxy(t, u, frame: int = 512, hop: int = 256) -> float:
+def quality_proxy(t, u, frame: int = QUALITY_FRAME, hop: int = 256) -> float:
     """Mean log-spectral distance between reference t and signal u, in dB.
 
     Frames of t whose energy is within 40 dB of the loudest frame count
@@ -108,7 +110,7 @@ def quality_proxy(t, u, frame: int = 512, hop: int = 256) -> float:
     return float(np.mean(np.concatenate(dists)))
 
 
-def evaluate_run(result: RunResult, mics: MicSignals, frame: int = 512, hop: int = 256) -> MetricBundle:
+def evaluate_run(result: RunResult, mics: MicSignals) -> MetricBundle:
     """Full metric bundle for one simulation run against its input signals."""
     if result.t is None:
         raise ValueError("run result carries no target signal; simulate with a target configuration")
@@ -120,7 +122,7 @@ def evaluate_run(result: RunResult, mics: MicSignals, frame: int = 512, hop: int
     sdi = speech_distortion_index(result.t, result.e_s)
     if sdi <= SDI_FLOOR_DB:
         flags.append("sdi_clamped")
-    quality = quality_proxy(result.t, result.e, frame=frame, hop=hop)
+    quality = quality_proxy(result.t, result.e)
 
     def ratio_db(num, den):
         n = float(np.sum(np.asarray(num) ** 2))

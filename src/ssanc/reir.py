@@ -8,14 +8,11 @@ desired-only rendering is regressed channel by channel onto the
 reference channel's tap history.
 """
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
-from ssanc import wavio
 from ssanc.convmat import frame_products, lagged_products
 from ssanc.scene import MicSignals
 
@@ -36,10 +33,6 @@ class ReIRSet:
     @property
     def Lh(self) -> int:
         return self.h.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.h.shape[0]
 
 
 def estimate_reirs(mics: MicSignals, spatial_ref: int, Lh: int, reg: float | None = None) -> ReIRSet:
@@ -112,29 +105,3 @@ def design_min_phase_highpass(cutoff_hz: float, fs: float, length: int) -> np.nd
     out = np.zeros(length)
     out[: psi.shape[0]] = psi
     return out
-
-
-def save_reirs_json(reirs: ReIRSet, path) -> None:
-    payload = {
-        "spatial_ref": int(reirs.spatial_ref),
-        "Lh": int(reirs.Lh),
-        "h": [list(map(float, row)) for row in reirs.h],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2))
-
-
-def load_reirs_json(path) -> ReIRSet:
-    payload = json.loads(Path(path).read_text())
-    return ReIRSet(h=np.asarray(payload["h"], dtype=float), spatial_ref=int(payload["spatial_ref"]))
-
-
-def save_reirs_wav(reirs: ReIRSet, path, fs: int) -> None:
-    """Export as a multichannel float64 WAV, one channel per microphone."""
-    wavio.write_wav(path, fs, reirs.h.T)
-
-
-def load_reirs_wav(path, spatial_ref: int) -> ReIRSet:
-    _, data = wavio.read_wav(path)
-    if data.ndim == 1:
-        data = data[:, None]
-    return ReIRSet(h=data.T.copy(), spatial_ref=spatial_ref)

@@ -102,6 +102,11 @@ def _pulse_ir(gain: float, delay: int, length: int, tail_amp: float, tail_decay:
     return ir
 
 
+def default_ir_len(delays, tail_amp: float, tail_decay: float) -> int:
+    """Impulse-response length of ``synth_scene``: the latest pulse plus four tail time constants."""
+    return max(delays) + 1 + (int(round(4 * tail_decay)) if tail_amp > 0.0 else 0)
+
+
 def synth_scene(
     K: int,
     speech_delays,
@@ -116,8 +121,6 @@ def synth_scene(
     ir_len: int | None = None,
     tail_amp: float = 0.0,
     tail_decay: float = 6.0,
-    sec_gain: float = 1.0,
-    sec_onset: float = 0.0,
 ) -> Scene:
     """Build a sparse synthetic scene from per-microphone delays and gains.
 
@@ -129,9 +132,6 @@ def synth_scene(
     pulse (tail_decay sets its exponential time constant in samples).
     The secondary path must have at least one sample of latency
     (sec_delay >= 1) so closed-loop simulation stays well-posed.
-    sec_onset > 0 gives it a soft leading edge: a geometric ramp
-    sec_onset**(sec_delay - j) at lags 1 <= j < sec_delay, mimicking the
-    weak early response of a measured transducer path.
 
     spatial_ref defaults to the reference microphone with the smallest
     speech delay, i.e. the one closest to the desired source.
@@ -147,11 +147,11 @@ def synth_scene(
         raise ValueError("sec_delay must be >= 1 (causal, delay-free-loop-safe secondary path)")
     if sec_ir_len <= sec_delay:
         raise ValueError(f"sec_ir_len {sec_ir_len} must exceed sec_delay {sec_delay}")
+    if tail_amp > 0.0 and tail_decay <= 0.0:
+        raise ValueError(f"tail_decay must be > 0, got {tail_decay}")
 
     if ir_len is None:
-        ir_len = max(*speech_delays, *noise_delays) + 1 + (
-            int(round(4 * tail_decay)) if tail_amp > 0.0 else 0
-        )
+        ir_len = default_ir_len(speech_delays + noise_delays, tail_amp, tail_decay)
     if max(*speech_delays, *noise_delays) >= ir_len:
         raise ValueError(f"ir_len {ir_len} must exceed every source delay")
 
@@ -167,10 +167,7 @@ def synth_scene(
         _pulse_ir(gains[k][1], noise_delays[k], ir_len, tail_amp, tail_decay, rng)
         for k in range(K + 1)
     )
-    g = _pulse_ir(sec_gain, sec_delay, sec_ir_len, tail_amp, tail_decay, rng)
-    if sec_onset > 0.0:
-        for j in range(1, sec_delay):
-            g[j] = sec_gain * sec_onset ** (sec_delay - j)
+    g = _pulse_ir(1.0, sec_delay, sec_ir_len, tail_amp, tail_decay, rng)
     return Scene(
         K=K, ir_speech=ir_speech, ir_noise=ir_noise, g=g, fs=int(fs), spatial_ref=spatial_ref
     )

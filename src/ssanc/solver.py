@@ -8,7 +8,8 @@ impulse responses of the desired source:
 
     min_w  E{e^2(n)} + beta * w'w      s.t.  H'(q + G w) = f
 
-with G the block-diagonal secondary-path convolution matrix, q the
+with G the secondary-path convolution applied to each of the K+1
+filter channels (one shared matrix, never a block-diagonal copy), q the
 selection vector picking the current primary sample, H the stacked
 ReIR convolution matrices and f the target response.  The closed form
 is evaluated through two symmetric factorizations:
@@ -31,14 +32,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from ssanc import wavio
-from ssanc.convmat import (
-    block_diag_secondary,
-    build_conv_matrix,
-    build_q,
-    frame_products,
-    unit_pulse,
-)
+from ssanc.convmat import build_conv_matrix, build_q, frame_products, per_channel, unit_pulse
 from ssanc.reir import ReIRSet
 from ssanc.scene import MicSignals
 
@@ -88,9 +82,6 @@ class Constraint:
 
     H: np.ndarray
     f: np.ndarray
-    target_kind: str
-    delta: int
-    psi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,8 +119,8 @@ class DesignResult:
     predicted_error_power: float
 
 
-def stacked_frames(channels, L: int, block: int = 16384):
-    """Yield blocks of stacked input vectors x(n) as (block, n_channels*L) arrays.
+def stacked_frames(channels, L: int) -> np.ndarray:
+    """The (N - L + 1, n_channels * L) matrix of stacked input vectors x(n).
 
     Each frame stacks, channel by channel, the L-sample history
     [c(n), c(n-1), ..., c(n-L+1)] for n = L-1 .. N-1 (only fully
@@ -141,26 +132,19 @@ def stacked_frames(channels, L: int, block: int = 16384):
         raise ValueError("all channels must have the same length")
     if N < L:
         raise ValueError(f"signal length {N} shorter than frame history {L}")
-    views = [np.lib.stride_tricks.sliding_window_view(c, L)[:, ::-1] for c in channels]
-    n_frames = N - L + 1
-    for start in range(0, n_frames, block):
-        stop = min(start + block, n_frames)
-        yield np.hstack([v[start:stop] for v in views])
+    return np.hstack([np.lib.stride_tricks.sliding_window_view(c, L)[:, ::-1] for c in channels])
 
 
 @dataclass(frozen=True, eq=False)
 class InputFrames:
     """The (C, N) channel stack and frame history L behind a set of stacked frames.
 
-    Iterating yields the explicit frame blocks of ``stacked_frames``;
-    ``estimate_autocorrelation`` never builds them.
+    ``estimate_autocorrelation`` never builds the frames;
+    ``stacked_frames(channels, L)`` does.
     """
 
     channels: np.ndarray
     L: int
-
-    def __iter__(self):
-        return stacked_frames(self.channels, self.L)
 
 
 def input_frames(mics: MicSignals, L: int) -> InputFrames:
@@ -168,8 +152,7 @@ def input_frames(mics: MicSignals, L: int) -> InputFrames:
 
     Returns an ``InputFrames`` holding the (K+1, N) channel stack and L,
     not the frames: ``estimate_autocorrelation`` computes their product
-    from the Toeplitz structure, and iterating yields the frame blocks
-    of ``stacked_frames`` at its default block size.
+    from the Toeplitz structure.
     """
     if mics.N < L:
         raise ValueError(f"signal length {mics.N} shorter than frame history {L}")
@@ -182,10 +165,9 @@ def estimate_autocorrelation(x_frames) -> np.ndarray:
     For the ``InputFrames`` returned by ``input_frames`` the sum over
     the N - L + 1 fully excited frames comes from the channels'
     cross-correlations (``convmat.frame_products``) without forming any
-    frame, and is exactly symmetric as computed.  A single
-    (n_frames, dim) array or an iterable of such chunks is summed
-    explicitly, chunk by chunk; that is the reference the structural
-    form is tested against.
+    frame, and is exactly symmetric as computed.  A (n_frames, dim)
+    array of explicit frames gives X'X / n_frames; that is the
+    reference the structural form is tested against.
     """
     if isinstance(x_frames, InputFrames):
         C, N = x_frames.channels.shape
@@ -193,30 +175,12 @@ def estimate_autocorrelation(x_frames) -> np.ndarray:
         phi = frame_products(x_frames.channels, L).reshape(C * L, C * L)
         phi /= N - L + 1
         return phi
-    if isinstance(x_frames, np.ndarray):
-        if x_frames.ndim == 1:
-            x_frames = x_frames[None, :]
-        chunks = [x_frames]
-    else:
-        chunks = x_frames
-
-    acc = None
-    count = 0
-    for chunk in chunks:
-        chunk = np.asarray(chunk, dtype=float)
-        if chunk.ndim != 2:
-            raise ValueError("frames must be 2-D (n_frames, dim)")
-        if acc is None:
-            acc = np.zeros((chunk.shape[1], chunk.shape[1]))
-        elif chunk.shape[1] != acc.shape[0]:
-            raise ValueError(
-                f"inconsistent frame length: {chunk.shape[1]} != {acc.shape[0]}"
-            )
-        acc += chunk.T @ chunk
-        count += chunk.shape[0]
-    if count == 0:
+    X = np.asarray(x_frames, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("frames must be 2-D (n_frames, dim)")
+    if X.shape[0] == 0:
         raise ValueError("need at least one frame")
-    phi = acc / count
+    phi = X.T @ X / X.shape[0]
     return (phi + phi.T) / 2.0
 
 
@@ -267,7 +231,7 @@ def build_constraint(
         raise ValueError(f"psi must have between 1 and L={L} taps, got {psi.size}")
     H = _constraint_matrix(reirs, L)
     f = _constraint_vector(reirs, psi, target_kind, int(delta), L)
-    return Constraint(H=H, f=f, target_kind=target_kind, delta=int(delta), psi=psi)
+    return Constraint(H=H, f=f)
 
 
 def largest_eigenvalue(A) -> float:
@@ -317,10 +281,12 @@ class _DesignContext:
         self.L = L
         self.phi_xx = phi_xx
         self.H = H
-        self.Gt = block_diag_secondary(build_conv_matrix(g, Lw), K)
+        self.G = build_conv_matrix(g, Lw)
         self.q = build_q(K, L)
 
-        S = self.Gt.T @ phi_xx @ self.Gt
+        # Gt' Phi_xx' Gt for Gt = I_{K+1} (x) G: the transpose of Gt' Phi_xx Gt,
+        # with the same symmetric part
+        S = per_channel(self.G.T, per_channel(self.G.T, phi_xx).T)
         S = (S + S.T) / 2.0
         self.beta = params.beta if params.beta is not None else largest_eigenvalue(S) / params.beta_div
         if self.beta <= 0.0:
@@ -335,8 +301,8 @@ class _DesignContext:
                 f"cannot factorize Phi_rr with beta={self.beta:g}; increase beta"
             ) from exc
 
-        A = self.Gt.T @ H  # (K+1)Lw x (Lh+L-1)
-        phi = self.Gt.T @ (phi_xx @ self.q)
+        A = per_channel(self.G.T, H)  # Gt'H: (K+1)Lw x (Lh+L-1)
+        phi = per_channel(self.G.T, phi_xx @ self.q)
         sol = scipy.linalg.cho_solve(cho_rr, np.column_stack([A, phi]))
         self.XA = sol[:, :-1]  # Phi_rr^-1 G'H
         self.xphi = sol[:, -1]  # Phi_rr^-1 phi
@@ -387,7 +353,7 @@ class _DesignContext:
         columns = F if F.ndim == 2 else F[:, None]
         mu = self._solve_inner(columns - self.Hq[:, None] + (self.A.T @ self.xphi)[:, None])
         W = self.XA @ mu - self.xphi[:, None]
-        U = self.q[:, None] + self.Gt @ W
+        U = self.q[:, None] + per_channel(self.G, W)
         residuals = np.linalg.norm(self.H.T @ U - columns, axis=0)
         predicted = np.einsum("ij,ij->j", U, self.phi_xx @ U)
         results = []
@@ -446,7 +412,8 @@ def kkt_oracle(phi_xx, g, constraint: Constraint | None, beta: float, K: int, Lw
     if beta <= 0.0:
         raise ValueError(f"beta must be > 0, got {beta}")
     L = g.shape[0] + Lw - 1
-    Gt = block_diag_secondary(build_conv_matrix(g, Lw), K)
+    # the dense block-diagonal operator, independent of the per-channel helper
+    Gt = np.kron(np.eye(K + 1), build_conv_matrix(g, Lw))
     q = build_q(K, L)
     Phi_rr = Gt.T @ phi_xx @ Gt + beta * np.eye((K + 1) * Lw)
     phi = Gt.T @ (phi_xx @ q)
@@ -510,8 +477,3 @@ def save_filter_json(result: DesignResult, path) -> None:
 def load_filter_json(path) -> ControlFilter:
     payload = json.loads(Path(path).read_text())
     return ControlFilter(w=np.asarray(payload["w"], dtype=float))
-
-
-def save_filter_wav(flt: ControlFilter, path, fs: int) -> None:
-    """Export as a multichannel float WAV, one channel per filter channel."""
-    wavio.write_wav(path, fs, flt.w.T)

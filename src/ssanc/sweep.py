@@ -28,11 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from ssanc import signals, wavio
-from ssanc.convmat import build_conv_matrix, build_q, block_diag_secondary
-from ssanc.metrics import evaluate_run
+from ssanc.convmat import build_conv_matrix, build_q, per_channel
+from ssanc.metrics import QUALITY_FRAME, evaluate_run
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
-    MicSignals, ScalingError, Scene, SceneLoadError, load_scene_wav, render_mics, synth_scene,
+    MicSignals, ScalingError, Scene, SceneLoadError, default_ir_len, load_scene_wav, render_mics,
+    synth_scene,
 )
 from ssanc.simulate import _FeedForward, apply_control, export_run_wavs
 from ssanc.solver import (
@@ -74,6 +75,11 @@ class ConfigError(ValueError):
     """The sweep configuration is missing, malformed or inconsistent."""
 
 
+# render_mics scales the noise by 10**(-snr_db/20), which leaves float64
+# range near +-3000 dB; physical SNRs lie far inside this bound
+MAX_SNR_DB = 300.0
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """Metrics for one target delay; ``error`` is empty on success."""
@@ -106,29 +112,6 @@ def default_scene_dict() -> dict:
         "spatial_ref": None,
         "ir_len": None,
     }
-
-
-def zero_latency_scene_dict() -> dict:
-    """Synthetic scene with a zero-latency, mildly non-minimum-phase secondary path.
-
-    Models a measured transducer path (immediate onset, one zero just
-    outside the unit circle) supplied via explicit taps.  This is the
-    scene used to demonstrate the reference-target causality behavior:
-    target delays below the 4-sample acoustic delay force the design to
-    work through the expensive early response, so noise reduction is
-    worst at zero delay and recovers a few samples above the acoustic
-    delay.  Not usable with closed-loop simulation (g[0] != 0).
-    """
-    g = np.zeros(48)
-    g[0] = 0.7
-    g[1] = 1.0
-    g[2:16] = 0.55 ** np.arange(1, 15)
-    scene = default_scene_dict()
-    scene["noise_delays"] = [9, 5, 12]
-    scene["gains"] = [[1.0, 0.7], [0.8, 1.0], [0.95, 0.8]]
-    scene["g_taps"] = [float(v) for v in g]
-    scene["seed"] = 4
-    return scene
 
 
 def _integer(key: str, value) -> int:
@@ -198,12 +181,10 @@ class SweepConfig:
         if merged["reir_reg"] is not None:
             merged["reir_reg"] = _real("reir_reg", merged["reir_reg"])
 
-        dr = merged.get("delta_range")
-        try:
-            start, stop, step = (int(v) for v in dr)
-        except (TypeError, ValueError):
-            raise ConfigError(f"delta_range must be [start, stop, step], got {dr!r}") from None
-        merged["delta_range"] = (start, stop, step)
+        dr = merged["delta_range"]
+        if not isinstance(dr, (list, tuple)) or len(dr) != 3:
+            raise ConfigError(f"delta_range must be [start, stop, step], got {dr!r}")
+        merged["delta_range"] = tuple(_integer("delta_range", v) for v in dr)
 
         cfg = cls(**merged)
         cfg.validate()
@@ -224,6 +205,8 @@ class SweepConfig:
             raise ConfigError("Lw, Lg, Lh must all be >= 1")
         if self.duration_s * self.fs < self.fs:
             raise ConfigError(f"signals must be at least 1 s, got {self.duration_s} s")
+        if abs(self.snr_db) > MAX_SNR_DB:
+            raise ConfigError(f"snr_db must lie within +-{MAX_SNR_DB:g} dB, got {self.snr_db}")
         if self.target_kind not in ("error_mic", "reference_mic"):
             raise ConfigError(f"target_kind must be error_mic or reference_mic, got {self.target_kind!r}")
         start, stop, step = self.delta_range
@@ -234,6 +217,8 @@ class SweepConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.psi is not None and not 0.0 < self.psi < self.fs / 2.0:
             raise ConfigError(f"psi cutoff {self.psi} Hz outside (0, fs/2)")
+        if self.psi is not None and self.Lg + self.Lw - 1 < 8:
+            raise ConfigError("psi weighting needs Lg + Lw - 1 >= 8 taps")
         if self.beta_div <= 0 or self.rho_div <= 0:
             raise ConfigError("beta_div and rho_div must be positive")
         if not isinstance(self.scene, dict) or self.scene.get("kind") not in ("synthetic", "manifest"):
@@ -265,9 +250,17 @@ class PreparedScene:
     L: int
 
 
-def _build_scene(config: SweepConfig) -> Scene:
+def _build_scene(config: SweepConfig, n: int) -> Scene:
+    """The configured scene, refused if its impulse responses do not fit in n samples."""
     sc = dict(config.scene)
     kind = sc.pop("kind")
+
+    def check_ir_len(ir_len: int) -> None:
+        if ir_len >= n:
+            raise ConfigError(
+                f"scene impulse responses have {ir_len} taps; the {n}-sample signals must be longer"
+            )
+
     if kind == "manifest":
         try:
             directory = sc.pop("dir")
@@ -277,34 +270,46 @@ def _build_scene(config: SweepConfig) -> Scene:
         scene = load_scene_wav(directory, manifest)
         if scene.fs != config.fs:
             raise ConfigError(f"scene fs {scene.fs} != config fs {config.fs}")
+        check_ir_len(max(len(ir) for ir in (*scene.ir_speech, *scene.ir_noise)))
         return scene
 
     known = {"K", "speech_delays", "noise_delays", "gains", "sec_delay",
-             "tail_amp", "tail_decay", "spatial_ref", "ir_len", "sec_gain", "sec_onset",
-             "g_taps", "seed"}
+             "tail_amp", "tail_decay", "spatial_ref", "ir_len", "g_taps", "seed"}
     unknown = set(sc) - known
     if unknown:
         raise ConfigError(f"unknown synthetic-scene keys: {sorted(unknown)}")
-    g_taps = sc.get("g_taps")
+
+    def optional(key, check):
+        return None if sc.get(key) is None else check(f"scene.{key}", sc[key])
+
     try:
+        speech_delays = [_integer("scene.speech_delays", d) for d in sc["speech_delays"]]
+        noise_delays = [_integer("scene.noise_delays", d) for d in sc["noise_delays"]]
+        tail_amp = _real("scene.tail_amp", sc.get("tail_amp", 0.0))
+        tail_decay = _real("scene.tail_decay", sc.get("tail_decay", 6.0))
+        ir_len = optional("ir_len", _integer)
+        seed = optional("seed", _integer)
+        # refuse long responses before synth_scene allocates them
+        check_ir_len(ir_len if ir_len is not None else default_ir_len(
+            speech_delays + noise_delays, tail_amp, tail_decay
+        ))
         scene = synth_scene(
-            K=int(sc["K"]),
-            speech_delays=sc["speech_delays"],
-            noise_delays=sc["noise_delays"],
-            gains=sc["gains"],
-            sec_delay=int(sc["sec_delay"]),
+            K=_integer("scene.K", sc["K"]),
+            speech_delays=speech_delays,
+            noise_delays=noise_delays,
+            gains=[[_real("scene.gains", v) for v in pair] for pair in sc["gains"]],
+            sec_delay=_integer("scene.sec_delay", sc["sec_delay"]),
             sec_ir_len=config.Lg,
             fs=config.fs,
-            seed=int(sc["seed"]) if sc.get("seed") is not None else config.seed + 3,
-            spatial_ref=sc.get("spatial_ref"),
-            ir_len=sc.get("ir_len"),
-            tail_amp=float(sc.get("tail_amp", 0.0)),
-            tail_decay=float(sc.get("tail_decay", 6.0)),
-            sec_gain=float(sc.get("sec_gain", 1.0)),
-            sec_onset=float(sc.get("sec_onset", 0.0)),
+            seed=seed if seed is not None else config.seed + 3,
+            spatial_ref=optional("spatial_ref", _integer),
+            ir_len=ir_len,
+            tail_amp=tail_amp,
+            tail_decay=tail_decay,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad synthetic scene: {exc}") from exc
+    g_taps = sc.get("g_taps")
     if g_taps is not None:
         # explicit secondary-path taps, e.g. exported from a measurement;
         # unlike synth_scene's pulse model these may start at lag 0
@@ -331,11 +336,11 @@ def render_scene(config: SweepConfig) -> tuple[Scene, MicSignals]:
     """The configured scene and its microphone signals at the configured SNR.
 
     Speech uses the config seed and noise seed+1; synthetic scene tails
-    use seed+3.
+    use seed+3.  Signals too short for the scene, the ReIR fit, the
+    frame history or one quality-proxy frame are refused before the
+    scene is built.
     """
-    scene = _build_scene(config)
     n = int(round(config.duration_s * config.fs))
-
     speech = (
         _load_source(config.speech_wav, config, n)
         if config.speech_wav
@@ -347,6 +352,14 @@ def render_scene(config: SweepConfig) -> tuple[Scene, MicSignals]:
         else signals.speech_shaped_noise(n, config.fs, config.seed + 1)
     )
     n = min(speech.shape[0], noise.shape[0])
+    for need, what in (
+        (QUALITY_FRAME, "one quality-proxy frame"),
+        (4 * config.Lh, "the ReIR fit (4 Lh)"),
+        (config.Lg + config.Lw - 1, "the frame history (Lg + Lw - 1)"),
+    ):
+        if n < need:
+            raise ConfigError(f"signals have {n} samples; {what} needs {need}")
+    scene = _build_scene(config, n)
     return scene, render_mics(scene, speech[:n], noise[:n], config.snr_db)
 
 
@@ -519,9 +532,9 @@ def verify_against_oracle(trials: int = 20, dims: tuple[int, int, int] | None = 
         reirs = ReIRSet(h=rng.standard_normal((K + 1, Lh)), spatial_ref=0)
         base = build_constraint(reirs, [1.0], "error_mic", 0, Lw, Lg)
 
-        Gt = block_diag_secondary(build_conv_matrix(g, Lw), K)
         w0 = rng.standard_normal((K + 1) * Lw)
-        constraint = replace(base, f=base.H.T @ (build_q(K, L) + Gt @ w0))
+        u0 = build_q(K, L) + per_channel(build_conv_matrix(g, Lw), w0)
+        constraint = replace(base, f=base.H.T @ u0)
 
         res = design_control_filter(phi_xx, g, constraint, DesignParams(rho=0.0), K, Lw)
         oracle = kkt_oracle(phi_xx, g, constraint, res.beta, K, Lw)

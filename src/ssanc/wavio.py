@@ -1,8 +1,8 @@
 """Thin WAV helpers on top of scipy.io.wavfile.
 
-Reads 16/24-bit PCM and 32/64-bit float WAV, always returning float64.
-PCM is normalized to [-1, 1); floats pass through unchanged, so a
-float64 write/read round trip is exact.
+Reads 16/24-bit PCM and 32/64-bit float WAV, always returning float64,
+and writes float64 WAV.  PCM is normalized to [-1, 1); floats pass
+through unchanged, so a write/read round trip is exact.
 """
 
 from pathlib import Path
@@ -38,18 +38,7 @@ def read_wav_mono(path) -> tuple[int, np.ndarray]:
     return fs, data
 
 
-def write_wav(path, fs: int, data: np.ndarray, dtype: str = "float64") -> None:
-    """Write ``data`` as WAV. dtype one of float64 (exact), float32, int16."""
-    data = np.asarray(data)
-    if dtype == "float64":
-        out = data.astype(np.float64)
-    elif dtype == "float32":
-        out = data.astype(np.float32)
-    elif dtype == "int16":
-        peak = np.max(np.abs(data)) if data.size else 0.0
-        scaled = data / peak * 0.999 if peak > 0 else data
-        out = (scaled * 2.0**15).astype(np.int16)
-    else:
-        raise ValueError(f"unsupported WAV dtype {dtype!r}")
+def write_wav(path, fs: int, data: np.ndarray) -> None:
+    """Write ``data`` as float64 WAV, creating the parent directory."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    wavfile.write(str(path), int(fs), out)
+    wavfile.write(str(path), int(fs), np.asarray(data, np.float64))

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from ssanc.convmat import (
-    block_diag_secondary,
-    build_conv_matrix,
-    build_q,
-    unit_pulse,
-)
-from ssanc.solver import largest_eigenvalue
+from ssanc.convmat import build_conv_matrix, build_q, per_channel, unit_pulse
 
 
 def conv_direct(h, x):
@@ -69,48 +63,18 @@ def test_rejects_empty_inputs():
         build_conv_matrix([1.0], 0)
 
 
-def test_block_diag_trivial():
-    G = build_conv_matrix([2.0], 1)
-    np.testing.assert_array_equal(block_diag_secondary(G, 1), np.diag([2.0, 2.0]))
-
-
-def test_block_diag_shape_and_blocks():
-    rng = np.random.default_rng(3)
-    G = build_conv_matrix(rng.standard_normal(2), 2)  # 3x2
-    K = 4
-    full = block_diag_secondary(G, K)
-    assert full.shape == ((K + 1) * 3, (K + 1) * 2)
-    for b in range(K + 1):
-        np.testing.assert_array_equal(full[3 * b : 3 * b + 3, 2 * b : 2 * b + 2], G)
-    # off-diagonal blocks are zero
-    full2 = full.copy()
-    for b in range(K + 1):
-        full2[3 * b : 3 * b + 3, 2 * b : 2 * b + 2] = 0.0
-    assert not full2.any()
-
-
-def test_block_diag_acts_per_block():
-    rng = np.random.default_rng(5)
-    G = build_conv_matrix(rng.standard_normal(3), 4)
-    K = 2
-    full = block_diag_secondary(G, K)
-    w = rng.standard_normal((K + 1) * 4)
-    expected = np.concatenate([G @ w[4 * b : 4 * (b + 1)] for b in range(K + 1)])
-    np.testing.assert_allclose(full @ w, expected, atol=1e-12)
-
-
-def test_block_diag_rejects_zero_K():
-    with pytest.raises(ValueError):
-        block_diag_secondary(build_conv_matrix([1.0], 1), 0)
-
-
-def test_block_diag_preserves_spectral_norm():
-    rng = np.random.default_rng(9)
-    G = build_conv_matrix(rng.standard_normal(5), 6)
-    full = block_diag_secondary(G, 3)
-    lam_small = largest_eigenvalue(G.T @ G)
-    lam_big = largest_eigenvalue(full.T @ full)
-    assert lam_big == pytest.approx(lam_small, rel=1e-8)
+@pytest.mark.parametrize("K", [1, 4])
+@pytest.mark.parametrize("cols", [None, 3], ids=["1d", "2d"])
+def test_per_channel_matches_kron(K, cols):
+    rng = np.random.default_rng(K)
+    G = build_conv_matrix(rng.standard_normal(4), 5)  # 8x5
+    full = np.kron(np.eye(K + 1), G)
+    tail = () if cols is None else (cols,)
+    X = rng.standard_normal(((K + 1) * G.shape[1], *tail))
+    Y = rng.standard_normal(((K + 1) * G.shape[0], *tail))
+    np.testing.assert_allclose(per_channel(G, X), full @ X, atol=1e-12)
+    np.testing.assert_allclose(per_channel(G.T, Y), full.T @ Y, atol=1e-12)
+    assert per_channel(G, X).shape == full.shape[:1] + tail
 
 
 def test_unit_pulse_basic():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssanc.convmat import build_conv_matrix, build_q, block_diag_secondary
+from ssanc.convmat import build_conv_matrix, build_q
 from ssanc.reir import estimate_reirs
 from ssanc.scene import MicSignals, render_mics, synth_scene
 from ssanc.signals import white_noise
@@ -49,7 +49,7 @@ def test_streaming_matches_dense_stacked_form():
     g = rng.standard_normal(Lg)
     run = apply_control(w, mics, g)
 
-    Gt = block_diag_secondary(build_conv_matrix(g, Lw), K)
+    Gt = np.kron(np.eye(K + 1), build_conv_matrix(g, Lw))
     u = build_q(K, L) + Gt @ w.stacked
     x = mics.x
     p = mics.p

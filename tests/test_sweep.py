@@ -24,10 +24,10 @@ from ssanc.sweep import (
     default_scene_dict,
     run_sweep,
     write_rows_csv,
-    zero_latency_scene_dict,
 )
 
 ROOT = Path(__file__).parents[1]
+FIG5_SCENE = json.loads((ROOT / "configs" / "fig5_synthetic.json").read_text())["scene"]
 
 
 def quick_config(**overrides):
@@ -162,7 +162,7 @@ def test_csv_is_crlf_terminated(tmp_path):
 
 def test_zero_latency_scene_runs():
     cfg = quick_config(
-        scene=zero_latency_scene_dict(), target_kind="reference_mic",
+        scene=FIG5_SCENE, target_kind="reference_mic",
         Lw=48, Lg=48, Lh=48, delta_range=[0, 2, 1],
     )
     rows = run_sweep(cfg)
@@ -347,18 +347,66 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
         ("psi", float("inf")),
         ("rho_div", float("-inf")),
         ("seed", -1),
+        ("delta_range", [0, 10.7, 1]),
+        ("delta_range", [True, 10, 1]),
+        ("snr_db", 1e308),
     ],
 )
 def test_cli_mistyped_config_value_is_one_line_error(tmp_path, capsys, key, value):
+    err = sweep_config_error(tmp_path, capsys, {key: value})
+    assert key in err
+
+
+def sweep_config_error(tmp_path, capsys, overrides, scene=None):
+    """stderr of a fig3 sweep with overridden keys, checked to be one config-error line."""
     cfg = json.loads((Path(__file__).parents[1] / "configs" / "fig3_synthetic.json").read_text())
-    cfg[key] = value
+    cfg.update(overrides)
+    cfg["scene"].update(scene or {})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "rows.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and key in err
+    assert err.startswith("config error:")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("K", 2.5),
+        ("sec_delay", "2"),
+        ("speech_delays", [6, 8.5, 10]),
+        ("gains", [[1.0, 0.7], [0.8, float("nan")], [0.6, 0.8]]),
+        ("tail_amp", float("nan")),
+        ("tail_decay", float("inf")),
+        ("tail_decay", 0.0),
+        ("spatial_ref", True),
+        ("ir_len", 40.5),
+        ("seed", False),
+    ],
+)
+def test_cli_mistyped_scene_value_is_one_line_error(tmp_path, capsys, key, value):
+    err = sweep_config_error(tmp_path, capsys, {}, scene={key: value})
+    assert key in err
+
+
+@pytest.mark.parametrize(
+    "overrides, scene, words",
+    [
+        ({"fs": 100}, {}, "quality-proxy frame"),
+        ({"duration_s": 1, "Lh": 4100}, {}, "ReIR fit"),
+        ({"Lg": 10**9}, {}, "frame history"),
+        ({}, {"speech_delays": [6, 8, 100000]}, "impulse responses"),
+        ({}, {"tail_decay": 1e12}, "impulse responses"),
+        ({"Lw": 2, "Lg": 3, "psi": 100.0, "delta_range": [0, 3, 1]}, {"sec_delay": 1}, "psi"),
+    ],
+    ids=["fs", "Lh", "Lg", "speech-delay", "tail-decay", "psi-taps"],
+)
+def test_cli_unrunnable_config_is_refused_up_front(tmp_path, capsys, overrides, scene, words):
+    err = sweep_config_error(tmp_path, capsys, overrides, scene=scene)
+    assert words in err
 
 
 FIG3 = str(Path(__file__).parents[1] / "configs" / "fig3_synthetic.json")
