@@ -21,7 +21,7 @@ from ssanc.solver import (
     kkt_oracle,
     largest_eigenvalue,
 )
-from ssanc.simulate import RunResult, apply_control, closed_loop_sim, realize_target
+from ssanc.simulate import RunResult, apply_control, realize_target
 from ssanc.metrics import (
     MetricBundle,
     control_effort,
@@ -57,7 +57,6 @@ __all__ = [
     "kkt_oracle",
     "RunResult",
     "apply_control",
-    "closed_loop_sim",
     "realize_target",
     "MetricBundle",
     "noise_reduction",

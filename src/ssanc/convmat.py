@@ -9,12 +9,11 @@ exactness and clarity win.  The frame products are the exception,
 because their frame matrices have N rows: they are formed from FFT
 cross-correlations and the Toeplitz structure of the frames instead
 (the covariance method of linear prediction), which is exact up to
-rounding.
+rounding.  Everything here is numpy alone; the FFTs use the 5-smooth
+sizes of ``next_fast_len``.
 """
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 
 def build_conv_matrix(h, input_len: int) -> np.ndarray:
@@ -29,9 +28,23 @@ def build_conv_matrix(h, input_len: int) -> np.ndarray:
         raise ValueError("filter taps must be non-empty")
     if input_len < 1:
         raise ValueError(f"input_len must be >= 1, got {input_len}")
-    col = np.concatenate([h, np.zeros(input_len - 1)])
-    row = np.concatenate([h[:1], np.zeros(input_len - 1)])
-    return scipy.linalg.toeplitz(col, row)
+    # row i of the windows over [0]*(n-1) + h + [0]*(n-1), reversed, is h[i - j]
+    padded = np.concatenate([np.zeros(input_len - 1), h, np.zeros(input_len - 1)])
+    return np.lib.stride_tricks.sliding_window_view(padded, input_len)[:, ::-1].copy()
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: the sizes for which a real FFT is fastest."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def per_channel(G: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -81,10 +94,10 @@ def lagged_products(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
     'valid' part of a circular FFT correlation of length >= N.
     """
     N = a.shape[-1]
-    nfft = scipy.fft.next_fast_len(N, real=True)
-    fb = scipy.fft.rfft(b, nfft)
-    fa = scipy.fft.rfft(a[:, L - 1 :], nfft).conj()
-    return np.stack([scipy.fft.irfft(fb * f, nfft)[:, L - 1 :: -1] for f in fa])
+    nfft = next_fast_len(N)
+    fb = np.fft.rfft(b, nfft)
+    fa = np.fft.rfft(a[:, L - 1 :], nfft).conj()
+    return np.stack([np.fft.irfft(fb * f, nfft)[:, L - 1 :: -1] for f in fa])
 
 
 def frame_products(channels: np.ndarray, L: int) -> np.ndarray:

@@ -8,10 +8,10 @@ desired-only rendering is regressed channel by channel onto the
 reference channel's tap history.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ssanc.convmat import frame_products, lagged_products
 from ssanc.scene import MicSignals
@@ -65,6 +65,8 @@ def estimate_reirs(mics: MicSignals, spatial_ref: int, Lh: int, reg: float | Non
     if reg is None:
         reg = 1e-8 * float(np.mean(np.diag(R)))
     rhs = lagged_products(targets, ref[None, :], Lh)[:, 0, :].T
+    import scipy.linalg  # deferred: costs most of the package's import time
+
     try:
         cho = scipy.linalg.cho_factor(R + reg * np.eye(Lh))
     except np.linalg.LinAlgError as exc:
@@ -89,19 +91,32 @@ def design_min_phase_highpass(cutoff_hz: float, fs: float, length: int) -> np.nd
     energy is concentrated at the front of the filter.  Note the
     prototype itself needs enough taps relative to fs/cutoff_hz to form
     a deep stopband; very short filters give a correspondingly shallow
-    high-pass.
+    high-pass.  The taps equal those of scipy's ``firwin`` followed by
+    its homomorphic ``minimum_phase(..., half=False)``, to rounding.
     """
     if not 0.0 < cutoff_hz < fs / 2.0:
         raise ValueError(f"cutoff {cutoff_hz} Hz outside (0, fs/2) for fs={fs}")
     if length < 8:
         raise ValueError(f"length must be >= 8, got {length}")
 
-    import scipy.signal  # deferred: costs most of the package's import time
-
+    # Hamming-windowed sinc high-pass on centred taps, unit gain at Nyquist
     m = length if length % 2 == 1 else length - 1
-    proto = scipy.signal.firwin(m, cutoff_hz, pass_zero=False, fs=fs)
-    psi = scipy.signal.minimum_phase(proto, method="homomorphic", half=False)
+    n = np.arange(m) - (m - 1) / 2.0
+    c = cutoff_hz / (fs / 2.0)
+    proto = (np.sinc(n) - c * np.sinc(c * n)) * np.hamming(m)
+    proto /= np.sum(proto * np.cos(np.pi * n))
+
+    # homomorphic minimum phase: fold the real cepstrum of log|H| onto n >= 0,
+    # on scipy's FFT size: the power of two giving a spectral deviation
+    # 2 (m - 1) / nfft of at most 0.01
+    nfft = 2 ** math.ceil(math.log2(2 * (m - 1) / 0.01))
+    mag = np.abs(np.fft.rfft(proto, nfft))
+    cep = np.fft.irfft(np.log(mag + 1e-7 * np.min(mag[mag > 0])), nfft)
+    cep[1 : nfft // 2] *= 2.0
+    cep[nfft // 2 :] = 0.0
+    psi = np.fft.irfft(np.exp(np.fft.rfft(cep)), nfft)[:m]
+
     psi = psi * np.sqrt(np.sum(proto**2) / np.sum(psi**2))
     out = np.zeros(length)
-    out[: psi.shape[0]] = psi
+    out[:m] = psi
     return out

@@ -131,7 +131,8 @@ def synth_scene(
     small seeded decaying random tail starting one sample after the
     pulse (tail_decay sets its exponential time constant in samples).
     The secondary path must have at least one sample of latency
-    (sec_delay >= 1) so closed-loop simulation stays well-posed.
+    (sec_delay >= 1), for the acoustic and converter delay of a real
+    loudspeaker-to-microphone path.
 
     spatial_ref defaults to the reference microphone with the smallest
     speech delay, i.e. the one closest to the desired source.
@@ -144,7 +145,7 @@ def synth_scene(
     if min(speech_delays) < 0 or min(noise_delays) < 0:
         raise ValueError("delays must be >= 0")
     if sec_delay < 1:
-        raise ValueError("sec_delay must be >= 1 (causal, delay-free-loop-safe secondary path)")
+        raise ValueError("sec_delay must be >= 1 (a secondary path has at least one sample of latency)")
     if sec_ir_len <= sec_delay:
         raise ValueError(f"sec_ir_len {sec_ir_len} must exceed sec_delay {sec_delay}")
     if tail_amp > 0.0 and tail_decay <= 0.0:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from ssanc.convmat import build_conv_matrix, build_q, frame_products, per_channel, unit_pulse
 from ssanc.reir import ReIRSet
@@ -249,6 +248,8 @@ def largest_eigenvalue(A) -> float:
     if not np.all(np.isfinite(A)):
         raise ValueError("A must be finite")
     n = A.shape[0]
+    import scipy.linalg  # deferred: costs most of the package's import time
+
     top = scipy.linalg.eigh((A + A.T) / 2.0, eigvals_only=True, subset_by_index=[n - 1, n - 1])
     return max(float(top[0]), 0.0)
 
@@ -263,6 +264,8 @@ class _DesignContext:
     """
 
     def __init__(self, phi_xx, g, H, params: DesignParams, K: int, Lw: int):
+        import scipy.linalg  # deferred: costs most of the package's import time
+
         phi_xx = np.asarray(phi_xx, dtype=float)
         g = np.asarray(g, dtype=float).ravel()
         Lg = g.shape[0]
@@ -333,6 +336,8 @@ class _DesignContext:
             self._cho_M = None
 
     def _solve_inner(self, s: np.ndarray) -> np.ndarray:
+        import scipy.linalg  # already loaded by __init__
+
         if self._cho_M is not None:
             # a non-finite column must fail only its own design, not the batch
             return scipy.linalg.cho_solve(self._cho_M, s, check_finite=False)
@@ -423,6 +428,8 @@ def kkt_oracle(phi_xx, g, constraint: Constraint | None, beta: float, K: int, Lw
 
     C = constraint.H.T @ Gt  # (Lh+L-1) x (K+1)Lw
     v = constraint.f - constraint.H.T @ q
+
+    import scipy.linalg  # deferred: costs most of the package's import time
 
     _, R, piv = scipy.linalg.qr(C.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))

@@ -19,6 +19,8 @@ import argparse
 import csv
 import json
 import math
+import os
+import resource
 import sys
 import time
 import warnings
@@ -332,15 +334,32 @@ def _load_source(path, config: SweepConfig, n: int) -> np.ndarray:
     return data[:n] if data.shape[0] >= n else data
 
 
+def _available_memory() -> int:
+    """Bytes this process may hold: its address-space limit if set, else physical memory."""
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        return soft
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def render_scene(config: SweepConfig) -> tuple[Scene, MicSignals]:
     """The configured scene and its microphone signals at the configured SNR.
 
     Speech uses the config seed and noise seed+1; synthetic scene tails
-    use seed+3.  Signals too short for the scene, the ReIR fit, the
-    frame history or one quality-proxy frame are refused before the
-    scene is built.
+    use seed+3.  Signals that will not fit in memory are refused before
+    any source is drawn; signals too short for the scene, the ReIR fit,
+    the frame history or one quality-proxy frame before the scene is
+    built.
     """
     n = int(round(config.duration_s * config.fs))
+    # at the least the two sources and the speech and noise components at
+    # the error microphone and one reference microphone: six float64 arrays
+    need, have = 6 * 8 * n, _available_memory()
+    if need > have:
+        raise ConfigError(
+            f"duration_s {config.duration_s:g} gives {n}-sample signals that need at least "
+            f"{need / 2**30:.3g} GiB; only {have / 2**30:.3g} GiB of memory is available"
+        )
     speech = (
         _load_source(config.speech_wav, config, n)
         if config.speech_wav

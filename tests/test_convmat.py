@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssanc.convmat import build_conv_matrix, build_q, per_channel, unit_pulse
+from ssanc.convmat import build_conv_matrix, build_q, next_fast_len, per_channel, unit_pulse
 
 
 def conv_direct(h, x):
@@ -75,6 +75,13 @@ def test_per_channel_matches_kron(K, cols):
     np.testing.assert_allclose(per_channel(G, X), full @ X, atol=1e-12)
     np.testing.assert_allclose(per_channel(G.T, Y), full.T @ Y, atol=1e-12)
     assert per_channel(G, X).shape == full.shape[:1] + tail
+
+
+def test_next_fast_len_matches_scipy():
+    import scipy.fft
+
+    sizes = range(1, 20001)
+    assert [next_fast_len(n) for n in sizes] == [scipy.fft.next_fast_len(n, real=True) for n in sizes]
 
 
 def test_unit_pulse_basic():

@@ -165,7 +165,6 @@ def test_evaluate_run_bundles_everything():
         e=mics.p_s + 0.5 * mics.p_v,
         e_s=mics.p_s.copy(),
         e_v=0.5 * mics.p_v,
-        p_hat=mics.p,
         t=t,
     )
     mb = evaluate_run(run, mics)
@@ -183,6 +182,6 @@ def test_evaluate_run_requires_target():
         x_s=rng.standard_normal((1, n)), x_v=rng.standard_normal((1, n)),
         p_s=rng.standard_normal(n), p_v=rng.standard_normal(n),
     )
-    run = RunResult(y=np.zeros(n), e=mics.p, e_s=mics.p_s, e_v=mics.p_v, p_hat=mics.p)
+    run = RunResult(y=np.zeros(n), e=mics.p, e_s=mics.p_s, e_v=mics.p_v)
     with pytest.raises(ValueError, match="target"):
         evaluate_run(run, mics)

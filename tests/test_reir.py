@@ -166,6 +166,21 @@ def test_highpass_energy_concentration():
     assert partial_min[8] > 100 * partial_lin[8]
 
 
+@pytest.mark.parametrize("length", [15, 95, 280, 281, 559])
+def test_highpass_matches_scipy_minimum_phase(length):
+    # (m - 1) / 2 is odd for m = 15, 95, 279 and 559 and even for m = 281
+    from scipy.signal import firwin, minimum_phase
+
+    fs, cutoff = 16000.0, 120.0
+    m = length if length % 2 == 1 else length - 1
+    proto = firwin(m, cutoff, pass_zero=False, fs=fs)
+    ref = minimum_phase(proto, method="homomorphic", half=False)
+    ref = ref * np.sqrt(np.sum(proto**2) / np.sum(ref**2))
+    psi = design_min_phase_highpass(cutoff, fs, length)
+    np.testing.assert_allclose(psi[:m], ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+    assert np.all(psi[m:] == 0.0)
+
+
 def test_highpass_rejects_bad_args():
     with pytest.raises(ValueError):
         design_min_phase_highpass(9000.0, 16000.0, 64)

@@ -246,6 +246,8 @@ def test_wav_float64_round_trip_is_exact(tmp_path):
     fs, back = wavio.read_wav_mono(tmp_path / "x.wav")
     assert fs == 16000
     np.testing.assert_array_equal(back, data)
+    wavfile.write(str(tmp_path / "scipy.wav"), 16000, data)
+    assert (tmp_path / "x.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
 
 
 def test_wav_float32_round_trip_within_cast(tmp_path):

@@ -5,7 +5,7 @@ from ssanc.convmat import build_conv_matrix, build_q
 from ssanc.reir import estimate_reirs
 from ssanc.scene import MicSignals, render_mics, synth_scene
 from ssanc.signals import white_noise
-from ssanc.simulate import apply_control, closed_loop_sim, realize_target
+from ssanc.simulate import apply_control, realize_target
 from ssanc.solver import (
     ControlFilter,
     DesignParams,
@@ -151,115 +151,6 @@ def test_zero_action_filter_leaves_speech_untouched():
     run = apply_control(res.filter, mics, scene.g, target_kind="error_mic", delta=0)
     rel = np.linalg.norm(run.e - mics.p_s) / np.linalg.norm(mics.p_s)
     assert rel <= 1e-3
-
-
-# ---------------------------------------------------------------------------
-# closed-loop (estimated secondary path) mode
-# ---------------------------------------------------------------------------
-
-
-def causal_path(rng, Lg):
-    g = np.zeros(Lg)
-    g[1:] = rng.standard_normal(Lg - 1) * 0.3
-    g[1] += 1.0
-    return g
-
-
-def test_closed_loop_equals_feedforward_for_exact_estimate():
-    rng = np.random.default_rng(5)
-    mics = random_mics(rng, K=2, n=200)
-    w = random_filter(rng, K=2, Lw=6)
-    g = causal_path(rng, 5)
-    ref = apply_control(w, mics, g)
-    loop = closed_loop_sim(w, mics, g, g)
-    np.testing.assert_allclose(loop.e, ref.e, atol=1e-10)
-    np.testing.assert_allclose(loop.y, ref.y, atol=1e-10)
-    np.testing.assert_allclose(loop.p_hat, mics.p, atol=1e-10)
-
-
-def direct_recursion(w, mics, g, g_hat):
-    """Sample-by-sample oracle for the closed-loop recursion."""
-    K = mics.K
-    N = mics.N
-    Lw = w.w.shape[1]
-    x = mics.x
-    p = mics.p
-    y = np.zeros(N)
-    e = np.zeros(N)
-    p_hat = np.zeros(N)
-    for n in range(N):
-        acc_e = p[n]
-        for j in range(1, len(g)):
-            if n - j >= 0:
-                acc_e += g[j] * y[n - j]
-        e[n] = acc_e
-        acc_p = e[n]
-        for j in range(1, len(g_hat)):
-            if n - j >= 0:
-                acc_p -= g_hat[j] * y[n - j]
-        p_hat[n] = acc_p
-        acc_y = 0.0
-        for k in range(K):
-            for i in range(Lw):
-                if n - i >= 0:
-                    acc_y += w.w[k, i] * x[k, n - i]
-        for i in range(Lw):
-            if n - i >= 0:
-                acc_y += w.w[K, i] * p_hat[n - i]
-        y[n] = acc_y
-    return y, e, p_hat
-
-
-def test_closed_loop_matches_direct_recursion_with_mismatch():
-    rng = np.random.default_rng(6)
-    mics = random_mics(rng, K=1, n=50)
-    w = ControlFilter(w=0.2 * rng.standard_normal((2, 4)))
-    g = causal_path(rng, 4)
-    for g_hat in (np.zeros(4), 1.05 * g, causal_path(rng, 4)):
-        loop = closed_loop_sim(w, mics, g, g_hat)
-        y, e, p_hat = direct_recursion(w, mics, g, g_hat)
-        np.testing.assert_allclose(loop.y, y, atol=1e-10)
-        np.testing.assert_allclose(loop.e, e, atol=1e-10)
-        np.testing.assert_allclose(loop.p_hat, p_hat, atol=1e-10)
-
-
-def test_closed_loop_zero_estimate_returns_error_as_primary_estimate():
-    rng = np.random.default_rng(7)
-    mics = random_mics(rng, K=1, n=50)
-    w = ControlFilter(w=0.2 * rng.standard_normal((2, 4)))
-    g = causal_path(rng, 4)
-    loop = closed_loop_sim(w, mics, g, np.zeros(4))
-    np.testing.assert_allclose(loop.p_hat, loop.e, atol=1e-12)
-    ref = apply_control(w, mics, g)
-    assert np.max(np.abs(loop.e - ref.e)) > 1e-8  # feedback not removed: different result
-
-
-def test_closed_loop_small_mismatch_stays_bounded_over_five_seconds():
-    scene = synth_scene(
-        K=2, speech_delays=[2, 3, 4], noise_delays=[4, 1, 3],
-        gains=[(1.0, 0.7), (0.8, 1.0), (0.6, 0.8)],
-        sec_delay=1, sec_ir_len=6, fs=16000, seed=8,
-    )
-    n = 5 * 16000
-    reirs = estimate_reirs(render_mics(scene, white_noise(n, 9)), scene.spatial_ref, 8)
-    mics = render_mics(scene, white_noise(n, 10), white_noise(n, 11), snr_db=-5.0)
-    Lw, Lg = 8, 6
-    phi_xx = estimate_autocorrelation(input_frames(mics, Lg + Lw - 1))
-    constraint = build_constraint(reirs, [1.0], "error_mic", 0, Lw, Lg)
-    res = design_control_filter(phi_xx, scene.g, constraint, DesignParams(), scene.K, Lw)
-    loop = closed_loop_sim(res.filter, mics, scene.g, 1.05 * scene.g)
-    assert np.all(np.isfinite(loop.e))
-    assert np.max(np.abs(loop.e)) < 100 * np.max(np.abs(mics.p))
-
-
-def test_closed_loop_rejects_delay_free_paths():
-    rng = np.random.default_rng(12)
-    mics = random_mics(rng, K=1, n=20)
-    w = random_filter(rng, K=1, Lw=3)
-    with pytest.raises(ValueError, match="latency"):
-        closed_loop_sim(w, mics, np.array([1.0, 0.5]), np.array([0.0, 0.5]))
-    with pytest.raises(ValueError, match="latency"):
-        closed_loop_sim(w, mics, np.array([0.0, 0.5]), np.array([1.0, 0.5]))
 
 
 def test_export_run_wavs(tmp_path):

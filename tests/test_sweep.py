@@ -297,23 +297,40 @@ def test_cli_simulate_renders_without_reir_estimation(tmp_path, monkeypatch):
     ]) == 0
 
 
-def test_psi_off_sweep_never_imports_scipy_signal():
+def test_psi_off_sweep_never_imports_scipy_signal(tmp_path):
+    """The import set of a fresh process, stage by stage, in one interpreter.
+
+    ``import ssanc`` and ``ssanc simulate`` load no scipy module at all;
+    a sweep, with ψ off or on, never loads scipy.signal.
+    """
+    cfg = write_quick_config(tmp_path)
+    flt = tmp_path / "filter.json"
+    assert cli_main(["design", "--config", str(cfg), "--delta", "1", "--out", str(flt)]) == 0
     code = (
         "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "import ssanc\n"
-        "from ssanc.sweep import SweepConfig, run_sweep\n"
-        "rows = run_sweep(SweepConfig.from_dict(json.loads(sys.argv[1])))\n"
-        "assert all(r.error == '' for r in rows)\n"
-        "print('scipy.signal' in sys.modules)\n"
+        "print('loaded', scipy_modules())\n"
+        "from ssanc.sweep import SweepConfig, cli_main, run_sweep\n"
+        "argv = ['simulate', '--config', sys.argv[1], '--filter', sys.argv[2], '--out', sys.argv[3]]\n"
+        "assert cli_main(argv) == 0\n"
+        "print('loaded', scipy_modules())\n"
+        "for psi in ('off', 100.0):\n"
+        "    config = {**json.loads(sys.argv[4]), 'psi': psi}\n"
+        "    rows = run_sweep(SweepConfig.from_dict(config))\n"
+        "    assert all(r.error == '' for r in rows)\n"
+        "    print('loaded', 'scipy.signal' in sys.modules)\n"
     )
-    config = {"duration_s": 1.5, "Lw": 12, "Lg": 12, "Lh": 12, "delta_range": [0, 2, 1], "psi": "off"}
+    config = {"duration_s": 1.5, "Lw": 12, "Lg": 12, "Lh": 12, "delta_range": [0, 2, 1]}
     paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     out = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(config)],
+        [sys.executable, "-c", code, str(cfg), str(flt), str(tmp_path / "sim"), json.dumps(config)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert out.stdout.strip() == "False"
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded ")]
+    assert loaded == ["loaded []", "loaded []", "loaded False", "loaded False"]
 
 
 def test_cli_verify_passes(capsys):
@@ -401,8 +418,9 @@ def test_cli_mistyped_scene_value_is_one_line_error(tmp_path, capsys, key, value
         ({}, {"speech_delays": [6, 8, 100000]}, "impulse responses"),
         ({}, {"tail_decay": 1e12}, "impulse responses"),
         ({"Lw": 2, "Lg": 3, "psi": 100.0, "delta_range": [0, 3, 1]}, {"sec_delay": 1}, "psi"),
+        ({"duration_s": 1e12}, {}, "memory"),
     ],
-    ids=["fs", "Lh", "Lg", "speech-delay", "tail-decay", "psi-taps"],
+    ids=["fs", "Lh", "Lg", "speech-delay", "tail-decay", "psi-taps", "duration"],
 )
 def test_cli_unrunnable_config_is_refused_up_front(tmp_path, capsys, overrides, scene, words):
     err = sweep_config_error(tmp_path, capsys, overrides, scene=scene)
@@ -521,7 +539,7 @@ def convolve_oracle_row(prep, g, ctx, config, delta):
     e_s = m.p_s + np.convolve(g, y_s)[:N]
     e_v = m.p_v + np.convolve(g, y_v)[:N]
     t = realize_target(m, config.target_kind, delta, prep.scene.spatial_ref)
-    mb = evaluate_run(RunResult(y=y_s + y_v, e=e_s + e_v, e_s=e_s, e_v=e_v, p_hat=m.p, t=t), m)
+    mb = evaluate_run(RunResult(y=y_s + y_v, e=e_s + e_v, e_s=e_s, e_v=e_v, t=t), m)
     return [mb.nr_db, mb.sdi_db, mb.quality_db, mb.effort, res.constraint_residual]
 
 
