@@ -65,15 +65,14 @@ def estimate_reirs(mics: MicSignals, spatial_ref: int, Lh: int, reg: float | Non
     if reg is None:
         reg = 1e-8 * float(np.mean(np.diag(R)))
     rhs = lagged_products(targets, ref[None, :], Lh)[:, 0, :].T
-    import scipy.linalg  # deferred: costs most of the package's import time
-
+    R += reg * np.eye(Lh)
     try:
-        cho = scipy.linalg.cho_factor(R + reg * np.eye(Lh))
+        np.linalg.cholesky(R)  # the definiteness check only
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"singular ReIR normal equations (reg={reg:g}); try increasing reg"
         ) from exc
-    h = scipy.linalg.cho_solve(cho, rhs).T
+    h = np.linalg.solve(R, rhs).T
 
     targets = targets[:, Lh - 1 :]
     fit = np.vstack([np.convolve(ref, h_k, mode="valid") for h_k in h])

@@ -12,11 +12,12 @@ with G the secondary-path convolution applied to each of the K+1
 filter channels (one shared matrix, never a block-diagonal copy), q the
 selection vector picking the current primary sample, H the stacked
 ReIR convolution matrices and f the target response.  The closed form
-is evaluated through two symmetric factorizations:
+is evaluated through two symmetric systems, with numpy.linalg only:
 
-    Phi_rr = G' Phi_xx G + beta I          (SPD for beta > 0)
-    M      = H' G Phi_rr^-1 G' H + rho I   (Cholesky for rho > 0,
-                                            eigen pseudo-inverse at rho = 0)
+    Phi_rr = G' Phi_xx G + beta I          (SPD for beta > 0; one
+                                            multi-right-hand-side solve)
+    M      = H' G Phi_rr^-1 G' H + rho I   (eigendecomposition: inverse for
+                                            rho > 0, pseudo-inverse at rho = 0)
 
 rho = 0 is the exact equality-constrained solution and is what the KKT
 oracle checks against; the inner matrix is then structurally
@@ -236,22 +237,17 @@ def build_constraint(
 def largest_eigenvalue(A) -> float:
     """Largest eigenvalue of a symmetric PSD matrix, clipped at 0.
 
-    One LAPACK call (``scipy.linalg.eigh`` restricted to the top index)
-    on the symmetrized matrix: exact to rounding and bounded in time,
-    whatever the gap to the second eigenvalue.  The clip absorbs the
-    rounding that can leave the top eigenvalue of a numerically zero
-    matrix just below 0.
+    One LAPACK call (``numpy.linalg.eigvalsh``) on the symmetrized
+    matrix: exact to rounding and bounded in time, whatever the gap to
+    the second eigenvalue.  The clip absorbs the rounding that can
+    leave the top eigenvalue of a numerically zero matrix just below 0.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
     if not np.all(np.isfinite(A)):
         raise ValueError("A must be finite")
-    n = A.shape[0]
-    import scipy.linalg  # deferred: costs most of the package's import time
-
-    top = scipy.linalg.eigh((A + A.T) / 2.0, eigvals_only=True, subset_by_index=[n - 1, n - 1])
-    return max(float(top[0]), 0.0)
+    return max(float(np.linalg.eigvalsh((A + A.T) / 2.0)[-1]), 0.0)
 
 
 class _DesignContext:
@@ -264,8 +260,6 @@ class _DesignContext:
     """
 
     def __init__(self, phi_xx, g, H, params: DesignParams, K: int, Lw: int):
-        import scipy.linalg  # deferred: costs most of the package's import time
-
         phi_xx = np.asarray(phi_xx, dtype=float)
         g = np.asarray(g, dtype=float).ravel()
         Lg = g.shape[0]
@@ -291,58 +285,46 @@ class _DesignContext:
         # with the same symmetric part
         S = per_channel(self.G.T, per_channel(self.G.T, phi_xx).T)
         S = (S + S.T) / 2.0
-        self.beta = params.beta if params.beta is not None else largest_eigenvalue(S) / params.beta_div
+        # the spectrum's top sets beta, its bottom tells whether S + beta I is PD
+        lam_S = np.linalg.eigvalsh(S)
+        self.beta = params.beta if params.beta is not None else max(float(lam_S[-1]), 0.0) / params.beta_div
         if self.beta <= 0.0:
             raise SingularSystemError(
                 f"beta = {self.beta:g} is not positive; the effort-weighted covariance "
                 "is degenerate (silent inputs?)"
             )
-        try:
-            cho_rr = scipy.linalg.cho_factor(S + self.beta * np.eye(S.shape[0]))
-        except np.linalg.LinAlgError as exc:
+        if lam_S[0] <= -self.beta:
             raise SingularSystemError(
                 f"cannot factorize Phi_rr with beta={self.beta:g}; increase beta"
-            ) from exc
+            )
 
         A = per_channel(self.G.T, H)  # Gt'H: (K+1)Lw x (Lh+L-1)
         phi = per_channel(self.G.T, phi_xx @ self.q)
-        sol = scipy.linalg.cho_solve(cho_rr, np.column_stack([A, phi]))
+        S.flat[:: S.shape[0] + 1] += self.beta  # Phi_rr, in place
+        sol = np.linalg.solve(S, np.column_stack([A, phi]))
         self.XA = sol[:, :-1]  # Phi_rr^-1 G'H
         self.xphi = sol[:, -1]  # Phi_rr^-1 phi
         M0 = A.T @ self.XA
-        self.M0 = (M0 + M0.T) / 2.0
+        M0 = (M0 + M0.T) / 2.0
         self.A = A
         self.Hq = H.T @ self.q
 
-        self.rho = params.rho if params.rho is not None else largest_eigenvalue(self.M0) / params.rho_div
+        # one eigendecomposition of the PSD inner matrix gives rho, the
+        # definiteness check and the inverse of M0 + rho I on its eigenbasis
+        vals, self._vecs = np.linalg.eigh(M0)
+        self.rho = params.rho if params.rho is not None else max(float(vals[-1]), 0.0) / params.rho_div
         if self.rho > 0.0:
-            try:
-                self._cho_M = scipy.linalg.cho_factor(
-                    self.M0 + self.rho * np.eye(self.M0.shape[0])
-                )
-            except np.linalg.LinAlgError as exc:
+            if vals[0] <= -self.rho:
                 raise SingularSystemError(
                     f"cannot factorize the inner constraint matrix with rho={self.rho:g}; "
                     "increase rho"
-                ) from exc
-            self._pinv = None
+                )
+            self._inv = 1.0 / (vals + self.rho)
         else:
-            # exact equality-constrained solution: the inner matrix is PSD and
+            # exact equality-constrained solution: the inner matrix is
             # generally rank-deficient, so invert it on its range only
-            vals, vecs = np.linalg.eigh(self.M0)
-            cut = max(vals[-1], 0.0) * self.M0.shape[0] * np.finfo(float).eps
-            inv = np.where(vals > cut, 1.0 / np.where(vals > cut, vals, 1.0), 0.0)
-            self._pinv = (vecs, inv)
-            self._cho_M = None
-
-    def _solve_inner(self, s: np.ndarray) -> np.ndarray:
-        import scipy.linalg  # already loaded by __init__
-
-        if self._cho_M is not None:
-            # a non-finite column must fail only its own design, not the batch
-            return scipy.linalg.cho_solve(self._cho_M, s, check_finite=False)
-        vecs, inv = self._pinv
-        return vecs @ (inv[:, None] * (vecs.T @ s))
+            cut = max(vals[-1], 0.0) * vals.size * np.finfo(float).eps
+            self._inv = np.where(vals > cut, 1.0 / np.where(vals > cut, vals, 1.0), 0.0)
 
     def solve(self, f: np.ndarray):
         """Design the filter for one target vector, or for each column of a matrix.
@@ -356,7 +338,9 @@ class _DesignContext:
         """
         F = np.asarray(f, dtype=float)
         columns = F if F.ndim == 2 else F[:, None]
-        mu = self._solve_inner(columns - self.Hq[:, None] + (self.A.T @ self.xphi)[:, None])
+        s = columns - self.Hq[:, None] + (self.A.T @ self.xphi)[:, None]
+        # (M0 + rho I)^-1 s column by column: a non-finite column fails only its own design
+        mu = self._vecs @ (self._inv[:, None] * (self._vecs.T @ s))
         W = self.XA @ mu - self.xphi[:, None]
         U = self.q[:, None] + per_channel(self.G, W)
         residuals = np.linalg.norm(self.H.T @ U - columns, axis=0)
@@ -429,7 +413,7 @@ def kkt_oracle(phi_xx, g, constraint: Constraint | None, beta: float, K: int, Lw
     C = constraint.H.T @ Gt  # (Lh+L-1) x (K+1)Lw
     v = constraint.f - constraint.H.T @ q
 
-    import scipy.linalg  # deferred: costs most of the package's import time
+    import scipy.linalg  # deferred: the pivoted QR is scipy's alone, and only verification needs it
 
     _, R, piv = scipy.linalg.qr(C.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))

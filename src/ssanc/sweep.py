@@ -342,6 +342,23 @@ def _available_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _refuse_unless_fits(need: int, what: str) -> None:
+    """Refuse, as a config error, arrays that need more bytes than ``_available_memory()``."""
+    have = _available_memory()
+    if need > have:
+        raise ConfigError(
+            f"{what} need at least {need / 2**30:.3g} GiB; "
+            f"only {have / 2**30:.3g} GiB of memory is available"
+        )
+
+
+def _signal_bytes(n: int) -> int:
+    """Bytes of the arrays every run holds: the two sources and the speech and
+    noise components at the error microphone and one reference microphone,
+    six float64 arrays of n samples."""
+    return 6 * 8 * n
+
+
 def render_scene(config: SweepConfig) -> tuple[Scene, MicSignals]:
     """The configured scene and its microphone signals at the configured SNR.
 
@@ -352,14 +369,9 @@ def render_scene(config: SweepConfig) -> tuple[Scene, MicSignals]:
     built.
     """
     n = int(round(config.duration_s * config.fs))
-    # at the least the two sources and the speech and noise components at
-    # the error microphone and one reference microphone: six float64 arrays
-    need, have = 6 * 8 * n, _available_memory()
-    if need > have:
-        raise ConfigError(
-            f"duration_s {config.duration_s:g} gives {n}-sample signals that need at least "
-            f"{need / 2**30:.3g} GiB; only {have / 2**30:.3g} GiB of memory is available"
-        )
+    _refuse_unless_fits(
+        _signal_bytes(n), f"duration_s {config.duration_s:g} gives {n}-sample signals that"
+    )
     speech = (
         _load_source(config.speech_wav, config, n)
         if config.speech_wav
@@ -422,10 +434,20 @@ def _prepare_design(config: SweepConfig) -> tuple[PreparedScene, np.ndarray, _De
     """Scene, fitted secondary path and factorized design: all that no delay changes.
 
     ``run_sweep`` and ``ssanc design`` both start here; ``ctx.solve``
-    then designs the filter for one target vector.
+    then designs the filter for one target vector.  Design matrices
+    that will not fit in memory are refused before the first of them
+    is allocated.
     """
     prep = prepare_scene(config)
     g = _fit_secondary(prep.scene.g, config.Lg)
+    # the dense matrices: Phi_xx, ((K+1) L)^2 floats, as much again for the
+    # products that form S (Gt' Phi_xx and its transpose), and S = Gt' Phi_xx Gt,
+    # ((K+1) Lw)^2 floats
+    C = prep.scene.K + 1
+    _refuse_unless_fits(
+        _signal_bytes(prep.mics.N) + 8 * (2 * (C * prep.L) ** 2 + (C * config.Lw) ** 2),
+        f"K = {prep.scene.K}, Lw = {config.Lw} and Lg = {config.Lg} give design matrices that",
+    )
     phi_xx = estimate_autocorrelation(input_frames(prep.mics, prep.L))
     H = _constraint_matrix(prep.reirs, prep.L)
     params = DesignParams(beta_div=config.beta_div, rho_div=config.rho_div)

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from ssanc.convmat import unit_pulse
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
-from ssanc.scene import render_mics, synth_scene
+from ssanc.scene import MicSignals, render_mics, synth_scene
 from ssanc.signals import white_noise
 
 
@@ -111,6 +111,17 @@ def test_rejects_bad_spatial_ref():
     mics = render_mics(scene, white_noise(8000, 10))
     with pytest.raises(ValueError, match="spatial_ref"):
         estimate_reirs(mics, 3, 16)  # error channel is not a reference
+
+
+def test_silent_reference_channel_is_singular():
+    scene = pure_delay_scene()
+    mics = render_mics(scene, white_noise(8000, 13))
+    silent = MicSignals(
+        x_s=np.where(np.arange(scene.K)[:, None] == scene.spatial_ref, 0.0, mics.x_s),
+        x_v=mics.x_v, p_s=mics.p_s, p_v=mics.p_v,
+    )
+    with pytest.raises(np.linalg.LinAlgError, match="singular ReIR normal equations"):
+        estimate_reirs(silent, scene.spatial_ref, 16)
 
 
 def test_estimation_deterministic():

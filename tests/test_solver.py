@@ -322,6 +322,25 @@ def test_batched_solve_fails_only_the_non_finite_column():
         ctx.solve(F[:, 1])
 
 
+def test_degenerate_covariance_has_no_positive_derived_beta():
+    # Phi_xx = -I makes S = -Gt'Gt negative definite: the derived beta clips to 0
+    rng = np.random.default_rng(23)
+    phi_xx, g, constraint, K, Lw, _, _ = random_instance(rng)
+    with pytest.raises(SingularSystemError, match="beta = 0 is not positive"):
+        _DesignContext(-np.eye(phi_xx.shape[0]), g, constraint.H, DesignParams(), K, Lw)
+
+
+def test_beta_below_minus_smallest_eigenvalue_cannot_factorize():
+    rng = np.random.default_rng(24)
+    phi_xx, g, constraint, K, Lw, Gt, _ = random_instance(rng)
+    lam_min = np.linalg.eigvalsh(-Gt.T @ Gt)[0]
+    params = DesignParams(beta=-lam_min / 2.0)
+    with pytest.raises(SingularSystemError, match="cannot factorize Phi_rr"):
+        _DesignContext(-np.eye(phi_xx.shape[0]), g, constraint.H, params, K, Lw)
+    # the same beta on a PSD covariance designs
+    assert _DesignContext(phi_xx, g, constraint.H, params, K, Lw).beta == params.beta
+
+
 def test_kkt_solution_beats_feasible_perturbations():
     rng = np.random.default_rng(12)
     phi_xx, g, constraint, K, Lw, Gt, q = random_instance(rng, K=2, Lw=4, Lg=3, Lh=3)

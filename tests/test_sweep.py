@@ -297,6 +297,16 @@ def test_cli_simulate_renders_without_reir_estimation(tmp_path, monkeypatch):
     ]) == 0
 
 
+def run_fresh(code, *args, timeout=120):
+    """stdout of ``python -c code *args`` in a fresh interpreter that finds ``ssanc``."""
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=timeout, check=True,
+    ).stdout
+
+
 def test_psi_off_sweep_never_imports_scipy_signal(tmp_path):
     """The import set of a fresh process, stage by stage, in one interpreter.
 
@@ -323,14 +333,59 @@ def test_psi_off_sweep_never_imports_scipy_signal(tmp_path):
         "    print('loaded', 'scipy.signal' in sys.modules)\n"
     )
     config = {"duration_s": 1.5, "Lw": 12, "Lg": 12, "Lh": 12, "delta_range": [0, 2, 1]}
-    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(cfg), str(flt), str(tmp_path / "sim"), json.dumps(config)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded ")]
+    out = run_fresh(code, str(cfg), str(flt), str(tmp_path / "sim"), json.dumps(config))
+    loaded = [line for line in out.splitlines() if line.startswith("loaded ")]
     assert loaded == ["loaded []", "loaded []", "loaded False", "loaded False"]
+
+
+def test_design_and_sweep_never_import_scipy(tmp_path):
+    """``ssanc design`` and a sweep run on numpy alone, with ψ off or on;
+    only ``ssanc verify``, whose KKT oracle needs a pivoted QR, loads scipy.linalg."""
+    configs = []
+    for psi in ("off", 100.0):
+        (tmp_path / str(psi)).mkdir()
+        configs.append(str(write_quick_config(tmp_path / str(psi), psi=psi)))
+    code = (
+        "import sys\n"
+        "from ssanc.sweep import SweepConfig, cli_main, run_sweep\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "for cfg in sys.argv[1:]:\n"
+        "    out = cfg + '.filter.json'\n"
+        "    assert cli_main(['design', '--config', cfg, '--delta', '1', '--out', out]) == 0\n"
+        "    print('loaded', scipy_modules())\n"
+        "    assert all(r.error == '' for r in run_sweep(SweepConfig.from_json(cfg)))\n"
+        "    print('loaded', scipy_modules())\n"
+        "assert cli_main(['verify', '--trials', '2']) == 0\n"
+        "print('loaded', 'scipy.linalg' in sys.modules)\n"
+    )
+    loaded = [line for line in run_fresh(code, *configs).splitlines() if line.startswith("loaded ")]
+    assert loaded == ["loaded []"] * 4 + ["loaded True"]
+
+
+def test_design_matrices_that_cannot_fit_are_refused(tmp_path):
+    """Lw = Lg = 2000 at K = 2 needs about 2.4 GiB of dense matrices; under a
+    1.5 GiB address-space limit, set in the child process only, ``ssanc
+    design`` exits 1 with one line before it allocates them."""
+    cfg = write_quick_config(tmp_path, Lw=2000, Lg=2000)
+    code = (
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "soft = 3 * 2**29 if hard == resource.RLIM_INFINITY else min(3 * 2**29, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+        "import contextlib, io\n"
+        "from ssanc.sweep import cli_main\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    code = cli_main(['design', '--config', sys.argv[1], '--delta', '0', '--out', sys.argv[2]])\n"
+        "print(code)\n"
+        "print(err.getvalue(), end='')\n"
+    )
+    out = run_fresh(code, str(cfg), str(tmp_path / "filter.json")).splitlines()
+    assert out[0] == "1"
+    assert len(out) == 2 and out[1].startswith("config error:")
+    assert "design matrices" in out[1] and "GiB" in out[1]
+    assert not (tmp_path / "filter.json").exists()
 
 
 def test_cli_verify_passes(capsys):
