@@ -2,15 +2,18 @@
 
 Lower-banded Toeplitz builders, their per-channel application to
 stacked multichannel vectors, the unit-pulse / selection vectors the
-filter designer is built on, and the structural frame products behind
-the autocorrelation and ReIR estimates.  The matrices are plain float64
-and dense on purpose: the problem sizes stay small enough that
-exactness and clarity win.  The frame products are the exception,
-because their frame matrices have N rows: they are formed from FFT
-cross-correlations and the Toeplitz structure of the frames instead
-(the covariance method of linear prediction), which is exact up to
-rounding.  Everything here is numpy alone; the FFTs use the 5-smooth
-sizes of ``next_fast_len``.
+filter designer is built on, the overlap-save block layout, and the
+structural frame products behind the autocorrelation and ReIR
+estimates.  The matrices are plain float64 and dense on purpose: the
+problem sizes stay small enough that exactness and clarity win.  The
+frame products are the exception, because their frame matrices have N
+rows: they are formed from blockwise FFT cross-correlations and the
+Toeplitz structure of the frames instead (the covariance method of
+linear prediction), which is exact up to rounding.  Long signals are
+transformed in blocks of a few thousand samples (``block_fft_len``,
+``overlap_blocks``), which stay in cache and keep the temporaries of a
+correlation independent of the signal length.  Everything here is
+numpy alone; the FFTs use the 5-smooth sizes of ``next_fast_len``.
 """
 
 import numpy as np
@@ -85,19 +88,68 @@ def build_q(K: int, L: int) -> np.ndarray:
     return q
 
 
+def block_fft_len(memory: int, n: int) -> int:
+    """FFT size of the overlap-save blocks for a filter memory of ``memory`` samples.
+
+    At least 4 ``memory`` per block keeps the discarded overlap under a
+    quarter, and 4096 samples keep short filters' blocks in cache; a
+    signal of ``n`` samples shorter than one block is a single transform.
+    """
+    return next_fast_len(min(max(4096, 4 * memory), n + memory))
+
+
+def overlap_blocks(x: np.ndarray, start: int, count: int, size: int, hop: int) -> np.ndarray:
+    """The (C, count, size) blocks ``x[:, start + i*hop : start + i*hop + size]``, i < count.
+
+    Samples outside the N columns of the (C, N) array ``x`` read as
+    zero.  Blocks that lie inside ``x`` are a strided view of it;
+    otherwise only the span the blocks cover is copied.
+    """
+    C, N = x.shape
+    stop = start + (count - 1) * hop + size
+    if start < 0 or stop > N:
+        span = np.zeros((C, stop - start))
+        lo, hi = max(start, 0), min(stop, N)
+        span[:, lo - start : hi - start] = x[:, lo:hi]
+    else:
+        span = x[:, start:stop]
+    return np.lib.stride_tricks.sliding_window_view(span, size, axis=1)[:, ::hop]
+
+
+# samples per channel transformed at a time by lagged_products: bounds its
+# temporaries to a few MB whatever the signal length
+_CORRELATION_CHUNK = 1 << 16
+
+
 def lagged_products(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
     """Windowed cross-correlations over the fully excited frames.
 
     For (A, N) and (B, N) channel stacks returns the (A, B, L) array
-    ``p[i, k, j] = sum_{n=L-1}^{N-1} a_i(n) b_k(n-j)``.  Both signals are
-    fully inside their support for every term, so the sums are the
-    'valid' part of a circular FFT correlation of length >= N.
+    ``p[i, k, j] = sum_{n=L-1}^{N-1} a_i(n) b_k(n-j)``.  The sum is cut
+    into blocks of ``hop`` terms; each block of ``a`` is paired with the
+    ``hop + L - 1`` samples of ``b`` it reaches, and with
+    ``nfft >= hop + L - 1`` lags 0 .. L-1 of that pair are the head of a
+    circular correlation that never wraps.  The cross-spectra of all
+    blocks are summed, for every channel pair, and transformed back
+    once: the result is exact up to rounding, not a Welch estimate.
+    Blocks are transformed a bounded chunk at a time, so the
+    temporaries do not grow with N.
     """
     N = a.shape[-1]
-    nfft = next_fast_len(N)
-    fb = np.fft.rfft(b, nfft)
-    fa = np.fft.rfft(a[:, L - 1 :], nfft).conj()
-    return np.stack([np.fft.irfft(fb * f, nfft)[:, L - 1 :: -1] for f in fa])
+    if not 1 <= L <= N:
+        raise ValueError(f"need 1 <= L <= N, got L={L} for N={N}")
+    M = L - 1
+    nfft = block_fft_len(M, N)
+    hop = nfft - M
+    blocks = -(-(N - M) // hop)
+    chunk = max(1, _CORRELATION_CHUNK // nfft)
+    cross = np.zeros((a.shape[0], b.shape[0], nfft // 2 + 1), dtype=complex)
+    for first in range(0, blocks, chunk):
+        count = min(chunk, blocks - first)
+        fa = np.fft.rfft(overlap_blocks(a, M + first * hop, count, hop, hop), nfft)
+        fb = np.fft.rfft(overlap_blocks(b, first * hop, count, nfft, hop), nfft)
+        cross += np.einsum("akf,bkf->abf", fa.conj(), fb)
+    return np.fft.irfft(cross, nfft)[:, :, M::-1]
 
 
 def frame_products(channels: np.ndarray, L: int) -> np.ndarray:
@@ -113,7 +165,8 @@ def frame_products(channels: np.ndarray, L: int) -> np.ndarray:
                                          - c_a(N-1-i) c_b(N-1-j)
 
     which adds the frame entering at the head and drops the one leaving
-    at the tail.  Costs O(C^2 (N log N + L^2)) instead of O(N (C L)^2).
+    at the tail.  Costs O(C N log(nfft) + C^2 (N + L^2)), with nfft the
+    block size of ``lagged_products``, instead of O(N (C L)^2).
     Mirrored entries are computed by the same operations on the same
     operands, so the matrix is exactly symmetric.
     """

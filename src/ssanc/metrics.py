@@ -41,8 +41,8 @@ def noise_reduction(p_v, e_v) -> float:
     e_v = np.asarray(e_v, dtype=float)
     if p_v.shape != e_v.shape:
         raise ValueError("p_v and e_v must have equal length")
-    num = float(np.sum(p_v**2))
-    den = float(np.sum(e_v**2))
+    num = float(np.vdot(p_v, p_v))
+    den = float(np.vdot(e_v, e_v))
     if den <= 0.0:
         return float("inf")
     return 10.0 * np.log10(num / den)
@@ -57,10 +57,11 @@ def speech_distortion_index(t, e_s) -> float:
     e_s = np.asarray(e_s, dtype=float)
     if t.shape != e_s.shape:
         raise ValueError("t and e_s must have equal length")
-    denom = float(np.sum(t**2))
+    denom = float(np.vdot(t, t))
     if denom <= 0.0:
         raise ValueError("target signal has zero energy")
-    num = float(np.sum((t - e_s) ** 2))
+    d = t - e_s
+    num = float(np.vdot(d, d))
     if num <= 0.0:
         return SDI_FLOOR_DB
     return max(10.0 * np.log10(num / denom), SDI_FLOOR_DB)
@@ -69,7 +70,7 @@ def speech_distortion_index(t, e_s) -> float:
 def control_effort(y) -> float:
     """Total energy of the loudspeaker drive signal."""
     y = np.asarray(y, dtype=float)
-    return float(np.sum(y**2))
+    return float(np.vdot(y, y))
 
 
 def quality_proxy(t, u, frame: int = QUALITY_FRAME, hop: int = 256) -> float:
@@ -125,8 +126,8 @@ def evaluate_run(result: RunResult, mics: MicSignals) -> MetricBundle:
     quality = quality_proxy(result.t, result.e)
 
     def ratio_db(num, den):
-        n = float(np.sum(np.asarray(num) ** 2))
-        d = float(np.sum(np.asarray(den) ** 2))
+        n = float(np.vdot(num, num))
+        d = float(np.vdot(den, den))
         if d <= 0.0 or n <= 0.0:
             return float("inf") if d <= 0.0 else float("-inf")
         return 10.0 * np.log10(n / d)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from ssanc import wavio
-from ssanc.convmat import next_fast_len
+from ssanc.convmat import block_fft_len, overlap_blocks
 from ssanc.scene import MicSignals
 from ssanc.solver import ControlFilter
 
@@ -78,9 +78,7 @@ class _FeedForward:
         self.mics = mics
         self.Lw = Lw
         self.M = Lw + g.shape[0] - 2
-        # at least 4 M per block keeps the discarded overlap under a quarter;
-        # a signal shorter than one block is a single transform
-        self.nfft = next_fast_len(min(max(4096, 4 * self.M), mics.N + self.M))
+        self.nfft = block_fft_len(self.M, mics.N)
         self.hop = self.nfft - self.M
         self.S = self._spectra(np.vstack([mics.x_s, mics.p_s[None, :]]))
         self.V = self._spectra(np.vstack([mics.x_v, mics.p_v[None, :]]))
@@ -88,12 +86,8 @@ class _FeedForward:
 
     def _spectra(self, channels: np.ndarray) -> np.ndarray:
         """(C, blocks, bins) spectra of the overlapping blocks of C channels."""
-        C, N = channels.shape
-        blocks = -(-N // self.hop)
-        padded = np.zeros((C, self.M + blocks * self.hop))
-        padded[:, self.M : self.M + N] = channels
-        frames = np.lib.stride_tricks.sliding_window_view(padded, self.nfft, axis=1)
-        return np.fft.rfft(frames[:, :: self.hop], axis=-1)
+        blocks = -(-channels.shape[1] // self.hop)
+        return np.fft.rfft(overlap_blocks(channels, -self.M, blocks, self.nfft, self.hop), axis=-1)
 
     def _signal(self, Y: np.ndarray) -> np.ndarray:
         """The N-sample signal whose block spectra are Y."""

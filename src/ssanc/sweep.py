@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ssanc import signals, wavio
-from ssanc.convmat import build_conv_matrix, build_q, per_channel
+from ssanc.convmat import block_fft_len, build_conv_matrix, build_q, per_channel
 from ssanc.metrics import QUALITY_FRAME, evaluate_run
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
@@ -359,6 +359,25 @@ def _signal_bytes(n: int) -> int:
     return 6 * 8 * n
 
 
+def _spectra_bytes(K: int, n: int, memory: int) -> int:
+    """Bytes of the overlap-save input spectra a simulation holds (``_FeedForward``):
+    speech and noise, K+1 channels, complex blocks of the filter memory's size."""
+    nfft = block_fft_len(memory, n)
+    blocks = -(-n // (nfft - memory))
+    return 2 * (K + 1) * blocks * (nfft // 2 + 1) * 16
+
+
+def _check_signal_length(config: SweepConfig, n: int) -> None:
+    """Refuse n-sample signals too short for the run the config describes."""
+    for need, what in (
+        (QUALITY_FRAME, "one quality-proxy frame"),
+        (4 * config.Lh, "the ReIR fit (4 Lh)"),
+        (config.Lg + config.Lw - 1, "the frame history (Lg + Lw - 1)"),
+    ):
+        if n < need:
+            raise ConfigError(f"signals have {n} samples; {what} needs {need}")
+
+
 def render_scene(config: SweepConfig) -> tuple[Scene, MicSignals]:
     """The configured scene and its microphone signals at the configured SNR.
 
@@ -366,7 +385,9 @@ def render_scene(config: SweepConfig) -> tuple[Scene, MicSignals]:
     use seed+3.  Signals that will not fit in memory are refused before
     any source is drawn; signals too short for the scene, the ReIR fit,
     the frame history or one quality-proxy frame before the scene is
-    built.
+    built; a scene whose spatial reference hears no speech, or whose
+    signals and simulation spectra will not fit, before the microphone
+    signals are rendered.
     """
     n = int(round(config.duration_s * config.fs))
     _refuse_unless_fits(
@@ -383,14 +404,17 @@ def render_scene(config: SweepConfig) -> tuple[Scene, MicSignals]:
         else signals.speech_shaped_noise(n, config.fs, config.seed + 1)
     )
     n = min(speech.shape[0], noise.shape[0])
-    for need, what in (
-        (QUALITY_FRAME, "one quality-proxy frame"),
-        (4 * config.Lh, "the ReIR fit (4 Lh)"),
-        (config.Lg + config.Lw - 1, "the frame history (Lg + Lw - 1)"),
-    ):
-        if n < need:
-            raise ConfigError(f"signals have {n} samples; {what} needs {need}")
+    _check_signal_length(config, n)
     scene = _build_scene(config, n)
+    if not np.any(scene.ir_speech[scene.spatial_ref]):
+        raise ConfigError(
+            f"the speech response at the spatial reference microphone {scene.spatial_ref} "
+            "is silent: its ReIRs and target are undefined"
+        )
+    _refuse_unless_fits(
+        _signal_bytes(n) + _spectra_bytes(scene.K, n, config.Lw + config.Lg - 2),
+        f"K = {scene.K} and {n}-sample signals give simulation spectra that",
+    )
     return scene, render_mics(scene, speech[:n], noise[:n], config.snr_db)
 
 
@@ -430,24 +454,40 @@ def _fit_secondary(g, Lg: int) -> np.ndarray:
     return g
 
 
+def _refuse_design_unless_fits(config: SweepConfig, K: int, n: int) -> None:
+    """Refuse design matrices that will not fit beside the n-sample signals.
+
+    The dense matrices are Phi_xx, ((K+1) L)^2 floats, as much again for
+    the products that form S (Gt' Phi_xx and its transpose), and
+    S = Gt' Phi_xx Gt, ((K+1) Lw)^2 floats.
+    """
+    C = K + 1
+    L = config.Lg + config.Lw - 1
+    _refuse_unless_fits(
+        _signal_bytes(n) + 8 * (2 * (C * L) ** 2 + (C * config.Lw) ** 2),
+        f"{n}-sample signals and the design matrices of K = {K}, Lw = {config.Lw} "
+        f"and Lg = {config.Lg}",
+    )
+
+
 def _prepare_design(config: SweepConfig) -> tuple[PreparedScene, np.ndarray, _DesignContext]:
     """Scene, fitted secondary path and factorized design: all that no delay changes.
 
     ``run_sweep`` and ``ssanc design`` both start here; ``ctx.solve``
     then designs the filter for one target vector.  Design matrices
     that will not fit in memory are refused before the first of them
-    is allocated.
+    is allocated: for a synthetic scene, whose K is in the config,
+    before any signal exists.
     """
+    synthetic = config.scene["kind"] == "synthetic"
+    if synthetic:
+        n = int(round(config.duration_s * config.fs))
+        _check_signal_length(config, n)
+        _refuse_design_unless_fits(config, _integer("scene.K", config.scene.get("K")), n)
     prep = prepare_scene(config)
+    if not synthetic:
+        _refuse_design_unless_fits(config, prep.scene.K, prep.mics.N)
     g = _fit_secondary(prep.scene.g, config.Lg)
-    # the dense matrices: Phi_xx, ((K+1) L)^2 floats, as much again for the
-    # products that form S (Gt' Phi_xx and its transpose), and S = Gt' Phi_xx Gt,
-    # ((K+1) Lw)^2 floats
-    C = prep.scene.K + 1
-    _refuse_unless_fits(
-        _signal_bytes(prep.mics.N) + 8 * (2 * (C * prep.L) ** 2 + (C * config.Lw) ** 2),
-        f"K = {prep.scene.K}, Lw = {config.Lw} and Lg = {config.Lg} give design matrices that",
-    )
     phi_xx = estimate_autocorrelation(input_frames(prep.mics, prep.L))
     H = _constraint_matrix(prep.reirs, prep.L)
     params = DesignParams(beta_div=config.beta_div, rho_div=config.rho_div)

@@ -45,6 +45,11 @@ def sweep_configs(draw):
         "tail_amp": 0.3,
         "tail_decay": 12.0,
     }
+    # now and then signals or design matrices (terabytes) too large for any
+    # memory, which must be refused with one line before they are allocated
+    top.update(draw(st.sampled_from(
+        [{}] * 8 + [{"duration_s": 1e12}, {"duration_s": 1e6, "Lw": 10**5, "Lg": 10**5}]
+    )))
     slots = [(top, key) for key in sorted(top)] + [(scene, key) for key in sorted(scene)]
     for i in draw(st.lists(st.integers(0, len(slots) - 1), max_size=2, unique=True)):
         where, key = slots[i]

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ssanc.convmat import build_conv_matrix, build_q, next_fast_len, per_channel, unit_pulse
+from ssanc.convmat import (
+    block_fft_len, build_conv_matrix, build_q, lagged_products, next_fast_len, overlap_blocks,
+    per_channel, unit_pulse,
+)
 
 
 def conv_direct(h, x):
@@ -139,3 +144,75 @@ def test_build_q_rejects_bad_args():
         build_q(0, 3)
     with pytest.raises(ValueError):
         build_q(2, 0)
+
+
+def lagged_direct(a, b, L):
+    """p[i, k, j] = sum_{n=L-1}^{N-1} a_i(n) b_k(n-j), one dot product per lag: the oracle."""
+    N = a.shape[1]
+    return np.stack([a[:, L - 1 :] @ b[:, L - 1 - j : N - j].T for j in range(L)], axis=-1)
+
+
+LAGGED_CASES = {
+    # (L, N, blocks of the sum): L = 4 gives 4096-point blocks of hop 4093
+    # over the N - 3 terms; lagged_products transforms 16 blocks per chunk
+    "one-term-short-of-hop": (4, 4093 + 2, 1),
+    "terms-equal-hop": (4, 4093 + 3, 1),
+    "one-term-over-hop": (4, 4093 + 4, 2),
+    "N-is-hop": (4, 4093, 1),
+    "N-is-2-hops": (4, 2 * 4093, 2),
+    "N-is-hop-minus-1": (4, 4093 - 1, 1),
+    "N-is-hop-plus-1": (4, 4093 + 1, 1),
+    "several-blocks": (17, 5 * 4080 + 123, 6),
+    "second-chunk": (9, 17 * 4088 + 5, 17),
+    "L-1": (1, 3 * 4096 + 7, 4),
+    "L-is-N": (40, 40, 1),
+    "L-is-N-minus-1": (40, 41, 1),
+    "L-near-short-block": (300, 330, 1),
+    "L-near-long-block": (1500, 3 * 4501, 3),  # 6000-point blocks, hop 4501
+}
+
+
+@pytest.mark.parametrize("L, N, blocks", LAGGED_CASES.values(), ids=LAGGED_CASES.keys())
+def test_lagged_products_matches_direct_sum(L, N, blocks):
+    hop = block_fft_len(L - 1, N) - (L - 1)
+    assert -(-(N - L + 1) // hop) == blocks  # the case reaches the layout it names
+    rng = np.random.default_rng(L * 7919 + N)
+    a = rng.standard_normal((2, N))
+    b = rng.standard_normal((3, N))
+    for x, y in ((a, b), (b, a), (a, a)):
+        want = lagged_direct(x, y, L)
+        got = lagged_products(x, y, L)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_lagged_products_rejects_bad_L():
+    x = np.ones((1, 8))
+    for L in (0, 9):
+        with pytest.raises(ValueError, match="L"):
+            lagged_products(x, x, L)
+
+
+def test_lagged_products_memory_does_not_grow_with_N():
+    """One (3, 960000) call, as for the input autocorrelation of a 60 s
+    recording, peaks under twice its input's bytes; one full-length
+    transform per channel pair would take several times that."""
+    x = np.random.default_rng(0).standard_normal((3, 960000))
+    tracemalloc.start()
+    try:
+        lagged_products(x, x, 95)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.nbytes
+
+
+def test_overlap_blocks_zero_pads_outside_the_signal():
+    x = np.arange(1.0, 11.0)[None, :]  # 1 .. 10
+    inside = overlap_blocks(x, 2, 3, 4, 2)
+    np.testing.assert_array_equal(inside[0], [[3, 4, 5, 6], [5, 6, 7, 8], [7, 8, 9, 10]])
+    assert np.shares_memory(inside, x)
+    edges = overlap_blocks(x, -2, 4, 5, 3)
+    np.testing.assert_array_equal(
+        edges[0], [[0, 0, 1, 2, 3], [2, 3, 4, 5, 6], [5, 6, 7, 8, 9], [8, 9, 10, 0, 0]]
+    )

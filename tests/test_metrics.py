@@ -175,6 +175,19 @@ def test_evaluate_run_bundles_everything():
     assert mb.snr_out_db == pytest.approx(mb.snr_in_db + mb.nr_db, abs=1e-9)
 
 
+def test_energy_sums_match_elementwise_reference():
+    """The metrics take energies as dot products; the elementwise sums of
+    squares they replace agree to rounding on a 60 s signal."""
+    rng = np.random.default_rng(17)
+    p, e, y = (rng.standard_normal(960000) for _ in range(3))
+    t = p + 0.1 * e
+    assert noise_reduction(p, e) == pytest.approx(10 * np.log10(np.sum(p**2) / np.sum(e**2)), rel=1e-12)
+    assert speech_distortion_index(t, p) == pytest.approx(
+        10 * np.log10(np.sum((t - p) ** 2) / np.sum(t**2)), rel=1e-12
+    )
+    assert control_effort(y) == pytest.approx(np.sum(y**2), rel=1e-12)
+    assert control_effort(y.reshape(600, 1600)) == control_effort(y)
+
 def test_evaluate_run_requires_target():
     rng = np.random.default_rng(14)
     n = 1024

@@ -482,6 +482,59 @@ def test_cli_unrunnable_config_is_refused_up_front(tmp_path, capsys, overrides, 
     assert words in err
 
 
+
+@pytest.mark.parametrize("command", ["sweep", "design", "simulate"])
+def test_cli_silent_spatial_reference_is_refused(tmp_path, monkeypatch, capsys, command):
+    """A spatial reference that hears no speech leaves the ReIRs and the
+    reference-mic target undefined: one config-error line, exit 1."""
+    monkeypatch.chdir(tmp_path)
+    cfg = json.loads((ROOT / "configs" / "fig5_synthetic.json").read_text())
+    cfg["scene"]["gains"][0] = [0.0, 0.7]
+    cfg.update(reir_reg=1e-3, delta_range=[0, 2, 1])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    zero = tmp_path / "zero.json"  # fig5 has K = 2 reference microphones and Lw = 48
+    zero.write_text(json.dumps({"K": 2, "Lw": 48, "w": np.zeros((3, 48)).tolist()}))
+    extra = {"sweep": [], "design": ["--delta", "0"], "simulate": ["--filter", str(zero)]}[command]
+    assert cli_main([command, "--config", str(path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert "spatial reference microphone 0 is silent" in err
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("design_*.json"))
+
+
+def test_synthetic_design_matrices_are_refused_before_rendering(tmp_path, monkeypatch, capsys):
+    """K of a synthetic scene is in the config, so the design-matrix check
+    runs before any signal is drawn."""
+    def unused(config):
+        raise AssertionError("refused design must not render the scene")
+
+    monkeypatch.setattr(sweep_mod, "prepare_scene", unused)
+    monkeypatch.setattr(sweep_mod, "_available_memory", lambda: 2**20)
+    cfg = write_quick_config(tmp_path)
+    assert cli_main(["design", "--config", str(cfg), "--delta", "0", "--out", str(tmp_path / "f.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert "design matrices of K = 2" in err
+
+
+def test_simulation_spectra_that_cannot_fit_are_refused(tmp_path, monkeypatch, capsys):
+    """The overlap-save spectra of ``_FeedForward`` count toward the memory
+    a rendering must fit in: room for the signals alone is refused."""
+    cfg = write_quick_config(tmp_path)
+    config = SweepConfig.from_json(cfg)
+    n = int(config.duration_s * config.fs)
+    signals = sweep_mod._signal_bytes(n)
+    spectra = sweep_mod._spectra_bytes(2, n, config.Lw + config.Lg - 2)
+    # 24000 samples in 4074-sample hops: 6 blocks of 2049 bins, speech and noise, 3 channels
+    assert spectra == 2 * 3 * 6 * 2049 * 16
+    monkeypatch.setattr(sweep_mod, "_available_memory", lambda: signals + spectra // 2)
+    with pytest.raises(ConfigError, match="simulation spectra"):
+        sweep_mod.render_scene(config)
+    monkeypatch.setattr(sweep_mod, "_available_memory", lambda: signals + spectra)
+    sweep_mod.render_scene(config)
+
+
 FIG3 = str(Path(__file__).parents[1] / "configs" / "fig3_synthetic.json")
 
 
