@@ -19,7 +19,6 @@ from ssanc.solver import (
     design_control_filter,
     estimate_autocorrelation,
     kkt_oracle,
-    largest_eigenvalue,
 )
 from ssanc.simulate import RunResult, apply_control, realize_target
 from ssanc.metrics import (
@@ -52,7 +51,6 @@ __all__ = [
     "DesignResult",
     "estimate_autocorrelation",
     "build_constraint",
-    "largest_eigenvalue",
     "design_control_filter",
     "kkt_oracle",
     "RunResult",

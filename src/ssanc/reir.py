@@ -38,14 +38,16 @@ class ReIRSet:
 def estimate_reirs(mics: MicSignals, spatial_ref: int, Lh: int, reg: float | None = None) -> ReIRSet:
     """Least-squares ReIR estimates from a desired-only white-noise rendering.
 
-    Solves, per channel k, the ridge problem
+    Solves, per channel k of the speech stack ``mics.s``, the ridge problem
 
-        min_h  sum_n (x_k(n) - (h * x_ref)(n))^2 + reg * ||h||^2
+        min_h  sum_n (s_k(n) - (h * s_ref)(n))^2 + reg * ||h||^2
 
-    over the fully-excited frames n >= Lh-1.  ``reg`` defaults to
-    1e-8 times the mean diagonal of the normal matrix, which is enough
-    to keep the solve stable under white-noise excitation without
-    visibly biasing the taps.
+    over the fully-excited frames n >= Lh-1, with s_ref the row
+    ``spatial_ref``.  ``reg`` defaults to 1e-8 times the mean diagonal
+    of the normal matrix, which is enough to keep the solve stable
+    under white-noise excitation without visibly biasing the taps.  The
+    relative residual of each channel comes from one N-sample
+    difference at a time.
     """
     if not 0 <= spatial_ref < mics.K:
         raise ValueError(f"spatial_ref {spatial_ref} outside reference range [0, {mics.K})")
@@ -53,18 +55,17 @@ def estimate_reirs(mics: MicSignals, spatial_ref: int, Lh: int, reg: float | Non
         raise ValueError(f"Lh must be >= 1, got {Lh}")
     if mics.N < 4 * Lh:
         raise ValueError(f"need N >> Lh; got N={mics.N} for Lh={Lh}")
-    if np.any(mics.x_v) or np.any(mics.p_v):
+    if np.any(mics.v):
         raise ValueError("ReIR estimation requires a desired-only rendering (zero noise components)")
 
-    ref = mics.x_s[spatial_ref]
-    targets = np.vstack([mics.x_s, mics.p_s[None, :]])
+    ref = mics.s[spatial_ref]
 
     # normal equations of the regressor rows [ref(n), ..., ref(n-Lh+1)],
     # n = Lh-1 .. N-1, from the Toeplitz structure instead of the N x Lh rows
     R = frame_products(ref[None, :], Lh)[0, :, 0, :]
     if reg is None:
         reg = 1e-8 * float(np.mean(np.diag(R)))
-    rhs = lagged_products(targets, ref[None, :], Lh)[:, 0, :].T
+    rhs = lagged_products(mics.s, ref[None, :], Lh)[:, 0, :].T
     R += reg * np.eye(Lh)
     try:
         np.linalg.cholesky(R)  # the definiteness check only
@@ -74,10 +75,10 @@ def estimate_reirs(mics: MicSignals, spatial_ref: int, Lh: int, reg: float | Non
         ) from exc
     h = np.linalg.solve(R, rhs).T
 
-    targets = targets[:, Lh - 1 :]
-    fit = np.vstack([np.convolve(ref, h_k, mode="valid") for h_k in h])
-    denom = np.sqrt(np.mean(targets**2, axis=1))
-    residuals = np.sqrt(np.mean((targets - fit) ** 2, axis=1)) / np.maximum(denom, 1e-300)
+    residuals = np.empty(mics.K + 1)
+    for k, (target, h_k) in enumerate(zip(mics.s[:, Lh - 1 :], h)):
+        err = target - np.convolve(ref, h_k, mode="valid")
+        residuals[k] = np.sqrt(np.mean(err**2)) / max(np.sqrt(np.mean(target**2)), 1e-300)
     return ReIRSet(h=h, spatial_ref=spatial_ref, residuals=residuals)
 
 

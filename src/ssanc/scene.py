@@ -4,7 +4,8 @@ A scene holds one impulse response per (source, microphone) pair for a
 speech and a noise source, plus the secondary path from the loudspeaker
 to the error microphone.  Channel layout is fixed throughout the
 package: indices 0..K-1 are the reference microphones, index K is the
-error microphone.
+error microphone.  Rendered signals keep that layout as two (K+1, N)
+stacks, speech and noise, so every consumer takes rows of one array.
 """
 
 import json
@@ -47,48 +48,44 @@ class Scene:
         if len(self.ir_speech) != self.K + 1 or len(self.ir_noise) != self.K + 1:
             raise ValueError("need K+1 impulse responses per source (error mic last)")
         for ir in (*self.ir_speech, *self.ir_noise, self.g):
+            if len(ir) < 1:
+                raise ValueError("impulse responses and the secondary path need at least one tap")
             if not np.all(np.isfinite(ir)):
                 raise ValueError("impulse responses must be finite-valued")
-        if len(self.g) < 1:
-            raise ValueError("secondary path must have at least one tap")
         if not 0 <= self.spatial_ref < self.K:
             raise ValueError(
                 f"spatial_ref {self.spatial_ref} outside reference range [0, {self.K})"
             )
 
-    @property
-    def err_index(self) -> int:
-        return self.K
-
 
 @dataclass(frozen=True, eq=False)
 class MicSignals:
-    """Per-channel microphone signals split into speech and noise components.
+    """Microphone signals as speech and noise channel stacks.
 
-    x_s / x_v are (K, N) reference-channel components; p_s / p_v are the
-    error-microphone components.  The observable signals are the sums.
+    s / v are the (K+1, N) speech and noise components: rows 0..K-1 are
+    the reference microphones, row K is the error microphone, as in
+    ``Scene``.  The observable signals are s + v; p_s / p_v are the
+    error-microphone rows, as views.
     """
 
-    x_s: np.ndarray
-    x_v: np.ndarray
-    p_s: np.ndarray
-    p_v: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
 
     @property
     def K(self) -> int:
-        return self.x_s.shape[0]
+        return self.s.shape[0] - 1
 
     @property
     def N(self) -> int:
-        return self.p_s.shape[0]
+        return self.s.shape[1]
 
     @property
-    def x(self) -> np.ndarray:
-        return self.x_s + self.x_v
+    def p_s(self) -> np.ndarray:
+        return self.s[-1]
 
     @property
-    def p(self) -> np.ndarray:
-        return self.p_s + self.p_v
+    def p_v(self) -> np.ndarray:
+        return self.v[-1]
 
 
 def _pulse_ir(gain: float, delay: int, length: int, tail_amp: float, tail_decay: float, rng) -> np.ndarray:
@@ -211,6 +208,8 @@ def load_scene_wav(directory, manifest) -> Scene:
         )
 
     def load_ir(name):
+        if not isinstance(name, str):
+            raise SceneLoadError(f"impulse-response file names must be strings, got {name!r}")
         path = directory / name
         if not path.exists():
             raise SceneLoadError(f"missing impulse-response file {path}")
@@ -225,9 +224,12 @@ def load_scene_wav(directory, manifest) -> Scene:
     ir_speech = tuple(load_ir(n) for n in speech_names)
     ir_noise = tuple(load_ir(n) for n in noise_names)
     g = load_ir(secondary_name)
-    return Scene(
-        K=mics - 1, ir_speech=ir_speech, ir_noise=ir_noise, g=g, fs=fs, spatial_ref=spatial_ref
-    )
+    try:
+        return Scene(
+            K=mics - 1, ir_speech=ir_speech, ir_noise=ir_noise, g=g, fs=fs, spatial_ref=spatial_ref
+        )
+    except ValueError as exc:
+        raise SceneLoadError(f"manifest scene in {directory}: {exc}") from exc
 
 
 def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -> MicSignals:
@@ -245,27 +247,21 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
     if N <= max_ir:
         raise ValueError(f"signal length {N} must exceed the longest IR ({max_ir} taps)")
 
-    x_s = np.stack([np.convolve(scene.ir_speech[k], speech)[:N] for k in range(scene.K)])
-    p_s = np.convolve(scene.ir_speech[scene.err_index], speech)[:N]
-
+    s = np.stack([np.convolve(ir, speech)[:N] for ir in scene.ir_speech])
     if noise is None:
-        return MicSignals(x_s=x_s, x_v=np.zeros_like(x_s), p_s=p_s, p_v=np.zeros(N))
+        return MicSignals(s=s, v=np.zeros_like(s))
 
     noise = np.asarray(noise, dtype=float).ravel()
     if noise.shape[0] != N:
         raise ValueError(f"speech and noise lengths differ: {N} vs {noise.shape[0]}")
-    x_v = np.stack([np.convolve(scene.ir_noise[k], noise)[:N] for k in range(scene.K)])
-    p_v = np.convolve(scene.ir_noise[scene.err_index], noise)[:N]
+    v = np.stack([np.convolve(ir, noise)[:N] for ir in scene.ir_noise])
 
     if snr_db is not None:
-        es = float(np.sum(p_s**2))
-        ev = float(np.sum(p_v**2))
+        es = float(np.sum(s[-1] ** 2))
+        ev = float(np.sum(v[-1] ** 2))
         if ev <= 0.0:
             raise ScalingError("noise component at the error microphone is silent; cannot set SNR")
         if es <= 0.0:
             raise ScalingError("speech component at the error microphone is silent; cannot set SNR")
-        alpha = np.sqrt(es / (ev * 10.0 ** (snr_db / 10.0)))
-        x_v = alpha * x_v
-        p_v = alpha * p_v
-
-    return MicSignals(x_s=x_s, x_v=x_v, p_s=p_s, p_v=p_v)
+        v *= np.sqrt(es / (ev * 10.0 ** (snr_db / 10.0)))
+    return MicSignals(s=s, v=v)

@@ -55,7 +55,7 @@ def realize_target(mics: MicSignals, target_kind: str, delta: int, spatial_ref: 
     if target_kind == "reference_mic":
         if not 0 <= spatial_ref < mics.K:
             raise ValueError(f"spatial_ref {spatial_ref} outside [0, {mics.K})")
-        return _delay(mics.x_s[spatial_ref], delta)
+        return _delay(mics.s[spatial_ref], delta)
     raise ValueError(f"unknown target_kind {target_kind!r}")
 
 
@@ -63,7 +63,8 @@ class _FeedForward:
     """Input spectra of one set of microphone signals, ready to run any number of filters.
 
     The feed-forward chain is evaluated by overlap-save: the speech and
-    noise inputs are cut into blocks of ``nfft`` samples that overlap by
+    noise stacks ``mics.s`` and ``mics.v``, (K+1, N) each, are cut as
+    they are into blocks of ``nfft`` samples that overlap by
     M = Lw + Lg - 2 (the memory of w * g), and every block's spectrum is
     taken once, here.  A filter then costs the transforms of its K+1
     channels and three inverse transforms of the blocks (y, and e_s and
@@ -80,8 +81,8 @@ class _FeedForward:
         self.M = Lw + g.shape[0] - 2
         self.nfft = block_fft_len(self.M, mics.N)
         self.hop = self.nfft - self.M
-        self.S = self._spectra(np.vstack([mics.x_s, mics.p_s[None, :]]))
-        self.V = self._spectra(np.vstack([mics.x_v, mics.p_v[None, :]]))
+        self.S = self._spectra(mics.s)
+        self.V = self._spectra(mics.v)
         self.G = np.fft.rfft(g, self.nfft)
 
     def _spectra(self, channels: np.ndarray) -> np.ndarray:

@@ -150,13 +150,14 @@ class InputFrames:
 def input_frames(mics: MicSignals, L: int) -> InputFrames:
     """Stacked frames of the observed inputs: K reference signals then the primary signal.
 
-    Returns an ``InputFrames`` holding the (K+1, N) channel stack and L,
-    not the frames: ``estimate_autocorrelation`` computes their product
-    from the Toeplitz structure.
+    Returns an ``InputFrames`` holding the (K+1, N) channel stack
+    ``mics.s + mics.v`` (one sum, in the microphones' own layout) and
+    L, not the frames: ``estimate_autocorrelation`` computes their
+    product from the Toeplitz structure.
     """
     if mics.N < L:
         raise ValueError(f"signal length {mics.N} shorter than frame history {L}")
-    return InputFrames(np.vstack([mics.x, mics.p[None, :]]), L)
+    return InputFrames(mics.s + mics.v, L)
 
 
 def estimate_autocorrelation(x_frames) -> np.ndarray:
@@ -232,22 +233,6 @@ def build_constraint(
     H = _constraint_matrix(reirs, L)
     f = _constraint_vector(reirs, psi, target_kind, int(delta), L)
     return Constraint(H=H, f=f)
-
-
-def largest_eigenvalue(A) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix, clipped at 0.
-
-    One LAPACK call (``numpy.linalg.eigvalsh``) on the symmetrized
-    matrix: exact to rounding and bounded in time, whatever the gap to
-    the second eigenvalue.  The clip absorbs the rounding that can
-    leave the top eigenvalue of a numerically zero matrix just below 0.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("A must be finite")
-    return max(float(np.linalg.eigvalsh((A + A.T) / 2.0)[-1]), 0.0)
 
 
 class _DesignContext:

@@ -182,6 +182,11 @@ class SweepConfig:
             merged["psi"] = _real("psi", psi)
         if merged["reir_reg"] is not None:
             merged["reir_reg"] = _real("reir_reg", merged["reir_reg"])
+        if not isinstance(merged["out"], str):
+            raise ConfigError(f"out must be a string, got {merged['out']!r}")
+        for key in ("speech_wav", "noise_wav"):
+            if not isinstance(merged[key], (str, type(None))):
+                raise ConfigError(f"{key} must be a string or null, got {merged[key]!r}")
 
         dr = merged["delta_range"]
         if not isinstance(dr, (list, tuple)) or len(dr) != 3:
@@ -223,6 +228,8 @@ class SweepConfig:
             raise ConfigError("psi weighting needs Lg + Lw - 1 >= 8 taps")
         if self.beta_div <= 0 or self.rho_div <= 0:
             raise ConfigError("beta_div and rho_div must be positive")
+        if self.reir_reg is not None and self.reir_reg < 0:
+            raise ConfigError(f"reir_reg must be >= 0, got {self.reir_reg}")
         if not isinstance(self.scene, dict) or self.scene.get("kind") not in ("synthetic", "manifest"):
             raise ConfigError('scene.kind must be "synthetic" or "manifest"')
 
@@ -269,6 +276,10 @@ def _build_scene(config: SweepConfig, n: int) -> Scene:
             manifest = sc.pop("manifest")
         except KeyError as exc:
             raise ConfigError(f"manifest scene needs {exc} key") from exc
+        if not isinstance(directory, str):
+            raise ConfigError(f"scene.dir must be a string, got {directory!r}")
+        if not isinstance(manifest, (str, dict)):
+            raise ConfigError(f"scene.manifest must be a file name or an object, got {manifest!r}")
         scene = load_scene_wav(directory, manifest)
         if scene.fs != config.fs:
             raise ConfigError(f"scene fs {scene.fs} != config fs {config.fs}")
@@ -309,19 +320,16 @@ def _build_scene(config: SweepConfig, n: int) -> Scene:
             tail_amp=tail_amp,
             tail_decay=tail_decay,
         )
+        if sc.get("g_taps") is not None:
+            # explicit secondary-path taps, e.g. exported from a measurement;
+            # unlike synth_scene's pulse model these may start at lag 0
+            scene = Scene(
+                K=scene.K, ir_speech=scene.ir_speech, ir_noise=scene.ir_noise,
+                g=np.array([_real("scene.g_taps", v) for v in sc["g_taps"]]),
+                fs=scene.fs, spatial_ref=scene.spatial_ref,
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad synthetic scene: {exc}") from exc
-    g_taps = sc.get("g_taps")
-    if g_taps is not None:
-        # explicit secondary-path taps, e.g. exported from a measurement;
-        # unlike synth_scene's pulse model these may start at lag 0
-        g = np.asarray(g_taps, dtype=float).ravel()
-        if g.size < 1 or not np.all(np.isfinite(g)):
-            raise ConfigError("g_taps must be a non-empty list of finite taps")
-        scene = Scene(
-            K=scene.K, ir_speech=scene.ir_speech, ir_noise=scene.ir_noise,
-            g=g, fs=scene.fs, spatial_ref=scene.spatial_ref,
-        )
     return scene
 
 
@@ -519,8 +527,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         try:
             if isinstance(res, Exception):
                 raise res
-            run = sim.run(res.filter, config.target_kind, delta, prep.scene.spatial_ref)
-            mb = evaluate_run(run, prep.mics)
+            # unbound, so one delay's signals are freed before the next is simulated
+            mb = evaluate_run(sim.run(res.filter, config.target_kind, delta, prep.scene.spatial_ref), prep.mics)
         except NUMERIC_ERRORS as exc:  # record and continue with the other deltas
             rows.append(SweepRow(delta=delta, error=f"{type(exc).__name__}: {exc}"))
             continue

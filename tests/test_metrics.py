@@ -153,12 +153,9 @@ def test_quality_proxy_validates_args():
 def test_evaluate_run_bundles_everything():
     rng = np.random.default_rng(13)
     n = 4096
-    mics = MicSignals(
-        x_s=rng.standard_normal((2, n)),
-        x_v=rng.standard_normal((2, n)),
-        p_s=rng.standard_normal(n),
-        p_v=rng.standard_normal(n),
-    )
+    x_s, x_v = rng.standard_normal((2, n)), rng.standard_normal((2, n))
+    p_s, p_v = rng.standard_normal(n), rng.standard_normal(n)
+    mics = MicSignals(s=np.vstack([x_s, p_s]), v=np.vstack([x_v, p_v]))
     t = mics.p_s.copy()
     run = RunResult(
         y=0.5 * rng.standard_normal(n),
@@ -191,10 +188,9 @@ def test_energy_sums_match_elementwise_reference():
 def test_evaluate_run_requires_target():
     rng = np.random.default_rng(14)
     n = 1024
-    mics = MicSignals(
-        x_s=rng.standard_normal((1, n)), x_v=rng.standard_normal((1, n)),
-        p_s=rng.standard_normal(n), p_v=rng.standard_normal(n),
-    )
-    run = RunResult(y=np.zeros(n), e=mics.p, e_s=mics.p_s, e_v=mics.p_v)
+    x_s, x_v = rng.standard_normal((1, n)), rng.standard_normal((1, n))
+    p_s, p_v = rng.standard_normal(n), rng.standard_normal(n)
+    mics = MicSignals(s=np.vstack([x_s, p_s]), v=np.vstack([x_v, p_v]))
+    run = RunResult(y=np.zeros(n), e=mics.p_s + mics.p_v, e_s=mics.p_s, e_v=mics.p_v)
     with pytest.raises(ValueError, match="target"):
         evaluate_run(run, mics)

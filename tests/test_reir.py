@@ -49,7 +49,7 @@ def test_reirs_reconstruct_error_mic_speech():
     scene = pure_delay_scene(seed=4)
     mics = render_mics(scene, white_noise(20000, 5))
     reirs = estimate_reirs(mics, scene.spatial_ref, 24)
-    recon = np.convolve(reirs.h[-1], mics.x_s[scene.spatial_ref])[: mics.N]
+    recon = np.convolve(reirs.h[-1], mics.s[scene.spatial_ref])[: mics.N]
     rel = np.linalg.norm(recon - mics.p_s) / np.linalg.norm(mics.p_s)
     assert 20 * np.log10(rel) <= -40.0
 
@@ -64,9 +64,9 @@ def test_residuals_reported_per_channel():
 
 def explicit_frames_reirs(mics, spatial_ref, Lh):
     """Ridge regression on the explicit N x Lh regressor rows (the reference form)."""
-    ref = mics.x_s[spatial_ref]
+    ref = mics.s[spatial_ref]
     frames = np.lib.stride_tricks.sliding_window_view(ref, Lh)[:, ::-1]
-    targets = np.vstack([mics.x_s, mics.p_s[None, :]])[:, Lh - 1 :]
+    targets = mics.s[:, Lh - 1 :]
     R = frames.T @ frames
     reg = 1e-8 * float(np.mean(np.diag(R)))
     cho = scipy.linalg.cho_factor(R + reg * np.eye(Lh))
@@ -117,8 +117,7 @@ def test_silent_reference_channel_is_singular():
     scene = pure_delay_scene()
     mics = render_mics(scene, white_noise(8000, 13))
     silent = MicSignals(
-        x_s=np.where(np.arange(scene.K)[:, None] == scene.spatial_ref, 0.0, mics.x_s),
-        x_v=mics.x_v, p_s=mics.p_s, p_v=mics.p_v,
+        s=np.where(np.arange(scene.K + 1)[:, None] == scene.spatial_ref, 0.0, mics.s), v=mics.v
     )
     with pytest.raises(np.linalg.LinAlgError, match="singular ReIR normal equations"):
         estimate_reirs(silent, scene.spatial_ref, 16)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.io import wavfile
 
 from ssanc import wavio
 from ssanc.convmat import build_conv_matrix
+from ssanc.reir import estimate_reirs
 from ssanc.scene import (
     ScalingError,
     Scene,
@@ -15,6 +17,8 @@ from ssanc.scene import (
     synth_scene,
 )
 from ssanc.signals import speech_shaped_noise, white_noise
+from ssanc.simulate import _FeedForward
+from ssanc.solver import input_frames
 
 
 def default_scene(tail_amp=0.0, seed=0):
@@ -36,7 +40,7 @@ def test_synth_scene_known_acoustic_delay():
     assert scene.spatial_ref == 0  # smallest speech delay
     # speech acoustic delay from spatial ref to error mic is 10 - 6 = 4
     d_ref = int(np.argmax(np.abs(scene.ir_speech[scene.spatial_ref])))
-    d_err = int(np.argmax(np.abs(scene.ir_speech[scene.err_index])))
+    d_err = int(np.argmax(np.abs(scene.ir_speech[scene.K])))
     assert d_err - d_ref == 4
 
 
@@ -113,8 +117,8 @@ def test_render_mics_identical_irs_make_channels_proportional():
     )
     sig = white_noise(4000, 1)
     mics = render_mics(scene, sig, sig, snr_db=0.0)
-    np.testing.assert_allclose(mics.x_s[0], mics.x_s[1], atol=1e-12)
-    np.testing.assert_allclose(mics.x_v[0], mics.x_s[0], atol=1e-12)
+    np.testing.assert_allclose(mics.s[0], mics.s[1], atol=1e-12)
+    np.testing.assert_allclose(mics.v[0], mics.s[0], atol=1e-12)
 
 
 def test_render_matches_convolution_matrix_form():
@@ -123,7 +127,15 @@ def test_render_matches_convolution_matrix_form():
     mics = render_mics(scene, speech)
     ir = scene.ir_speech[1]
     full = build_conv_matrix(ir, len(speech)) @ speech
-    np.testing.assert_allclose(mics.x_s[1], full[: len(speech)], atol=1e-10)
+    np.testing.assert_allclose(mics.s[1], full[: len(speech)], atol=1e-10)
+    # the layout: one row per scene response, reference mics first, error mic last
+    noise = white_noise(400, 3)
+    mics = render_mics(scene, speech, noise)
+    assert mics.s.shape == mics.v.shape == (scene.K + 1, len(speech))
+    for k in range(scene.K + 1):
+        np.testing.assert_array_equal(mics.s[k], np.convolve(scene.ir_speech[k], speech)[:400])
+        np.testing.assert_array_equal(mics.v[k], np.convolve(scene.ir_noise[k], noise)[:400])
+    assert np.shares_memory(mics.p_s, mics.s) and np.shares_memory(mics.p_v, mics.v)
 
 
 def test_render_mics_silent_noise_cannot_scale():
@@ -136,15 +148,48 @@ def test_render_mics_silent_noise_cannot_scale():
 def test_render_mics_desired_only():
     scene = default_scene()
     mics = render_mics(scene, white_noise(2000, 4))
-    assert not mics.x_v.any() and not mics.p_v.any()
-    assert mics.p.shape == (2000,)
+    assert not mics.v.any() and not mics.p_v.any()
+    assert mics.p_s.shape == (2000,)
 
 
 def test_components_sum_exactly():
     scene = default_scene(tail_amp=0.05, seed=9)
     mics = render_mics(scene, white_noise(3000, 5), white_noise(3000, 6), snr_db=2.0)
-    np.testing.assert_array_equal(mics.p, mics.p_s + mics.p_v)
-    np.testing.assert_array_equal(mics.x, mics.x_s + mics.x_v)
+    observed = input_frames(mics, 1).channels
+    np.testing.assert_array_equal(observed[-1], mics.p_s + mics.p_v)
+    np.testing.assert_array_equal(observed[:-1], mics.s[:-1] + mics.v[:-1])
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stack_consumers_make_no_stack_copies():
+    """On a (3, 960000) rendering, as for a 60 s recording, the observed sum,
+    the simulation set-up beyond the spectra it keeps and the ReIR fit each
+    peak under 1.25 stacks: none of them re-stacks or re-sums the channels."""
+    scene = synth_scene(
+        K=2, speech_delays=[6, 8, 10], noise_delays=[9, 5, 7],
+        gains=[(1.0, 0.7), (0.8, 1.0), (0.6, 0.8)], sec_delay=2, sec_ir_len=48,
+        fs=16000, seed=3, tail_amp=0.3, tail_decay=12.0,
+    )
+    n = 960000
+    mics = render_mics(scene, white_noise(n, 0), white_noise(n, 1), snr_db=-5.0)
+    stack = mics.s.nbytes
+    _, peak = traced_peak(lambda: input_frames(mics, 95))
+    assert peak < 1.25 * stack
+    ff, peak = traced_peak(lambda: _FeedForward(mics, scene.g, 48))
+    assert peak - ff.S.nbytes - ff.V.nbytes < 1.25 * stack
+    del ff
+    white = render_mics(scene, white_noise(n, 2))
+    _, peak = traced_peak(lambda: estimate_reirs(white, scene.spatial_ref, 48))
+    assert peak < 1.25 * stack
 
 
 def test_scene_validation():
@@ -161,6 +206,15 @@ def test_scene_validation():
         Scene(
             K=1,
             ir_speech=(np.array([np.nan]), np.ones(1)),
+            ir_noise=(np.ones(1), np.ones(1)),
+            g=np.ones(2),
+            fs=16000,
+            spatial_ref=0,
+        )
+    with pytest.raises(ValueError, match="at least one tap"):
+        Scene(
+            K=1,
+            ir_speech=(np.ones(1), np.zeros(0)),
             ir_noise=(np.ones(1), np.ones(1)),
             g=np.ones(2),
             fs=16000,
@@ -228,10 +282,32 @@ def test_load_scene_sample_rate_mismatch(tmp_path):
         load_scene_wav(tmp_path, "manifest.json")
 
 
+@pytest.mark.parametrize("key, value", [("speech_irs", [1, 2, 3, 4, 5]), ("secondary", ["g.wav"])])
+def test_load_scene_rejects_non_string_file_names(tmp_path, key, value):
+    manifest = write_manifest_scene(tmp_path)
+    with pytest.raises(SceneLoadError, match="file names must be strings"):
+        load_scene_wav(tmp_path, {**manifest, key: value})
+
+
 def test_load_scene_rejects_stereo(tmp_path):
     manifest = write_manifest_scene(tmp_path)
     wavio.write_wav(tmp_path / "speech_1.wav", 16000, np.zeros((16, 2)))
     with pytest.raises(SceneLoadError, match="mono"):
+        load_scene_wav(tmp_path, manifest)
+
+
+@pytest.mark.parametrize(
+    "name, data, match",
+    [
+        ("g.wav", np.zeros(0), "at least one tap"),
+        ("speech_0.wav", np.array([1.0, np.nan, 0.5]), "finite"),
+        ("speech_1.wav", np.zeros(0), "at least one tap"),
+    ],
+)
+def test_load_scene_rejects_empty_or_non_finite_ir(tmp_path, name, data, match):
+    manifest = write_manifest_scene(tmp_path)
+    wavio.write_wav(tmp_path / name, 16000, data)
+    with pytest.raises(SceneLoadError, match=match):
         load_scene_wav(tmp_path, manifest)
 
 

@@ -17,12 +17,9 @@ from ssanc.solver import (
 
 
 def random_mics(rng, K=2, n=60):
-    return MicSignals(
-        x_s=rng.standard_normal((K, n)),
-        x_v=rng.standard_normal((K, n)),
-        p_s=rng.standard_normal(n),
-        p_v=rng.standard_normal(n),
-    )
+    x_s, x_v = rng.standard_normal((K, n)), rng.standard_normal((K, n))
+    p_s, p_v = rng.standard_normal(n), rng.standard_normal(n)
+    return MicSignals(s=np.vstack([x_s, p_s]), v=np.vstack([x_v, p_v]))
 
 
 def random_filter(rng, K=2, Lw=5):
@@ -35,7 +32,7 @@ def test_zero_filter_passes_primary_through():
     w = ControlFilter(w=np.zeros((3, 4)))
     run = apply_control(w, mics, [0.0, 1.0])
     np.testing.assert_array_equal(run.y, np.zeros(mics.N))
-    np.testing.assert_array_equal(run.e, mics.p)
+    np.testing.assert_array_equal(run.e, mics.p_s + mics.p_v)
     np.testing.assert_array_equal(run.e_v, mics.p_v)
 
 
@@ -51,8 +48,8 @@ def test_streaming_matches_dense_stacked_form():
 
     Gt = np.kron(np.eye(K + 1), build_conv_matrix(g, Lw))
     u = build_q(K, L) + Gt @ w.stacked
-    x = mics.x
-    p = mics.p
+    x = mics.s[:K] + mics.v[:K]
+    p = mics.p_s + mics.p_v
     for t in range(n):
         frame = []
         for k in range(K):
@@ -75,7 +72,7 @@ def test_blockwise_run_matches_direct_convolution(n, Lw, Lg):
     def drive(refs, primary):
         return sum(np.convolve(w.w[k], refs[k])[:n] for k in range(2)) + np.convolve(w.w[2], primary)[:n]
 
-    y_s, y_v = drive(mics.x_s, mics.p_s), drive(mics.x_v, mics.p_v)
+    y_s, y_v = drive(mics.s[:2], mics.p_s), drive(mics.v[:2], mics.p_v)
     np.testing.assert_allclose(run.y, y_s + y_v, rtol=0, atol=1e-12 * np.max(np.abs(y_s + y_v)))
     for got, p, y in ((run.e_s, mics.p_s, y_s), (run.e_v, mics.p_v, y_v)):
         want = p + np.convolve(g, y)[:n]
@@ -90,12 +87,8 @@ def test_component_split_is_exact_and_linear():
     run = apply_control(w, mics, g)
     np.testing.assert_array_equal(run.e, run.e_s + run.e_v)
 
-    speech_only = MicSignals(
-        x_s=mics.x_s, x_v=np.zeros_like(mics.x_v), p_s=mics.p_s, p_v=np.zeros(mics.N)
-    )
-    noise_only = MicSignals(
-        x_s=np.zeros_like(mics.x_s), x_v=mics.x_v, p_s=np.zeros(mics.N), p_v=mics.p_v
-    )
+    speech_only = MicSignals(s=mics.s, v=np.zeros_like(mics.v))
+    noise_only = MicSignals(s=np.zeros_like(mics.s), v=mics.v)
     run_s = apply_control(w, speech_only, g)
     run_v = apply_control(w, noise_only, g)
     np.testing.assert_allclose(run.y, run_s.y + run_v.y, atol=1e-10)
@@ -114,9 +107,7 @@ def test_time_invariance():
         out[..., d:] = a[..., :-d]
         return out
 
-    mics_d = MicSignals(
-        x_s=delayed(mics.x_s), x_v=delayed(mics.x_v), p_s=delayed(mics.p_s), p_v=delayed(mics.p_v)
-    )
+    mics_d = MicSignals(s=delayed(mics.s), v=delayed(mics.v))
     run = apply_control(w, mics, g)
     run_d = apply_control(w, mics_d, g)
     np.testing.assert_allclose(run_d.e[d:], run.e[: n - d], atol=1e-12)
@@ -130,7 +121,7 @@ def test_realize_target_kinds():
     np.testing.assert_array_equal(t_err[3:], mics.p_s[:-3])
     assert not t_err[:3].any()
     t_ref = realize_target(mics, "reference_mic", 0, 1)
-    np.testing.assert_array_equal(t_ref, mics.x_s[1])
+    np.testing.assert_array_equal(t_ref, mics.s[1])
     with pytest.raises(ValueError):
         realize_target(mics, "loudspeaker", 0, 0)
 

@@ -16,7 +16,6 @@ from ssanc.solver import (
     estimate_autocorrelation,
     input_frames,
     kkt_oracle,
-    largest_eigenvalue,
     stacked_frames,
 )
 
@@ -106,20 +105,17 @@ def test_input_frames_uses_observed_mix():
     L = 4
     f = input_frames(mics, L)
     frames = stacked_frames(f.channels, f.L)
-    x0 = mics.x[0]
+    x0 = mics.s[0] + mics.v[0]
     np.testing.assert_array_equal(frames[0, :L], x0[L - 1 :: -1])
-    np.testing.assert_array_equal(frames[0, L:], mics.p[L - 1 :: -1])
+    np.testing.assert_array_equal(frames[0, L:], (mics.p_s + mics.p_v)[L - 1 :: -1])
 
 
 def random_mics(K, N, seed):
     rng = np.random.default_rng(seed)
     scale = rng.uniform(0.1, 10.0, size=(K, 1))
-    return MicSignals(
-        x_s=scale * rng.standard_normal((K, N)),
-        x_v=rng.standard_normal((K, N)),
-        p_s=rng.standard_normal(N),
-        p_v=3.0 * rng.standard_normal(N),
-    )
+    x_s, x_v = scale * rng.standard_normal((K, N)), rng.standard_normal((K, N))
+    p_s, p_v = rng.standard_normal(N), 3.0 * rng.standard_normal(N)
+    return MicSignals(s=np.vstack([x_s, p_s]), v=np.vstack([x_v, p_v]))
 
 
 def assert_structural_matches_frames(K, L, N, seed):
@@ -236,46 +232,6 @@ def test_constraint_rejects_long_psi():
 
 
 # ---------------------------------------------------------------------------
-# largest eigenvalue
-# ---------------------------------------------------------------------------
-
-
-def test_largest_eigenvalue_diagonal():
-    assert largest_eigenvalue(np.diag([3.0, 1.0, 2.0])) == pytest.approx(3.0, abs=1e-8)
-
-
-def test_largest_eigenvalue_matches_dense_solver():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        A = random_psd(20, rng)
-        lam = largest_eigenvalue(A)
-        lam_ref = float(np.linalg.eigvalsh(A)[-1])
-        assert lam == pytest.approx(lam_ref, rel=1e-6)
-
-
-def test_largest_eigenvalue_zero_matrix():
-    assert largest_eigenvalue(np.zeros((4, 4))) == 0.0
-
-
-def test_largest_eigenvalue_near_degenerate_top_pair():
-    # lambda_2 / lambda_1 = 1 - 1e-6: power iteration converges at that
-    # ratio per step, so only an exact eigensolver meets the bound
-    rng = np.random.default_rng(16)
-    Q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
-    spectrum = np.concatenate([[1.0, 1.0 - 1e-6], rng.uniform(0.0, 0.9, 62)])
-    A = (Q * spectrum) @ Q.T
-    lam_ref = float(np.linalg.eigvalsh(A)[-1])
-    assert abs(largest_eigenvalue(A) - lam_ref) <= 1e-12 * lam_ref
-
-
-def test_largest_eigenvalue_rejects_bad_input():
-    with pytest.raises(ValueError):
-        largest_eigenvalue(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        largest_eigenvalue(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-
-# ---------------------------------------------------------------------------
 # closed form vs KKT oracle
 # ---------------------------------------------------------------------------
 
@@ -344,7 +300,7 @@ def test_beta_below_minus_smallest_eigenvalue_cannot_factorize():
 def test_kkt_solution_beats_feasible_perturbations():
     rng = np.random.default_rng(12)
     phi_xx, g, constraint, K, Lw, Gt, q = random_instance(rng, K=2, Lw=4, Lg=3, Lh=3)
-    beta = largest_eigenvalue(Gt.T @ phi_xx @ Gt) / 500.0
+    beta = float(np.linalg.eigvalsh(Gt.T @ phi_xx @ Gt)[-1]) / 500.0
     w_star = kkt_oracle(phi_xx, g, constraint, beta, K, Lw).stacked
     j_star = objective(phi_xx, Gt, q, beta, w_star)
 
@@ -479,7 +435,7 @@ def test_design_scale_invariance_with_divisor_rules():
     constraint = build_constraint(reirs, [1.0], "error_mic", 1, Lw, Lg)
     res1 = design_control_filter(phi_xx, scene.g, constraint, DesignParams(), scene.K, Lw)
 
-    scaled = MicSignals(x_s=10 * mics.x_s, x_v=10 * mics.x_v, p_s=10 * mics.p_s, p_v=10 * mics.p_v)
+    scaled = MicSignals(s=10 * mics.s, v=10 * mics.v)
     L = Lg + Lw - 1
     phi_scaled = estimate_autocorrelation(input_frames(scaled, L))
     res2 = design_control_filter(phi_scaled, scene.g, constraint, DesignParams(), scene.K, Lw)

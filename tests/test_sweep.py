@@ -225,6 +225,31 @@ def write_quick_config(tmp_path, **overrides):
     return path
 
 
+@pytest.mark.parametrize("command", ["sweep", "design"])
+def test_cli_empty_manifest_ir_is_one_line_error(tmp_path, capsys, command):
+    from ssanc import wavio
+
+    names = {"speech_irs": [], "noise_irs": []}
+    for role in names:
+        for m in range(3):
+            ir = np.zeros(0 if (role, m) == ("speech_irs", 1) else 40)
+            ir[: min(ir.size, 1)] = 1.0
+            names[role].append(f"{role[:-4]}_{m}.wav")
+            wavio.write_wav(tmp_path / names[role][-1], 16000, ir)
+    wavio.write_wav(tmp_path / "g.wav", 16000, np.eye(10)[1])
+    (tmp_path / "scene.json").write_text(json.dumps({
+        "fs": 16000, "mics": 3, **names, "secondary": "g.wav", "spatial_ref": 0,
+    }))
+    cfg = write_quick_config(
+        tmp_path, Lg=10, scene={"kind": "manifest", "dir": str(tmp_path), "manifest": "scene.json"}
+    )
+    argv = [command, "--config", str(cfg)] + (["--delta", "1"] if command == "design" else [])
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "at least one tap" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     cfg = write_quick_config(tmp_path)
     assert cli_main(["sweep", "--config", str(cfg), "--gnuplot"]) == 0
@@ -290,7 +315,7 @@ def test_cli_simulate_renders_without_reir_estimation(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "estimate_reirs", unused)
     _, mics = sweep_mod.render_scene(config)
-    for name in ("x_s", "x_v", "p_s", "p_v"):
+    for name in ("s", "v"):
         assert np.array_equal(getattr(mics, name), getattr(prep.mics, name))
     assert cli_main([
         "simulate", "--config", str(cfg), "--filter", str(flt), "--delta", "1", "--out", str(tmp_path / "sim"),
@@ -422,21 +447,28 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
         ("delta_range", [0, 10.7, 1]),
         ("delta_range", [True, 10, 1]),
         ("snr_db", 1e308),
+        ("out", 5),
+        ("speech_wav", 5),
+        ("noise_wav", ["noise.wav"]),
+        ("reir_reg", -1.0),
+        ("reir_reg", -1e12),
     ],
 )
 def test_cli_mistyped_config_value_is_one_line_error(tmp_path, capsys, key, value):
-    err = sweep_config_error(tmp_path, capsys, {key: value})
+    # "out" is read only when --out is absent
+    err = sweep_config_error(tmp_path, capsys, {key: value}, out=key != "out")
     assert key in err
 
 
-def sweep_config_error(tmp_path, capsys, overrides, scene=None):
+def sweep_config_error(tmp_path, capsys, overrides, scene=None, out=True):
     """stderr of a fig3 sweep with overridden keys, checked to be one config-error line."""
     cfg = json.loads((Path(__file__).parents[1] / "configs" / "fig3_synthetic.json").read_text())
     cfg.update(overrides)
     cfg["scene"].update(scene or {})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "rows.csv")]) == 1
+    argv = ["sweep", "--config", str(path)] + (["--out", str(tmp_path / "rows.csv")] if out else [])
+    assert cli_main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert len(err.splitlines()) == 1
@@ -457,10 +489,17 @@ def sweep_config_error(tmp_path, capsys, overrides, scene=None):
         ("spatial_ref", True),
         ("ir_len", 40.5),
         ("seed", False),
+        ("g_taps", "abc"),
+        ("g_taps", [[1, 2], [3]]),
+        ("g_taps", [True, 1.0]),
+        ("dir", 5),
+        ("manifest", [1]),
     ],
 )
 def test_cli_mistyped_scene_value_is_one_line_error(tmp_path, capsys, key, value):
-    err = sweep_config_error(tmp_path, capsys, {}, scene={key: value})
+    manifest = {"kind": "manifest", "dir": str(tmp_path), "manifest": "scene.json"}
+    scene = {**(manifest if key in manifest else {}), key: value}
+    err = sweep_config_error(tmp_path, capsys, {}, scene=scene)
     assert key in err
 
 
@@ -643,7 +682,7 @@ def convolve_oracle_row(prep, g, ctx, config, delta):
             y = y + np.convolve(w[k], refs[k])[:N]
         return y
 
-    y_s, y_v = drive(m.x_s, m.p_s), drive(m.x_v, m.p_v)
+    y_s, y_v = drive(m.s, m.p_s), drive(m.v, m.p_v)
     e_s = m.p_s + np.convolve(g, y_s)[:N]
     e_v = m.p_v + np.convolve(g, y_v)[:N]
     t = realize_target(m, config.target_kind, delta, prep.scene.spatial_ref)
