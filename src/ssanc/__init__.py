@@ -7,7 +7,7 @@ target-signal delay to map the noise-reduction / distortion / effort
 trade-off.
 """
 
-from ssanc.convmat import build_conv_matrix, build_q, unit_pulse
+from ssanc.convmat import build_conv_matrix, build_q
 from ssanc.scene import MicSignals, Scene, load_scene_wav, render_mics, synth_scene
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.solver import (
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "build_conv_matrix",
-    "unit_pulse",
     "build_q",
     "Scene",
     "MicSignals",

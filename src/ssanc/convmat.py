@@ -1,8 +1,8 @@
 """Dense convolution-matrix algebra.
 
 Lower-banded Toeplitz builders, their per-channel application to
-stacked multichannel vectors, the unit-pulse / selection vectors the
-filter designer is built on, the overlap-save block layout, and the
+stacked multichannel vectors, the selection vector the filter designer
+is built on, the overlap-save block layout, and the
 structural frame products behind the autocorrelation and ReIR
 estimates.  The matrices are plain float64 and dense on purpose: the
 problem sizes stay small enough that exactness and clarity win.  The
@@ -61,22 +61,11 @@ def per_channel(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (G @ X.reshape(C, G.shape[1], -1)).reshape(C * G.shape[0], *X.shape[1:])
 
 
-def unit_pulse(delta: int, length: int) -> np.ndarray:
-    """Vector of ``length`` zeros with a single 1 at index ``delta``."""
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if not 0 <= delta < length:
-        raise ValueError(f"pulse delay {delta} outside [0, {length})")
-    v = np.zeros(length)
-    v[delta] = 1.0
-    return v
-
-
 def build_q(K: int, L: int) -> np.ndarray:
     """Selection vector picking the current primary sample out of the stacked input.
 
-    The flat (K+1)*L vector of K zero blocks followed by
-    ``unit_pulse(0, L)``: its dot product with a stacked input vector
+    The flat (K+1)*L vector of K zero blocks followed by an L-sample
+    unit pulse at lag 0: its dot product with a stacked input vector
     returns the first entry of the last block.
     """
     if K < 1:

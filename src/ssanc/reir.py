@@ -21,8 +21,9 @@ from ssanc.scene import MicSignals
 class ReIRSet:
     """Causal ReIRs of the desired source, one row per microphone (error mic last).
 
-    Row spatial_ref is the identity by construction (a microphone's
-    ReIR to itself is a unit pulse).  residuals holds the per-channel
+    Row spatial_ref is fitted like the others and lands about 1e-8 off
+    a unit pulse (the ridge bias); the design uses the exact pulse for
+    it (``solver._constraint_vector``).  residuals holds the per-channel
     relative RMS fit error of the estimation, when available.
     """
 

@@ -25,6 +25,16 @@ class ScalingError(ValueError):
     """Component energies do not admit the requested SNR scaling."""
 
 
+def integer(key: str, value, error: type[ValueError] = SceneLoadError) -> int:
+    """A JSON number with an integral value, as int; anything else (a bool, a string,
+    a fractional float) raises ``error``: nothing is truncated or converted."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class Scene:
     """Impulse-response description of one acoustic setup.
@@ -176,7 +186,8 @@ def load_scene_wav(directory, manifest) -> Scene:
 
     ``manifest`` is a dict or a path to a JSON file with keys: fs, mics
     (= K+1), speech_irs, noise_irs (lists of K+1 filenames, error mic
-    last), secondary, spatial_ref (0-based reference index).  Filenames
+    last), secondary, spatial_ref (0-based reference index).  fs, mics
+    and spatial_ref must be integers by ``integer``'s rule.  Filenames
     resolve relative to ``directory``.
     """
     directory = Path(directory)
@@ -190,14 +201,16 @@ def load_scene_wav(directory, manifest) -> Scene:
             raise SceneLoadError(f"cannot read manifest {manifest_path}: {exc}") from exc
 
     try:
-        fs = int(manifest["fs"])
-        mics = int(manifest["mics"])
-        speech_names = list(manifest["speech_irs"])
-        noise_names = list(manifest["noise_irs"])
+        fs = integer("manifest fs", manifest["fs"])
+        mics = integer("manifest mics", manifest["mics"])
+        speech_names = manifest["speech_irs"]
+        noise_names = manifest["noise_irs"]
         secondary_name = manifest["secondary"]
-        spatial_ref = int(manifest.get("spatial_ref", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+        spatial_ref = integer("manifest spatial_ref", manifest.get("spatial_ref", 0))
+    except (KeyError, TypeError) as exc:
         raise SceneLoadError(f"manifest missing or malformed field: {exc}") from exc
+    if not (isinstance(speech_names, list) and isinstance(noise_names, list)):
+        raise SceneLoadError("manifest speech_irs and noise_irs must be lists of file names")
 
     if mics < 2:
         raise SceneLoadError(f"need at least 2 microphones (1 reference + error), got {mics}")
@@ -249,7 +262,8 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
 
     s = np.stack([np.convolve(ir, speech)[:N] for ir in scene.ir_speech])
     if noise is None:
-        return MicSignals(s=s, v=np.zeros_like(s))
+        # np.zeros, not zeros_like: the pages are calloc'd and never written
+        return MicSignals(s=s, v=np.zeros(s.shape))
 
     noise = np.asarray(noise, dtype=float).ravel()
     if noise.shape[0] != N:

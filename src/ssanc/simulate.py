@@ -14,7 +14,7 @@ import numpy as np
 from ssanc import wavio
 from ssanc.convmat import block_fft_len, overlap_blocks
 from ssanc.scene import MicSignals
-from ssanc.solver import ControlFilter
+from ssanc.solver import ControlFilter, target_mic
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,14 +24,15 @@ class RunResult:
     e_s / e_v are the speech and noise components of the error signal,
     obtained by running the identical linear pipeline on the speech-only
     and noise-only inputs; e is their sum by construction.  t is the
-    realized target signal when a target configuration was given.
+    realized target, the delayed desired component at the target
+    microphone, which the metrics score e_s and e against.
     """
 
     y: np.ndarray
     e: np.ndarray
     e_s: np.ndarray
     e_v: np.ndarray
-    t: np.ndarray | None = None
+    t: np.ndarray
 
 
 def _delay(x: np.ndarray, d: int) -> np.ndarray:
@@ -43,20 +44,18 @@ def _delay(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def realize_target(mics: MicSignals, target_kind: str, delta: int, spatial_ref: int) -> np.ndarray:
-    """The target signal for a given configuration: a delayed desired component.
+    """The target signal: the desired component at the target microphone, delayed by delta.
 
+    The target microphone is ``solver.target_mic(target_kind,
+    spatial_ref)``, the row the design's constraint vector reads.
     Spectral weighting applies to the design constraint only; the
     target used for distortion scoring is the plain delayed component.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if target_kind == "error_mic":
-        return _delay(mics.p_s, delta)
-    if target_kind == "reference_mic":
-        if not 0 <= spatial_ref < mics.K:
-            raise ValueError(f"spatial_ref {spatial_ref} outside [0, {mics.K})")
-        return _delay(mics.s[spatial_ref], delta)
-    raise ValueError(f"unknown target_kind {target_kind!r}")
+    if not 0 <= spatial_ref < mics.K:
+        raise ValueError(f"spatial_ref {spatial_ref} outside [0, {mics.K})")
+    return _delay(mics.s[target_mic(target_kind, spatial_ref)], delta)
 
 
 class _FeedForward:
@@ -95,10 +94,8 @@ class _FeedForward:
         blocks = np.fft.irfft(Y, self.nfft, axis=-1)
         return blocks[:, self.M :].reshape(-1)[: self.mics.N]
 
-    def run(
-        self, w: ControlFilter, target_kind: str | None = None, delta: int = 0, spatial_ref: int = 0
-    ) -> RunResult:
-        """Simulate one filter."""
+    def run(self, w: ControlFilter, target_kind: str, delta: int, spatial_ref: int) -> RunResult:
+        """Simulate one filter and realize the target it was designed for."""
         if w.K != self.mics.K:
             raise ValueError(f"filter has {w.K} reference channels, signals have {self.mics.K}")
         if w.Lw != self.Lw:
@@ -111,36 +108,26 @@ class _FeedForward:
         Y_v *= self.G
         e_s = self.mics.p_s + self._signal(Y_s)
         e_v = self.mics.p_v + self._signal(Y_v)
-
-        t = None
-        if target_kind is not None:
-            t = realize_target(self.mics, target_kind, delta, spatial_ref)
+        t = realize_target(self.mics, target_kind, delta, spatial_ref)
         return RunResult(y=y, e=e_s + e_v, e_s=e_s, e_v=e_v, t=t)
 
 
 def apply_control(
-    w: ControlFilter,
-    mics: MicSignals,
-    g,
-    target_kind: str | None = None,
-    delta: int = 0,
-    spatial_ref: int = 0,
+    w: ControlFilter, mics: MicSignals, g, target_kind: str, delta: int, spatial_ref: int
 ) -> RunResult:
     """Feed-forward simulation with a perfect primary-signal estimate.
 
     y is the loudspeaker drive (control filter applied to the reference
     signals and the primary signal), e = p + g*y the resulting error
-    signal.  Passing a target configuration fills in the realized
-    target t.  This is one run of the kernel a sweep reuses for all of
-    its filters.
+    signal, and t the target of ``realize_target(mics, target_kind,
+    delta, spatial_ref)``.  This is one run of the kernel a sweep
+    reuses for all of its filters.
     """
     return _FeedForward(mics, g, w.Lw).run(w, target_kind, delta, spatial_ref)
 
 
 def export_run_wavs(result: RunResult, directory, fs: int) -> None:
-    """Write y, e, e_s, e_v (and t if present) as float64 WAVs for inspection."""
+    """Write y, e, e_s, e_v and the target t as float64 WAVs for inspection."""
     directory = Path(directory)
-    for name in ("y", "e", "e_s", "e_v"):
+    for name in ("y", "e", "e_s", "e_v", "t"):
         wavio.write_wav(directory / f"{name}.wav", fs, getattr(result, name))
-    if result.t is not None:
-        wavio.write_wav(directory / "t.wav", fs, result.t)

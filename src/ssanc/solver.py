@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ssanc.convmat import build_conv_matrix, build_q, frame_products, per_channel, unit_pulse
+from ssanc.convmat import build_conv_matrix, build_q, frame_products, per_channel
 from ssanc.reir import ReIRSet
 from ssanc.scene import MicSignals
 
@@ -190,26 +190,39 @@ def _constraint_matrix(reirs: ReIRSet, L: int) -> np.ndarray:
     return np.vstack([build_conv_matrix(h_k, L).T for h_k in reirs.h])
 
 
+TARGET_KINDS = ("error_mic", "reference_mic")
+
+
+def target_mic(target_kind: str, spatial_ref: int) -> int:
+    """Stack row whose desired component a target delays: -1 (error mic) or ``spatial_ref``."""
+    if target_kind == "error_mic":
+        return -1
+    if target_kind == "reference_mic":
+        return spatial_ref
+    raise ValueError(f"unknown target_kind {target_kind!r}")
+
+
+def max_delay(target_kind: str, Lh: int, L: int) -> int:
+    """Largest target delay: a delayed reference pulse stays inside the Lh-tap ReIR span,
+    a delayed error-mic ReIR inside the Lh + L - 1 target taps."""
+    return L - 1 if target_mic(target_kind, 0) == -1 else Lh - 1
+
+
 def _constraint_vector(reirs: ReIRSet, psi: np.ndarray, target_kind: str, delta: int, L: int) -> np.ndarray:
+    """Target vector f: psi * (the target microphone's ReIR delayed by delta), Lh + L - 1 taps.
+
+    The error microphone's ReIR is the last row of ``reirs.h``; the
+    spatial reference's ReIR to itself is exactly the unit pulse.
+    """
     Lh = reirs.Lh
     flen = Lh + L - 1
-    if target_kind == "reference_mic":
-        if not 0 <= delta < Lh:
-            raise ValueError(
-                f"reference-microphone target delay {delta} outside [0, {Lh}); "
-                "the delayed pulse must stay inside the ReIR span"
-            )
-        proto = unit_pulse(delta, flen)
-    elif target_kind == "error_mic":
-        if not (0 <= delta and delta + Lh <= flen):
-            raise ValueError(
-                f"error-microphone target delay {delta} outside [0, {flen - Lh}]; "
-                "the delayed ReIR must stay causal and in range"
-            )
-        proto = np.zeros(flen)
-        proto[delta : delta + Lh] = reirs.h[-1]
-    else:
-        raise ValueError(f"unknown target_kind {target_kind!r}")
+    bound = max_delay(target_kind, Lh, L)
+    if not 0 <= delta <= bound:
+        raise ValueError(f"{target_kind} target delay {delta} outside [0, {bound}]")
+    mic = target_mic(target_kind, reirs.spatial_ref)
+    reir = np.eye(1, Lh)[0] if mic == reirs.spatial_ref else reirs.h[mic]
+    proto = np.zeros(flen)
+    proto[delta : delta + Lh] = reir[: flen - delta]  # a late pulse's zero tail may not fit
     return np.convolve(psi, proto)[:flen]
 
 

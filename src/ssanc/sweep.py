@@ -34,14 +34,15 @@ from ssanc.convmat import block_fft_len, build_conv_matrix, build_q, per_channel
 from ssanc.metrics import QUALITY_FRAME, evaluate_run
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
-    MicSignals, ScalingError, Scene, SceneLoadError, default_ir_len, load_scene_wav, render_mics,
-    synth_scene,
+    MicSignals, ScalingError, Scene, SceneLoadError, default_ir_len, integer, load_scene_wav,
+    render_mics, synth_scene,
 )
 from ssanc.simulate import _FeedForward, apply_control, export_run_wavs
 from ssanc.solver import (
     DesignParams,
     InfeasibleConstraintError,
     SingularSystemError,
+    TARGET_KINDS,
     _constraint_matrix,
     _constraint_vector,
     _DesignContext,
@@ -51,6 +52,7 @@ from ssanc.solver import (
     input_frames,
     kkt_oracle,
     load_filter_json,
+    max_delay,
     save_filter_json,
 )
 
@@ -117,12 +119,8 @@ def default_scene_dict() -> dict:
 
 
 def _integer(key: str, value) -> int:
-    """A JSON number with an integral value, as int; anything else is a config error."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+    """A JSON number with an integral value, as int (``scene.integer``); else a config error."""
+    return integer(key, value, ConfigError)
 
 
 def _real(key: str, value) -> float:
@@ -214,8 +212,8 @@ class SweepConfig:
             raise ConfigError(f"signals must be at least 1 s, got {self.duration_s} s")
         if abs(self.snr_db) > MAX_SNR_DB:
             raise ConfigError(f"snr_db must lie within +-{MAX_SNR_DB:g} dB, got {self.snr_db}")
-        if self.target_kind not in ("error_mic", "reference_mic"):
-            raise ConfigError(f"target_kind must be error_mic or reference_mic, got {self.target_kind!r}")
+        if self.target_kind not in TARGET_KINDS:
+            raise ConfigError(f"target_kind must be {' or '.join(TARGET_KINDS)}, got {self.target_kind!r}")
         start, stop, step = self.delta_range
         if start < 0 or stop < start or step < 1:
             raise ConfigError(f"bad delta_range {self.delta_range}")
@@ -234,9 +232,8 @@ class SweepConfig:
             raise ConfigError('scene.kind must be "synthetic" or "manifest"')
 
     def check_delta(self, delta: int, name: str) -> None:
-        """Refuse a target delay that would push the pulse or delayed ReIR out of range."""
-        L = self.Lg + self.Lw - 1
-        bound = self.Lh - 1 if self.target_kind == "reference_mic" else L - 1
+        """Refuse a target delay outside [0, ``solver.max_delay``]."""
+        bound = max_delay(self.target_kind, self.Lh, self.Lg + self.Lw - 1)
         if not 0 <= delta <= bound:
             raise ConfigError(
                 f"{name} {delta} outside [0, {bound}], the causality bound "

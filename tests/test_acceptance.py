@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ssanc.convmat import build_conv_matrix, build_q, per_channel, unit_pulse
+from ssanc.convmat import build_conv_matrix, build_q, per_channel
 from ssanc.metrics import control_effort, noise_reduction, quality_proxy, speech_distortion_index
 from ssanc.reir import ReIRSet, estimate_reirs
 from ssanc.scene import MicSignals, render_mics, synth_scene
@@ -31,7 +31,8 @@ from ssanc.sweep import (
     write_rows_csv,
 )
 
-FIG5 = Path(__file__).parents[1] / "configs" / "fig5_synthetic.json"
+CONFIGS = Path(__file__).parents[1] / "configs"
+FIG5 = CONFIGS / "fig5_synthetic.json"
 
 
 def report(ok, name, detail):
@@ -91,7 +92,7 @@ def test_criterion_2_zero_action():
     constraint = build_constraint(reirs, [1.0], "error_mic", 0, 48, 48)
     res = design_control_filter(phi_xx, scene.g, constraint, DesignParams(rho=0.0), scene.K, 48)
     w_norm = float(np.linalg.norm(res.filter.stacked))  # ||q||_2 = 1
-    run = apply_control(res.filter, mics, scene.g)
+    run = apply_control(res.filter, mics, scene.g, "error_mic", 0, 0)
     energy_ratio = float(np.sum(run.y**2)) / float(np.sum((mics.p_s + mics.p_v) ** 2))
     report(
         w_norm <= 1e-3 and energy_ratio <= 1e-6,
@@ -177,7 +178,7 @@ def test_criterion_5_convolution_layer():
         n = int(rng.integers(1, 17))
         d = int(rng.integers(0, n))
         x = rng.standard_normal(int(rng.integers(1, 17)))
-        got = np.convolve(unit_pulse(d, n), x)
+        got = np.convolve(np.eye(1, n, d)[0], x)
         expected = np.zeros(n + len(x) - 1)
         expected[d : d + len(x)] = x
         worst = max(worst, np.max(np.abs(got - expected)))
@@ -206,7 +207,7 @@ def test_criterion_6_reir_recovery():
     gains = [1.0, 0.8, 0.5, 0.6]
     delays = [2, 5, 9, 6]
     worst = max(
-        np.linalg.norm(reirs.h[k] - (gains[k] / gains[0]) * unit_pulse(delays[k] - 2, 24))
+        np.linalg.norm(reirs.h[k] - (gains[k] / gains[0]) * np.eye(1, 24, delays[k] - 2)[0])
         for k in range(4)
     )
     recon = np.convolve(reirs.h[-1], mics.s[scene.spatial_ref])[: mics.N]
@@ -320,4 +321,38 @@ def test_criterion_10_scale_invariance():
         rel <= 1e-9,
         "criterion 10 (scale invariance)",
         f"10x input scaling with eigenvalue-rule beta/rho changed w by {rel:.3e} (<= 1e-9)",
+    )
+
+
+def test_criterion_11_paper_scale_delay_trends():
+    """The paper's two delay trends at paper scale (K = 4, 280 taps) in its anechoic
+    condition, with psi off so that SDI scores the delay and not the weighting."""
+    rows = {}
+    for kind in ("error", "reference"):
+        cfg = SweepConfig.from_json(CONFIGS / f"paper_anechoic_{kind}.json")
+        rows[kind] = {r.delta: r for r in run_sweep(cfg)}
+        assert all(r.error == "" for r in rows[kind].values())
+    delays, ref = cfg.scene["speech_delays"], cfg.scene["spatial_ref"]
+    if ref is None:  # synth_scene's default: the reference mic the speech reaches first
+        ref = int(np.argmin(delays[:-1]))
+    d = delays[-1] - delays[ref]  # acoustic delay from the spatial reference to the error mic
+
+    def column(kind, name):
+        return {delta: getattr(r, name) for delta, r in rows[kind].items()}
+
+    def best(values, pick):
+        return pick(values, key=values.get)
+
+    nr_err, eff_err, sdi_err = (column("error", c) for c in ("nr_db", "effort", "sdi_db"))
+    nr_ref, eff_ref, sdi_ref = (column("reference", c) for c in ("nr_db", "effort", "sdi_db"))
+    best_err = (best(nr_err, max), best(eff_err, min), best(sdi_err, min))
+    best_ref = (best(nr_ref, max), best(eff_ref, min))
+    runner_up = max(v for delta, v in nr_err.items() if delta != 0)
+    report(
+        best_err == (0, 0, 0) and best_ref == (d, d) and sdi_ref[0] >= sdi_ref[d] + 40.0,
+        "criterion 11 (paper-scale delay trends, anechoic)",
+        f"error target: NR, effort and SDI best at delta = {best_err} (all 0), "
+        f"NR(0) = {nr_err[0]:.2f} dB against {runner_up:.2f} dB next best; "
+        f"reference target: NR and effort best at delta = {best_ref} (d = {d}), "
+        f"SDI(0) = {sdi_ref[0]:.1f} dB >= SDI(d) + 40 = {sdi_ref[d] + 40:.1f} dB",
     )

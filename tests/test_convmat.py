@@ -5,7 +5,7 @@ import pytest
 
 from ssanc.convmat import (
     block_fft_len, build_conv_matrix, build_q, lagged_products, next_fast_len, overlap_blocks,
-    per_channel, unit_pulse,
+    per_channel,
 )
 
 
@@ -87,34 +87,6 @@ def test_next_fast_len_matches_scipy():
 
     sizes = range(1, 20001)
     assert [next_fast_len(n) for n in sizes] == [scipy.fft.next_fast_len(n, real=True) for n in sizes]
-
-
-def test_unit_pulse_basic():
-    np.testing.assert_array_equal(unit_pulse(0, 4), [1.0, 0.0, 0.0, 0.0])
-    v = unit_pulse(16, 280)
-    assert v[16] == 1.0 and np.sum(np.abs(v)) == 1.0
-
-
-def test_unit_pulse_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        unit_pulse(4, 4)
-    with pytest.raises(ValueError):
-        unit_pulse(-1, 4)
-
-
-def test_unit_pulse_shifts_under_convolution():
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal(20)
-    for d in (0, 1, 5):
-        shifted = np.convolve(unit_pulse(d, 8), x)
-        np.testing.assert_allclose(shifted[d : d + len(x)], x, atol=1e-15)
-        assert not shifted[:d].any()
-
-
-def test_unit_pulse_zero_delay_is_convolution_identity():
-    rng = np.random.default_rng(17)
-    x = rng.standard_normal(12)
-    np.testing.assert_array_equal(np.convolve(unit_pulse(0, 1), x), x)
 
 
 def test_build_q_small():

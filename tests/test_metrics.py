@@ -184,13 +184,3 @@ def test_energy_sums_match_elementwise_reference():
     )
     assert control_effort(y) == pytest.approx(np.sum(y**2), rel=1e-12)
     assert control_effort(y.reshape(600, 1600)) == control_effort(y)
-
-def test_evaluate_run_requires_target():
-    rng = np.random.default_rng(14)
-    n = 1024
-    x_s, x_v = rng.standard_normal((1, n)), rng.standard_normal((1, n))
-    p_s, p_v = rng.standard_normal(n), rng.standard_normal(n)
-    mics = MicSignals(s=np.vstack([x_s, p_s]), v=np.vstack([x_v, p_v]))
-    run = RunResult(y=np.zeros(n), e=mics.p_s + mics.p_v, e_s=mics.p_s, e_v=mics.p_v)
-    with pytest.raises(ValueError, match="target"):
-        evaluate_run(run, mics)

@@ -289,6 +289,32 @@ def test_load_scene_rejects_non_string_file_names(tmp_path, key, value):
         load_scene_wav(tmp_path, {**manifest, key: value})
 
 
+MALFORMED_MANIFEST_FIELDS = [
+    ("fs", 16000.5),
+    ("fs", "16000"),
+    ("mics", 3.9),
+    ("spatial_ref", 1.7),
+    ("spatial_ref", True),
+    ("speech_irs", "abc"),
+]
+
+
+@pytest.mark.parametrize("key, value", MALFORMED_MANIFEST_FIELDS)
+def test_load_scene_refuses_malformed_numbers_and_lists(tmp_path, key, value):
+    """Integers follow the config's rule (no truncation, no bool, no string); name lists are lists."""
+    manifest = {**write_manifest_scene(tmp_path, mics=3), "spatial_ref": 0}
+    load_scene_wav(tmp_path, manifest)
+    with pytest.raises(SceneLoadError, match=key):
+        load_scene_wav(tmp_path, {**manifest, key: value})
+
+
+def test_load_scene_accepts_integral_floats(tmp_path):
+    manifest = write_manifest_scene(tmp_path, mics=3)
+    scene = load_scene_wav(tmp_path, {**manifest, "fs": 16000.0, "mics": 3.0, "spatial_ref": 1.0})
+    assert (scene.fs, scene.K, scene.spatial_ref) == (16000, 2, 1)
+    assert all(isinstance(v, int) for v in (scene.fs, scene.K, scene.spatial_ref))
+
+
 def test_load_scene_rejects_stereo(tmp_path):
     manifest = write_manifest_scene(tmp_path)
     wavio.write_wav(tmp_path / "speech_1.wav", 16000, np.zeros((16, 2)))

@@ -30,7 +30,7 @@ def test_zero_filter_passes_primary_through():
     rng = np.random.default_rng(0)
     mics = random_mics(rng)
     w = ControlFilter(w=np.zeros((3, 4)))
-    run = apply_control(w, mics, [0.0, 1.0])
+    run = apply_control(w, mics, [0.0, 1.0], "error_mic", 0, 0)
     np.testing.assert_array_equal(run.y, np.zeros(mics.N))
     np.testing.assert_array_equal(run.e, mics.p_s + mics.p_v)
     np.testing.assert_array_equal(run.e_v, mics.p_v)
@@ -44,7 +44,7 @@ def test_streaming_matches_dense_stacked_form():
     mics = random_mics(rng, K=K, n=n)
     w = random_filter(rng, K=K, Lw=Lw)
     g = rng.standard_normal(Lg)
-    run = apply_control(w, mics, g)
+    run = apply_control(w, mics, g, "error_mic", 0, 0)
 
     Gt = np.kron(np.eye(K + 1), build_conv_matrix(g, Lw))
     u = build_q(K, L) + Gt @ w.stacked
@@ -67,7 +67,7 @@ def test_blockwise_run_matches_direct_convolution(n, Lw, Lg):
     mics = random_mics(rng, K=2, n=n)
     w = random_filter(rng, K=2, Lw=Lw)
     g = rng.standard_normal(Lg)
-    run = apply_control(w, mics, g)
+    run = apply_control(w, mics, g, "error_mic", 0, 0)
 
     def drive(refs, primary):
         return sum(np.convolve(w.w[k], refs[k])[:n] for k in range(2)) + np.convolve(w.w[2], primary)[:n]
@@ -84,13 +84,13 @@ def test_component_split_is_exact_and_linear():
     mics = random_mics(rng)
     w = random_filter(rng)
     g = rng.standard_normal(4)
-    run = apply_control(w, mics, g)
+    run = apply_control(w, mics, g, "error_mic", 0, 0)
     np.testing.assert_array_equal(run.e, run.e_s + run.e_v)
 
     speech_only = MicSignals(s=mics.s, v=np.zeros_like(mics.v))
     noise_only = MicSignals(s=np.zeros_like(mics.s), v=mics.v)
-    run_s = apply_control(w, speech_only, g)
-    run_v = apply_control(w, noise_only, g)
+    run_s = apply_control(w, speech_only, g, "error_mic", 0, 0)
+    run_v = apply_control(w, noise_only, g, "error_mic", 0, 0)
     np.testing.assert_allclose(run.y, run_s.y + run_v.y, atol=1e-10)
     np.testing.assert_allclose(run.e, run_s.e + run_v.e, atol=1e-10)
 
@@ -108,8 +108,8 @@ def test_time_invariance():
         return out
 
     mics_d = MicSignals(s=delayed(mics.s), v=delayed(mics.v))
-    run = apply_control(w, mics, g)
-    run_d = apply_control(w, mics_d, g)
+    run = apply_control(w, mics, g, "error_mic", 0, 0)
+    run_d = apply_control(w, mics_d, g, "error_mic", 0, 0)
     np.testing.assert_allclose(run_d.e[d:], run.e[: n - d], atol=1e-12)
     np.testing.assert_allclose(run_d.y[d:], run.y[: n - d], atol=1e-12)
 
@@ -139,7 +139,7 @@ def test_zero_action_filter_leaves_speech_untouched():
     phi_xx = estimate_autocorrelation(input_frames(mics, L))
     constraint = build_constraint(reirs, [1.0], "error_mic", 0, Lw, Lg)
     res = design_control_filter(phi_xx, scene.g, constraint, DesignParams(), scene.K, Lw)
-    run = apply_control(res.filter, mics, scene.g, target_kind="error_mic", delta=0)
+    run = apply_control(res.filter, mics, scene.g, target_kind="error_mic", delta=0, spatial_ref=0)
     rel = np.linalg.norm(run.e - mics.p_s) / np.linalg.norm(mics.p_s)
     assert rel <= 1e-3
 
@@ -148,7 +148,7 @@ def test_export_run_wavs(tmp_path):
     rng = np.random.default_rng(13)
     mics = random_mics(rng, K=1, n=40)
     w = random_filter(rng, K=1, Lw=3)
-    run = apply_control(w, mics, [0.0, 1.0], target_kind="error_mic", delta=0)
+    run = apply_control(w, mics, [0.0, 1.0], target_kind="error_mic", delta=0, spatial_ref=0)
     from ssanc.simulate import export_run_wavs
 
     export_run_wavs(run, tmp_path, fs=16000)

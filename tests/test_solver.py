@@ -414,7 +414,7 @@ def test_effort_nonincreasing_in_beta():
         res = design_control_filter(
             phi_xx, scene.g, constraint, DesignParams(beta=beta, rho=1e-8), scene.K, Lw
         )
-        run = apply_control(res.filter, mics, scene.g)
+        run = apply_control(res.filter, mics, scene.g, "error_mic", 0, 0)
         efforts.append(float(np.sum(run.y**2)))
     assert efforts[0] >= efforts[1] >= efforts[2]
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +10,16 @@ import numpy as np
 import pytest
 
 import ssanc.sweep as sweep_mod
+from ssanc.reir import ReIRSet
 from ssanc.solver import (
+    TARGET_KINDS,
     DesignParams,
     build_constraint,
     design_control_filter,
     estimate_autocorrelation,
     input_frames,
+    max_delay,
+    target_mic,
 )
 from ssanc.sweep import (
     ConfigError,
@@ -72,6 +77,33 @@ def test_config_enforces_causality_bound():
     SweepConfig.from_dict({"target_kind": "error_mic", "delta_range": [0, 94, 1]})
     with pytest.raises(ConfigError, match="causality"):
         SweepConfig.from_dict({"target_kind": "error_mic", "delta_range": [0, 95, 1]})
+
+
+@pytest.mark.parametrize("target_kind", TARGET_KINDS)
+@pytest.mark.parametrize("Lw, Lg, Lh", [(4, 4, 5), (12, 12, 12), (3, 8, 20), (48, 48, 48)])
+def test_config_and_constraint_share_one_delay_bound(target_kind, Lw, Lg, Lh):
+    """check_delta and build_constraint both accept exactly 0 .. max_delay."""
+    bound = max_delay(target_kind, Lh, Lg + Lw - 1)
+    config = SweepConfig(Lw=Lw, Lg=Lg, Lh=Lh, target_kind=target_kind)
+    reirs = ReIRSet(h=np.random.default_rng(Lh).standard_normal((3, Lh)), spatial_ref=1)
+    config.check_delta(bound, "delta")
+    f = build_constraint(reirs, [1.0], target_kind, bound, Lw, Lg).f
+    mic = target_mic(target_kind, reirs.spatial_ref)
+    reir = reirs.h[mic] if mic == -1 else np.eye(1, Lh)[0]
+    expected = np.concatenate([np.zeros(bound), reir, np.zeros(f.size)])[: f.size]
+    np.testing.assert_array_equal(f, expected)
+    for delta in (-1, bound + 1):
+        with pytest.raises(ConfigError, match="causality"):
+            config.check_delta(delta, "delta")
+        with pytest.raises(ValueError, match="delay"):
+            build_constraint(reirs, [1.0], target_kind, delta, Lw, Lg)
+
+
+def test_unknown_target_kind_is_refused_by_the_solver():
+    with pytest.raises(ValueError, match="target_kind"):
+        target_mic("loudspeaker", 0)
+    with pytest.raises(ValueError, match="target_kind"):
+        max_delay("loudspeaker", 8, 8)
 
 
 def test_config_psi_parsing():
@@ -248,6 +280,26 @@ def test_cli_empty_manifest_ir_is_one_line_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "at least one tap" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("fs", 16000.5), ("fs", "16000"), ("mics", 3.9), ("spatial_ref", 1.7), ("spatial_ref", True),
+     ("speech_irs", "abc")],
+)
+def test_cli_malformed_manifest_is_one_line_error(tmp_path, capsys, key, value):
+    from ssanc import wavio
+
+    names = {"speech_irs": [], "noise_irs": []}
+    for role in names:
+        for m in range(3):
+            names[role].append(f"{role[:-4]}_{m}.wav")
+            wavio.write_wav(tmp_path / names[role][-1], 16000, np.eye(40)[m])
+    wavio.write_wav(tmp_path / "g.wav", 16000, np.eye(10)[1])
+    manifest = {"fs": 16000, "mics": 3, **names, "secondary": "g.wav", "spatial_ref": 0}
+    (tmp_path / "scene.json").write_text(json.dumps({**manifest, key: value}))
+    scene = {"kind": "manifest", "dir": str(tmp_path), "manifest": "scene.json"}
+    assert key in sweep_config_error(tmp_path, capsys, {}, scene=scene)
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):
@@ -629,6 +681,14 @@ def test_cli_design_matches_library_path(tmp_path):
         "predicted_error_power": res.predicted_error_power,
         "filter_norm": float(np.linalg.norm(res.filter.stacked)),
     }
+
+
+def test_readme_config_block_is_the_default_config():
+    """The README's example config, the block users copy, states exactly the defaults."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Configuration format"):]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    assert SweepConfig.from_dict(json.loads(block)) == SweepConfig()
 
 
 def test_config_accepts_integral_floats():
