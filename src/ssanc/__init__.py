@@ -12,7 +12,6 @@ from ssanc.scene import MicSignals, Scene, load_scene_wav, render_mics, synth_sc
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.solver import (
     Constraint,
-    ControlFilter,
     DesignParams,
     DesignResult,
     build_constraint,
@@ -45,7 +44,6 @@ __all__ = [
     "estimate_reirs",
     "design_min_phase_highpass",
     "Constraint",
-    "ControlFilter",
     "DesignParams",
     "DesignResult",
     "estimate_autocorrelation",

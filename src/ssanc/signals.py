@@ -29,17 +29,29 @@ def speech_shaped_noise(n: int, fs: float, seed: int) -> np.ndarray:
         raise ValueError(f"fs must be positive, got {fs}")
     rng = np.random.default_rng(seed)
 
+    # each full-length step in place, in the order of the plain expressions
     spec = np.fft.rfft(rng.standard_normal(n))
     f = np.fft.rfftfreq(n, 1.0 / fs)
-    shape = (f / 90.0) ** 2 / (1.0 + (f / 90.0) ** 2)  # high-pass knee ~90 Hz
-    shape /= np.sqrt(1.0 + (f / 500.0) ** 2)           # -6 dB/oct above 500 Hz
-    x = np.fft.irfft(spec * shape, n)
+    shape = np.square(f / 90.0)
+    shape /= shape + 1.0                   # high-pass knee ~90 Hz
+    f /= 500.0
+    np.square(f, out=f)
+    f += 1.0
+    shape /= np.sqrt(f, out=f)             # -6 dB/oct above 500 Hz
+    spec *= shape
+    x = np.fft.irfft(spec, n)
+    del spec, f, shape
 
     # syllabic envelope: rectified slow noise with ~4 control points per second
     m = max(8, int(round(4.0 * n / fs)) + 2)
-    slow = np.interp(np.arange(n), np.linspace(0, n - 1, m), rng.standard_normal(m))
-    env = 0.35 + 0.65 * np.abs(slow) / max(np.max(np.abs(slow)), 1e-12)
-    x = x * env
+    env = np.abs(np.interp(np.arange(n), np.linspace(0, n - 1, m), rng.standard_normal(m)))
+    peak = max(np.max(env), 1e-12)
+    env *= 0.65
+    env /= peak
+    env += 0.35
+    x *= env
+    del env
 
-    rms = np.sqrt(np.mean(x**2))
-    return x / max(rms, 1e-12)
+    rms = np.sqrt(np.mean(np.square(x)))
+    x /= max(rms, 1e-12)
+    return x

@@ -14,7 +14,7 @@ import numpy as np
 from ssanc import wavio
 from ssanc.convmat import block_fft_len, overlap_blocks
 from ssanc.scene import MicSignals
-from ssanc.solver import ControlFilter, target_mic
+from ssanc.solver import target_mic
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,13 +94,11 @@ class _FeedForward:
         blocks = np.fft.irfft(Y, self.nfft, axis=-1)
         return blocks[:, self.M :].reshape(-1)[: self.mics.N]
 
-    def run(self, w: ControlFilter, target_kind: str, delta: int, spatial_ref: int) -> RunResult:
-        """Simulate one filter and realize the target it was designed for."""
-        if w.K != self.mics.K:
-            raise ValueError(f"filter has {w.K} reference channels, signals have {self.mics.K}")
-        if w.Lw != self.Lw:
-            raise ValueError(f"filter has {w.Lw} taps per channel, expected {self.Lw}")
-        W = np.fft.rfft(w.w, self.nfft)
+    def run(self, w: np.ndarray, target_kind: str, delta: int, spatial_ref: int) -> RunResult:
+        """Simulate one (K+1, Lw) filter and realize the target it was designed for."""
+        if w.shape != (self.mics.K + 1, self.Lw):
+            raise ValueError(f"filter has shape {w.shape}, expected {(self.mics.K + 1, self.Lw)}")
+        W = np.fft.rfft(w, self.nfft)
         Y_s = np.einsum("kb,knb->nb", W, self.S)
         Y_v = np.einsum("kb,knb->nb", W, self.V)
         y = self._signal(Y_s + Y_v)
@@ -113,9 +111,9 @@ class _FeedForward:
 
 
 def apply_control(
-    w: ControlFilter, mics: MicSignals, g, target_kind: str, delta: int, spatial_ref: int
+    w: np.ndarray, mics: MicSignals, g, target_kind: str, delta: int, spatial_ref: int
 ) -> RunResult:
-    """Feed-forward simulation with a perfect primary-signal estimate.
+    """Feed-forward simulation of a (K+1, Lw) filter with a perfect primary-signal estimate.
 
     y is the loudspeaker drive (control filter applied to the reference
     signals and the primary signal), e = p + g*y the resulting error
@@ -123,7 +121,7 @@ def apply_control(
     delta, spatial_ref)``.  This is one run of the kernel a sweep
     reuses for all of its filters.
     """
-    return _FeedForward(mics, g, w.Lw).run(w, target_kind, delta, spatial_ref)
+    return _FeedForward(mics, g, w.shape[-1]).run(w, target_kind, delta, spatial_ref)
 
 
 def export_run_wavs(result: RunResult, directory, fs: int) -> None:

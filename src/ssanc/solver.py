@@ -52,31 +52,6 @@ class InfeasibleConstraintError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class ControlFilter:
-    """Stacked multichannel FIR control filter, one row of Lw taps per channel."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        if self.w.ndim != 2:
-            raise ValueError("w must be a (K+1, Lw) array")
-        if not np.all(np.isfinite(self.w)):
-            raise ValueError("control filter taps must be finite")
-
-    @property
-    def K(self) -> int:
-        return self.w.shape[0] - 1
-
-    @property
-    def Lw(self) -> int:
-        return self.w.shape[1]
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return self.w.ravel()
-
-
-@dataclass(frozen=True, eq=False)
 class Constraint:
     """Spatial constraint H'(q + G w) = f for one target definition and delay."""
 
@@ -88,20 +63,18 @@ class Constraint:
 class DesignParams:
     """Effort weight and constraint regularizer.
 
-    beta / rho set explicit values; when left as None they are derived
-    from the largest eigenvalue of the respective matrix divided by
-    beta_div / rho_div, which makes the design invariant to a global
-    rescaling of the microphone signals.
+    beta is the largest eigenvalue of G' Phi_xx G divided by beta_div;
+    rho is the largest eigenvalue of the inner constraint matrix divided
+    by rho_div unless set explicitly (rho = 0 is the exact
+    equality-constrained solution).  Both rules make the design
+    invariant to a global rescaling of the microphone signals.
     """
 
-    beta: float | None = None
     rho: float | None = None
     beta_div: float = 500.0
     rho_div: float = 30000.0
 
     def __post_init__(self):
-        if self.beta is not None and self.beta <= 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.rho is not None and self.rho < 0.0:
             raise ValueError(f"rho must be >= 0, got {self.rho}")
         if self.beta_div <= 0.0 or self.rho_div <= 0.0:
@@ -110,37 +83,20 @@ class DesignParams:
 
 @dataclass(frozen=True, eq=False)
 class DesignResult:
-    """Designed filter plus the diagnostics of the solve that produced it."""
+    """Designed (K+1, Lw) filter plus the diagnostics of the solve that produced it."""
 
-    filter: ControlFilter
+    filter: np.ndarray
     beta: float
     rho: float
     constraint_residual: float
     predicted_error_power: float
 
 
-def stacked_frames(channels, L: int) -> np.ndarray:
-    """The (N - L + 1, n_channels * L) matrix of stacked input vectors x(n).
-
-    Each frame stacks, channel by channel, the L-sample history
-    [c(n), c(n-1), ..., c(n-L+1)] for n = L-1 .. N-1 (only fully
-    excited frames, no zero padding).
-    """
-    channels = [np.asarray(c, dtype=float).ravel() for c in channels]
-    N = channels[0].shape[0]
-    if any(c.shape[0] != N for c in channels):
-        raise ValueError("all channels must have the same length")
-    if N < L:
-        raise ValueError(f"signal length {N} shorter than frame history {L}")
-    return np.hstack([np.lib.stride_tricks.sliding_window_view(c, L)[:, ::-1] for c in channels])
-
-
 @dataclass(frozen=True, eq=False)
 class InputFrames:
     """The (C, N) channel stack and frame history L behind a set of stacked frames.
 
-    ``estimate_autocorrelation`` never builds the frames;
-    ``stacked_frames(channels, L)`` does.
+    ``estimate_autocorrelation`` never builds the frames.
     """
 
     channels: np.ndarray
@@ -160,29 +116,18 @@ def input_frames(mics: MicSignals, L: int) -> InputFrames:
     return InputFrames(mics.s + mics.v, L)
 
 
-def estimate_autocorrelation(x_frames) -> np.ndarray:
-    """Sample-average autocorrelation matrix (1/N) sum_n x(n) x'(n), symmetrized.
+def estimate_autocorrelation(frames: InputFrames) -> np.ndarray:
+    """Sample-average autocorrelation matrix (1/N) sum_n x(n) x'(n) of ``input_frames``.
 
-    For the ``InputFrames`` returned by ``input_frames`` the sum over
-    the N - L + 1 fully excited frames comes from the channels'
-    cross-correlations (``convmat.frame_products``) without forming any
-    frame, and is exactly symmetric as computed.  A (n_frames, dim)
-    array of explicit frames gives X'X / n_frames; that is the
-    reference the structural form is tested against.
+    The sum over the N - L + 1 fully excited frames comes from the
+    channels' cross-correlations (``convmat.frame_products``) without
+    forming any frame, and is exactly symmetric as computed.
     """
-    if isinstance(x_frames, InputFrames):
-        C, N = x_frames.channels.shape
-        L = x_frames.L
-        phi = frame_products(x_frames.channels, L).reshape(C * L, C * L)
-        phi /= N - L + 1
-        return phi
-    X = np.asarray(x_frames, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("frames must be 2-D (n_frames, dim)")
-    if X.shape[0] == 0:
-        raise ValueError("need at least one frame")
-    phi = X.T @ X / X.shape[0]
-    return (phi + phi.T) / 2.0
+    C, N = frames.channels.shape
+    L = frames.L
+    phi = frame_products(frames.channels, L).reshape(C * L, C * L)
+    phi /= N - L + 1
+    return phi
 
 
 def _constraint_matrix(reirs: ReIRSet, L: int) -> np.ndarray:
@@ -285,7 +230,7 @@ class _DesignContext:
         S = (S + S.T) / 2.0
         # the spectrum's top sets beta, its bottom tells whether S + beta I is PD
         lam_S = np.linalg.eigvalsh(S)
-        self.beta = params.beta if params.beta is not None else max(float(lam_S[-1]), 0.0) / params.beta_div
+        self.beta = max(float(lam_S[-1]), 0.0) / params.beta_div
         if self.beta <= 0.0:
             raise SingularSystemError(
                 f"beta = {self.beta:g} is not positive; the effort-weighted covariance "
@@ -293,7 +238,7 @@ class _DesignContext:
             )
         if lam_S[0] <= -self.beta:
             raise SingularSystemError(
-                f"cannot factorize Phi_rr with beta={self.beta:g}; increase beta"
+                f"cannot factorize Phi_rr with beta={self.beta:g}; lower beta_div"
             )
 
         A = per_channel(self.G.T, H)  # Gt'H: (K+1)Lw x (Lh+L-1)
@@ -351,7 +296,7 @@ class _DesignContext:
                 ))
                 continue
             results.append(DesignResult(
-                filter=ControlFilter(w=w_flat.reshape(self.K + 1, self.Lw)),
+                filter=w_flat.reshape(self.K + 1, self.Lw),
                 beta=float(self.beta),
                 rho=float(self.rho),
                 constraint_residual=float(residuals[j]),
@@ -375,7 +320,7 @@ def design_control_filter(
         with L = len(g) + Lw - 1.
     g : secondary-path taps.
     constraint : output of ``build_constraint``.
-    params : effort weight / regularizer, explicit or divisor-derived.
+    params : the divisors of beta and rho, and an optional explicit rho.
 
     Returns a DesignResult carrying the filter, the resolved beta/rho,
     the constraint residual ||H'(q + G w) - f|| and the predicted error
@@ -385,14 +330,15 @@ def design_control_filter(
     return ctx.solve(constraint.f)
 
 
-def kkt_oracle(phi_xx, g, constraint: Constraint | None, beta: float, K: int, Lw: int) -> ControlFilter:
-    """Exact equality-constrained minimizer via a direct KKT saddle-point solve.
+def kkt_oracle(phi_xx, g, H, f, beta: float, K: int, Lw: int) -> np.ndarray:
+    """Exact equality-constrained (K+1, Lw) minimizer via a direct KKT saddle-point solve.
 
-    Verification-only counterpart of ``design_control_filter`` (the
-    rho = 0 case).  Linearly dependent constraint rows are dropped by a
-    rank-revealing QR before the saddle solve; if the dropped rows are
-    inconsistent with the solution, the constraint set is infeasible
-    and an InfeasibleConstraintError is raised.
+    Verification-only counterpart of ``_DesignContext`` at rho = 0, for
+    the constraint H'(q + G w) = f; H = None drops the constraint and
+    gives the ridge solution.  Linearly dependent constraint rows are
+    dropped by a rank-revealing QR before the saddle solve; if the
+    dropped rows are inconsistent with the solution, the constraint set
+    is infeasible and an InfeasibleConstraintError is raised.
     """
     phi_xx = np.asarray(phi_xx, dtype=float)
     g = np.asarray(g, dtype=float).ravel()
@@ -405,11 +351,11 @@ def kkt_oracle(phi_xx, g, constraint: Constraint | None, beta: float, K: int, Lw
     Phi_rr = Gt.T @ phi_xx @ Gt + beta * np.eye((K + 1) * Lw)
     phi = Gt.T @ (phi_xx @ q)
 
-    if constraint is None or constraint.H.size == 0:
-        return ControlFilter(w=np.linalg.solve(Phi_rr, -phi).reshape(K + 1, Lw))
+    if H is None:
+        return np.linalg.solve(Phi_rr, -phi).reshape(K + 1, Lw)
 
-    C = constraint.H.T @ Gt  # (Lh+L-1) x (K+1)Lw
-    v = constraint.f - constraint.H.T @ q
+    C = H.T @ Gt  # (Lh+L-1) x (K+1)Lw
+    v = f - H.T @ q
 
     import scipy.linalg  # deferred: the pivoted QR is scipy's alone, and only verification needs it
 
@@ -442,27 +388,32 @@ def kkt_oracle(phi_xx, g, constraint: Constraint | None, beta: float, K: int, Lw
             f"constraints inconsistent after rank reduction (residual {full_residual:.3g})",
             residual=full_residual,
         )
-    return ControlFilter(w=w.reshape(K + 1, Lw))
+    return w.reshape(K + 1, Lw)
 
 
 def save_filter_json(result: DesignResult, path) -> None:
     """Export a designed filter (channel-major taps) plus the diagnostics of its solve."""
-    flt = result.filter
+    w = result.filter
     payload = {
-        "K": flt.K,
-        "Lw": flt.Lw,
-        "w": [list(map(float, row)) for row in flt.w],
+        "K": w.shape[0] - 1,
+        "Lw": w.shape[1],
+        "w": [list(map(float, row)) for row in w],
         "diagnostics": {
             "beta": result.beta,
             "rho": result.rho,
             "constraint_residual": result.constraint_residual,
             "predicted_error_power": result.predicted_error_power,
-            "filter_norm": float(np.linalg.norm(flt.stacked)),
+            "filter_norm": float(np.linalg.norm(w)),
         },
     }
     Path(path).write_text(json.dumps(payload, indent=2))
 
 
-def load_filter_json(path) -> ControlFilter:
-    payload = json.loads(Path(path).read_text())
-    return ControlFilter(w=np.asarray(payload["w"], dtype=float))
+def load_filter_json(path) -> np.ndarray:
+    """The (K+1, Lw) taps of a filter file; refuses any but a non-empty, finite 2-D ``w``."""
+    w = np.asarray(json.loads(Path(path).read_text())["w"], dtype=float)
+    if w.ndim != 2 or w.shape[1] < 1:
+        raise ValueError(f"w must be a (K+1, Lw) array with Lw >= 1, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("control filter taps must be finite")
+    return w

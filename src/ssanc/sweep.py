@@ -46,8 +46,6 @@ from ssanc.solver import (
     _constraint_matrix,
     _constraint_vector,
     _DesignContext,
-    build_constraint,
-    design_control_filter,
     estimate_autocorrelation,
     input_frames,
     kkt_oracle,
@@ -615,17 +613,15 @@ def verify_against_oracle(trials: int = 20, dims: tuple[int, int, int] | None = 
         B = rng.standard_normal((dim, dim + 4))
         phi_xx = B @ B.T / (dim + 4)
         g = rng.standard_normal(Lg)
-        reirs = ReIRSet(h=rng.standard_normal((K + 1, Lh)), spatial_ref=0)
-        base = build_constraint(reirs, [1.0], "error_mic", 0, Lw, Lg)
+        H = _constraint_matrix(ReIRSet(h=rng.standard_normal((K + 1, Lh)), spatial_ref=0), L)
 
         w0 = rng.standard_normal((K + 1) * Lw)
-        u0 = build_q(K, L) + per_channel(build_conv_matrix(g, Lw), w0)
-        constraint = replace(base, f=base.H.T @ u0)
+        f = H.T @ (build_q(K, L) + per_channel(build_conv_matrix(g, Lw), w0))
 
-        res = design_control_filter(phi_xx, g, constraint, DesignParams(rho=0.0), K, Lw)
-        oracle = kkt_oracle(phi_xx, g, constraint, res.beta, K, Lw)
-        num = np.linalg.norm(res.filter.stacked - oracle.stacked)
-        den = max(np.linalg.norm(oracle.stacked), 1e-300)
+        res = _DesignContext(phi_xx, g, H, DesignParams(rho=0.0), K, Lw).solve(f)
+        oracle = kkt_oracle(phi_xx, g, H, f, res.beta, K, Lw)
+        num = np.linalg.norm(res.filter - oracle)
+        den = max(np.linalg.norm(oracle), 1e-300)
         gaps.append(num / den)
     return max(gaps), gaps
 
@@ -660,7 +656,7 @@ def _cmd_design(args) -> int:
     res = ctx.solve(_constraint_vector(prep.reirs, prep.psi, config.target_kind, args.delta, prep.L))
     out = args.out or f"design_delta{args.delta}.json"
     save_filter_json(res, out)
-    norm = float(np.linalg.norm(res.filter.stacked))
+    norm = float(np.linalg.norm(res.filter))
     print(
         f"delta={args.delta} filter_norm={norm:.6g} beta={res.beta:.6g} rho={res.rho:.6g} "
         f"constraint_residual={res.constraint_residual:.6g} -> {out}"
@@ -672,16 +668,16 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args)
     config.check_delta(args.delta, "--delta")
     try:
-        flt = load_filter_json(args.filter)
+        w = load_filter_json(args.filter)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read filter {args.filter}: {exc}") from None
     scene, mics = render_scene(config)
-    if flt.K != scene.K:
+    if w.shape[0] - 1 != scene.K:
         raise ConfigError(
-            f"filter {args.filter} has {flt.K} reference channels, the scene has {scene.K}"
+            f"filter {args.filter} has {w.shape[0] - 1} reference channels, the scene has {scene.K}"
         )
     run = apply_control(
-        flt, mics, _fit_secondary(scene.g, config.Lg),
+        w, mics, _fit_secondary(scene.g, config.Lg),
         target_kind=config.target_kind, delta=args.delta, spatial_ref=scene.spatial_ref,
     )
     out = args.out or "simulation"

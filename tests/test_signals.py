@@ -19,6 +19,27 @@ def test_speech_shaped_noise_deterministic_unit_rms():
     assert np.sqrt(np.mean(a**2)) == pytest.approx(1.0, abs=1e-9)
 
 
+def plain_speech_shaped_noise(n, fs, seed):
+    """speech_shaped_noise written as plain expressions, one new array per step."""
+    rng = np.random.default_rng(seed)
+    spec = np.fft.rfft(rng.standard_normal(n))
+    f = np.fft.rfftfreq(n, 1.0 / fs)
+    shape = (f / 90.0) ** 2 / (1.0 + (f / 90.0) ** 2)
+    shape /= np.sqrt(1.0 + (f / 500.0) ** 2)
+    x = np.fft.irfft(spec * shape, n)
+    m = max(8, int(round(4.0 * n / fs)) + 2)
+    slow = np.interp(np.arange(n), np.linspace(0, n - 1, m), rng.standard_normal(m))
+    env = 0.35 + 0.65 * np.abs(slow) / max(np.max(np.abs(slow)), 1e-12)
+    x = x * env
+    rms = np.sqrt(np.mean(x**2))
+    return x / max(rms, 1e-12)
+
+
+@pytest.mark.parametrize("n, seed", [(16, 0), (1001, 1), (80000, 2), (80001, 3)])
+def test_speech_shaped_noise_matches_plain_expressions(n, seed):
+    np.testing.assert_array_equal(speech_shaped_noise(n, 16000.0, seed), plain_speech_shaped_noise(n, 16000.0, seed))
+
+
 def test_speech_shaped_noise_spectrum_rolls_off():
     x = speech_shaped_noise(1 << 16, 16000.0, 11)
     spec = np.abs(np.fft.rfft(x)) ** 2

@@ -638,13 +638,14 @@ FIG3 = str(Path(__file__).parents[1] / "configs" / "fig3_synthetic.json")
         ["sweep", "--config", FIG3, "--seed", "-1"],
         ["simulate", "--config", FIG3, "--filter", "{not_json}"],
         ["simulate", "--config", FIG3, "--filter", "{wrong_k}"],
+        ["simulate", "--config", FIG3, "--filter", "{no_taps}"],
         ["simulate", "--config", FIG3, "--filter", "{wrong_k}", "--delta", "-1"],
         ["verify", "--trials", "0"],
         ["verify", "--verify-dims", "0,1,1"],
         ["verify", "--seed", "-1"],
     ],
     ids=["delta-high", "delta-negative", "design-seed", "sweep-seed", "filter-not-json",
-         "filter-wrong-k", "simulate-delta", "verify-trials", "verify-dims", "verify-seed"],
+         "filter-wrong-k", "filter-no-taps", "simulate-delta", "verify-trials", "verify-dims", "verify-seed"],
 )
 def test_cli_bad_argument_is_one_line_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)  # default outputs, should a case get that far
@@ -652,7 +653,9 @@ def test_cli_bad_argument_is_one_line_error(tmp_path, monkeypatch, capsys, argv)
     not_json.write_text("w = [1, 2]\n")
     wrong_k = tmp_path / "k1.json"  # fig3 has K = 2 reference microphones
     wrong_k.write_text(json.dumps({"K": 1, "Lw": 2, "w": [[0.0, 0.0], [0.0, 0.0]]}))
-    argv = [a.format(not_json=not_json, wrong_k=wrong_k) for a in argv]
+    no_taps = tmp_path / "empty.json"
+    no_taps.write_text(json.dumps({"K": 2, "Lw": 2, "w": [[], [], []]}))
+    argv = [a.format(not_json=not_json, wrong_k=wrong_k, no_taps=no_taps) for a in argv]
     assert cli_main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
@@ -673,13 +676,13 @@ def test_cli_design_matches_library_path(tmp_path):
     res = design_control_filter(phi_xx, g, constraint, params, prep.scene.K, config.Lw)
 
     payload = json.loads(out.read_text())
-    assert np.array_equal(np.array(payload["w"]), res.filter.w)
+    assert np.array_equal(np.array(payload["w"]), res.filter)
     assert payload["diagnostics"] == {
         "beta": res.beta,
         "rho": res.rho,
         "constraint_residual": res.constraint_residual,
         "predicted_error_power": res.predicted_error_power,
-        "filter_norm": float(np.linalg.norm(res.filter.stacked)),
+        "filter_norm": float(np.linalg.norm(res.filter)),
     }
 
 
@@ -734,7 +737,7 @@ def convolve_oracle_row(prep, g, ctx, config, delta):
 
     f = sweep_mod._constraint_vector(prep.reirs, prep.psi, config.target_kind, delta, prep.L)
     res = ctx.solve(f)
-    w, m, N = res.filter.w, prep.mics, prep.mics.N
+    w, m, N = res.filter, prep.mics, prep.mics.N
 
     def drive(refs, primary):
         y = np.convolve(w[-1], primary)[:N]
@@ -759,6 +762,24 @@ def test_batched_sweep_matches_per_delay_convolution_oracle(shipped_rows, name):
     assert all(r.error == "" for r in rows)
     oracle = [convolve_oracle_row(prep, g, ctx, config, d) for d in config.deltas()]
     assert_columns_close(rows, oracle, 1e-12)
+
+
+@pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic"])
+def test_predicted_error_power_is_simulated_error_power(name):
+    """(q + G w)' Phi_xx (q + G w) is the mean simulated e^2 over the fully excited n >= L - 1."""
+    from ssanc.simulate import _FeedForward
+
+    config = SweepConfig.from_json(ROOT / "configs" / f"{name}.json")
+    prep, g, ctx = sweep_mod._prepare_design(config)
+    deltas = config.deltas()
+    F = np.column_stack([
+        sweep_mod._constraint_vector(prep.reirs, prep.psi, config.target_kind, d, prep.L) for d in deltas
+    ])
+    sim = _FeedForward(prep.mics, g, config.Lw)
+    for delta, res in zip(deltas, ctx.solve(F)):
+        e = sim.run(res.filter, config.target_kind, delta, prep.scene.spatial_ref).e
+        simulated = np.mean(e[prep.L - 1 :] ** 2)
+        assert abs(res.predicted_error_power - simulated) <= 1e-10 * simulated, delta
 
 
 @pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic", "paper_scale"])
