@@ -34,7 +34,7 @@ import numpy as np
 
 from ssanc.convmat import build_conv_matrix, build_q, frame_products, per_channel
 from ssanc.reir import ReIRSet
-from ssanc.scene import MicSignals
+from ssanc.scene import MicSignals, integer
 
 logger = logging.getLogger(__name__)
 
@@ -410,10 +410,13 @@ def save_filter_json(result: DesignResult, path) -> None:
 
 
 def load_filter_json(path) -> np.ndarray:
-    """The (K+1, Lw) taps of a filter file; refuses any but a non-empty, finite 2-D ``w``."""
-    w = np.asarray(json.loads(Path(path).read_text())["w"], dtype=float)
-    if w.ndim != 2 or w.shape[1] < 1:
-        raise ValueError(f"w must be a (K+1, Lw) array with Lw >= 1, got shape {w.shape}")
+    """The (K+1, Lw) taps of a filter file; refuses any but a finite ``w`` of the
+    shape its header states, with integers ``K`` and ``Lw`` >= 1 (``scene.integer``)."""
+    payload = json.loads(Path(path).read_text())
+    K, Lw = (integer(key, payload[key], ValueError) for key in ("K", "Lw"))
+    w = np.asarray(payload["w"], dtype=float)
+    if w.shape != (K + 1, Lw) or Lw < 1:
+        raise ValueError(f"w must be a (K+1, Lw) = ({K + 1}, {Lw}) array with Lw >= 1, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("control filter taps must be finite")
     return w

@@ -254,18 +254,38 @@ class PreparedScene:
     L: int
 
 
-def _build_scene(config: SweepConfig, n: int) -> Scene:
-    """The configured scene, refused if its impulse responses do not fit in n samples."""
+def _check_signal_length(config: SweepConfig, n: int, ir_len: int = 0) -> None:
+    """Refuse n-sample signals too short for the run the config describes or
+    not longer than ir_len-tap scene impulse responses."""
+    for need, what in (
+        (QUALITY_FRAME, "one quality-proxy frame"),
+        (4 * config.Lh, "the ReIR fit (4 Lh)"),
+        (config.Lg + config.Lw - 1, "the frame history (Lg + Lw - 1)"),
+    ):
+        if n < need:
+            raise ConfigError(f"signals have {n} samples; {what} needs {need}")
+    if ir_len >= n:
+        raise ConfigError(
+            f"scene impulse responses have {ir_len} taps; the {n}-sample signals must be longer"
+        )
+
+
+def _checked_scene(config: SweepConfig, design: bool, sim_taps: int | None) -> tuple[Scene, int]:
+    """The configured scene, its secondary path fitted to Lg taps, and the
+    length n = round(duration_s * fs) of its signals, with every refusal
+    that needs no source signal.
+
+    Refused: signals too short for the ReIR fit, the frame history, one
+    quality-proxy frame or the scene's impulse responses; the arrays of
+    the command (a design if ``design``, a simulation of sim_taps-tap
+    filters unless None) if they will not fit in memory, for a synthetic
+    scene before its responses are allocated, for a manifest scene,
+    whose files bound them, once they are read; and a spatial reference
+    that hears no speech.
+    """
+    n = int(round(config.duration_s * config.fs))
     sc = dict(config.scene)
-    kind = sc.pop("kind")
-
-    def check_ir_len(ir_len: int) -> None:
-        if ir_len >= n:
-            raise ConfigError(
-                f"scene impulse responses have {ir_len} taps; the {n}-sample signals must be longer"
-            )
-
-    if kind == "manifest":
+    if sc.pop("kind") == "manifest":
         try:
             directory = sc.pop("dir")
             manifest = sc.pop("manifest")
@@ -278,9 +298,20 @@ def _build_scene(config: SweepConfig, n: int) -> Scene:
         scene = load_scene_wav(directory, manifest)
         if scene.fs != config.fs:
             raise ConfigError(f"scene fs {scene.fs} != config fs {config.fs}")
-        check_ir_len(max(len(ir) for ir in (*scene.ir_speech, *scene.ir_noise)))
-        return scene
+        _check_signal_length(config, n, max(map(len, (*scene.ir_speech, *scene.ir_noise))))
+        _refuse_unless_fits(config, scene.K, n, design, sim_taps)
+    else:
+        scene = _synthetic_scene(config, sc, n, design, sim_taps)
+    if not np.any(scene.ir_speech[scene.spatial_ref]):
+        raise ConfigError(
+            f"the speech response at the spatial reference microphone {scene.spatial_ref} "
+            "is silent: its ReIRs and target are undefined"
+        )
+    return replace(scene, g=_fit_secondary(scene.g, config.Lg)), n
 
+
+def _synthetic_scene(config: SweepConfig, sc: dict, n: int, design: bool, sim_taps: int | None) -> Scene:
+    """The synthetic scene of the keys sc, for ``_checked_scene``."""
     known = {"K", "speech_delays", "noise_delays", "gains", "sec_delay",
              "tail_amp", "tail_decay", "spatial_ref", "ir_len", "g_taps", "seed"}
     unknown = set(sc) - known
@@ -297,12 +328,15 @@ def _build_scene(config: SweepConfig, n: int) -> Scene:
         tail_decay = _real("scene.tail_decay", sc.get("tail_decay", 6.0))
         ir_len = optional("ir_len", _integer)
         seed = optional("seed", _integer)
-        # refuse long responses before synth_scene allocates them
-        check_ir_len(ir_len if ir_len is not None else default_ir_len(
+        K = _integer("scene.K", sc["K"])
+        # refuse long responses and a run too large for memory before
+        # synth_scene allocates the responses
+        _check_signal_length(config, n, ir_len if ir_len is not None else default_ir_len(
             speech_delays + noise_delays, tail_amp, tail_decay
         ))
+        _refuse_unless_fits(config, K, n, design, sim_taps)
         scene = synth_scene(
-            K=_integer("scene.K", sc["K"]),
+            K=K,
             speech_delays=speech_delays,
             noise_delays=noise_delays,
             gains=[[_real("scene.gains", v) for v in pair] for pair in sc["gains"]],
@@ -318,23 +352,12 @@ def _build_scene(config: SweepConfig, n: int) -> Scene:
         if sc.get("g_taps") is not None:
             # explicit secondary-path taps, e.g. exported from a measurement;
             # unlike synth_scene's pulse model these may start at lag 0
-            scene = Scene(
-                K=scene.K, ir_speech=scene.ir_speech, ir_noise=scene.ir_noise,
-                g=np.array([_real("scene.g_taps", v) for v in sc["g_taps"]]),
-                fs=scene.fs, spatial_ref=scene.spatial_ref,
-            )
+            scene = replace(scene, g=np.array([_real("scene.g_taps", v) for v in sc["g_taps"]]))
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad synthetic scene: {exc}") from exc
     return scene
-
-
-def _load_source(path, config: SweepConfig, n: int) -> np.ndarray:
-    fs, data = wavio.read_wav_mono(path)
-    if fs != config.fs:
-        raise ConfigError(f"{path}: sample rate {fs} != config fs {config.fs}")
-    if data.shape[0] < config.fs:
-        raise ConfigError(f"{path}: shorter than 1 s")
-    return data[:n] if data.shape[0] >= n else data
 
 
 def _available_memory() -> int:
@@ -345,90 +368,84 @@ def _available_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _refuse_unless_fits(need: int, what: str) -> None:
-    """Refuse, as a config error, arrays that need more bytes than ``_available_memory()``."""
-    have = _available_memory()
+def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: int | None) -> int:
+    """Bytes a command holds at most for K + 1 microphones and n-sample signals.
+
+    Every command holds the (K+1, n) speech and noise stacks and a third
+    stack: their sum while the design correlates them, the convolutions
+    while they are rendered.  A design (``design``, ``sweep``) adds the
+    ReIR fit's white-noise rendering, two stacks and its source, and
+    the dense matrices: Phi_xx, ((K+1) L)^2 floats, as much again for
+    the products that form S, and S, ((K+1) Lw)^2 floats.  A simulation
+    of sim_taps-tap filters (``simulate``, ``sweep``) adds the
+    overlap-save spectra of both stacks (``_FeedForward``) and the five
+    n-sample signals of one run.
+    """
+    C = K + 1
+    need = 3 * 8 * C * n
+    if design:
+        L = config.Lg + config.Lw - 1
+        need += 8 * ((2 * C + 1) * n + 2 * (C * L) ** 2 + (C * config.Lw) ** 2)
+    if sim_taps is not None:
+        memory = sim_taps + config.Lg - 2
+        nfft = block_fft_len(memory, n)
+        blocks = -(-n // (nfft - memory))
+        need += 16 * 2 * C * blocks * (nfft // 2 + 1) + 8 * 5 * n
+    return need
+
+
+def _refuse_unless_fits(config: SweepConfig, K: int, n: int, design: bool, sim_taps: int | None) -> None:
+    """Refuse, as a config error, a command whose ``_memory_need`` exceeds ``_available_memory()``."""
+    need, have = _memory_need(config, K, n, design, sim_taps), _available_memory()
     if need > have:
         raise ConfigError(
-            f"{what} need at least {need / 2**30:.3g} GiB; "
-            f"only {have / 2**30:.3g} GiB of memory is available"
+            f"{n}-sample signals of {K + 1} microphones"
+            + (f", the design matrices of K = {K}, Lw = {config.Lw} and Lg = {config.Lg}" if design else "")
+            + (f", the simulation spectra of {sim_taps}-tap filters" if sim_taps is not None else "")
+            + f" need at least {need / 2**30:.3g} GiB; only {have / 2**30:.3g} GiB of memory is available"
         )
 
 
-def _signal_bytes(n: int) -> int:
-    """Bytes of the arrays every run holds: the two sources and the speech and
-    noise components at the error microphone and one reference microphone,
-    six float64 arrays of n samples."""
-    return 6 * 8 * n
+def _load_source(path, config: SweepConfig, n: int) -> np.ndarray:
+    try:
+        fs, data = wavio.read_wav_mono(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if fs != config.fs:
+        raise ConfigError(f"{path}: sample rate {fs} != config fs {config.fs}")
+    if data.shape[0] < config.fs:
+        raise ConfigError(f"{path}: shorter than 1 s")
+    return data[:n]
 
 
-def _spectra_bytes(K: int, n: int, memory: int) -> int:
-    """Bytes of the overlap-save input spectra a simulation holds (``_FeedForward``):
-    speech and noise, K+1 channels, complex blocks of the filter memory's size."""
-    nfft = block_fft_len(memory, n)
-    blocks = -(-n // (nfft - memory))
-    return 2 * (K + 1) * blocks * (nfft // 2 + 1) * 16
+def _render(config: SweepConfig, scene: Scene, n: int) -> MicSignals:
+    """The scene's microphone signals at the configured SNR, from sources of n samples.
 
-
-def _check_signal_length(config: SweepConfig, n: int) -> None:
-    """Refuse n-sample signals too short for the run the config describes."""
-    for need, what in (
-        (QUALITY_FRAME, "one quality-proxy frame"),
-        (4 * config.Lh, "the ReIR fit (4 Lh)"),
-        (config.Lg + config.Lw - 1, "the frame history (Lg + Lw - 1)"),
-    ):
-        if n < need:
-            raise ConfigError(f"signals have {n} samples; {what} needs {need}")
-
-
-def render_scene(config: SweepConfig) -> tuple[Scene, MicSignals]:
-    """The configured scene and its microphone signals at the configured SNR.
-
-    Speech uses the config seed and noise seed+1; synthetic scene tails
-    use seed+3.  Signals that will not fit in memory are refused before
-    any source is drawn; signals too short for the scene, the ReIR fit,
-    the frame history or one quality-proxy frame before the scene is
-    built; a scene whose spatial reference hears no speech, or whose
-    signals and simulation spectra will not fit, before the microphone
-    signals are rendered.
+    Speech uses the config seed and noise seed+1 (synthetic scene tails
+    use seed+3).  A WAV source shorter than n samples shortens both, and
+    its length is checked by the same rules against the scene.
     """
-    n = int(round(config.duration_s * config.fs))
-    _refuse_unless_fits(
-        _signal_bytes(n), f"duration_s {config.duration_s:g} gives {n}-sample signals that"
+    speech, noise = (
+        _load_source(path, config, n) if path else signals.speech_shaped_noise(n, config.fs, seed)
+        for path, seed in ((config.speech_wav, config.seed), (config.noise_wav, config.seed + 1))
     )
-    speech = (
-        _load_source(config.speech_wav, config, n)
-        if config.speech_wav
-        else signals.speech_shaped_noise(n, config.fs, config.seed)
-    )
-    noise = (
-        _load_source(config.noise_wav, config, n)
-        if config.noise_wav
-        else signals.speech_shaped_noise(n, config.fs, config.seed + 1)
-    )
-    n = min(speech.shape[0], noise.shape[0])
-    _check_signal_length(config, n)
-    scene = _build_scene(config, n)
-    if not np.any(scene.ir_speech[scene.spatial_ref]):
-        raise ConfigError(
-            f"the speech response at the spatial reference microphone {scene.spatial_ref} "
-            "is silent: its ReIRs and target are undefined"
-        )
-    _refuse_unless_fits(
-        _signal_bytes(n) + _spectra_bytes(scene.K, n, config.Lw + config.Lg - 2),
-        f"K = {scene.K} and {n}-sample signals give simulation spectra that",
-    )
-    return scene, render_mics(scene, speech[:n], noise[:n], config.snr_db)
+    m = min(speech.shape[0], noise.shape[0])
+    if m < n:
+        _check_signal_length(config, m, max(map(len, (*scene.ir_speech, *scene.ir_noise))))
+    return render_mics(scene, speech[:m], noise[:m], config.snr_db)
 
 
-def prepare_scene(config: SweepConfig) -> PreparedScene:
+def prepare_scene(config: SweepConfig, simulate: bool = True) -> PreparedScene:
     """Render microphone signals and estimate ReIRs for a configuration.
 
-    The ReIRs come from a white-noise rendering of the desired source
-    with its own seed, seed+2, so they do not change the signals of
-    ``render_scene``.
+    Everything a design and, unless ``simulate`` is false, a simulation
+    of the configured filter length needs is refused before any source
+    is drawn (``_checked_scene``).  The ReIRs come from a white-noise
+    rendering of the desired source with its own seed, seed+2, so they
+    do not change the microphone signals.
     """
-    scene, mics = render_scene(config)
+    scene, n = _checked_scene(config, design=True, sim_taps=config.Lw if simulate else None)
+    mics = _render(config, scene, n)
     white = signals.white_noise(mics.N, config.seed + 2)
     reirs = estimate_reirs(render_mics(scene, white), scene.spatial_ref, config.Lh, reg=config.reir_reg)
 
@@ -457,45 +474,19 @@ def _fit_secondary(g, Lg: int) -> np.ndarray:
     return g
 
 
-def _refuse_design_unless_fits(config: SweepConfig, K: int, n: int) -> None:
-    """Refuse design matrices that will not fit beside the n-sample signals.
+def _prepare_design(config: SweepConfig, simulate: bool = True) -> tuple[PreparedScene, _DesignContext]:
+    """Scene and factorized design: all that no delay changes.
 
-    The dense matrices are Phi_xx, ((K+1) L)^2 floats, as much again for
-    the products that form S (Gt' Phi_xx and its transpose), and
-    S = Gt' Phi_xx Gt, ((K+1) Lw)^2 floats.
+    ``run_sweep`` and ``ssanc design`` (which does not simulate) both
+    start here; ``ctx.solve`` then designs the filter for one target
+    vector.
     """
-    C = K + 1
-    L = config.Lg + config.Lw - 1
-    _refuse_unless_fits(
-        _signal_bytes(n) + 8 * (2 * (C * L) ** 2 + (C * config.Lw) ** 2),
-        f"{n}-sample signals and the design matrices of K = {K}, Lw = {config.Lw} "
-        f"and Lg = {config.Lg}",
-    )
-
-
-def _prepare_design(config: SweepConfig) -> tuple[PreparedScene, np.ndarray, _DesignContext]:
-    """Scene, fitted secondary path and factorized design: all that no delay changes.
-
-    ``run_sweep`` and ``ssanc design`` both start here; ``ctx.solve``
-    then designs the filter for one target vector.  Design matrices
-    that will not fit in memory are refused before the first of them
-    is allocated: for a synthetic scene, whose K is in the config,
-    before any signal exists.
-    """
-    synthetic = config.scene["kind"] == "synthetic"
-    if synthetic:
-        n = int(round(config.duration_s * config.fs))
-        _check_signal_length(config, n)
-        _refuse_design_unless_fits(config, _integer("scene.K", config.scene.get("K")), n)
-    prep = prepare_scene(config)
-    if not synthetic:
-        _refuse_design_unless_fits(config, prep.scene.K, prep.mics.N)
-    g = _fit_secondary(prep.scene.g, config.Lg)
+    prep = prepare_scene(config, simulate)
     phi_xx = estimate_autocorrelation(input_frames(prep.mics, prep.L))
     H = _constraint_matrix(prep.reirs, prep.L)
     params = DesignParams(beta_div=config.beta_div, rho_div=config.rho_div)
-    ctx = _DesignContext(phi_xx, g, H, params, prep.scene.K, config.Lw)
-    return prep, g, ctx
+    ctx = _DesignContext(phi_xx, prep.scene.g, H, params, prep.scene.K, config.Lw)
+    return prep, ctx
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -507,7 +498,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     batched solve.  A numeric failure at one delay yields an error row
     and the sweep continues; any other exception propagates.
     """
-    prep, g, ctx = _prepare_design(config)
+    prep, ctx = _prepare_design(config)
     deltas = config.deltas()
     t0 = time.perf_counter()
     F = np.column_stack([
@@ -516,7 +507,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     designs = ctx.solve(F)
     design_ms = (time.perf_counter() - t0) * 1e3 / len(deltas)
 
-    sim = _FeedForward(prep.mics, g, config.Lw)
+    sim = _FeedForward(prep.mics, prep.scene.g, config.Lw)
     rows = []
     for delta, res in zip(deltas, designs):
         try:
@@ -652,7 +643,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_design(args) -> int:
     config = _load_config(args)
     config.check_delta(args.delta, "--delta")
-    prep, _, ctx = _prepare_design(config)
+    prep, ctx = _prepare_design(config, simulate=False)
     res = ctx.solve(_constraint_vector(prep.reirs, prep.psi, config.target_kind, args.delta, prep.L))
     out = args.out or f"design_delta{args.delta}.json"
     save_filter_json(res, out)
@@ -671,13 +662,14 @@ def _cmd_simulate(args) -> int:
         w = load_filter_json(args.filter)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read filter {args.filter}: {exc}") from None
-    scene, mics = render_scene(config)
+    scene, n = _checked_scene(config, design=False, sim_taps=w.shape[1])
     if w.shape[0] - 1 != scene.K:
         raise ConfigError(
             f"filter {args.filter} has {w.shape[0] - 1} reference channels, the scene has {scene.K}"
         )
+    mics = _render(config, scene, n)
     run = apply_control(
-        w, mics, _fit_secondary(scene.g, config.Lg),
+        w, mics, scene.g,
         target_kind=config.target_kind, delta=args.delta, spatial_ref=scene.spatial_ref,
     )
     out = args.out or "simulation"

@@ -39,7 +39,7 @@ def read_wav_mono(path) -> tuple[int, np.ndarray]:
     """Read a WAV file that must be single-channel."""
     fs, data = read_wav(path)
     if data.ndim != 1:
-        raise ValueError(f"{path}: expected mono WAV, got {data.shape[1]} channels")
+        raise ValueError(f"expected mono WAV, got {data.shape[1]} channels")
     return fs, data
 
 

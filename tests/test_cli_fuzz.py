@@ -1,4 +1,4 @@
-"""Fuzz the sweep CLI with small configs: it must exit 0, 1 or 2 and never print a traceback."""
+"""Fuzz the CLI commands with small configs: each must exit 0, 1 or 2 and never print a traceback."""
 
 import contextlib
 import io
@@ -21,7 +21,9 @@ def near(value) -> list:
 
 
 @st.composite
-def sweep_configs(draw):
+def cli_runs(draw):
+    """A command, its config and a zero filter of the config's K+1 and Lw, both before mutation."""
+    command = draw(st.sampled_from(["sweep", "design", "simulate"]))
     taps = st.integers(1, 16)
     top = {
         "fs": 8000,
@@ -50,22 +52,30 @@ def sweep_configs(draw):
     top.update(draw(st.sampled_from(
         [{}] * 8 + [{"duration_s": 1e12}, {"duration_s": 1e6, "Lw": 10**5, "Lg": 10**5}]
     )))
+    zero = {"K": scene["K"], "Lw": top["Lw"], "w": [[0.0] * top["Lw"]] * (scene["K"] + 1)}
     slots = [(top, key) for key in sorted(top)] + [(scene, key) for key in sorted(scene)]
     for i in draw(st.lists(st.integers(0, len(slots) - 1), max_size=2, unique=True)):
         where, key = slots[i]
         where[key] = draw(st.sampled_from(near(where[key])))
-    return {**top, "scene": scene}
+    return command, {**top, "scene": scene}, zero
 
 
 @settings(max_examples=50, deadline=None)
-@given(cfg=sweep_configs())
-def test_cli_sweep_exit_code_and_stderr(tmp_path_factory, cfg):
+@given(run=cli_runs())
+def test_cli_exit_code_and_stderr(tmp_path_factory, run):
+    command, cfg, zero = run
     out = tmp_path_factory.mktemp("fuzz")
     path = out / "config.json"
     path.write_text(json.dumps(cfg))
+    (out / "zero.json").write_text(json.dumps(zero))
+    extra = {
+        "sweep": ["--out", str(out / "rows.csv")],
+        "design": ["--delta", "0", "--out", str(out / "filter.json")],
+        "simulate": ["--filter", str(out / "zero.json"), "--out", str(out / "sim")],
+    }[command]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = cli_main(["sweep", "--config", str(path), "--out", str(out / "rows.csv")])
+        code = cli_main([command, "--config", str(path), *extra])
     err = err.getvalue()
     assert code in (0, 1, 2)
     assert "Traceback" not in err

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ssanc.signals
 import ssanc.sweep as sweep_mod
+from ssanc import wavio
 from ssanc.reir import ReIRSet
 from ssanc.solver import (
     TARGET_KINDS,
@@ -215,29 +217,26 @@ def test_secondary_path_padding(tmp_path):
         run_sweep(quick_config(scene=scene_long))
 
 
-def test_manifest_scene_through_config(tmp_path):
-    from ssanc import wavio
-
-    rng = np.random.default_rng(0)
+def write_manifest_scene(directory, fs=16000) -> dict:
+    """A two-microphone WAV scene in directory, as a config's scene entry."""
     names = {"speech_irs": [], "noise_irs": []}
     for role, delays in (("speech_irs", [2, 4]), ("noise_irs", [3, 1])):
         for m, d in enumerate(delays):
             ir = np.zeros(8)
             ir[d] = 1.0
             name = f"{role[:-4]}_{m}.wav"
-            wavio.write_wav(tmp_path / name, 16000, ir)
+            wavio.write_wav(directory / name, 16000, ir)
             names[role].append(name)
     g = np.zeros(12)
     g[1] = 1.0
-    wavio.write_wav(tmp_path / "g.wav", 16000, g)
-    manifest = {
-        "fs": 16000, "mics": 2,
-        "speech_irs": names["speech_irs"], "noise_irs": names["noise_irs"],
-        "secondary": "g.wav", "spatial_ref": 0,
-    }
-    (tmp_path / "scene.json").write_text(json.dumps(manifest))
-    cfg = quick_config(scene={"kind": "manifest", "dir": str(tmp_path), "manifest": "scene.json"})
-    rows = run_sweep(cfg)
+    wavio.write_wav(directory / "g.wav", 16000, g)
+    manifest = {"fs": fs, "mics": 2, **names, "secondary": "g.wav", "spatial_ref": 0}
+    (directory / "scene.json").write_text(json.dumps(manifest))
+    return {"kind": "manifest", "dir": str(directory), "manifest": "scene.json"}
+
+
+def test_manifest_scene_through_config(tmp_path):
+    rows = run_sweep(quick_config(scene=write_manifest_scene(tmp_path)))
     assert all(r.error == "" for r in rows)
 
 
@@ -366,7 +365,7 @@ def test_cli_simulate_renders_without_reir_estimation(tmp_path, monkeypatch):
         raise AssertionError("simulate must not estimate ReIRs")
 
     monkeypatch.setattr(sweep_mod, "estimate_reirs", unused)
-    _, mics = sweep_mod.render_scene(config)
+    mics = sweep_mod._render(config, *sweep_mod._checked_scene(config, design=False, sim_taps=config.Lw))
     for name in ("s", "v"):
         assert np.array_equal(getattr(mics, name), getattr(prep.mics, name))
     assert cli_main([
@@ -594,36 +593,156 @@ def test_cli_silent_spatial_reference_is_refused(tmp_path, monkeypatch, capsys, 
     assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("design_*.json"))
 
 
-def test_synthetic_design_matrices_are_refused_before_rendering(tmp_path, monkeypatch, capsys):
-    """K of a synthetic scene is in the config, so the design-matrix check
-    runs before any signal is drawn."""
-    def unused(config):
-        raise AssertionError("refused design must not render the scene")
+def forbid_sources(monkeypatch):
+    """Make drawing or loading a source signal fail the test."""
+    def drawn(*args, **kwargs):
+        raise AssertionError("a source signal was drawn before the refusal")
 
-    monkeypatch.setattr(sweep_mod, "prepare_scene", unused)
+    monkeypatch.setattr(ssanc.signals, "speech_shaped_noise", drawn)
+    monkeypatch.setattr(sweep_mod, "_load_source", drawn)
+
+
+def one_config_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1, err
+    return err
+
+
+def test_synthetic_design_matrices_are_refused_before_rendering(tmp_path, monkeypatch, capsys):
+    """``ssanc design`` refuses its design matrices before any source is drawn,
+    and does not count the simulation spectra it never allocates."""
+    forbid_sources(monkeypatch)
     monkeypatch.setattr(sweep_mod, "_available_memory", lambda: 2**20)
     cfg = write_quick_config(tmp_path)
     assert cli_main(["design", "--config", str(cfg), "--delta", "0", "--out", str(tmp_path / "f.json")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and len(err.splitlines()) == 1
-    assert "design matrices of K = 2" in err
+    err = one_config_error(capsys)
+    assert "design matrices of K = 2" in err and "memory" in err and "GiB" in err
+    assert "simulation spectra" not in err
 
 
 def test_simulation_spectra_that_cannot_fit_are_refused(tmp_path, monkeypatch, capsys):
     """The overlap-save spectra of ``_FeedForward`` count toward the memory
-    a rendering must fit in: room for the signals alone is refused."""
+    ``ssanc simulate`` must fit in: room for the signals alone is refused."""
+    monkeypatch.chdir(tmp_path)
     cfg = write_quick_config(tmp_path)
     config = SweepConfig.from_json(cfg)
     n = int(config.duration_s * config.fs)
-    signals = sweep_mod._signal_bytes(n)
-    spectra = sweep_mod._spectra_bytes(2, n, config.Lw + config.Lg - 2)
-    # 24000 samples in 4074-sample hops: 6 blocks of 2049 bins, speech and noise, 3 channels
-    assert spectra == 2 * 3 * 6 * 2049 * 16
-    monkeypatch.setattr(sweep_mod, "_available_memory", lambda: signals + spectra // 2)
-    with pytest.raises(ConfigError, match="simulation spectra"):
-        sweep_mod.render_scene(config)
-    monkeypatch.setattr(sweep_mod, "_available_memory", lambda: signals + spectra)
-    sweep_mod.render_scene(config)
+    signals = sweep_mod._memory_need(config, 2, n, design=False, sim_taps=None)
+    need = sweep_mod._memory_need(config, 2, n, design=False, sim_taps=config.Lw)
+    # 24000 samples in 4074-sample hops: 6 blocks of 2049 bins, speech and
+    # noise, 3 channels; and the five signals of one run
+    assert need - signals == 2 * 3 * 6 * 2049 * 16 + 5 * 8 * n
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"K": 2, "Lw": 12, "w": np.zeros((3, 12)).tolist()}))
+    argv = ["simulate", "--config", str(cfg), "--filter", str(zero)]
+    monkeypatch.setattr(sweep_mod, "_available_memory", lambda: need - 1)
+    assert cli_main(argv) == 1
+    err = one_config_error(capsys)
+    assert "simulation spectra" in err and "memory" in err and "GiB" in err
+    assert "design matrices" not in err
+    monkeypatch.setattr(sweep_mod, "_available_memory", lambda: need)
+    assert cli_main(argv) == 0
+
+
+def test_design_fits_where_a_sweep_does_not(tmp_path, monkeypatch, capsys):
+    """Between the need of a design and that of a design plus its simulation,
+    ``ssanc design`` runs and ``ssanc sweep`` is refused."""
+    cfg = write_quick_config(tmp_path)
+    config = SweepConfig.from_json(cfg)
+    n = int(config.duration_s * config.fs)
+    design = sweep_mod._memory_need(config, 2, n, design=True, sim_taps=None)
+    sweep = sweep_mod._memory_need(config, 2, n, design=True, sim_taps=config.Lw)
+    monkeypatch.setattr(sweep_mod, "_available_memory", lambda: (design + sweep) // 2)
+    assert cli_main(["design", "--config", str(cfg), "--delta", "0", "--out", str(tmp_path / "f.json")]) == 0
+    capsys.readouterr()
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 1
+    err = one_config_error(capsys)
+    assert "design matrices" in err and "simulation spectra" in err and "memory" in err and "GiB" in err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("fault", ["memory", "malformed"])
+@pytest.mark.parametrize("kind", ["synthetic", "manifest"])
+@pytest.mark.parametrize("command", ["design", "simulate", "sweep"])
+def test_every_refusal_comes_before_any_source(tmp_path, monkeypatch, capsys, command, kind, fault):
+    """A memory refusal and a malformed scene exit 1 with one line before either
+    source, drawn (speech) or loaded from a WAV file (noise), exists."""
+    monkeypatch.chdir(tmp_path)
+    wavio.write_wav(tmp_path / "noise.wav", 16000, np.ones(24000))
+    malformed = fault == "malformed"
+    if kind == "manifest":
+        scene = write_manifest_scene(tmp_path, fs=16000.5 if malformed else 16000)
+    else:
+        scene = {**default_scene_dict(), "K": 2.5 if malformed else 2}
+    cfg = write_quick_config(tmp_path, scene=scene, noise_wav=str(tmp_path / "noise.wav"))
+    zero = tmp_path / "zero.json"  # the manifest scene has 2 microphones, the synthetic one 3
+    mics = 2 if kind == "manifest" else 3
+    zero.write_text(json.dumps({"K": mics - 1, "Lw": 12, "w": np.zeros((mics, 12)).tolist()}))
+    forbid_sources(monkeypatch)
+    if not malformed:
+        monkeypatch.setattr(sweep_mod, "_available_memory", lambda: 2**20)
+    extra = {"design": ["--delta", "0"], "simulate": ["--filter", str(zero)], "sweep": []}[command]
+    assert cli_main([command, "--config", str(cfg), *extra]) == 1
+    err = one_config_error(capsys)
+    assert ("memory" if not malformed else "manifest fs" if kind == "manifest" else "scene.K") in err
+
+
+def test_wav_sources_shorter_than_the_duration_shorten_the_sweep(tmp_path):
+    rng = np.random.default_rng(0)
+    wavio.write_wav(tmp_path / "speech.wav", 16000, rng.standard_normal(24000))
+    wavio.write_wav(tmp_path / "noise.wav", 16000, rng.standard_normal(20000))
+    config = quick_config(speech_wav=str(tmp_path / "speech.wav"), noise_wav=str(tmp_path / "noise.wav"))
+    assert config.duration_s * config.fs == 24000
+    assert sweep_mod.prepare_scene(config).mics.N == 20000
+    rows = run_sweep(config)
+    assert [r.error for r in rows] == [""] * len(rows)
+    assert np.all(np.isfinite([[r.nr_db, r.sdi_db, r.quality_db, r.effort] for r in rows]))
+
+
+def test_wav_source_shorter_than_the_reir_fit_is_refused(tmp_path, capsys):
+    """The 16000-sample noise file shortens 32000-sample signals below 4 Lh = 16400."""
+    wavio.write_wav(tmp_path / "noise.wav", 16000, np.random.default_rng(1).standard_normal(16000))
+    cfg = write_quick_config(tmp_path, duration_s=2.0, Lh=4100, noise_wav=str(tmp_path / "noise.wav"))
+    assert cli_main(["sweep", "--config", str(cfg)]) == 1
+    assert "signals have 16000 samples; the ReIR fit (4 Lh) needs 16400" in one_config_error(capsys)
+
+
+@pytest.mark.parametrize("source", ["stereo", "not-riff"])
+def test_unreadable_wav_source_is_one_line_error(tmp_path, capsys, source):
+    path = tmp_path / "speech.wav"
+    if source == "stereo":
+        wavio.write_wav(path, 16000, np.zeros((24000, 2)))
+    else:
+        path.write_text("not a wave file\n")
+    cfg = write_quick_config(tmp_path, speech_wav=str(path))
+    assert cli_main(["sweep", "--config", str(cfg)]) == 1
+    err = one_config_error(capsys)
+    assert str(path) in err and ("mono" if source == "stereo" else "RIFF") in err
+
+
+@pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic"])
+def test_memory_need_is_near_the_traced_peak(tmp_path, monkeypatch, name):
+    """Each command's ``_memory_need`` lies within 0.75-1.5 of its tracemalloc peak."""
+    import tracemalloc
+
+    monkeypatch.chdir(tmp_path)
+    path = str(ROOT / "configs" / f"{name}.json")
+    config = SweepConfig.from_json(path)
+    n = int(round(config.duration_s * config.fs))
+    commands = {
+        "design": (["--delta", "0", "--out", "f.json"], True, None),
+        "simulate": (["--filter", "f.json", "--out", "sim"], False, config.Lw),
+        "sweep": (["--out", "rows.csv"], True, config.Lw),
+    }
+    for command, (extra, design, sim_taps) in commands.items():
+        tracemalloc.start()
+        try:
+            assert cli_main([command, "--config", path, *extra]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = sweep_mod._memory_need(config, config.scene["K"], n, design, sim_taps) / peak
+        assert 0.75 <= ratio <= 1.5, (command, ratio)
 
 
 FIG3 = str(Path(__file__).parents[1] / "configs" / "fig3_synthetic.json")
@@ -639,13 +758,14 @@ FIG3 = str(Path(__file__).parents[1] / "configs" / "fig3_synthetic.json")
         ["simulate", "--config", FIG3, "--filter", "{not_json}"],
         ["simulate", "--config", FIG3, "--filter", "{wrong_k}"],
         ["simulate", "--config", FIG3, "--filter", "{no_taps}"],
+        ["simulate", "--config", FIG3, "--filter", "{bad_header}"],
         ["simulate", "--config", FIG3, "--filter", "{wrong_k}", "--delta", "-1"],
         ["verify", "--trials", "0"],
         ["verify", "--verify-dims", "0,1,1"],
         ["verify", "--seed", "-1"],
     ],
     ids=["delta-high", "delta-negative", "design-seed", "sweep-seed", "filter-not-json",
-         "filter-wrong-k", "filter-no-taps", "simulate-delta", "verify-trials", "verify-dims", "verify-seed"],
+         "filter-wrong-k", "filter-no-taps", "filter-bad-header", "simulate-delta", "verify-trials", "verify-dims", "verify-seed"],
 )
 def test_cli_bad_argument_is_one_line_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)  # default outputs, should a case get that far
@@ -655,7 +775,9 @@ def test_cli_bad_argument_is_one_line_error(tmp_path, monkeypatch, capsys, argv)
     wrong_k.write_text(json.dumps({"K": 1, "Lw": 2, "w": [[0.0, 0.0], [0.0, 0.0]]}))
     no_taps = tmp_path / "empty.json"
     no_taps.write_text(json.dumps({"K": 2, "Lw": 2, "w": [[], [], []]}))
-    argv = [a.format(not_json=not_json, wrong_k=wrong_k, no_taps=no_taps) for a in argv]
+    bad_header = tmp_path / "header.json"  # taps of fig3's K = 2, a header that contradicts them
+    bad_header.write_text(json.dumps({"K": 7, "Lw": 99, "w": [[0, 0], [0, 0], [0, 0]]}))
+    argv = [a.format(not_json=not_json, wrong_k=wrong_k, no_taps=no_taps, bad_header=bad_header) for a in argv]
     assert cli_main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
@@ -730,14 +852,14 @@ def assert_columns_close(rows, expected, rtol):
     assert np.all(worst <= rtol), dict(zip(METRIC_COLUMNS, worst))
 
 
-def convolve_oracle_row(prep, g, ctx, config, delta):
+def convolve_oracle_row(prep, ctx, config, delta):
     """One delay designed alone and simulated with explicit np.convolve."""
     from ssanc.metrics import evaluate_run
     from ssanc.simulate import RunResult, realize_target
 
     f = sweep_mod._constraint_vector(prep.reirs, prep.psi, config.target_kind, delta, prep.L)
     res = ctx.solve(f)
-    w, m, N = res.filter, prep.mics, prep.mics.N
+    w, g, m, N = res.filter, prep.scene.g, prep.mics, prep.mics.N
 
     def drive(refs, primary):
         y = np.convolve(w[-1], primary)[:N]
@@ -757,10 +879,10 @@ def convolve_oracle_row(prep, g, ctx, config, delta):
 def test_batched_sweep_matches_per_delay_convolution_oracle(shipped_rows, name):
     config = SweepConfig.from_json(ROOT / "configs" / f"{name}.json")
     rows = shipped_rows(name)
-    prep, g, ctx = sweep_mod._prepare_design(config)
+    prep, ctx = sweep_mod._prepare_design(config)
     assert [r.delta for r in rows] == config.deltas()
     assert all(r.error == "" for r in rows)
-    oracle = [convolve_oracle_row(prep, g, ctx, config, d) for d in config.deltas()]
+    oracle = [convolve_oracle_row(prep, ctx, config, d) for d in config.deltas()]
     assert_columns_close(rows, oracle, 1e-12)
 
 
@@ -770,12 +892,12 @@ def test_predicted_error_power_is_simulated_error_power(name):
     from ssanc.simulate import _FeedForward
 
     config = SweepConfig.from_json(ROOT / "configs" / f"{name}.json")
-    prep, g, ctx = sweep_mod._prepare_design(config)
+    prep, ctx = sweep_mod._prepare_design(config)
     deltas = config.deltas()
     F = np.column_stack([
         sweep_mod._constraint_vector(prep.reirs, prep.psi, config.target_kind, d, prep.L) for d in deltas
     ])
-    sim = _FeedForward(prep.mics, g, config.Lw)
+    sim = _FeedForward(prep.mics, prep.scene.g, config.Lw)
     for delta, res in zip(deltas, ctx.solve(F)):
         e = sim.run(res.filter, config.target_kind, delta, prep.scene.spatial_ref).e
         simulated = np.mean(e[prep.L - 1 :] ** 2)
