@@ -110,12 +110,15 @@ def overlap_blocks(x: np.ndarray, start: int, count: int, size: int, hop: int) -
 _CORRELATION_CHUNK = 1 << 16
 
 
-def lagged_products(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
+def lagged_products(a: np.ndarray, b: np.ndarray, L: int, history: bool = False) -> np.ndarray:
     """Windowed cross-correlations over the fully excited frames.
 
     For (A, N) and (B, N) channel stacks returns the (A, B, L) array
-    ``p[i, k, j] = sum_{n=L-1}^{N-1} a_i(n) b_k(n-j)``.  The sum is cut
-    into blocks of ``hop`` terms; each block of ``a`` is paired with the
+    ``p[i, k, j] = sum_{n=L-1}^{N-1} a_i(n) b_k(n-j)``.  With
+    ``history`` the sum runs over every n = 0 .. N-1 instead, and the
+    samples before n = 0 read as zero: the full-range correlations of
+    signals that a filter meets from rest.  The sum is cut into blocks
+    of ``hop`` terms; each block of ``a`` is paired with the
     ``hop + L - 1`` samples of ``b`` it reaches, and with
     ``nfft >= hop + L - 1`` lags 0 .. L-1 of that pair are the head of a
     circular correlation that never wraps.  The cross-spectra of all
@@ -128,16 +131,18 @@ def lagged_products(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
     if not 1 <= L <= N:
         raise ValueError(f"need 1 <= L <= N, got L={L} for N={N}")
     M = L - 1
+    first = 0 if history else M
     nfft = block_fft_len(M, N)
     hop = nfft - M
-    blocks = -(-(N - M) // hop)
+    blocks = -(-(N - first) // hop)
     chunk = max(1, _CORRELATION_CHUNK // nfft)
     cross = np.zeros((a.shape[0], b.shape[0], nfft // 2 + 1), dtype=complex)
-    for first in range(0, blocks, chunk):
-        count = min(chunk, blocks - first)
-        fa = np.fft.rfft(overlap_blocks(a, M + first * hop, count, hop, hop), nfft)
-        fb = np.fft.rfft(overlap_blocks(b, first * hop, count, nfft, hop), nfft)
-        cross += np.einsum("akf,bkf->abf", fa.conj(), fb)
+    for block in range(0, blocks, chunk):
+        count = min(chunk, blocks - block)
+        start = first + block * hop
+        fa = np.fft.rfft(overlap_blocks(a, start, count, hop, hop), nfft)
+        fb = np.fft.rfft(overlap_blocks(b, start - M, count, nfft, hop), nfft)
+        cross += np.einsum("akf,bkf->abf", np.conj(fa, out=fa), fb)
     return np.fft.irfft(cross, nfft)[:, :, M::-1]
 
 

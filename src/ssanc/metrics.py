@@ -1,5 +1,11 @@
 """Evaluation metrics: noise reduction, speech distortion, control effort, quality proxy.
 
+``evaluate_run`` scores the signals of one simulation run.  A sweep
+scores NR, SDI and effort without those signals: each is the energy of
+a microphone stack filtered by a (K+1)-channel FIR, a quadratic form in
+the taps over the stack's lag correlations (``_FilteredEnergy``), which
+are taken once for all filters (``_FormScores``).
+
 The quality proxy is a frame-wise log-spectral distance, standing in
 for standardized perceptual scores (which need the ITU reference
 implementation and are out of scope here).  Its values are NOT
@@ -11,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ssanc.convmat import build_conv_matrix, lagged_products, next_fast_len
 from ssanc.scene import MicSignals
 from ssanc.simulate import RunResult
 
@@ -35,17 +42,29 @@ class MetricBundle:
     flags: tuple[str, ...] = field(default_factory=tuple)
 
 
+def _nr_db(before: float, after: float) -> float:
+    """NR from the noise energies before and after control; inf when none is left."""
+    if after <= 0.0:
+        return float("inf")
+    return 10.0 * np.log10(before / after)
+
+
+def _sdi_db(residual: float, target: float) -> float:
+    """SDI from the energies of (target - achieved speech) and of the target."""
+    if target <= 0.0:
+        raise ValueError("target signal has zero energy")
+    if residual <= 0.0:
+        return SDI_FLOOR_DB
+    return max(10.0 * np.log10(residual / target), SDI_FLOOR_DB)
+
+
 def noise_reduction(p_v, e_v) -> float:
     """Energy ratio of the noise component before/after control, in dB."""
     p_v = np.asarray(p_v, dtype=float)
     e_v = np.asarray(e_v, dtype=float)
     if p_v.shape != e_v.shape:
         raise ValueError("p_v and e_v must have equal length")
-    num = float(np.vdot(p_v, p_v))
-    den = float(np.vdot(e_v, e_v))
-    if den <= 0.0:
-        return float("inf")
-    return 10.0 * np.log10(num / den)
+    return _nr_db(float(np.vdot(p_v, p_v)), float(np.vdot(e_v, e_v)))
 
 
 def speech_distortion_index(t, e_s) -> float:
@@ -57,14 +76,8 @@ def speech_distortion_index(t, e_s) -> float:
     e_s = np.asarray(e_s, dtype=float)
     if t.shape != e_s.shape:
         raise ValueError("t and e_s must have equal length")
-    denom = float(np.vdot(t, t))
-    if denom <= 0.0:
-        raise ValueError("target signal has zero energy")
     d = t - e_s
-    num = float(np.vdot(d, d))
-    if num <= 0.0:
-        return SDI_FLOOR_DB
-    return max(10.0 * np.log10(num / denom), SDI_FLOOR_DB)
+    return _sdi_db(float(np.vdot(d, d)), float(np.vdot(t, t)))
 
 
 def control_effort(y) -> float:
@@ -144,3 +157,80 @@ def evaluate_run(result: RunResult, mics: MicSignals) -> MetricBundle:
         snr_out_db=snr_out,
         flags=tuple(flags),
     )
+
+
+class _FilteredEnergy:
+    """Energies of one (C, N) stack through C-channel FIR filters of at most P taps.
+
+    Filter taps h, (C, T) with T <= P, give z(n) = sum_c (h_c * x_c)(n)
+    for n = 0 .. N-1, from rest, as a simulation does.  Its energy is a
+    quadratic form in h over the stack's full-range lag correlations
+    r_ab(k) = sum_n x_a(n) x_b(n-k), k < P (``lagged_products`` with
+    history), which are taken once, here:
+
+        sum_{n<N} z(n)^2 = sum_ab sum_k r_ab(k) rho_ab(k) - sum_{n>=N} z(n)^2
+
+    with rho_ab(k) = sum_i h_a(i) h_b(i+k) over lags of both signs.  The
+    first term is the energy of the full convolution; the second, of
+    the T - 1 samples past N that the cut drops, reads only the last
+    P - 1 samples of the stack.  Both are evaluated on an nfft >= 2P - 1
+    point grid, where the lag sum is, by Parseval, a Hermitian form in
+    the spectra of the taps.  Nothing held or computed per filter grows
+    with N.
+    """
+
+    def __init__(self, x: np.ndarray, P: int):
+        N = x.shape[1]
+        self.P = P
+        self.nfft = next_fast_len(2 * P - 1)
+        r = lagged_products(x, x, P, history=True)
+        R = np.fft.rfft(r, self.nfft)
+        # the spectrum of r_ab over lags -P < k < P: negative lags are r_ba(-k)
+        form = R + R.transpose(1, 0, 2).conj() - r[:, :, :1]
+        # one-sided bins stand for their mirror images too, and Parseval divides by nfft
+        weight = np.full(form.shape[-1], 2.0 / self.nfft)
+        weight[0] = 1.0 / self.nfft
+        if self.nfft % 2 == 0:
+            weight[-1] = 1.0 / self.nfft  # the Nyquist bin has no mirror image
+        self._form = form * weight
+        self._tail = np.fft.rfft(x[:, N - P + 1 :], self.nfft)
+
+    def __call__(self, taps: np.ndarray) -> float:
+        """Energy of the first N samples of sum_c taps_c * x_c for (C, T <= P) taps."""
+        H = np.fft.rfft(taps, self.nfft)
+        full = np.vdot(H, np.einsum("abf,af->bf", self._form, H)).real
+        tail = np.fft.irfft(np.einsum("cf,cf->f", H, self._tail), self.nfft)[self.P - 1 : 2 * self.P - 2]
+        return float(full - np.vdot(tail, tail))
+
+
+class _FormScores:
+    """NR, SDI and effort of any (K+1, Lw) filter, from lag correlations taken once.
+
+    For a filter w the response of the error microphone to the stacked
+    inputs is u = q + g * w (the primary sample plus the secondary path
+    applied to every channel), so e_v is u on the noise stack; t - e_s
+    is (sel - u) on the speech stack, with sel the unit pulse at the
+    target microphone and lag delta; and the drive y is w on the
+    observed stack x = s + v.  The speech and noise correlations span
+    ``lags`` >= max(L, delta + 1) lags, those of x Lw.
+    """
+
+    def __init__(self, mics: MicSignals, x: np.ndarray, g, Lw: int, lags: int):
+        self.speech = _FilteredEnergy(mics.s, lags)
+        self.noise = _FilteredEnergy(mics.v, lags)
+        self.drive = _FilteredEnergy(x, Lw)
+        self.G = build_conv_matrix(g, Lw)
+        self.noise_in = float(np.vdot(mics.p_v, mics.p_v))
+
+    def __call__(self, w: np.ndarray, mic: int, delta: int, t: np.ndarray) -> tuple[float, float, float]:
+        """(NR, SDI, effort) of filter w whose target t is microphone mic delayed by delta."""
+        u = w @ self.G.T
+        u[-1, 0] += 1.0
+        sel = np.zeros((u.shape[0], self.speech.P))
+        sel[:, : u.shape[1]] = -u
+        sel[mic, delta] += 1.0
+        return (
+            _nr_db(self.noise_in, self.noise(u)),
+            _sdi_db(self.speech(sel), float(np.vdot(t, t))),
+            self.drive(w),
+        )

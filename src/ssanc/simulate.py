@@ -58,30 +58,25 @@ def realize_target(mics: MicSignals, target_kind: str, delta: int, spatial_ref: 
     return _delay(mics.s[target_mic(target_kind, spatial_ref)], delta)
 
 
-class _FeedForward:
-    """Input spectra of one set of microphone signals, ready to run any number of filters.
+class _Blocks:
+    """Overlap-save layout of the chain w * g on N-sample signals.
 
-    The feed-forward chain is evaluated by overlap-save: the speech and
-    noise stacks ``mics.s`` and ``mics.v``, (K+1, N) each, are cut as
-    they are into blocks of ``nfft`` samples that overlap by
-    M = Lw + Lg - 2 (the memory of w * g), and every block's spectrum is
-    taken once, here.  A filter then costs the transforms of its K+1
-    channels and three inverse transforms of the blocks (y, and e_s and
-    e_v through g), whose first M samples are circular wrap and are
-    dropped.  Blocks of a few thousand samples stay in cache, which
-    makes them two to three times faster than one transform of the
-    whole signal.
+    Signals are cut into blocks of ``nfft`` samples that overlap by
+    M = Lw + Lg - 2 (the memory of w * g).  A filter then costs the
+    transforms of its K+1 channels against the block spectra of a stack
+    and one inverse transform per signal, whose first M samples are
+    circular wrap and are dropped.  Blocks of a few thousand samples
+    stay in cache, which makes them two to three times faster than one
+    transform of the whole signal.
     """
 
-    def __init__(self, mics: MicSignals, g, Lw: int):
+    def __init__(self, N: int, g, Lw: int):
         g = np.asarray(g, dtype=float).ravel()
-        self.mics = mics
+        self.N = N
         self.Lw = Lw
         self.M = Lw + g.shape[0] - 2
-        self.nfft = block_fft_len(self.M, mics.N)
+        self.nfft = block_fft_len(self.M, N)
         self.hop = self.nfft - self.M
-        self.S = self._spectra(mics.s)
-        self.V = self._spectra(mics.v)
         self.G = np.fft.rfft(g, self.nfft)
 
     def _spectra(self, channels: np.ndarray) -> np.ndarray:
@@ -89,16 +84,37 @@ class _FeedForward:
         blocks = -(-channels.shape[1] // self.hop)
         return np.fft.rfft(overlap_blocks(channels, -self.M, blocks, self.nfft, self.hop), axis=-1)
 
+    def _spectrum(self, w: np.ndarray, channels: int) -> np.ndarray:
+        """The nfft-point spectrum of a (channels, Lw) filter, checked for its shape."""
+        if w.shape != (channels, self.Lw):
+            raise ValueError(f"filter has shape {w.shape}, expected {(channels, self.Lw)}")
+        return np.fft.rfft(w, self.nfft)
+
     def _signal(self, Y: np.ndarray) -> np.ndarray:
         """The N-sample signal whose block spectra are Y."""
         blocks = np.fft.irfft(Y, self.nfft, axis=-1)
-        return blocks[:, self.M :].reshape(-1)[: self.mics.N]
+        return blocks[:, self.M :].reshape(-1)[: self.N]
+
+
+class _FeedForward(_Blocks):
+    """Input spectra of one set of microphone signals, ready to run any number of filters.
+
+    The speech and noise stacks ``mics.s`` and ``mics.v``, (K+1, N)
+    each, are cut as they are into overlap-save blocks, and every
+    block's spectrum is taken once, here.  A filter then costs the
+    transforms of its K+1 channels and three inverse transforms of the
+    blocks: y, and e_s and e_v through g.
+    """
+
+    def __init__(self, mics: MicSignals, g, Lw: int):
+        super().__init__(mics.N, g, Lw)
+        self.mics = mics
+        self.S = self._spectra(mics.s)
+        self.V = self._spectra(mics.v)
 
     def run(self, w: np.ndarray, target_kind: str, delta: int, spatial_ref: int) -> RunResult:
         """Simulate one (K+1, Lw) filter and realize the target it was designed for."""
-        if w.shape != (self.mics.K + 1, self.Lw):
-            raise ValueError(f"filter has shape {w.shape}, expected {(self.mics.K + 1, self.Lw)}")
-        W = np.fft.rfft(w, self.nfft)
+        W = self._spectrum(w, self.mics.K + 1)
         Y_s = np.einsum("kb,knb->nb", W, self.S)
         Y_v = np.einsum("kb,knb->nb", W, self.V)
         y = self._signal(Y_s + Y_v)
@@ -108,6 +124,27 @@ class _FeedForward:
         e_v = self.mics.p_v + self._signal(Y_v)
         t = realize_target(self.mics, target_kind, delta, spatial_ref)
         return RunResult(y=y, e=e_s + e_v, e_s=e_s, e_v=e_v, t=t)
+
+
+class _ErrorSignal(_Blocks):
+    """The error signal e = x_K + g * (w * x) of any filter, and nothing else.
+
+    Holds the block spectra of the observed stack x = s + v alone, half
+    of what ``_FeedForward`` holds, and spends one inverse transform per
+    filter.  A sweep needs e only for the quality proxy: it scores
+    NR, SDI and effort from lag correlations (``metrics._FormScores``).
+    """
+
+    def __init__(self, x: np.ndarray, g, Lw: int):
+        super().__init__(x.shape[1], g, Lw)
+        self.p = x[-1]
+        self.X = self._spectra(x)
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        """The N-sample error signal of one (K+1, Lw) filter."""
+        Y = np.einsum("kb,knb->nb", self._spectrum(w, self.X.shape[0]), self.X)
+        Y *= self.G
+        return self.p + self._signal(Y)
 
 
 def apply_control(

@@ -7,12 +7,17 @@ row.  Results go to CSV with a fixed column order.
 
 Only the target vector depends on the delay.  A sweep therefore stacks
 the target vectors of all its delays and designs every filter in one
-multi-right-hand-side solve, takes the spectra of the input signals
-once, and then spends per delay only the filter's own transforms and
-the metrics.  The default configuration is desk-scale (short filters,
-K = 2, synthetic scene) and sweeps in about a second; the paper-scale
-configuration (280-tap filters, K = 4, 141 delays) works the same way
-in a few seconds.
+multi-right-hand-side solve.  It scores NR, SDI and control effort as
+quadratic forms in each filter over lag correlations of the speech,
+noise and observed stacks, taken once (``metrics._FormScores``), and
+takes the block spectra of the observed stack once, so that per delay
+it simulates only the error signal, for the quality proxy
+(``simulate._ErrorSignal``).  ``ssanc simulate`` runs the full
+simulation (``apply_control``, ``evaluate_run``), the oracle the sweep's
+scores are tested against.  The default configuration is desk-scale
+(short filters, K = 2, synthetic scene) and sweeps in under a second;
+the paper-scale configuration (280-tap filters, K = 4, 141 delays)
+works the same way in a few seconds.
 """
 
 import argparse
@@ -31,13 +36,13 @@ import numpy as np
 
 from ssanc import signals, wavio
 from ssanc.convmat import block_fft_len, build_conv_matrix, build_q, per_channel
-from ssanc.metrics import QUALITY_FRAME, evaluate_run
+from ssanc.metrics import QUALITY_FRAME, _FormScores, evaluate_run, quality_proxy
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
     MicSignals, ScalingError, Scene, SceneLoadError, default_ir_len, integer, load_scene_wav,
     render_mics, synth_scene,
 )
-from ssanc.simulate import _FeedForward, apply_control, export_run_wavs
+from ssanc.simulate import _ErrorSignal, apply_control, export_run_wavs, realize_target
 from ssanc.solver import (
     DesignParams,
     InfeasibleConstraintError,
@@ -52,6 +57,7 @@ from ssanc.solver import (
     load_filter_json,
     max_delay,
     save_filter_json,
+    target_mic,
 )
 
 CSV_COLUMNS = (
@@ -377,9 +383,14 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
     ReIR fit's white-noise rendering, two stacks and its source, and
     the dense matrices: Phi_xx, ((K+1) L)^2 floats, as much again for
     the products that form S, and S, ((K+1) Lw)^2 floats.  A simulation
-    of sim_taps-tap filters (``simulate``, ``sweep``) adds the
-    overlap-save spectra of both stacks (``_FeedForward``) and the five
-    n-sample signals of one run.
+    of sim_taps-tap filters adds overlap-save block spectra: ``simulate``
+    those of both stacks (``_FeedForward``) and the five n-sample
+    signals of one run; ``sweep`` those of the observed stack x = s + v
+    (``_ErrorSignal``), x itself, the e and t of one delay, and the lag
+    correlations its energies are scored from (``_FormScores``): the
+    spectra of (K+1)^2 correlations over P = max(L, the last delay + 1)
+    lags of s and of v and sim_taps lags of x, about one complex value
+    per lag.
     """
     C = K + 1
     need = 3 * 8 * C * n
@@ -389,8 +400,12 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
     if sim_taps is not None:
         memory = sim_taps + config.Lg - 2
         nfft = block_fft_len(memory, n)
-        blocks = -(-n // (nfft - memory))
-        need += 16 * 2 * C * blocks * (nfft // 2 + 1) + 8 * 5 * n
+        spectra = 16 * C * -(-n // (nfft - memory)) * (nfft // 2 + 1)
+        if design:
+            P = max(config.Lg + config.Lw - 1, config.delta_range[1] + 1)
+            need += spectra + 8 * (C + 2) * n + 16 * C * C * (2 * P + sim_taps)
+        else:
+            need += 2 * spectra + 8 * 5 * n
     return need
 
 
@@ -415,7 +430,7 @@ def _load_source(path, config: SweepConfig, n: int) -> np.ndarray:
         raise ConfigError(f"{path}: sample rate {fs} != config fs {config.fs}")
     if data.shape[0] < config.fs:
         raise ConfigError(f"{path}: shorter than 1 s")
-    return data[:n]
+    return data[:n].copy()  # a view would keep the whole file alive
 
 
 def _render(config: SweepConfig, scene: Scene, n: int) -> MicSignals:
@@ -490,13 +505,19 @@ def _prepare_design(config: SweepConfig, simulate: bool = True) -> tuple[Prepare
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Design, simulate and score one filter per delay in the configured range.
+    """Design and score one filter per delay in the configured range.
 
     The scene rendering, ReIR estimation, input autocorrelation, all
-    delay-independent factorizations and the input spectra are shared
-    across the sweep, and the filters of all delays come from one
-    batched solve.  A numeric failure at one delay yields an error row
-    and the sweep continues; any other exception propagates.
+    delay-independent factorizations, the lag correlations and the
+    block spectra of the observed stack are shared across the sweep,
+    and the filters of all delays come from one batched solve.  Per
+    delay, NR, SDI and effort are quadratic forms in the filter
+    (``metrics._FormScores``), and only the error signal is simulated,
+    for the quality proxy; the speech and noise parts of e and the
+    drive y are never formed.  The rows agree with ``apply_control``
+    and ``evaluate_run`` up to rounding.  A numeric failure at one delay
+    yields an error row and the sweep continues; any other exception
+    propagates.
     """
     prep, ctx = _prepare_design(config)
     deltas = config.deltas()
@@ -507,23 +528,28 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     designs = ctx.solve(F)
     design_ms = (time.perf_counter() - t0) * 1e3 / len(deltas)
 
-    sim = _FeedForward(prep.mics, prep.scene.g, config.Lw)
+    mics = prep.mics
+    x = mics.s + mics.v
+    score = _FormScores(mics, x, prep.scene.g, config.Lw, max(prep.L, deltas[-1] + 1))
+    error = _ErrorSignal(x, prep.scene.g, config.Lw)
+    mic = target_mic(config.target_kind, prep.scene.spatial_ref)
     rows = []
     for delta, res in zip(deltas, designs):
         try:
             if isinstance(res, Exception):
                 raise res
-            # unbound, so one delay's signals are freed before the next is simulated
-            mb = evaluate_run(sim.run(res.filter, config.target_kind, delta, prep.scene.spatial_ref), prep.mics)
+            t = realize_target(mics, config.target_kind, delta, prep.scene.spatial_ref)
+            nr_db, sdi_db, effort = score(res.filter, mic, delta, t)
+            quality_db = quality_proxy(t, error(res.filter))
         except NUMERIC_ERRORS as exc:  # record and continue with the other deltas
             rows.append(SweepRow(delta=delta, error=f"{type(exc).__name__}: {exc}"))
             continue
         rows.append(SweepRow(
             delta=delta,
-            nr_db=mb.nr_db,
-            sdi_db=mb.sdi_db,
-            quality_db=mb.quality_db,
-            effort=mb.effort,
+            nr_db=nr_db,
+            sdi_db=sdi_db,
+            quality_db=quality_db,
+            effort=effort,
             constraint_residual=res.constraint_residual,
             design_ms=design_ms,
         ))

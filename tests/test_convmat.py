@@ -158,6 +158,21 @@ def test_lagged_products_matches_direct_sum(L, N, blocks):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("L, N", [case[:2] for case in LAGGED_CASES.values()], ids=LAGGED_CASES.keys())
+def test_lagged_products_with_history_sums_from_rest(L, N):
+    """With history the sum runs over every n, reading samples before n = 0
+    as zero: the plain sum over stacks prefixed by L - 1 zeros."""
+    rng = np.random.default_rng(L * 7919 + N + 1)
+    a = rng.standard_normal((2, N))
+    b = rng.standard_normal((3, N))
+    rest = np.zeros((3, L - 1))
+    for x, y in ((a, b), (b, a), (a, a)):
+        want = lagged_direct(np.hstack([rest[: len(x)], x]), np.hstack([rest[: len(y)], y]), L)
+        got = lagged_products(x, y, L, history=True)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_lagged_products_rejects_bad_L():
     x = np.ones((1, 8))
     for L in (0, 9):

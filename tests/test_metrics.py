@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ssanc.metrics import (
     SDI_FLOOR_DB,
     MetricBundle,
+    _FilteredEnergy,
+    _FormScores,
     control_effort,
     evaluate_run,
     noise_reduction,
@@ -184,3 +187,58 @@ def test_energy_sums_match_elementwise_reference():
     )
     assert control_effort(y) == pytest.approx(np.sum(y**2), rel=1e-12)
     assert control_effort(y.reshape(600, 1600)) == control_effort(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    C=st.integers(1, 4),
+    P=st.integers(1, 48),
+    extra=st.integers(0, 9000),
+    taps=st.integers(1, 48),
+    pulse=st.booleans(),
+    silent=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(C=3, P=1, extra=0, taps=1, pulse=False, silent=4, seed=0)
+@example(C=2, P=48, extra=8100, taps=48, pulse=True, silent=1, seed=1)
+@example(C=1, P=20, extra=5, taps=1, pulse=False, silent=0, seed=2)
+def test_filtered_energy_matches_explicit_convolution(C, P, extra, taps, pulse, silent, seed):
+    """The energy of sum_c h_c * x_c cut to N samples, for T = 1 .. P taps
+    (a selector pulse at delta = P - 1 when ``pulse``) and a silent channel,
+    is that of the explicit np.convolve; N spans one to three blocks.
+    ``silent`` >= C leaves every channel sounding."""
+    T = min(taps, P)
+    N = P + extra
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((C, N))
+    if silent < C:
+        x[silent] = 0.0
+    h = rng.standard_normal((C, T))
+    if pulse:
+        h = np.hstack([h, np.zeros((C, P - T))])
+        h[0, P - 1] += 1.0
+    z = sum(np.convolve(h[c], x[c])[:N] for c in range(C))
+    want = float(np.vdot(z, z))
+    scale = float(np.sum(x**2) * np.sum(h**2))
+    got = _FilteredEnergy(x, P)(h)
+    assert abs(got - want) <= 1e-10 * (want if want > 1e-10 * scale else scale)
+
+
+def test_form_scores_keep_the_metric_semantics():
+    """The zero filter leaves e = p: 0 dB NR, SDI at its floor for the
+    undelayed error-mic target and no effort; silent noise gives inf NR,
+    and a silent target raises as speech_distortion_index does."""
+    rng = np.random.default_rng(3)
+    s = rng.standard_normal((3, 400))
+    v = rng.standard_normal((3, 400))
+    w = np.zeros((3, 5))
+    g = [0.0, 1.0, 0.5]
+    score = _FormScores(MicSignals(s=s, v=v), s + v, g, 5, 7)
+    nr, sdi, effort = score(w, -1, 0, s[-1])
+    assert nr == pytest.approx(0.0, abs=1e-9)
+    assert sdi == SDI_FLOOR_DB
+    assert effort == 0.0
+    quiet = _FormScores(MicSignals(s=s, v=np.zeros_like(v)), s, g, 5, 7)
+    assert quiet(w, -1, 0, s[-1])[0] == float("inf")
+    with pytest.raises(ValueError, match="zero energy"):
+        score(w, -1, 0, np.zeros(400))

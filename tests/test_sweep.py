@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -912,3 +913,82 @@ def test_shipped_sweep_matches_captured_reference(shipped_rows, name):
     assert [r.delta for r in rows] == [int(r["delta"]) for r in reference]
     assert all(r.error == "" for r in rows) and all(r["error"] == "" for r in reference)
     assert_columns_close(rows, [[float(r[c]) for c in METRIC_COLUMNS] for r in reference], 1e-6)
+
+
+def test_sweep_never_runs_the_full_simulation(shipped_rows, monkeypatch):
+    """The sweep scores NR, SDI and effort from lag correlations and simulates
+    e alone: with the five-signal run and its metric bundle made to raise,
+    fig3 gives the same rows."""
+    import ssanc.metrics
+    import ssanc.simulate
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep left its fast path")
+
+    monkeypatch.setattr(ssanc.simulate._FeedForward, "run", forbidden)
+    monkeypatch.setattr(ssanc.metrics, "evaluate_run", forbidden)
+    monkeypatch.setattr(sweep_mod, "evaluate_run", forbidden)
+    rows = run_sweep(SweepConfig.from_json(ROOT / "configs" / "fig3_synthetic.json"))
+    untimed = [replace(r, design_ms=0.0) for r in rows]  # design_ms is wall time
+    assert untimed == [replace(r, design_ms=0.0) for r in shipped_rows("fig3_synthetic")]
+
+
+def test_sweep_matches_the_simulation_oracle_where_sdi_cancels():
+    """On the anechoic error-target scene the SDI sits near -56 dB, where the
+    lag-correlation form of (sel - u) on s loses the most digits to
+    cancellation; every column stays within 1e-9 of the full simulation's."""
+    from ssanc.metrics import evaluate_run
+    from ssanc.simulate import _FeedForward
+
+    config = SweepConfig.from_json(ROOT / "configs" / "paper_anechoic_error.json")
+    rows = run_sweep(config)
+    prep, ctx = sweep_mod._prepare_design(config)
+    deltas = config.deltas()
+    F = np.column_stack([
+        sweep_mod._constraint_vector(prep.reirs, prep.psi, config.target_kind, d, prep.L) for d in deltas
+    ])
+    sim = _FeedForward(prep.mics, prep.scene.g, config.Lw)
+    oracle = []
+    for delta, res in zip(deltas, ctx.solve(F)):
+        mb = evaluate_run(sim.run(res.filter, config.target_kind, delta, prep.scene.spatial_ref), prep.mics)
+        oracle.append([mb.nr_db, mb.sdi_db, mb.quality_db, mb.effort, res.constraint_residual])
+    assert_columns_close(rows, oracle, 1e-9)
+
+
+@pytest.mark.parametrize("name, best, at_best, other, at_other", [
+    ("fig3_synthetic", 0, -16.85, 4, 1.08),
+    ("fig5_synthetic", 4, -1.28, 0, 2.60),
+])
+def test_reemitted_speech_is_least_at_the_delay_the_target_allows(name, best, at_best, other, at_other):
+    """The speech the loudspeaker re-emits, ||g * w * s||^2 / ||p_s||^2 =
+    (u - q)' Phi_ss (u - q) / q' Phi_ss q, is how the system obtains the
+    desired signal: it is least where the target lets the filter leave the
+    desired component alone, at delta = 0 for the error microphone and at
+    the 4-sample acoustic delay for the reference microphone."""
+    from ssanc.metrics import _FilteredEnergy
+
+    config = SweepConfig.from_json(ROOT / "configs" / f"{name}.json")
+    prep, ctx = sweep_mod._prepare_design(config)
+    deltas = config.deltas()
+    F = np.column_stack([
+        sweep_mod._constraint_vector(prep.reirs, prep.psi, config.target_kind, d, prep.L) for d in deltas
+    ])
+    speech = _FilteredEnergy(prep.mics.s, prep.L)
+    q = np.eye(prep.mics.K + 1)[:, -1:]  # the primary sample: the error microphone at lag 0
+    assert speech(q) == pytest.approx(float(np.vdot(prep.mics.p_s, prep.mics.p_s)), rel=1e-12)
+    reemitted = [10 * np.log10(speech(res.filter @ ctx.G.T) / speech(q)) for res in ctx.solve(F)]
+    assert deltas[int(np.argmin(reemitted))] == best
+    assert reemitted[deltas.index(best)] == pytest.approx(at_best, abs=0.01)
+    assert reemitted[deltas.index(other)] == pytest.approx(at_other, abs=0.01)
+
+
+def test_wav_source_cut_to_the_duration_owns_its_samples(tmp_path):
+    """A source longer than duration_s is cut to a copy of n samples, not a
+    view that keeps the whole file alive."""
+    path = tmp_path / "speech.wav"
+    wavio.write_wav(path, 16000, np.random.default_rng(0).standard_normal(960000))
+    config = quick_config(speech_wav=str(path))
+    n = int(round(config.duration_s * config.fs))
+    source = sweep_mod._load_source(path, config, n)
+    assert source.shape == (n,) and source.nbytes == 8 * n
+    assert source.base is None
