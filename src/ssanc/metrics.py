@@ -13,7 +13,7 @@ comparable to MOS scales; lower is better, 0 dB means identical
 spectra.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +31,12 @@ _QUALITY_BLOCK = 256
 
 @dataclass(frozen=True)
 class MetricBundle:
-    """One configuration's metrics; ``flags`` records any clamped/degenerate values."""
+    """One configuration's metrics, the four a sweep row reports."""
 
     nr_db: float
     sdi_db: float
     effort: float
     quality_db: float
-    snr_in_db: float
-    snr_out_db: float
-    flags: tuple[str, ...] = field(default_factory=tuple)
 
 
 def _nr_db(before: float, after: float) -> float:
@@ -125,37 +122,12 @@ def quality_proxy(t, u, frame: int = QUALITY_FRAME, hop: int = 256) -> float:
 
 
 def evaluate_run(result: RunResult, mics: MicSignals) -> MetricBundle:
-    """Full metric bundle for one simulation run against its input signals."""
-    flags = []
-
-    nr = noise_reduction(mics.p_v, result.e_v)
-    if not np.isfinite(nr):
-        flags.append("nr_infinite")
-    sdi = speech_distortion_index(result.t, result.e_s)
-    if sdi <= SDI_FLOOR_DB:
-        flags.append("sdi_clamped")
-    quality = quality_proxy(result.t, result.e)
-
-    def ratio_db(num, den):
-        n = float(np.vdot(num, num))
-        d = float(np.vdot(den, den))
-        if d <= 0.0 or n <= 0.0:
-            return float("inf") if d <= 0.0 else float("-inf")
-        return 10.0 * np.log10(n / d)
-
-    snr_in = ratio_db(mics.p_s, mics.p_v)
-    snr_out = ratio_db(result.e_s, result.e_v)
-    if not (np.isfinite(snr_in) and np.isfinite(snr_out)):
-        flags.append("snr_infinite")
-
+    """NR, SDI, effort and quality proxy of one simulation run against its input signals."""
     return MetricBundle(
-        nr_db=nr,
-        sdi_db=sdi,
+        nr_db=noise_reduction(mics.p_v, result.e_v),
+        sdi_db=speech_distortion_index(result.t, result.e_s),
         effort=control_effort(result.y),
-        quality_db=quality,
-        snr_in_db=snr_in,
-        snr_out_db=snr_out,
-        flags=tuple(flags),
+        quality_db=quality_proxy(result.t, result.e),
     )
 
 

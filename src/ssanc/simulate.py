@@ -59,92 +59,44 @@ def realize_target(mics: MicSignals, target_kind: str, delta: int, spatial_ref: 
 
 
 class _Blocks:
-    """Overlap-save layout of the chain w * g on N-sample signals.
+    """Overlap-save block spectra of one (C, N) stack x, ready to run any number of filters.
 
-    Signals are cut into blocks of ``nfft`` samples that overlap by
-    M = Lw + Lg - 2 (the memory of w * g).  A filter then costs the
-    transforms of its K+1 channels against the block spectra of a stack
-    and one inverse transform per signal, whose first M samples are
-    circular wrap and are dropped.  Blocks of a few thousand samples
-    stay in cache, which makes them two to three times faster than one
-    transform of the whole signal.
+    The stack is cut into blocks of ``nfft`` samples that overlap by
+    M = Lw + Lg - 2 (the memory of w * g), and every block's spectrum is
+    taken once, here.  A (C, Lw) filter then costs the transforms of its
+    C channels and one inverse transform per signal, whose first M
+    samples are circular wrap and are dropped.  Blocks of a few thousand
+    samples stay in cache, which makes them two to three times faster
+    than one transform of the whole signal.
     """
 
-    def __init__(self, N: int, g, Lw: int):
+    def __init__(self, x: np.ndarray, g, Lw: int):
         g = np.asarray(g, dtype=float).ravel()
-        self.N = N
+        self.N = x.shape[1]
         self.Lw = Lw
         self.M = Lw + g.shape[0] - 2
-        self.nfft = block_fft_len(self.M, N)
-        self.hop = self.nfft - self.M
+        self.nfft = block_fft_len(self.M, self.N)
+        hop = self.nfft - self.M
         self.G = np.fft.rfft(g, self.nfft)
+        self.p = x[-1]
+        self.X = np.fft.rfft(overlap_blocks(x, -self.M, -(-self.N // hop), self.nfft, hop), axis=-1)
 
-    def _spectra(self, channels: np.ndarray) -> np.ndarray:
-        """(C, blocks, bins) spectra of the overlapping blocks of C channels."""
-        blocks = -(-channels.shape[1] // self.hop)
-        return np.fft.rfft(overlap_blocks(channels, -self.M, blocks, self.nfft, self.hop), axis=-1)
+    def drive(self, w: np.ndarray) -> np.ndarray:
+        """The block spectra of w * x for a (C, Lw) filter w, checked for its shape."""
+        if w.shape != (self.X.shape[0], self.Lw):
+            raise ValueError(f"filter has shape {w.shape}, expected {(self.X.shape[0], self.Lw)}")
+        return np.einsum("kb,knb->nb", np.fft.rfft(w, self.nfft), self.X)
 
-    def _spectrum(self, w: np.ndarray, channels: int) -> np.ndarray:
-        """The nfft-point spectrum of a (channels, Lw) filter, checked for its shape."""
-        if w.shape != (channels, self.Lw):
-            raise ValueError(f"filter has shape {w.shape}, expected {(channels, self.Lw)}")
-        return np.fft.rfft(w, self.nfft)
-
-    def _signal(self, Y: np.ndarray) -> np.ndarray:
+    def signal(self, Y: np.ndarray) -> np.ndarray:
         """The N-sample signal whose block spectra are Y."""
         blocks = np.fft.irfft(Y, self.nfft, axis=-1)
         return blocks[:, self.M :].reshape(-1)[: self.N]
 
-
-class _FeedForward(_Blocks):
-    """Input spectra of one set of microphone signals, ready to run any number of filters.
-
-    The speech and noise stacks ``mics.s`` and ``mics.v``, (K+1, N)
-    each, are cut as they are into overlap-save blocks, and every
-    block's spectrum is taken once, here.  A filter then costs the
-    transforms of its K+1 channels and three inverse transforms of the
-    blocks: y, and e_s and e_v through g.
-    """
-
-    def __init__(self, mics: MicSignals, g, Lw: int):
-        super().__init__(mics.N, g, Lw)
-        self.mics = mics
-        self.S = self._spectra(mics.s)
-        self.V = self._spectra(mics.v)
-
-    def run(self, w: np.ndarray, target_kind: str, delta: int, spatial_ref: int) -> RunResult:
-        """Simulate one (K+1, Lw) filter and realize the target it was designed for."""
-        W = self._spectrum(w, self.mics.K + 1)
-        Y_s = np.einsum("kb,knb->nb", W, self.S)
-        Y_v = np.einsum("kb,knb->nb", W, self.V)
-        y = self._signal(Y_s + Y_v)
-        Y_s *= self.G
-        Y_v *= self.G
-        e_s = self.mics.p_s + self._signal(Y_s)
-        e_v = self.mics.p_v + self._signal(Y_v)
-        t = realize_target(self.mics, target_kind, delta, spatial_ref)
-        return RunResult(y=y, e=e_s + e_v, e_s=e_s, e_v=e_v, t=t)
-
-
-class _ErrorSignal(_Blocks):
-    """The error signal e = x_K + g * (w * x) of any filter, and nothing else.
-
-    Holds the block spectra of the observed stack x = s + v alone, half
-    of what ``_FeedForward`` holds, and spends one inverse transform per
-    filter.  A sweep needs e only for the quality proxy: it scores
-    NR, SDI and effort from lag correlations (``metrics._FormScores``).
-    """
-
-    def __init__(self, x: np.ndarray, g, Lw: int):
-        super().__init__(x.shape[1], g, Lw)
-        self.p = x[-1]
-        self.X = self._spectra(x)
-
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        """The N-sample error signal of one (K+1, Lw) filter."""
-        Y = np.einsum("kb,knb->nb", self._spectrum(w, self.X.shape[0]), self.X)
+    def error(self, w: np.ndarray) -> np.ndarray:
+        """The error signal x_K + g * (w * x) of a (C, Lw) filter w, x_K the stack's last row."""
+        Y = self.drive(w)
         Y *= self.G
-        return self.p + self._signal(Y)
+        return self.p + self.signal(Y)
 
 
 def apply_control(
@@ -155,10 +107,19 @@ def apply_control(
     y is the loudspeaker drive (control filter applied to the reference
     signals and the primary signal), e = p + g*y the resulting error
     signal, and t the target of ``realize_target(mics, target_kind,
-    delta, spatial_ref)``.  This is one run of the kernel a sweep
-    reuses for all of its filters.
+    delta, spatial_ref)``.  The speech and noise stacks each run
+    through ``_Blocks``, the kernel whose ``error`` a sweep takes for
+    every filter.
     """
-    return _FeedForward(mics, g, w.shape[-1]).run(w, target_kind, delta, spatial_ref)
+    speech, noise = (_Blocks(stack, g, w.shape[-1]) for stack in (mics.s, mics.v))
+    Y_s, Y_v = speech.drive(w), noise.drive(w)
+    y = speech.signal(Y_s + Y_v)
+    Y_s *= speech.G
+    Y_v *= noise.G
+    e_s = speech.p + speech.signal(Y_s)
+    e_v = noise.p + noise.signal(Y_v)
+    t = realize_target(mics, target_kind, delta, spatial_ref)
+    return RunResult(y=y, e=e_s + e_v, e_s=e_s, e_v=e_v, t=t)
 
 
 def export_run_wavs(result: RunResult, directory, fs: int) -> None:

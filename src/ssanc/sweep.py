@@ -10,14 +10,16 @@ the target vectors of all its delays and designs every filter in one
 multi-right-hand-side solve.  It scores NR, SDI and control effort as
 quadratic forms in each filter over lag correlations of the speech,
 noise and observed stacks, taken once (``metrics._FormScores``), and
-takes the block spectra of the observed stack once, so that per delay
-it simulates only the error signal, for the quality proxy
-(``simulate._ErrorSignal``).  ``ssanc simulate`` runs the full
-simulation (``apply_control``, ``evaluate_run``), the oracle the sweep's
-scores are tested against.  The default configuration is desk-scale
-(short filters, K = 2, synthetic scene) and sweeps in under a second;
-the paper-scale configuration (280-tap filters, K = 4, 141 delays)
-works the same way in a few seconds.
+takes the overlap-save block spectra of the observed stack once
+(``simulate._Blocks``), so that per delay it simulates only the error
+signal, for the quality proxy.  ``ssanc simulate`` runs the same kernel
+on the speech and noise stacks (``apply_control``), writes the WAVs and
+prints the four metrics of the sweep's row for its delay
+(``evaluate_run``), the oracle the sweep's scores are tested against.
+The default configuration is desk-scale (short filters, K = 2,
+synthetic scene) and sweeps in under a second; the paper-scale
+configuration (280-tap filters, K = 4, 141 delays) works the same way
+in a few seconds.
 """
 
 import argparse
@@ -42,7 +44,7 @@ from ssanc.scene import (
     MicSignals, ScalingError, Scene, SceneLoadError, default_ir_len, integer, load_scene_wav,
     render_mics, synth_scene,
 )
-from ssanc.simulate import _ErrorSignal, apply_control, export_run_wavs, realize_target
+from ssanc.simulate import _Blocks, apply_control, export_run_wavs, realize_target
 from ssanc.solver import (
     DesignParams,
     InfeasibleConstraintError,
@@ -379,34 +381,39 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
 
     Every command holds the (K+1, n) speech and noise stacks and a third
     stack: their sum while the design correlates them, the convolutions
-    while they are rendered.  A design (``design``, ``sweep``) adds the
-    ReIR fit's white-noise rendering, two stacks and its source, and
-    the dense matrices: Phi_xx, ((K+1) L)^2 floats, as much again for
+    while they are rendered.  A design (``design``, ``sweep``) holds
+    Phi_xx, ((K+1) L)^2 floats, which the design context keeps to the
+    end, and, while it fits and factorizes, the ReIR fit's white-noise
+    rendering, two stacks and its source, as much again as Phi_xx for
     the products that form S, and S, ((K+1) Lw)^2 floats.  A simulation
-    of sim_taps-tap filters adds overlap-save block spectra: ``simulate``
-    those of both stacks (``_FeedForward``) and the five n-sample
-    signals of one run; ``sweep`` those of the observed stack x = s + v
-    (``_ErrorSignal``), x itself, the e and t of one delay, and the lag
-    correlations its energies are scored from (``_FormScores``): the
-    spectra of (K+1)^2 correlations over P = max(L, the last delay + 1)
-    lags of s and of v and sim_taps lags of x, about one complex value
-    per lag.
+    of sim_taps-tap filters holds overlap-save block spectra
+    (``simulate._Blocks``): ``simulate`` those of both stacks and the
+    five n-sample signals of one run; ``sweep`` those of the observed
+    stack x = s + v, one stack for the blocks they are taken from, the
+    e and t of one delay, and the lag correlations its energies are scored
+    from (``metrics._FormScores``): the spectra of (K+1)^2 correlations
+    over P = max(L, the last delay + 1) lags of s and of v and sim_taps
+    lags of x, about one complex value per lag.  A sweep frees the fit's
+    rendering and the design's products before it scores, so it needs
+    the larger of the two phases.
     """
     C = K + 1
     need = 3 * 8 * C * n
+    phases = [0]
     if design:
         L = config.Lg + config.Lw - 1
-        need += 8 * ((2 * C + 1) * n + 2 * (C * L) ** 2 + (C * config.Lw) ** 2)
+        need += 8 * (C * L) ** 2
+        phases.append(8 * ((2 * C + 1) * n + (C * L) ** 2 + (C * config.Lw) ** 2))
     if sim_taps is not None:
         memory = sim_taps + config.Lg - 2
         nfft = block_fft_len(memory, n)
         spectra = 16 * C * -(-n // (nfft - memory)) * (nfft // 2 + 1)
         if design:
             P = max(config.Lg + config.Lw - 1, config.delta_range[1] + 1)
-            need += spectra + 8 * (C + 2) * n + 16 * C * C * (2 * P + sim_taps)
+            phases.append(spectra + 8 * (C + 2) * n + 16 * C * C * (2 * P + sim_taps))
         else:
-            need += 2 * spectra + 8 * 5 * n
-    return need
+            phases.append(2 * spectra + 8 * 5 * n)
+    return need + max(phases)
 
 
 def _refuse_unless_fits(config: SweepConfig, K: int, n: int, design: bool, sim_taps: int | None) -> None:
@@ -512,10 +519,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     block spectra of the observed stack are shared across the sweep,
     and the filters of all delays come from one batched solve.  Per
     delay, NR, SDI and effort are quadratic forms in the filter
-    (``metrics._FormScores``), and only the error signal is simulated,
-    for the quality proxy; the speech and noise parts of e and the
-    drive y are never formed.  The rows agree with ``apply_control``
-    and ``evaluate_run`` up to rounding.  A numeric failure at one delay
+    (``metrics._FormScores``), and only the error signal is simulated
+    (``simulate._Blocks.error``), for the quality proxy; the speech and
+    noise parts of e and the drive y are never formed.  The rows agree
+    with ``apply_control`` and ``evaluate_run``, which ``ssanc
+    simulate`` prints, up to rounding.  A numeric failure at one delay
     yields an error row and the sweep continues; any other exception
     propagates.
     """
@@ -531,7 +539,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     mics = prep.mics
     x = mics.s + mics.v
     score = _FormScores(mics, x, prep.scene.g, config.Lw, max(prep.L, deltas[-1] + 1))
-    error = _ErrorSignal(x, prep.scene.g, config.Lw)
+    error = _Blocks(x, prep.scene.g, config.Lw).error
     mic = target_mic(config.target_kind, prep.scene.spatial_ref)
     rows = []
     for delta, res in zip(deltas, designs):
@@ -701,7 +709,10 @@ def _cmd_simulate(args) -> int:
     out = args.out or "simulation"
     export_run_wavs(run, out, config.fs)
     mb = evaluate_run(run, mics)
-    print(f"NR={mb.nr_db:.2f} dB SDI={mb.sdi_db:.2f} dB effort={mb.effort:.6g} -> {out}/")
+    print(
+        f"NR={mb.nr_db:.2f} dB SDI={mb.sdi_db:.2f} dB quality={mb.quality_db:.2f} dB "
+        f"effort={mb.effort:.6g} -> {out}/"
+    )
     return 0
 
 

@@ -17,7 +17,7 @@ from ssanc.scene import (
     synth_scene,
 )
 from ssanc.signals import speech_shaped_noise, white_noise
-from ssanc.simulate import _FeedForward
+from ssanc.simulate import _Blocks
 from ssanc.solver import input_frames
 
 
@@ -184,9 +184,9 @@ def test_stack_consumers_make_no_stack_copies():
     stack = mics.s.nbytes
     _, peak = traced_peak(lambda: input_frames(mics, 95))
     assert peak < 1.25 * stack
-    ff, peak = traced_peak(lambda: _FeedForward(mics, scene.g, 48))
-    assert peak - ff.S.nbytes - ff.V.nbytes < 1.25 * stack
-    del ff
+    blocks, peak = traced_peak(lambda: _Blocks(mics.s, scene.g, 48))
+    assert peak - blocks.X.nbytes < 1.25 * stack
+    del blocks
     white = render_mics(scene, white_noise(n, 2))
     _, peak = traced_peak(lambda: estimate_reirs(white, scene.spatial_ref, 48))
     assert peak < 1.25 * stack

@@ -622,8 +622,9 @@ def test_synthetic_design_matrices_are_refused_before_rendering(tmp_path, monkey
 
 
 def test_simulation_spectra_that_cannot_fit_are_refused(tmp_path, monkeypatch, capsys):
-    """The overlap-save spectra of ``_FeedForward`` count toward the memory
-    ``ssanc simulate`` must fit in: room for the signals alone is refused."""
+    """The overlap-save spectra of both stacks (two ``simulate._Blocks``) count
+    toward the memory ``ssanc simulate`` must fit in: room for the signals
+    alone is refused."""
     monkeypatch.chdir(tmp_path)
     cfg = write_quick_config(tmp_path)
     config = SweepConfig.from_json(cfg)
@@ -646,13 +647,15 @@ def test_simulation_spectra_that_cannot_fit_are_refused(tmp_path, monkeypatch, c
 
 
 def test_design_fits_where_a_sweep_does_not(tmp_path, monkeypatch, capsys):
-    """Between the need of a design and that of a design plus its simulation,
+    """On 1.5 s signals a sweep's scoring phase needs more than the design
+    phase it follows; between the need of a design and that of a sweep,
     ``ssanc design`` runs and ``ssanc sweep`` is refused."""
     cfg = write_quick_config(tmp_path)
     config = SweepConfig.from_json(cfg)
     n = int(config.duration_s * config.fs)
     design = sweep_mod._memory_need(config, 2, n, design=True, sim_taps=None)
     sweep = sweep_mod._memory_need(config, 2, n, design=True, sim_taps=config.Lw)
+    assert design < sweep
     monkeypatch.setattr(sweep_mod, "_available_memory", lambda: (design + sweep) // 2)
     assert cli_main(["design", "--config", str(cfg), "--delta", "0", "--out", str(tmp_path / "f.json")]) == 0
     capsys.readouterr()
@@ -721,13 +724,25 @@ def test_unreadable_wav_source_is_one_line_error(tmp_path, capsys, source):
     assert str(path) in err and ("mono" if source == "stereo" else "RIFF") in err
 
 
-@pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic"])
+# the upper bound of need / traced peak per config: on 20 s of the
+# benchmark's 60 s recording (``long_20s``) the arrays the estimate counts
+# dominate the peak; on the 5 s desk configs temporaries it leaves out weigh more
+MEMORY_RATIO_HIGH = {"fig3_synthetic": 1.5, "fig5_synthetic": 1.5, "long_20s": 1.25}
+
+
+@pytest.mark.parametrize("name", list(MEMORY_RATIO_HIGH))
 def test_memory_need_is_near_the_traced_peak(tmp_path, monkeypatch, name):
-    """Each command's ``_memory_need`` lies within 0.75-1.5 of its tracemalloc peak."""
+    """Each command's ``_memory_need`` lies within 0.75 and ``MEMORY_RATIO_HIGH``
+    of its tracemalloc peak."""
     import tracemalloc
 
     monkeypatch.chdir(tmp_path)
-    path = str(ROOT / "configs" / f"{name}.json")
+    if name == "long_20s":
+        long = json.loads((ROOT / "perfbench" / "configs" / "long.json").read_text())
+        path = str(tmp_path / "long_20s.json")
+        Path(path).write_text(json.dumps({**long, "duration_s": 20.0}))
+    else:
+        path = str(ROOT / "configs" / f"{name}.json")
     config = SweepConfig.from_json(path)
     n = int(round(config.duration_s * config.fs))
     commands = {
@@ -743,7 +758,7 @@ def test_memory_need_is_near_the_traced_peak(tmp_path, monkeypatch, name):
         finally:
             tracemalloc.stop()
         ratio = sweep_mod._memory_need(config, config.scene["K"], n, design, sim_taps) / peak
-        assert 0.75 <= ratio <= 1.5, (command, ratio)
+        assert 0.75 <= ratio <= MEMORY_RATIO_HIGH[name], (command, ratio)
 
 
 FIG3 = str(Path(__file__).parents[1] / "configs" / "fig3_synthetic.json")
@@ -853,6 +868,15 @@ def assert_columns_close(rows, expected, rtol):
     assert np.all(worst <= rtol), dict(zip(METRIC_COLUMNS, worst))
 
 
+def solve_every_delay(prep, ctx, config):
+    """(delta, design) pairs of every configured delay, from one batched solve as in run_sweep."""
+    deltas = config.deltas()
+    F = np.column_stack([
+        sweep_mod._constraint_vector(prep.reirs, prep.psi, config.target_kind, d, prep.L) for d in deltas
+    ])
+    return list(zip(deltas, ctx.solve(F)))
+
+
 def convolve_oracle_row(prep, ctx, config, delta):
     """One delay designed alone and simulated with explicit np.convolve."""
     from ssanc.metrics import evaluate_run
@@ -890,17 +914,13 @@ def test_batched_sweep_matches_per_delay_convolution_oracle(shipped_rows, name):
 @pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic"])
 def test_predicted_error_power_is_simulated_error_power(name):
     """(q + G w)' Phi_xx (q + G w) is the mean simulated e^2 over the fully excited n >= L - 1."""
-    from ssanc.simulate import _FeedForward
+    from ssanc.simulate import _Blocks
 
     config = SweepConfig.from_json(ROOT / "configs" / f"{name}.json")
     prep, ctx = sweep_mod._prepare_design(config)
-    deltas = config.deltas()
-    F = np.column_stack([
-        sweep_mod._constraint_vector(prep.reirs, prep.psi, config.target_kind, d, prep.L) for d in deltas
-    ])
-    sim = _FeedForward(prep.mics, prep.scene.g, config.Lw)
-    for delta, res in zip(deltas, ctx.solve(F)):
-        e = sim.run(res.filter, config.target_kind, delta, prep.scene.spatial_ref).e
+    error = _Blocks(prep.mics.s + prep.mics.v, prep.scene.g, config.Lw).error
+    for delta, res in solve_every_delay(prep, ctx, config):
+        e = error(res.filter)
         simulated = np.mean(e[prep.L - 1 :] ** 2)
         assert abs(res.predicted_error_power - simulated) <= 1e-10 * simulated, delta
 
@@ -925,9 +945,10 @@ def test_sweep_never_runs_the_full_simulation(shipped_rows, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the sweep left its fast path")
 
-    monkeypatch.setattr(ssanc.simulate._FeedForward, "run", forbidden)
-    monkeypatch.setattr(ssanc.metrics, "evaluate_run", forbidden)
-    monkeypatch.setattr(sweep_mod, "evaluate_run", forbidden)
+    for module in (ssanc.simulate, sweep_mod):
+        monkeypatch.setattr(module, "apply_control", forbidden)
+    for module in (ssanc.metrics, sweep_mod):
+        monkeypatch.setattr(module, "evaluate_run", forbidden)
     rows = run_sweep(SweepConfig.from_json(ROOT / "configs" / "fig3_synthetic.json"))
     untimed = [replace(r, design_ms=0.0) for r in rows]  # design_ms is wall time
     assert untimed == [replace(r, design_ms=0.0) for r in shipped_rows("fig3_synthetic")]
@@ -938,21 +959,38 @@ def test_sweep_matches_the_simulation_oracle_where_sdi_cancels():
     lag-correlation form of (sel - u) on s loses the most digits to
     cancellation; every column stays within 1e-9 of the full simulation's."""
     from ssanc.metrics import evaluate_run
-    from ssanc.simulate import _FeedForward
+    from ssanc.simulate import apply_control
 
     config = SweepConfig.from_json(ROOT / "configs" / "paper_anechoic_error.json")
     rows = run_sweep(config)
     prep, ctx = sweep_mod._prepare_design(config)
-    deltas = config.deltas()
-    F = np.column_stack([
-        sweep_mod._constraint_vector(prep.reirs, prep.psi, config.target_kind, d, prep.L) for d in deltas
-    ])
-    sim = _FeedForward(prep.mics, prep.scene.g, config.Lw)
     oracle = []
-    for delta, res in zip(deltas, ctx.solve(F)):
-        mb = evaluate_run(sim.run(res.filter, config.target_kind, delta, prep.scene.spatial_ref), prep.mics)
+    for delta, res in solve_every_delay(prep, ctx, config):
+        run = apply_control(
+            res.filter, prep.mics, prep.scene.g, config.target_kind, delta, prep.scene.spatial_ref
+        )
+        mb = evaluate_run(run, prep.mics)
         oracle.append([mb.nr_db, mb.sdi_db, mb.quality_db, mb.effort, res.constraint_residual])
     assert_columns_close(rows, oracle, 1e-9)
+
+
+@pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic"])
+def test_simulate_reports_the_sweep_row(shipped_rows, tmp_path, capsys, name):
+    """``ssanc simulate --delta 4`` on the filter of ``ssanc design --delta 4``
+    prints the NR, SDI, quality and effort of the sweep's row 4."""
+    path = str(ROOT / "configs" / f"{name}.json")
+    flt, sim = str(tmp_path / "filter.json"), str(tmp_path / "sim")
+    assert cli_main(["design", "--config", path, "--delta", "4", "--out", flt]) == 0
+    capsys.readouterr()
+    assert cli_main(["simulate", "--config", path, "--filter", flt, "--delta", "4", "--out", sim]) == 0
+    printed = capsys.readouterr().out
+    row = next(r for r in shipped_rows(name) if r.delta == 4)
+    assert printed == (
+        f"NR={row.nr_db:.2f} dB SDI={row.sdi_db:.2f} dB quality={row.quality_db:.2f} dB "
+        f"effort={row.effort:.6g} -> {sim}/\n"
+    )
+    if name == "fig3_synthetic":
+        assert printed.startswith("NR=10.44 dB SDI=-15.07 dB quality=7.88 dB effort=368464 ->")
 
 
 @pytest.mark.parametrize("name, best, at_best, other, at_other", [
@@ -969,14 +1007,12 @@ def test_reemitted_speech_is_least_at_the_delay_the_target_allows(name, best, at
 
     config = SweepConfig.from_json(ROOT / "configs" / f"{name}.json")
     prep, ctx = sweep_mod._prepare_design(config)
+    designs = solve_every_delay(prep, ctx, config)
     deltas = config.deltas()
-    F = np.column_stack([
-        sweep_mod._constraint_vector(prep.reirs, prep.psi, config.target_kind, d, prep.L) for d in deltas
-    ])
     speech = _FilteredEnergy(prep.mics.s, prep.L)
     q = np.eye(prep.mics.K + 1)[:, -1:]  # the primary sample: the error microphone at lag 0
     assert speech(q) == pytest.approx(float(np.vdot(prep.mics.p_s, prep.mics.p_s)), rel=1e-12)
-    reemitted = [10 * np.log10(speech(res.filter @ ctx.G.T) / speech(q)) for res in ctx.solve(F)]
+    reemitted = [10 * np.log10(speech(res.filter @ ctx.G.T) / speech(q)) for _, res in designs]
     assert deltas[int(np.argmin(reemitted))] == best
     assert reemitted[deltas.index(best)] == pytest.approx(at_best, abs=0.01)
     assert reemitted[deltas.index(other)] == pytest.approx(at_other, abs=0.01)
