@@ -22,8 +22,9 @@ from ssanc.scene import MicSignals
 from ssanc.simulate import RunResult
 
 SDI_FLOOR_DB = -120.0
-# default quality_proxy frame: the shortest signal a run can be scored on
+# quality_proxy frame, the shortest signal a run can be scored on, and hop
 QUALITY_FRAME = 512
+_QUALITY_HOP = 256
 # voiced frames transformed per batch by quality_proxy: bounds its
 # temporaries to a few MB whatever the signal length
 _QUALITY_BLOCK = 256
@@ -83,27 +84,26 @@ def control_effort(y) -> float:
     return float(np.vdot(y, y))
 
 
-def quality_proxy(t, u, frame: int = QUALITY_FRAME, hop: int = 256) -> float:
+def quality_proxy(t, u) -> float:
     """Mean log-spectral distance between reference t and signal u, in dB.
 
-    Frames of t whose energy is within 40 dB of the loudest frame count
-    as voiced; per voiced frame the RMS difference of the log-magnitude
-    spectra is taken and the frame values are averaged.  Bins are
-    floored relative to the frame's spectral peak so near-zero bins do
-    not dominate.
+    t and u are cut into frames of QUALITY_FRAME samples, _QUALITY_HOP
+    apart.  Frames of t whose energy is within 40 dB of the loudest
+    frame count as voiced; per voiced frame the RMS difference of the
+    log-magnitude spectra is taken and the frame values are averaged.
+    Bins are floored relative to the frame's spectral peak so near-zero
+    bins do not dominate.
     """
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
     if t.shape != u.shape:
         raise ValueError("t and u must have equal length")
-    if frame < 8 or hop < 1:
-        raise ValueError("need frame >= 8 and hop >= 1")
-    if t.shape[0] < frame:
-        raise ValueError(f"signal length {t.shape[0]} shorter than one frame ({frame})")
+    if t.shape[0] < QUALITY_FRAME:
+        raise ValueError(f"signal length {t.shape[0]} shorter than one frame ({QUALITY_FRAME})")
 
-    window = np.hanning(frame)
-    t_frames = np.lib.stride_tricks.sliding_window_view(t, frame)[::hop]
-    u_frames = np.lib.stride_tricks.sliding_window_view(u, frame)[::hop]
+    window = np.hanning(QUALITY_FRAME)
+    t_frames = np.lib.stride_tricks.sliding_window_view(t, QUALITY_FRAME)[::_QUALITY_HOP]
+    u_frames = np.lib.stride_tricks.sliding_window_view(u, QUALITY_FRAME)[::_QUALITY_HOP]
     energies = np.sum(t_frames**2, axis=1)
     peak = float(np.max(energies))
     if peak <= 0.0:

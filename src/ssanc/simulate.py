@@ -35,14 +35,6 @@ class RunResult:
     t: np.ndarray
 
 
-def _delay(x: np.ndarray, d: int) -> np.ndarray:
-    if d == 0:
-        return x.copy()
-    out = np.zeros_like(x)
-    out[d:] = x[:-d]
-    return out
-
-
 def realize_target(mics: MicSignals, target_kind: str, delta: int, spatial_ref: int) -> np.ndarray:
     """The target signal: the desired component at the target microphone, delayed by delta.
 
@@ -55,7 +47,10 @@ def realize_target(mics: MicSignals, target_kind: str, delta: int, spatial_ref: 
         raise ValueError(f"delta must be >= 0, got {delta}")
     if not 0 <= spatial_ref < mics.K:
         raise ValueError(f"spatial_ref {spatial_ref} outside [0, {mics.K})")
-    return _delay(mics.s[target_mic(target_kind, spatial_ref)], delta)
+    x = mics.s[target_mic(target_kind, spatial_ref)]
+    t = np.zeros_like(x)
+    t[delta:] = x[: max(x.shape[0] - delta, 0)]
+    return t
 
 
 class _Blocks:
@@ -92,9 +87,9 @@ class _Blocks:
         blocks = np.fft.irfft(Y, self.nfft, axis=-1)
         return blocks[:, self.M :].reshape(-1)[: self.N]
 
-    def error(self, w: np.ndarray) -> np.ndarray:
-        """The error signal x_K + g * (w * x) of a (C, Lw) filter w, x_K the stack's last row."""
-        Y = self.drive(w)
+    def error(self, Y: np.ndarray) -> np.ndarray:
+        """The error signal x_K + g * y of a drive y whose block spectra Y are those of
+        ``drive``, x_K the stack's last row; Y is overwritten."""
         Y *= self.G
         return self.p + self.signal(Y)
 
@@ -108,16 +103,13 @@ def apply_control(
     signals and the primary signal), e = p + g*y the resulting error
     signal, and t the target of ``realize_target(mics, target_kind,
     delta, spatial_ref)``.  The speech and noise stacks each run
-    through ``_Blocks``, the kernel whose ``error`` a sweep takes for
+    through ``_Blocks``, whose ``error(drive(w))`` a sweep takes for
     every filter.
     """
     speech, noise = (_Blocks(stack, g, w.shape[-1]) for stack in (mics.s, mics.v))
     Y_s, Y_v = speech.drive(w), noise.drive(w)
     y = speech.signal(Y_s + Y_v)
-    Y_s *= speech.G
-    Y_v *= noise.G
-    e_s = speech.p + speech.signal(Y_s)
-    e_v = noise.p + noise.signal(Y_v)
+    e_s, e_v = speech.error(Y_s), noise.error(Y_v)
     t = realize_target(mics, target_kind, delta, spatial_ref)
     return RunResult(y=y, e=e_s + e_v, e_s=e_s, e_v=e_v, t=t)
 

@@ -46,10 +46,6 @@ class SingularSystemError(RuntimeError):
 class InfeasibleConstraintError(RuntimeError):
     """The equality constraint is inconsistent after rank reduction."""
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
 
 @dataclass(frozen=True, eq=False)
 class Constraint:
@@ -334,11 +330,11 @@ def kkt_oracle(phi_xx, g, H, f, beta: float, K: int, Lw: int) -> np.ndarray:
     """Exact equality-constrained (K+1, Lw) minimizer via a direct KKT saddle-point solve.
 
     Verification-only counterpart of ``_DesignContext`` at rho = 0, for
-    the constraint H'(q + G w) = f; H = None drops the constraint and
-    gives the ridge solution.  Linearly dependent constraint rows are
-    dropped by a rank-revealing QR before the saddle solve; if the
-    dropped rows are inconsistent with the solution, the constraint set
-    is infeasible and an InfeasibleConstraintError is raised.
+    the constraint H'(q + G w) = f.  The constraint rows C = H'Gt are
+    reduced to their row space by an SVD, which shares nothing with the
+    design's eigh and solve, before the saddle solve; if the solution
+    misses the full constraint, the constraint set is infeasible and an
+    InfeasibleConstraintError is raised.
     """
     phi_xx = np.asarray(phi_xx, dtype=float)
     g = np.asarray(g, dtype=float).ravel()
@@ -348,45 +344,32 @@ def kkt_oracle(phi_xx, g, H, f, beta: float, K: int, Lw: int) -> np.ndarray:
     # the dense block-diagonal operator, independent of the per-channel helper
     Gt = np.kron(np.eye(K + 1), build_conv_matrix(g, Lw))
     q = build_q(K, L)
-    Phi_rr = Gt.T @ phi_xx @ Gt + beta * np.eye((K + 1) * Lw)
-    phi = Gt.T @ (phi_xx @ q)
-
-    if H is None:
-        return np.linalg.solve(Phi_rr, -phi).reshape(K + 1, Lw)
-
     C = H.T @ Gt  # (Lh+L-1) x (K+1)Lw
     v = f - H.T @ q
 
-    import scipy.linalg  # deferred: the pivoted QR is scipy's alone, and only verification needs it
-
-    _, R, piv = scipy.linalg.qr(C.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    cut = diag[0] * max(C.shape) * np.finfo(float).eps if diag.size and diag[0] > 0 else 0.0
-    rank = int(np.sum(diag > cut))
+    U, sv, Vt = np.linalg.svd(C, full_matrices=False)
+    rank = int(np.sum(sv > sv[0] * max(C.shape) * np.finfo(float).eps))
     if rank < C.shape[0]:
-        logger.info("dropping %d dependent constraint rows (rank %d of %d)",
-                    C.shape[0] - rank, rank, C.shape[0])
-    keep = piv[:rank]
-    C_r = C[keep]
-    v_r = v[keep]
+        logger.info("reducing %d constraint rows to their rank %d", C.shape[0], rank)
+    C_r = sv[:rank, None] * Vt[:rank]  # U_r'C
+    v_r = U[:, :rank].T @ v
 
     n = (K + 1) * Lw
     kkt = np.zeros((n + rank, n + rank))
-    kkt[:n, :n] = 2.0 * Phi_rr
+    kkt[:n, :n] = 2.0 * (Gt.T @ phi_xx @ Gt + beta * np.eye(n))
     kkt[:n, n:] = C_r.T
     kkt[n:, :n] = C_r
-    rhs = np.concatenate([-2.0 * phi, v_r])
+    rhs = np.concatenate([-2.0 * Gt.T @ (phi_xx @ q), v_r])
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"KKT system is singular: {exc}") from exc
     w = sol[:n]
 
-    full_residual = float(np.linalg.norm(C @ w - v))
-    if full_residual > 1e-8 * (1.0 + float(np.linalg.norm(v))):
+    residual = float(np.linalg.norm(C @ w - v))
+    if residual > 1e-8 * (1.0 + float(np.linalg.norm(v))):
         raise InfeasibleConstraintError(
-            f"constraints inconsistent after rank reduction (residual {full_residual:.3g})",
-            residual=full_residual,
+            f"constraints inconsistent after rank reduction (residual {residual:.3g})"
         )
     return w.reshape(K + 1, Lw)
 

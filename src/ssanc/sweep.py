@@ -519,9 +519,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     block spectra of the observed stack are shared across the sweep,
     and the filters of all delays come from one batched solve.  Per
     delay, NR, SDI and effort are quadratic forms in the filter
-    (``metrics._FormScores``), and only the error signal is simulated
-    (``simulate._Blocks.error``), for the quality proxy; the speech and
-    noise parts of e and the drive y are never formed.  The rows agree
+    (``metrics._FormScores``), and only the error signal is simulated,
+    for the quality proxy: ``error(drive(w))`` on the observed stack's
+    ``simulate._Blocks``, the formula ``apply_control`` applies to the
+    speech and noise stacks.  The speech and noise parts of e and the
+    drive y are never formed.  The rows agree
     with ``apply_control`` and ``evaluate_run``, which ``ssanc
     simulate`` prints, up to rounding.  A numeric failure at one delay
     yields an error row and the sweep continues; any other exception
@@ -539,7 +541,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     mics = prep.mics
     x = mics.s + mics.v
     score = _FormScores(mics, x, prep.scene.g, config.Lw, max(prep.L, deltas[-1] + 1))
-    error = _Blocks(x, prep.scene.g, config.Lw).error
+    blocks = _Blocks(x, prep.scene.g, config.Lw)
     mic = target_mic(config.target_kind, prep.scene.spatial_ref)
     rows = []
     for delta, res in zip(deltas, designs):
@@ -548,7 +550,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                 raise res
             t = realize_target(mics, config.target_kind, delta, prep.scene.spatial_ref)
             nr_db, sdi_db, effort = score(res.filter, mic, delta, t)
-            quality_db = quality_proxy(t, error(res.filter))
+            quality_db = quality_proxy(t, blocks.error(blocks.drive(res.filter)))
         except NUMERIC_ERRORS as exc:  # record and continue with the other deltas
             rows.append(SweepRow(delta=delta, error=f"{type(exc).__name__}: {exc}"))
             continue

@@ -1,6 +1,6 @@
 """Thin WAV helpers.
 
-Reads 16/24-bit PCM and 32/64-bit float WAV through scipy.io.wavfile,
+Reads mono 16/24-bit PCM and 32/64-bit float WAV through scipy.io.wavfile,
 always returning float64, and writes float64 WAV with the standard
 library alone.  PCM is normalized to [-1, 1); floats pass through
 unchanged, so a write/read round trip is exact.
@@ -18,14 +18,13 @@ _PCM_SCALE = {np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}
 _WAVE_FORMAT_IEEE_FLOAT = 3
 
 
-def read_wav(path) -> tuple[int, np.ndarray]:
-    """Read a WAV file, returning (sample_rate, float64 array).
-
-    Multichannel data keeps its (frames, channels) shape.
-    """
+def read_wav_mono(path) -> tuple[int, np.ndarray]:
+    """Read a WAV file that must be single-channel, returning (sample_rate, float64 array)."""
     from scipy.io import wavfile  # deferred: only reading needs scipy
 
     fs, data = wavfile.read(str(path))
+    if data.ndim != 1:
+        raise ValueError(f"expected mono WAV, got {data.shape[1]} channels")
     if data.dtype in _PCM_SCALE:
         data = data.astype(np.float64) / _PCM_SCALE[data.dtype]
     elif data.dtype == np.uint8:
@@ -33,14 +32,6 @@ def read_wav(path) -> tuple[int, np.ndarray]:
     else:
         data = data.astype(np.float64)
     return int(fs), data
-
-
-def read_wav_mono(path) -> tuple[int, np.ndarray]:
-    """Read a WAV file that must be single-channel."""
-    fs, data = read_wav(path)
-    if data.ndim != 1:
-        raise ValueError(f"expected mono WAV, got {data.shape[1]} channels")
-    return fs, data
 
 
 def write_wav(path, fs: int, data: np.ndarray) -> None:

@@ -232,6 +232,28 @@ def test_design_matches_kkt_oracle_on_random_instances():
         assert res.constraint_residual <= 1e-8
 
 
+def test_rho_rule_design_is_the_penalty_minimizer():
+    """At rho > 0, by the default rule or set explicitly, the design is the minimizer of
+    E{e^2} + beta ||w||^2 + ||H'(q + Gt w) - f||^2 / rho: the dense solve of
+    (Gt' Phi_xx Gt + beta I + C'C / rho) w = C'(f - H'q) / rho - Gt' Phi_xx q, C = H'Gt."""
+    rng = np.random.default_rng(25)
+    worst = 0.0
+    for _ in range(60):
+        K = int(rng.integers(1, 4))
+        Lw, Lg, Lh = (int(rng.integers(3, 9)) for _ in range(3))
+        phi_xx, g, constraint, K, Lw, Gt, q = random_instance(rng, K, Lw, Lg, Lh)
+        f = constraint.f + rng.standard_normal(constraint.f.shape)  # the penalty is active
+        C = constraint.H.T @ Gt
+        for params in (DesignParams(), DesignParams(rho=0.05)):
+            res = _DesignContext(phi_xx, g, constraint.H, params, K, Lw).solve(f)
+            assert res.rho > 0.0
+            lhs = Gt.T @ phi_xx @ Gt + res.beta * np.eye(Gt.shape[1]) + C.T @ C / res.rho
+            rhs = C.T @ (f - constraint.H.T @ q) / res.rho - Gt.T @ (phi_xx @ q)
+            w = np.linalg.solve(lhs, rhs)
+            worst = max(worst, np.linalg.norm(res.filter.ravel() - w) / np.linalg.norm(w))
+    assert worst <= 1e-8
+
+
 @pytest.mark.parametrize("rho", [None, 0.0], ids=["rho-rule", "rho-zero"])
 def test_batched_solve_equals_one_solve_per_column(rho):
     rng = np.random.default_rng(21)
@@ -299,22 +321,6 @@ def test_kkt_solution_beats_feasible_perturbations():
     for _ in range(100):
         dw = Z @ rng.standard_normal(Z.shape[1]) * 0.3
         assert j_star <= objective(phi_xx, Gt, q, beta, w_star + dw) + 1e-10
-
-
-def test_kkt_unconstrained_limit_is_ridge_solution():
-    rng = np.random.default_rng(13)
-    K, Lw, Lg = 2, 4, 3
-    L = Lg + Lw - 1
-    phi_xx = random_psd((K + 1) * L, rng)
-    g = rng.standard_normal(Lg)
-    beta = 0.05
-    w = kkt_oracle(phi_xx, g, None, None, beta, K, Lw).ravel()
-    Gt = np.kron(np.eye(K + 1), build_conv_matrix(g, Lw))
-    q = build_q(K, L)
-    ridge = np.linalg.solve(
-        Gt.T @ phi_xx @ Gt + beta * np.eye((K + 1) * Lw), -Gt.T @ phi_xx @ q
-    )
-    np.testing.assert_allclose(w, ridge, atol=1e-10)
 
 
 def test_kkt_zero_action_case():
