@@ -10,15 +10,7 @@ trade-off.
 from ssanc.convmat import build_conv_matrix, build_q
 from ssanc.scene import MicSignals, Scene, load_scene_wav, render_mics, synth_scene
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
-from ssanc.solver import (
-    Constraint,
-    DesignParams,
-    DesignResult,
-    build_constraint,
-    design_control_filter,
-    estimate_autocorrelation,
-    kkt_oracle,
-)
+from ssanc.solver import DesignContext, DesignParams, DesignResult, kkt_oracle
 from ssanc.simulate import RunResult, apply_control, realize_target
 from ssanc.metrics import (
     MetricBundle,
@@ -43,12 +35,9 @@ __all__ = [
     "ReIRSet",
     "estimate_reirs",
     "design_min_phase_highpass",
-    "Constraint",
+    "DesignContext",
     "DesignParams",
     "DesignResult",
-    "estimate_autocorrelation",
-    "build_constraint",
-    "design_control_filter",
     "kkt_oracle",
     "RunResult",
     "apply_control",

@@ -3,8 +3,8 @@
 Lower-banded Toeplitz builders, their per-channel application to
 stacked multichannel vectors, the selection vector the filter designer
 is built on, the overlap-save block layout, and the
-structural frame products behind the autocorrelation and ReIR
-estimates.  The matrices are plain float64 and dense on purpose: the
+structural frame products behind the design's correlations and the
+ReIR estimates.  The matrices are plain float64 and dense on purpose: the
 problem sizes stay small enough that exactness and clarity win.  The
 frame products are the exception, because their frame matrices have N
 rows: they are formed from blockwise FFT cross-correlations and the
@@ -153,26 +153,38 @@ def frame_products(channels: np.ndarray, L: int) -> np.ndarray:
     of the (C, N) array ``channels``; the result is indexed
     ``R[a, i, b, j] = sum_n c_a(n-i) c_b(n-j)`` (reshape to (C*L, C*L)
     for the matrix).  The first row and column of every block come from
-    ``lagged_products``; the rest follows along the diagonals from
-
-        R[a, i+1, b, j+1] = R[a, i, b, j] + c_a(L-2-i) c_b(L-2-j)
-                                         - c_a(N-1-i) c_b(N-1-j)
-
-    which adds the frame entering at the head and drops the one leaving
-    at the tail.  Costs O(C N log(nfft) + C^2 (N + L^2)), with nfft the
-    block size of ``lagged_products``, instead of O(N (C L)^2).
-    Mirrored entries are computed by the same operations on the same
-    operands, so the matrix is exactly symmetric.
+    ``lagged_products``, the rest from ``frames_from_first_rows``.
+    Costs O(C N log(nfft) + C^2 (N + L^2)), with nfft the block size of
+    ``lagged_products``, instead of O(N (C L)^2).
     """
     C, N = channels.shape
     first = lagged_products(channels, channels, L)
-    # R[a, 0, b, 0] is read from both p[a, b, 0] and p[b, a, 0]; use one value
+    return frames_from_first_rows(first, channels[:, : L - 1][:, ::-1], channels[:, N - L + 1 :][:, ::-1])
+
+
+def frames_from_first_rows(first: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """The frame products ``R[a, i, b, j] = sum_{n=n0}^{n1} c_a(n-i) c_b(n-j)`` of
+    L-sample frames from their first rows ``first[a, b, j] = R[a, 0, b, j]``.
+
+    ``head`` holds the L - 1 samples c(n0-1), ..., c(n0-L+1) before the
+    first frame and ``tail`` the L - 1 samples c(n1), ..., c(n1-L+2)
+    ending the last, both newest first, one row per channel.  The rest
+    of R follows along the diagonals from
+
+        R[a, i+1, b, j+1] = R[a, i, b, j] + c_a(n0-1-i) c_b(n0-1-j)
+                                         - c_a(n1-i) c_b(n1-j)
+
+    which adds the frame entering at the head and drops the one leaving
+    at the tail.  Mirrored entries are computed by the same operations
+    on the same operands, so the matrix is exactly symmetric; ``first``
+    is made symmetric at lag 0 in place.
+    """
+    C, _, L = first.shape
+    # R[a, 0, b, 0] is read from both first[a, b, 0] and first[b, a, 0]; use one value
     first[:, :, 0] = (first[:, :, 0] + first[:, :, 0].T) / 2.0
     R = np.empty((C, L, C, L))
     R[:, 0] = first
     R[:, :, :, 0] = first.transpose(1, 2, 0)  # R[a, i, b, 0] = R[b, 0, a, i]
-    head = channels[:, : L - 1][:, ::-1]  # c(L-2-m), m = 0 .. L-2
-    tail = channels[:, N - L + 1 :][:, ::-1]  # c(N-1-m)
     for i in range(1, L):
         R[:, i, :, 1:] = (
             R[:, i - 1, :, :-1]

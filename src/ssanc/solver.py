@@ -19,6 +19,17 @@ is evaluated through two symmetric systems, with numpy.linalg only:
     M      = H' G Phi_rr^-1 G' H + rho I   (eigendecomposition: inverse for
                                             rho > 0, pseudo-inverse at rho = 0)
 
+The design reads the inputs only through the correlations of the
+filtered references r_c = g * x_c (S = G' Phi_xx G, G' Phi_xx q and
+q' Phi_xx q) and the constraint only through G'H and H'q.
+``DesignContext.from_signals``, which ``ssanc design`` and ``ssanc
+sweep`` use, takes them from the signals' lag correlations and the
+ReIRs' convolutions with g, so neither the ((K+1) L)^2 matrix Phi_xx nor
+H is ever formed.  The dense route (``input_frames``,
+``estimate_autocorrelation``, ``build_constraint``,
+``DesignContext.from_dense``, ``design_control_filter``) builds both and
+is the oracle the signals route is tested against.
+
 rho = 0 is the exact equality-constrained solution and is what the KKT
 oracle checks against; the inner matrix is then structurally
 rank-deficient whenever the secondary path has more than one tap, which
@@ -32,7 +43,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ssanc.convmat import build_conv_matrix, build_q, frame_products, per_channel
+from ssanc.convmat import (
+    build_conv_matrix, build_q, frame_products, frames_from_first_rows, lagged_products, next_fast_len,
+    per_channel,
+)
 from ssanc.reir import ReIRSet
 from ssanc.scene import MicSignals, integer
 
@@ -113,7 +127,8 @@ def input_frames(mics: MicSignals, L: int) -> InputFrames:
 
 
 def estimate_autocorrelation(frames: InputFrames) -> np.ndarray:
-    """Sample-average autocorrelation matrix (1/N) sum_n x(n) x'(n) of ``input_frames``.
+    """Sample-average autocorrelation matrix (1/N) sum_n x(n) x'(n) of ``input_frames``,
+    the dense oracle's Phi_xx.
 
     The sum over the N - L + 1 fully excited frames comes from the
     channels' cross-correlations (``convmat.frame_products``) without
@@ -189,41 +204,33 @@ def build_constraint(
     return Constraint(H=H, f=f)
 
 
-class _DesignContext:
-    """Factorized design state shared across constraint vectors.
+class DesignContext:
+    """Factorized design state shared across target vectors.
 
     Everything except f is independent of the target delay, so a sweep
-    assembles this once and solves all its target vectors in one call.
-    ``design_control_filter`` is the one-shot wrapper around the same
-    code path.
+    builds this once and solves all its target vectors in one call.  The
+    design reads the inputs only through three statistics of the frames
+    n = L-1 .. N-1, those of the filtered references r_c = g * x_c:
+
+        S = Gt' Phi_xx Gt      phi = Gt' Phi_xx q      power = q' Phi_xx q
+
+    and the constraint only through A = Gt'H and H'q.  ``from_signals``
+    takes them from the signals and the ReIRs (production);
+    ``from_dense`` projects a dense Phi_xx and H (the oracle).  Both
+    share this factorization: one ``eigvalsh`` of S whose top sets beta,
+    one multi-right-hand-side solve with S + beta I and one
+    eigendecomposition of the inner matrix whose top sets rho.
     """
 
-    def __init__(self, phi_xx, g, H, params: DesignParams, K: int, Lw: int):
-        phi_xx = np.asarray(phi_xx, dtype=float)
-        g = np.asarray(g, dtype=float).ravel()
-        Lg = g.shape[0]
-        L = Lg + Lw - 1
-        dim = (K + 1) * L
-        if phi_xx.shape != (dim, dim):
-            raise ValueError(
-                f"phi_xx has shape {phi_xx.shape}, expected ({dim}, {dim}) "
-                f"for K={K}, Lw={Lw}, Lg={Lg}"
-            )
-        if H.shape[0] != dim:
-            raise ValueError(f"constraint H has {H.shape[0]} rows, expected {dim}")
-
+    def __init__(self, S, phi, power: float, A, Hq, params: DesignParams, K: int, Lw: int):
         self.K = K
         self.Lw = Lw
-        self.L = L
-        self.phi_xx = phi_xx
-        self.H = H
-        self.G = build_conv_matrix(g, Lw)
-        self.q = build_q(K, L)
+        self.S = S
+        self.phi = phi
+        self.power = power
+        self.A = A  # Gt'H: (K+1)Lw x (Lh+L-1)
+        self.Hq = Hq
 
-        # Gt' Phi_xx' Gt for Gt = I_{K+1} (x) G: the transpose of Gt' Phi_xx Gt,
-        # with the same symmetric part
-        S = per_channel(self.G.T, per_channel(self.G.T, phi_xx).T)
-        S = (S + S.T) / 2.0
         # the spectrum's top sets beta, its bottom tells whether S + beta I is PD
         lam_S = np.linalg.eigvalsh(S)
         self.beta = max(float(lam_S[-1]), 0.0) / params.beta_div
@@ -237,16 +244,15 @@ class _DesignContext:
                 f"cannot factorize Phi_rr with beta={self.beta:g}; lower beta_div"
             )
 
-        A = per_channel(self.G.T, H)  # Gt'H: (K+1)Lw x (Lh+L-1)
-        phi = per_channel(self.G.T, phi_xx @ self.q)
-        S.flat[:: S.shape[0] + 1] += self.beta  # Phi_rr, in place
+        # Phi_rr = S + beta I in place for the solve; the saved diagonal restores S exactly
+        diagonal = S.diagonal().copy()
+        S.flat[:: S.shape[0] + 1] += self.beta
         sol = np.linalg.solve(S, np.column_stack([A, phi]))
+        S.flat[:: S.shape[0] + 1] = diagonal
         self.XA = sol[:, :-1]  # Phi_rr^-1 G'H
         self.xphi = sol[:, -1]  # Phi_rr^-1 phi
         M0 = A.T @ self.XA
         M0 = (M0 + M0.T) / 2.0
-        self.A = A
-        self.Hq = H.T @ self.q
 
         # one eigendecomposition of the PSD inner matrix gives rho, the
         # definiteness check and the inverse of M0 + rho I on its eigenbasis
@@ -265,6 +271,50 @@ class _DesignContext:
             cut = max(vals[-1], 0.0) * vals.size * np.finfo(float).eps
             self._inv = np.where(vals > cut, 1.0 / np.where(vals > cut, vals, 1.0), 0.0)
 
+    @classmethod
+    def from_signals(cls, mics: MicSignals, g, reirs: ReIRSet, params: DesignParams, Lw: int) -> "DesignContext":
+        """The design of (K+1, Lw) filters for the observed signals x = ``mics.s + mics.v``.
+
+        S, phi and power come from the lag correlations of x
+        (``_filtered_correlations``).  Block k of A is the transposed
+        convolution matrix of h_k * g, and H'q is the error microphone's
+        ReIR.  Neither Phi_xx nor H is formed.
+        """
+        g = np.asarray(g, dtype=float).ravel()
+        L = g.shape[0] + Lw - 1
+        if mics.N < L:
+            raise ValueError(f"signal length {mics.N} shorter than frame history {L}")
+        S, phi, power = _filtered_correlations(mics.s + mics.v, g, Lw)
+        A = np.vstack([build_conv_matrix(np.convolve(h_k, g), Lw).T for h_k in reirs.h])
+        Hq = np.concatenate([reirs.h[-1], np.zeros(L - 1)])
+        return cls(S, phi, power, A, Hq, params, mics.K, Lw)
+
+    @classmethod
+    def from_dense(cls, phi_xx, g, H, params: DesignParams, K: int, Lw: int) -> "DesignContext":
+        """The design for a dense (K+1)L x (K+1)L Phi_xx and constraint matrix H,
+        projected by Gt = I_{K+1} (x) G, one shared G: the oracle of ``from_signals``."""
+        phi_xx = np.asarray(phi_xx, dtype=float)
+        g = np.asarray(g, dtype=float).ravel()
+        Lg = g.shape[0]
+        L = Lg + Lw - 1
+        dim = (K + 1) * L
+        if phi_xx.shape != (dim, dim):
+            raise ValueError(
+                f"phi_xx has shape {phi_xx.shape}, expected ({dim}, {dim}) "
+                f"for K={K}, Lw={Lw}, Lg={Lg}"
+            )
+        if H.shape[0] != dim:
+            raise ValueError(f"constraint H has {H.shape[0]} rows, expected {dim}")
+        Gt = build_conv_matrix(g, Lw).T
+        q = build_q(K, L)
+        # Gt' Phi_xx' Gt: the transpose of Gt' Phi_xx Gt, with the same symmetric part
+        S = per_channel(Gt, per_channel(Gt, phi_xx).T)
+        phi_q = phi_xx @ q
+        return cls(
+            (S + S.T) / 2.0, per_channel(Gt, phi_q), float(q @ phi_q), per_channel(Gt, H), H.T @ q,
+            params, K, Lw,
+        )
+
     def solve(self, f: np.ndarray):
         """Design the filter for one target vector, or for each column of a matrix.
 
@@ -273,7 +323,9 @@ class _DesignContext:
         (flen, D) matrix is solved in one multi-right-hand-side pass and
         returns a list of D entries, each the ``DesignResult`` of its
         column or, where that column's taps are non-finite, the
-        ``SingularSystemError`` it would have raised.
+        ``SingularSystemError`` it would have raised.  The constraint
+        residual is ||H'q + A'w - f|| and the predicted error power
+        power + 2 phi'w + w'Sw, both without forming H or Phi_xx.
         """
         F = np.asarray(f, dtype=float)
         columns = F if F.ndim == 2 else F[:, None]
@@ -281,9 +333,8 @@ class _DesignContext:
         # (M0 + rho I)^-1 s column by column: a non-finite column fails only its own design
         mu = self._vecs @ (self._inv[:, None] * (self._vecs.T @ s))
         W = self.XA @ mu - self.xphi[:, None]
-        U = self.q[:, None] + per_channel(self.G, W)
-        residuals = np.linalg.norm(self.H.T @ U - columns, axis=0)
-        predicted = np.einsum("ij,ij->j", U, self.phi_xx @ U)
+        residuals = np.linalg.norm(self.Hq[:, None] + self.A.T @ W - columns, axis=0)
+        predicted = self.power + 2.0 * (self.phi @ W) + np.einsum("ij,ij->j", W, self.S @ W)
         results = []
         for j, w_flat in enumerate(np.ascontiguousarray(W.T)):
             if not np.all(np.isfinite(w_flat)):
@@ -305,6 +356,53 @@ class _DesignContext:
         return results[0]
 
 
+# the dense oracle constructor under the name the benchmark's traced pass resolves
+_DesignContext = DesignContext.from_dense
+
+
+def _filtered_correlations(x: np.ndarray, g: np.ndarray, Lw: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """S, phi and power of ``DesignContext.from_signals``: the means of r(n) r(n)',
+    r(n) p(n) and p(n)^2 over the frames n = L-1 .. N-1, for the filtered
+    references r_c = g * x_c from rest, r(n) their stacked Lw-sample
+    histories, and the primary signal p = x_K.
+
+    r is never formed.  One ``lagged_products`` pass over x gives its
+    correlations c_ab(k) over all n, and with gamma the autocorrelation
+    of g, r_a(n) r_b(n-j) sums over all n to sum_k gamma(k) c_ab(j-k).
+    Outside the frames, r is read only before n = L-1 and after n = N-Lw,
+    and those samples come from the first and last L-1 samples of x:
+    their products are subtracted from the first rows of S, and the rest
+    of S follows along its diagonals (``frames_from_first_rows``).  phi
+    is sum_m g(m) c_Kc(j+m) less the same head; p is zero past N - 1.
+    """
+    C, N = x.shape
+    Lg = g.shape[0]
+    L = Lg + Lw - 1
+    c = lagged_products(x, x, L, history=True)
+    lags = np.concatenate([c.transpose(1, 0, 2)[:, :, Lg - 1 : 0 : -1], c], axis=-1)  # -(Lg-1) .. L-1
+    full = np.lib.stride_tricks.sliding_window_view(lags, 2 * Lg - 1, axis=-1) @ np.correlate(g, g, "full")
+    # r(n) for n < L-1 (head) and for N-Lw < n < N+Lg-1 (tail), each from L-1 samples of x
+    nfft = next_fast_len(L + Lg - 1)
+    ends = np.fft.rfft(np.stack([x[:, : L - 1], x[:, N - L + 1 :]]), nfft) * np.fft.rfft(g, nfft)
+    ends = np.fft.irfft(ends, nfft)
+    head, tail = ends[0, :, : L - 1], ends[1, :, Lg - 1 : L + Lg - 2]
+    first = full - _edge_products(head, head, 0, Lw) - _edge_products(tail, tail, Lw - 1, Lw)
+    S = frames_from_first_rows(first, head[:, ::-1][:, : Lw - 1], tail[:, : Lw - 1][:, ::-1])
+    phi = np.lib.stride_tricks.sliding_window_view(c[-1], Lg, axis=-1) @ g
+    phi -= _edge_products(x[-1:, : L - 1], head, 0, Lw)[0]
+    frames = N - L + 1
+    S = S.reshape(C * Lw, C * Lw)
+    S /= frames
+    return S, phi.reshape(C * Lw) / frames, float(np.vdot(x[-1, L - 1 :], x[-1, L - 1 :])) / frames
+
+
+def _edge_products(a: np.ndarray, b: np.ndarray, first: int, Lw: int) -> np.ndarray:
+    """The (A, B, Lw) sums of a_i(n) b_k(n-j) over n = first .. len-1, j < Lw, b zero before n = 0."""
+    # frames[k, n, j] = b_k(n - j); the zero past the end keeps an empty b windowable
+    frames = np.lib.stride_tricks.sliding_window_view(np.pad(b, ((0, 0), (Lw - 1, 1))), Lw, axis=1)
+    return np.einsum("in,knj->ikj", a[:, first:], frames[:, first : b.shape[1], ::-1])
+
+
 def design_control_filter(
     phi_xx, g, constraint: Constraint, params: DesignParams, K: int, Lw: int
 ) -> DesignResult:
@@ -320,16 +418,16 @@ def design_control_filter(
 
     Returns a DesignResult carrying the filter, the resolved beta/rho,
     the constraint residual ||H'(q + G w) - f|| and the predicted error
-    power (q + G w)' Phi_xx (q + G w).
+    power (q + G w)' Phi_xx (q + G w): the dense oracle's one-shot design
+    (``DesignContext.from_dense``).
     """
-    ctx = _DesignContext(phi_xx, g, constraint.H, params, K, Lw)
-    return ctx.solve(constraint.f)
+    return DesignContext.from_dense(phi_xx, g, constraint.H, params, K, Lw).solve(constraint.f)
 
 
 def kkt_oracle(phi_xx, g, H, f, beta: float, K: int, Lw: int) -> np.ndarray:
     """Exact equality-constrained (K+1, Lw) minimizer via a direct KKT saddle-point solve.
 
-    Verification-only counterpart of ``_DesignContext`` at rho = 0, for
+    Verification-only counterpart of ``DesignContext`` at rho = 0, for
     the constraint H'(q + G w) = f.  The constraint rows C = H'Gt are
     reduced to their row space by an SVD, which shares nothing with the
     design's eigh and solve, before the saddle solve; if the solution

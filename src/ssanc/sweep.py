@@ -46,15 +46,13 @@ from ssanc.scene import (
 )
 from ssanc.simulate import _Blocks, apply_control, export_run_wavs, realize_target
 from ssanc.solver import (
+    DesignContext,
     DesignParams,
     InfeasibleConstraintError,
     SingularSystemError,
     TARGET_KINDS,
     _constraint_matrix,
     _constraint_vector,
-    _DesignContext,
-    estimate_autocorrelation,
-    input_frames,
     kkt_oracle,
     load_filter_json,
     max_delay,
@@ -381,12 +379,14 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
 
     Every command holds the (K+1, n) speech and noise stacks and a third
     stack: their sum while the design correlates them, the convolutions
-    while they are rendered.  A design (``design``, ``sweep``) holds
-    Phi_xx, ((K+1) L)^2 floats, which the design context keeps to the
-    end, and, while it fits and factorizes, the ReIR fit's white-noise
-    rendering, two stacks and its source, as much again as Phi_xx for
-    the products that form S, and S, ((K+1) Lw)^2 floats.  A simulation
-    of sim_taps-tap filters holds overlap-save block spectra
+    while they are rendered.  A design (``design``, ``sweep``) holds the
+    factorized ``DesignContext`` to the end: S, ((K+1) Lw)^2 floats, A
+    and Phi_rr^-1 A, (K+1) Lw (Lh + L - 1) floats each, and the
+    eigenvectors of M0, (Lh + L - 1)^2 floats; it never forms Phi_xx or
+    H.  On top of that it holds, while it fits the ReIRs, the fit's
+    white-noise rendering, two stacks and its source, and, while it
+    factorizes, the right-hand sides of the solve, as many floats as A.
+    A simulation of sim_taps-tap filters holds overlap-save block spectra
     (``simulate._Blocks``): ``simulate`` those of both stacks and the
     five n-sample signals of one run; ``sweep`` those of the observed
     stack x = s + v, one stack for the blocks they are taken from, the
@@ -394,16 +394,18 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
     from (``metrics._FormScores``): the spectra of (K+1)^2 correlations
     over P = max(L, the last delay + 1) lags of s and of v and sim_taps
     lags of x, about one complex value per lag.  A sweep frees the fit's
-    rendering and the design's products before it scores, so it needs
-    the larger of the two phases.
+    rendering and the solve's right-hand sides before it scores, so it
+    needs the largest of these phases, not their sum.
     """
     C = K + 1
     need = 3 * 8 * C * n
     phases = [0]
     if design:
         L = config.Lg + config.Lw - 1
-        need += 8 * (C * L) ** 2
-        phases.append(8 * ((2 * C + 1) * n + (C * L) ** 2 + (C * config.Lw) ** 2))
+        flen = config.Lh + L - 1
+        A = C * config.Lw * flen
+        need += 8 * ((C * config.Lw) ** 2 + 2 * A + flen**2)
+        phases += [8 * (2 * C + 1) * n, 8 * A]
     if sim_taps is not None:
         memory = sim_taps + config.Lg - 2
         nfft = block_fft_len(memory, n)
@@ -496,25 +498,24 @@ def _fit_secondary(g, Lg: int) -> np.ndarray:
     return g
 
 
-def _prepare_design(config: SweepConfig, simulate: bool = True) -> tuple[PreparedScene, _DesignContext]:
+def _prepare_design(config: SweepConfig, simulate: bool = True) -> tuple[PreparedScene, DesignContext]:
     """Scene and factorized design: all that no delay changes.
 
     ``run_sweep`` and ``ssanc design`` (which does not simulate) both
     start here; ``ctx.solve`` then designs the filter for one target
-    vector.
+    vector.  The design is taken from the signals
+    (``DesignContext.from_signals``): no Phi_xx and no H is formed.
     """
     prep = prepare_scene(config, simulate)
-    phi_xx = estimate_autocorrelation(input_frames(prep.mics, prep.L))
-    H = _constraint_matrix(prep.reirs, prep.L)
     params = DesignParams(beta_div=config.beta_div, rho_div=config.rho_div)
-    ctx = _DesignContext(phi_xx, prep.scene.g, H, params, prep.scene.K, config.Lw)
+    ctx = DesignContext.from_signals(prep.mics, prep.scene.g, prep.reirs, params, config.Lw)
     return prep, ctx
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Design and score one filter per delay in the configured range.
 
-    The scene rendering, ReIR estimation, input autocorrelation, all
+    The scene rendering, ReIR estimation, the design's correlations, all
     delay-independent factorizations, the lag correlations and the
     block spectra of the observed stack are shared across the sweep,
     and the filters of all delays come from one batched solve.  Per
@@ -645,7 +646,7 @@ def verify_against_oracle(trials: int = 20, dims: tuple[int, int, int] | None = 
         w0 = rng.standard_normal((K + 1) * Lw)
         f = H.T @ (build_q(K, L) + per_channel(build_conv_matrix(g, Lw), w0))
 
-        res = _DesignContext(phi_xx, g, H, DesignParams(rho=0.0), K, Lw).solve(f)
+        res = DesignContext.from_dense(phi_xx, g, H, DesignParams(rho=0.0), K, Lw).solve(f)
         oracle = kkt_oracle(phi_xx, g, H, f, res.beta, K, Lw)
         num = np.linalg.norm(res.filter - oracle)
         den = max(np.linalg.norm(oracle), 1e-300)

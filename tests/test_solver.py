@@ -7,11 +7,13 @@ from ssanc.scene import MicSignals, render_mics, synth_scene
 from ssanc.signals import white_noise
 from ssanc.solver import (
     Constraint,
+    DesignContext,
     DesignParams,
     InfeasibleConstraintError,
     InputFrames,
     SingularSystemError,
     _DesignContext,
+    _constraint_matrix,
     build_constraint,
     design_control_filter,
     estimate_autocorrelation,
@@ -128,6 +130,47 @@ def test_structural_autocorrelation_at_paper_dimension():
 def test_input_frames_rejects_short_signals():
     with pytest.raises(ValueError, match="shorter than frame history"):
         input_frames(random_mics(1, 4, 0), 5)
+
+
+# ---------------------------------------------------------------------------
+# design statistics from the signals
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("K, Lw, Lg, Lh, N", [
+    (1, 1, 1, 1, 1), (1, 1, 1, 3, 40), (2, 1, 5, 3, 40), (2, 5, 1, 4, 40),
+    (3, 6, 4, 5, 9), (2, 7, 9, 6, 400), (4, 12, 20, 8, 3000),
+])
+def test_signals_statistics_equal_the_projected_frame_product(K, Lw, Lg, Lh, N):
+    """``DesignContext.from_signals`` on random signals, down to one frame and to
+    one-tap filters or paths: S, phi, power, A and H'q equal the projections of
+    the explicit frame product X'X / (N - L + 1) and of H by Gt = I (x) G."""
+    rng = np.random.default_rng(100 * K + 10 * Lw + Lg)
+    mics = random_mics(K, N, seed=N + Lg)
+    g = rng.standard_normal(Lg)
+    reirs = ReIRSet(h=rng.standard_normal((K + 1, Lh)), spatial_ref=0)
+    ctx = DesignContext.from_signals(mics, g, reirs, DesignParams(), Lw)
+    L = Lg + Lw - 1
+    X = stacked_frames(mics.s + mics.v, L)
+    phi_xx = X.T @ X / len(X)
+    Gt = np.kron(np.eye(K + 1), build_conv_matrix(g, Lw))
+    q = build_q(K, L)
+    H = _constraint_matrix(reirs, L)
+    dense = {
+        "S": Gt.T @ phi_xx @ Gt, "phi": Gt.T @ (phi_xx @ q), "power": q @ phi_xx @ q,
+        "A": Gt.T @ H, "Hq": H.T @ q,
+    }
+    for key, expected in dense.items():
+        actual = getattr(ctx, key)
+        assert np.shape(actual) == np.shape(expected), key
+        assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected)), key
+    np.testing.assert_array_equal(ctx.S, ctx.S.T)
+
+
+def test_signals_design_rejects_short_signals():
+    reirs = ReIRSet(h=np.ones((2, 3)), spatial_ref=0)
+    with pytest.raises(ValueError, match="shorter than frame history"):
+        DesignContext.from_signals(random_mics(1, 4, 0), np.ones(3), reirs, DesignParams(), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,14 @@ import ssanc.signals
 import ssanc.sweep as sweep_mod
 from ssanc import wavio
 from ssanc.reir import ReIRSet
+from ssanc.convmat import build_conv_matrix, build_q
 from ssanc.solver import (
     TARGET_KINDS,
+    DesignContext,
     DesignParams,
+    _constraint_matrix,
+    _DesignContext,
     build_constraint,
-    design_control_filter,
     estimate_autocorrelation,
     input_frames,
     max_delay,
@@ -441,10 +444,12 @@ def test_design_and_sweep_never_import_scipy(tmp_path):
 
 
 def test_design_matrices_that_cannot_fit_are_refused(tmp_path):
-    """Lw = Lg = 2000 at K = 2 needs about 2.4 GiB of dense matrices; under a
+    """Lw = Lg = 3000 at K = 2 needs about 2.1 GiB of design matrices; under a
     1.5 GiB address-space limit, set in the child process only, ``ssanc
     design`` exits 1 with one line before it allocates them."""
-    cfg = write_quick_config(tmp_path, Lw=2000, Lg=2000)
+    cfg = write_quick_config(tmp_path, Lw=3000, Lg=3000)
+    config = SweepConfig.from_json(cfg)
+    assert sweep_mod._memory_need(config, 2, 24000, design=True, sim_taps=None) > 2 * 2**30
     code = (
         "import resource, sys\n"
         "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
@@ -761,6 +766,29 @@ def test_memory_need_is_near_the_traced_peak(tmp_path, monkeypatch, name):
         assert 0.75 <= ratio <= MEMORY_RATIO_HIGH[name], (command, ratio)
 
 
+@pytest.mark.parametrize("command", ["design", "sweep"])
+def test_memory_need_is_near_the_traced_peak_of_a_paper_scale_design(tmp_path, monkeypatch, command):
+    """On paper_scale, where the design's matrices dominate, the ``_memory_need``
+    of ``ssanc design`` and ``ssanc sweep`` lies within 0.75 and 1.25 of its
+    tracemalloc peak."""
+    import tracemalloc
+
+    monkeypatch.chdir(tmp_path)
+    path = str(ROOT / "configs" / "paper_scale.json")
+    config = SweepConfig.from_json(path)
+    n = int(round(config.duration_s * config.fs))
+    extra = {"design": ["--delta", "0", "--out", "f.json"], "sweep": ["--out", "rows.csv"]}[command]
+    tracemalloc.start()
+    try:
+        assert cli_main([command, "--config", path, *extra]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sim_taps = config.Lw if command == "sweep" else None
+    ratio = sweep_mod._memory_need(config, config.scene["K"], n, True, sim_taps) / peak
+    assert 0.75 <= ratio <= 1.25, ratio
+
+
 FIG3 = str(Path(__file__).parents[1] / "configs" / "fig3_synthetic.json")
 
 
@@ -802,16 +830,16 @@ def test_cli_bad_argument_is_one_line_error(tmp_path, monkeypatch, capsys, argv)
 
 
 def test_cli_design_matches_library_path(tmp_path):
+    """``ssanc design`` writes exactly the taps and diagnostics of the production
+    ``DesignContext.from_signals`` solve for its delay."""
     cfg = write_quick_config(tmp_path)
     out = tmp_path / "filter.json"
     assert cli_main(["design", "--config", str(cfg), "--delta", "2", "--seed", "5", "--out", str(out)]) == 0
     config = SweepConfig.from_dict({**json.loads(cfg.read_text()), "seed": 5})
     prep = sweep_mod.prepare_scene(config)
-    g = sweep_mod._fit_secondary(prep.scene.g, config.Lg)
-    phi_xx = estimate_autocorrelation(input_frames(prep.mics, prep.L))
-    constraint = build_constraint(prep.reirs, prep.psi, config.target_kind, 2, config.Lw, config.Lg)
     params = DesignParams(beta_div=config.beta_div, rho_div=config.rho_div)
-    res = design_control_filter(phi_xx, g, constraint, params, prep.scene.K, config.Lw)
+    ctx = DesignContext.from_signals(prep.mics, prep.scene.g, prep.reirs, params, config.Lw)
+    res = ctx.solve(sweep_mod._constraint_vector(prep.reirs, prep.psi, config.target_kind, 2, prep.L))
 
     payload = json.loads(out.read_text())
     assert np.array_equal(np.array(payload["w"]), res.filter)
@@ -1012,7 +1040,8 @@ def test_reemitted_speech_is_least_at_the_delay_the_target_allows(name, best, at
     speech = _FilteredEnergy(prep.mics.s, prep.L)
     q = np.eye(prep.mics.K + 1)[:, -1:]  # the primary sample: the error microphone at lag 0
     assert speech(q) == pytest.approx(float(np.vdot(prep.mics.p_s, prep.mics.p_s)), rel=1e-12)
-    reemitted = [10 * np.log10(speech(res.filter @ ctx.G.T) / speech(q)) for _, res in designs]
+    G = build_conv_matrix(prep.scene.g, config.Lw)
+    reemitted = [10 * np.log10(speech(res.filter @ G.T) / speech(q)) for _, res in designs]
     assert deltas[int(np.argmin(reemitted))] == best
     assert reemitted[deltas.index(best)] == pytest.approx(at_best, abs=0.01)
     assert reemitted[deltas.index(other)] == pytest.approx(at_other, abs=0.01)
@@ -1028,3 +1057,95 @@ def test_wav_source_cut_to_the_duration_owns_its_samples(tmp_path):
     source = sweep_mod._load_source(path, config, n)
     assert source.shape == (n,) and source.nbytes == 8 * n
     assert source.base is None
+
+
+# ---------------------------------------------------------------------------
+# the design from the signals and its dense oracle
+# ---------------------------------------------------------------------------
+
+K4_SCENE = json.loads((ROOT / "configs" / "paper_scale.json").read_text())["scene"]
+# secondary-path taps that start at lag 0, unlike synth_scene's pulse model
+LAG0_TAPS = [0.9, -0.4, 0.3, 0.25, -0.2, 0.15, 0.1, -0.1, 0.05, 0.05, -0.02, 0.01]
+STATISTICS_CONFIGS = {
+    "fig3_synthetic": lambda: SweepConfig.from_json(ROOT / "configs" / "fig3_synthetic.json"),
+    "K4": lambda: quick_config(scene=K4_SCENE, psi=120.0),
+    "g_taps_lag0": lambda: quick_config(scene={**default_scene_dict(), "g_taps": LAG0_TAPS}),
+}
+
+
+def dense_inputs(prep):
+    """Phi_xx and H of the dense route, the oracle's inputs."""
+    return estimate_autocorrelation(input_frames(prep.mics, prep.L)), _constraint_matrix(prep.reirs, prep.L)
+
+
+@pytest.mark.parametrize("name", list(STATISTICS_CONFIGS))
+def test_signals_design_statistics_equal_the_dense_projections(name):
+    """S, phi, q'Phi_xx q, A and H'q of the production design equal Gt'Phi_xx Gt,
+    Gt'Phi_xx q, q'Phi_xx q, Gt'H and H'q of the dense Phi_xx and H, with
+    Gt = I (x) G built as a Kronecker product, to 1e-12 of each one's scale."""
+    config = STATISTICS_CONFIGS[name]()
+    prep, ctx = sweep_mod._prepare_design(config)
+    if name == "g_taps_lag0":
+        assert prep.scene.g[0] != 0.0
+    phi_xx, H = dense_inputs(prep)
+    Gt = np.kron(np.eye(prep.scene.K + 1), build_conv_matrix(prep.scene.g, config.Lw))
+    q = build_q(prep.scene.K, prep.L)
+    dense = {
+        "S": Gt.T @ phi_xx @ Gt, "phi": Gt.T @ (phi_xx @ q), "power": q @ phi_xx @ q,
+        "A": Gt.T @ H, "Hq": H.T @ q,
+    }
+    for key, expected in dense.items():
+        actual = getattr(ctx, key)
+        assert np.shape(actual) == np.shape(expected), key
+        assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected)), key
+    np.testing.assert_array_equal(ctx.S, ctx.S.T)
+
+
+@pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic", "paper_anechoic_error"])
+def test_production_design_matches_the_dense_oracle(name):
+    """At every delay, the taps, beta, rho, constraint residual and predicted error
+    power of the production design lie within 1e-10 of the dense route's, relative."""
+    config = SweepConfig.from_json(ROOT / "configs" / f"{name}.json")
+    prep, ctx = sweep_mod._prepare_design(config)
+    params = DesignParams(beta_div=config.beta_div, rho_div=config.rho_div)
+    phi_xx, H = dense_inputs(prep)
+    oracle = _DesignContext(phi_xx, prep.scene.g, H, params, prep.scene.K, config.Lw)
+    for (delta, res), (_, ref) in zip(solve_every_delay(prep, ctx, config), solve_every_delay(prep, oracle, config)):
+        assert np.linalg.norm(res.filter - ref.filter) <= 1e-10 * np.linalg.norm(ref.filter), delta
+        for key in ("beta", "rho", "constraint_residual", "predicted_error_power"):
+            assert getattr(res, key) == pytest.approx(getattr(ref, key), rel=1e-10, abs=0.0), (delta, key)
+
+
+def test_design_and_sweep_never_form_phi_xx_or_h(tmp_path, monkeypatch):
+    """``ssanc design`` and ``ssanc sweep`` run with the dense route's
+    autocorrelation and constraint matrix made to raise."""
+    import ssanc.solver
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the production design formed Phi_xx or H")
+
+    for name in ("estimate_autocorrelation", "input_frames", "_constraint_matrix", "build_constraint"):
+        monkeypatch.setattr(ssanc.solver, name, forbidden)
+        monkeypatch.setattr(sweep_mod, name, forbidden, raising=False)
+    cfg = write_quick_config(tmp_path)
+    assert cli_main(["design", "--config", str(cfg), "--delta", "2", "--out", str(tmp_path / "f.json")]) == 0
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 0
+
+
+def test_paper_scale_design_peak_and_held_arrays():
+    """On paper_scale ((K+1) L = 2795) the scene and design stage peaks at most
+    80 MiB under tracemalloc, and the context keeps no ((K+1) L)^2 array."""
+    import tracemalloc
+
+    config = SweepConfig.from_json(ROOT / "configs" / "paper_scale.json")
+    tracemalloc.start()
+    try:
+        prep, ctx = sweep_mod._prepare_design(config, simulate=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 2**20, peak / 2**20
+    dim = (prep.scene.K + 1) * prep.L
+    assert dim == 2795
+    held = [value.size for value in vars(ctx).values() if isinstance(value, np.ndarray)]
+    assert held and max(held) < dim**2
