@@ -25,7 +25,7 @@ SDI_FLOOR_DB = -120.0
 # quality_proxy frame, the shortest signal a run can be scored on, and hop
 QUALITY_FRAME = 512
 _QUALITY_HOP = 256
-# voiced frames transformed per batch by quality_proxy: bounds its
+# frames summed or transformed per batch by quality_proxy: bounds its
 # temporaries to a few MB whatever the signal length
 _QUALITY_BLOCK = 256
 
@@ -104,7 +104,10 @@ def quality_proxy(t, u) -> float:
     window = np.hanning(QUALITY_FRAME)
     t_frames = np.lib.stride_tricks.sliding_window_view(t, QUALITY_FRAME)[::_QUALITY_HOP]
     u_frames = np.lib.stride_tricks.sliding_window_view(u, QUALITY_FRAME)[::_QUALITY_HOP]
-    energies = np.sum(t_frames**2, axis=1)
+    energies = np.concatenate([
+        np.sum(t_frames[start : start + _QUALITY_BLOCK] ** 2, axis=1)
+        for start in range(0, t_frames.shape[0], _QUALITY_BLOCK)
+    ])
     peak = float(np.max(energies))
     if peak <= 0.0:
         raise ValueError("all-silent reference signal")

@@ -47,7 +47,11 @@ def realize_target(mics: MicSignals, target_kind: str, delta: int, spatial_ref: 
         raise ValueError(f"delta must be >= 0, got {delta}")
     if not 0 <= spatial_ref < mics.K:
         raise ValueError(f"spatial_ref {spatial_ref} outside [0, {mics.K})")
-    x = mics.s[target_mic(target_kind, spatial_ref)]
+    return _delayed(mics.s[target_mic(target_kind, spatial_ref)], delta)
+
+
+def _delayed(x: np.ndarray, delta: int) -> np.ndarray:
+    """x delayed by delta >= 0 samples from rest, cut to its own length."""
     t = np.zeros_like(x)
     t[delta:] = x[: max(x.shape[0] - delta, 0)]
     return t
@@ -91,7 +95,9 @@ class _Blocks:
         """The error signal x_K + g * y of a drive y whose block spectra Y are those of
         ``drive``, x_K the stack's last row; Y is overwritten."""
         Y *= self.G
-        return self.p + self.signal(Y)
+        e = self.signal(Y)
+        e += self.p
+        return e
 
 
 def apply_control(

@@ -12,7 +12,10 @@ quadratic forms in each filter over lag correlations of the speech,
 noise and observed stacks, taken once (``metrics._FormScores``), and
 takes the overlap-save block spectra of the observed stack once
 (``simulate._Blocks``), so that per delay it simulates only the error
-signal, for the quality proxy.  ``ssanc simulate`` runs the same kernel
+signal, for the quality proxy.  Those numpy transforms release the GIL,
+so the sweep runs them on one thread per CPU, after it has freed the
+design and the speech and noise stacks to make room for the threads'
+signals.  ``ssanc simulate`` runs the same kernel
 on the speech and noise stacks (``apply_control``), writes the WAVs and
 prints the four metrics of the sweep's row for its delay
 (``evaluate_run``), the oracle the sweep's scores are tested against.
@@ -23,6 +26,7 @@ in a few seconds.
 """
 
 import argparse
+import contextvars
 import csv
 import json
 import math
@@ -32,19 +36,20 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from ssanc import signals, wavio
 from ssanc.convmat import block_fft_len, build_conv_matrix, build_q, per_channel
-from ssanc.metrics import QUALITY_FRAME, _FormScores, evaluate_run, quality_proxy
+from ssanc.metrics import _QUALITY_BLOCK, QUALITY_FRAME, _FormScores, evaluate_run, quality_proxy
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
     MicSignals, ScalingError, Scene, SceneLoadError, default_ir_len, integer, load_scene_wav,
     render_mics, synth_scene,
 )
-from ssanc.simulate import _Blocks, apply_control, export_run_wavs, realize_target
+from ssanc.simulate import _Blocks, _delayed, apply_control, export_run_wavs
 from ssanc.solver import (
     DesignContext,
     DesignParams,
@@ -379,43 +384,54 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
 
     Every command holds the (K+1, n) speech and noise stacks and a third
     stack: their sum while the design correlates them, the convolutions
-    while they are rendered.  A design (``design``, ``sweep``) holds the
-    factorized ``DesignContext`` to the end: S, ((K+1) Lw)^2 floats, A
-    and Phi_rr^-1 A, (K+1) Lw (Lh + L - 1) floats each, and the
+    while they are rendered.  A design (``design``, ``sweep``) holds, on
+    top of them, the factorized ``DesignContext``: S, ((K+1) Lw)^2
+    floats, A and Phi_rr^-1 A, (K+1) Lw (Lh + L - 1) floats each, and the
     eigenvectors of M0, (Lh + L - 1)^2 floats; it never forms Phi_xx or
-    H.  On top of that it holds, while it fits the ReIRs, the fit's
-    white-noise rendering, two stacks and its source, and, while it
-    factorizes, the right-hand sides of the solve, as many floats as A.
-    A simulation of sim_taps-tap filters holds overlap-save block spectra
+    H.  With it come, while it fits the ReIRs, the fit's white-noise
+    rendering, two stacks and its source, and, while it factorizes, the
+    right-hand sides of the solve, as many floats as A.  A simulation of
+    sim_taps-tap filters holds overlap-save block spectra
     (``simulate._Blocks``): ``simulate`` those of both stacks and the
-    five n-sample signals of one run; ``sweep`` those of the observed
-    stack x = s + v, one stack for the blocks they are taken from, the
-    e and t of one delay, and the lag correlations its energies are scored
-    from (``metrics._FormScores``): the spectra of (K+1)^2 correlations
-    over P = max(L, the last delay + 1) lags of s and of v and sim_taps
-    lags of x, about one complex value per lag.  A sweep frees the fit's
-    rendering and the solve's right-hand sides before it scores, so it
-    needs the largest of these phases, not their sum.
+    five n-sample signals of one run.  ``sweep`` frees the design after
+    its solve and then takes, next to the three stacks, those of the
+    observed stack x = s + v from its blocks, and the lag correlations
+    its energies are scored from (``metrics._FormScores``): the spectra
+    of (K+1)^2 correlations over P = max(L, the last delay + 1) lags of
+    s and of v and sim_taps lags of x, about one complex value per lag.
+    It then frees the speech and noise stacks and keeps x, the target
+    microphone's speech row, the spectra and the correlations, and each
+    of its ``_workers`` threads holds the t and e of one delay and either
+    the block spectra of its drive and their inverse transform or the
+    quality proxy's frame batches, about three (``_QUALITY_BLOCK``,
+    ``QUALITY_FRAME``) arrays.  A command needs the largest of its
+    phases, not their sum.
     """
     C = K + 1
-    need = 3 * 8 * C * n
-    phases = [0]
+    stacks = 3 * 8 * C * n
+    phases = [stacks]
     if design:
         L = config.Lg + config.Lw - 1
         flen = config.Lh + L - 1
         A = C * config.Lw * flen
-        need += 8 * ((C * config.Lw) ** 2 + 2 * A + flen**2)
-        phases += [8 * (2 * C + 1) * n, 8 * A]
+        context = 8 * ((C * config.Lw) ** 2 + 2 * A + flen**2)
+        phases.append(stacks + context + 8 * max((2 * C + 1) * n, A))
     if sim_taps is not None:
         memory = sim_taps + config.Lg - 2
         nfft = block_fft_len(memory, n)
-        spectra = 16 * C * -(-n // (nfft - memory)) * (nfft // 2 + 1)
+        blocks = -(-n // (nfft - memory))
+        spectra = 16 * C * blocks * (nfft // 2 + 1)
         if design:
             P = max(config.Lg + config.Lw - 1, config.delta_range[1] + 1)
-            phases.append(spectra + 8 * (C + 2) * n + 16 * C * C * (2 * P + sim_taps))
+            forms = 16 * C * C * (2 * P + sim_taps)
+            per_worker = 16 * n + max(spectra // C + 8 * blocks * nfft, 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME)
+            phases += [
+                stacks + 8 * C * blocks * nfft + spectra + forms,
+                8 * (C + 1) * n + spectra + forms + _workers(len(config.deltas())) * per_worker,
+            ]
         else:
-            phases.append(2 * spectra + 8 * 5 * n)
-    return need + max(phases)
+            phases.append(stacks + 2 * spectra + 8 * 5 * n)
+    return max(phases)
 
 
 def _refuse_unless_fits(config: SweepConfig, K: int, n: int, design: bool, sim_taps: int | None) -> None:
@@ -512,6 +528,16 @@ def _prepare_design(config: SweepConfig, simulate: bool = True) -> tuple[Prepare
     return prep, ctx
 
 
+def _workers(tasks: int) -> int:
+    """Threads a sweep of ``tasks`` delays simulates on: one per CPU this
+    process may run on, and no more than there are delays."""
+    return min(len(os.sched_getaffinity(0)), tasks)
+
+
+def _failed(delta: int, exc: Exception) -> SweepRow:
+    return SweepRow(delta=delta, error=f"{type(exc).__name__}: {exc}")
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Design and score one filter per delay in the configured range.
 
@@ -520,15 +546,20 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     block spectra of the observed stack are shared across the sweep,
     and the filters of all delays come from one batched solve.  Per
     delay, NR, SDI and effort are quadratic forms in the filter
-    (``metrics._FormScores``), and only the error signal is simulated,
-    for the quality proxy: ``error(drive(w))`` on the observed stack's
-    ``simulate._Blocks``, the formula ``apply_control`` applies to the
-    speech and noise stacks.  The speech and noise parts of e and the
-    drive y are never formed.  The rows agree
-    with ``apply_control`` and ``evaluate_run``, which ``ssanc
-    simulate`` prints, up to rounding.  A numeric failure at one delay
-    yields an error row and the sweep continues; any other exception
-    propagates.
+    (``metrics._FormScores``), scored serially, and only the error
+    signal is simulated, for the quality proxy: ``error(drive(w))`` on
+    the observed stack's ``simulate._Blocks``, the formula
+    ``apply_control`` applies to the speech and noise stacks.  The
+    speech and noise parts of e and the drive y are never formed.
+    Before it simulates, the sweep frees the factorized design and the
+    speech and noise stacks, keeping only the target microphone's
+    speech row; the error signals and quality proxies, numpy transforms
+    that release the GIL, then run on ``_workers`` threads, and the rows
+    come back in delay order.  The rows agree with ``apply_control``
+    and ``evaluate_run``, which ``ssanc simulate`` prints, up to
+    rounding, and do not depend on the number of threads.  A numeric
+    failure at one delay yields an error row and the sweep continues;
+    any other exception propagates.
     """
     prep, ctx = _prepare_design(config)
     deltas = config.deltas()
@@ -538,32 +569,57 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     ])
     designs = ctx.solve(F)
     design_ms = (time.perf_counter() - t0) * 1e3 / len(deltas)
+    del ctx, F  # only the solve needs the factorized design
 
-    mics = prep.mics
-    x = mics.s + mics.v
-    score = _FormScores(mics, x, prep.scene.g, config.Lw, max(prep.L, deltas[-1] + 1))
-    blocks = _Blocks(x, prep.scene.g, config.Lw)
+    mics, g = prep.mics, prep.scene.g
     mic = target_mic(config.target_kind, prep.scene.spatial_ref)
+    x = mics.s + mics.v
+    score = _FormScores(mics, x, g, config.Lw, max(prep.L, deltas[-1] + 1))
+    blocks = _Blocks(x, g, config.Lw)
+    target = mics.s[mic].copy()
+    # blocks keeps x's last row, and so x; the speech and noise stacks go
+    del prep, mics, x
+
     rows = []
     for delta, res in zip(deltas, designs):
         try:
             if isinstance(res, Exception):
                 raise res
-            t = realize_target(mics, config.target_kind, delta, prep.scene.spatial_ref)
-            nr_db, sdi_db, effort = score(res.filter, mic, delta, t)
-            quality_db = quality_proxy(t, blocks.error(blocks.drive(res.filter)))
+            nr_db, sdi_db, effort = score(res.filter, mic, delta, _delayed(target, delta))
         except NUMERIC_ERRORS as exc:  # record and continue with the other deltas
-            rows.append(SweepRow(delta=delta, error=f"{type(exc).__name__}: {exc}"))
+            rows.append(_failed(delta, exc))
             continue
         rows.append(SweepRow(
             delta=delta,
             nr_db=nr_db,
             sdi_db=sdi_db,
-            quality_db=quality_db,
             effort=effort,
             constraint_residual=res.constraint_residual,
             design_ms=design_ms,
         ))
+
+    def quality(delta: int, w: np.ndarray):
+        """The quality proxy of filter w at delay delta, or the numeric failure that stopped it."""
+        try:
+            return quality_proxy(_delayed(target, delta), blocks.error(blocks.drive(w)))
+        except NUMERIC_ERRORS as exc:
+            return exc
+
+    # imported late: no other command loads its modules, and here their
+    # 0.6 MB come after the design's memory peak, not on top of it
+    from concurrent.futures import ThreadPoolExecutor
+
+    scored = [i for i, row in enumerate(rows) if not row.error]
+    # each task runs in a copy of this thread's context, so that numpy's
+    # error state (np.errstate) holds in the workers as it does here
+    contexts = [contextvars.copy_context() for _ in scored]
+    with ThreadPoolExecutor(_workers(len(deltas))) as pool:
+        qualities = pool.map(
+            contextvars.Context.run, contexts, repeat(quality),
+            [deltas[i] for i in scored], [designs[i].filter for i in scored],
+        )
+        for i, q in zip(scored, qualities):
+            rows[i] = _failed(deltas[i], q) if isinstance(q, Exception) else replace(rows[i], quality_db=q)
     return rows
 
 

@@ -174,6 +174,40 @@ def test_run_sweep_programming_error_propagates(monkeypatch):
         run_sweep(quick_config())
 
 
+def test_run_sweep_programming_error_in_the_pool_propagates(monkeypatch):
+    """A non-numeric exception raised while a worker thread scores a delay
+    leaves run_sweep; it does not become an error row."""
+    from ssanc.simulate import realize_target
+
+    cfg = quick_config()
+    prep = sweep_mod.prepare_scene(cfg)
+    at_two = realize_target(prep.mics, cfg.target_kind, 2, prep.scene.spatial_ref)
+    real = sweep_mod.quality_proxy
+
+    def flaky(t, u):
+        if np.array_equal(t, at_two):
+            raise RuntimeError("boom")
+        return real(t, u)
+
+    monkeypatch.setattr(sweep_mod, "quality_proxy", flaky)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_sweep(cfg)
+
+
+def test_worker_threads_keep_the_callers_numpy_error_state(monkeypatch):
+    """Under np.errstate(divide="raise") a division by zero in the pooled
+    quality proxy is a FloatingPointError, and so an error row, as it
+    would be on the calling thread."""
+
+    def divides_by_zero(t, u):
+        return float(np.log10(np.zeros(1))[0])
+
+    monkeypatch.setattr(sweep_mod, "quality_proxy", divides_by_zero)
+    with np.errstate(divide="raise"):
+        rows = run_sweep(quick_config())
+    assert all(r.error.startswith("FloatingPointError") for r in rows), [r.error for r in rows]
+
+
 def test_sweep_deterministic_csv_bytes(tmp_path):
     cfg = quick_config()
     for name in ("a.csv", "b.csv"):
@@ -735,6 +769,14 @@ def test_unreadable_wav_source_is_one_line_error(tmp_path, capsys, source):
 MEMORY_RATIO_HIGH = {"fig3_synthetic": 1.5, "fig5_synthetic": 1.5, "long_20s": 1.25}
 
 
+def write_long_20s_config(tmp_path) -> str:
+    """The benchmark's 60 s ``long`` config cut to 20 s, written under tmp_path."""
+    long = json.loads((ROOT / "perfbench" / "configs" / "long.json").read_text())
+    path = tmp_path / "long_20s.json"
+    path.write_text(json.dumps({**long, "duration_s": 20.0}))
+    return str(path)
+
+
 @pytest.mark.parametrize("name", list(MEMORY_RATIO_HIGH))
 def test_memory_need_is_near_the_traced_peak(tmp_path, monkeypatch, name):
     """Each command's ``_memory_need`` lies within 0.75 and ``MEMORY_RATIO_HIGH``
@@ -743,9 +785,7 @@ def test_memory_need_is_near_the_traced_peak(tmp_path, monkeypatch, name):
 
     monkeypatch.chdir(tmp_path)
     if name == "long_20s":
-        long = json.loads((ROOT / "perfbench" / "configs" / "long.json").read_text())
-        path = str(tmp_path / "long_20s.json")
-        Path(path).write_text(json.dumps({**long, "duration_s": 20.0}))
+        path = write_long_20s_config(tmp_path)
     else:
         path = str(ROOT / "configs" / f"{name}.json")
     config = SweepConfig.from_json(path)
@@ -764,6 +804,26 @@ def test_memory_need_is_near_the_traced_peak(tmp_path, monkeypatch, name):
             tracemalloc.stop()
         ratio = sweep_mod._memory_need(config, config.scene["K"], n, design, sim_taps) / peak
         assert 0.75 <= ratio <= MEMORY_RATIO_HIGH[name], (command, ratio)
+
+
+def test_two_workers_cost_no_memory(tmp_path, monkeypatch):
+    """On long_20s the tracemalloc peak of ``ssanc sweep`` on two worker
+    threads is at most 1.1 times its peak on one: the speech and noise
+    stacks it frees before scoring pay for the second thread."""
+    import tracemalloc
+
+    monkeypatch.chdir(tmp_path)
+    path = write_long_20s_config(tmp_path)
+    peaks = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        tracemalloc.start()
+        try:
+            assert cli_main(["sweep", "--config", path, "--out", "rows.csv"]) == 0
+            peaks[cpus] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 1.1 * peaks[1], peaks
 
 
 @pytest.mark.parametrize("command", ["design", "sweep"])
@@ -980,6 +1040,18 @@ def test_sweep_never_runs_the_full_simulation(shipped_rows, monkeypatch):
     rows = run_sweep(SweepConfig.from_json(ROOT / "configs" / "fig3_synthetic.json"))
     untimed = [replace(r, design_ms=0.0) for r in rows]  # design_ms is wall time
     assert untimed == [replace(r, design_ms=0.0) for r in shipped_rows("fig3_synthetic")]
+
+
+@pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic"])
+def test_one_worker_equals_many(tmp_path, monkeypatch, name):
+    """The sweep CSV is byte-identical whether its delays are simulated on
+    one thread, on the default number or on four."""
+    config = SweepConfig.from_json(ROOT / "configs" / f"{name}.json")
+    write_rows_csv(run_sweep(config), tmp_path / "default.csv")
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        write_rows_csv(run_sweep(config), tmp_path / f"{cpus}.csv")
+        assert (tmp_path / f"{cpus}.csv").read_bytes() == (tmp_path / "default.csv").read_bytes(), cpus
 
 
 def test_sweep_matches_the_simulation_oracle_where_sdi_cancels():
