@@ -1,10 +1,10 @@
 """Evaluation metrics: noise reduction, speech distortion, control effort, quality proxy.
 
-``evaluate_run`` scores the signals of one simulation run.  A sweep
-scores NR, SDI and effort without those signals: each is the energy of
-a microphone stack filtered by a (K+1)-channel FIR, a quadratic form in
-the taps over the stack's lag correlations (``_FilteredEnergy``), which
-are taken once for all filters (``_FormScores``).
+``evaluate_run`` scores the signals of one simulation run; a sweep's
+``_RowScores`` returns the same bundle for any filter without them:
+NR, SDI and effort are quadratic forms in the taps over lag
+correlations taken once (``_FilteredEnergy``), and only the error
+signal is simulated, for the quality proxy.
 
 The quality proxy is a frame-wise log-spectral distance, standing in
 for standardized perceptual scores (which need the ITU reference
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ssanc.convmat import build_conv_matrix, lagged_products, next_fast_len
+from ssanc.convmat import lagged_products, next_fast_len
 from ssanc.scene import MicSignals
-from ssanc.simulate import RunResult
+from ssanc.simulate import RunResult, _Blocks, _delayed
 
 SDI_FLOOR_DB = -120.0
 # quality_proxy frame, the shortest signal a run can be scored on, and hop
@@ -178,34 +178,47 @@ class _FilteredEnergy:
         return float(full - np.vdot(tail, tail))
 
 
-class _FormScores:
-    """NR, SDI and effort of any (K+1, Lw) filter, from lag correlations taken once.
+class _RowScores:
+    """The four metrics of any (K+1, Lw) filter and delay, from correlations and spectra taken once.
 
     For a filter w the response of the error microphone to the stacked
     inputs is u = q + g * w (the primary sample plus the secondary path
     applied to every channel), so e_v is u on the noise stack; t - e_s
     is (sel - u) on the speech stack, with sel the unit pulse at the
-    target microphone and lag delta; and the drive y is w on the
+    target microphone ``mic`` and lag delta; and the drive y is w on the
     observed stack x = s + v.  The speech and noise correlations span
-    ``lags`` >= max(L, delta + 1) lags, those of x Lw.
+    ``lags`` >= max(L, delta + 1) lags, those of x Lw.  The error signal,
+    for the quality proxy, comes from the block spectra of x
+    (``simulate._Blocks``).  Of the stacks only x and a copy of the
+    target microphone's speech row are kept.
     """
 
-    def __init__(self, mics: MicSignals, x: np.ndarray, g, Lw: int, lags: int):
+    def __init__(self, mics: MicSignals, g, Lw: int, lags: int, mic: int):
+        x = mics.s + mics.v
         self.speech = _FilteredEnergy(mics.s, lags)
         self.noise = _FilteredEnergy(mics.v, lags)
         self.drive = _FilteredEnergy(x, Lw)
-        self.G = build_conv_matrix(g, Lw)
+        self.blocks = _Blocks(x, g, Lw)  # keeps x's last row, and so x
+        self.g = np.asarray(g, dtype=float).ravel()
+        self.mic = mic
+        self.target = mics.s[mic].copy()
         self.noise_in = float(np.vdot(mics.p_v, mics.p_v))
 
-    def __call__(self, w: np.ndarray, mic: int, delta: int, t: np.ndarray) -> tuple[float, float, float]:
-        """(NR, SDI, effort) of filter w whose target t is microphone mic delayed by delta."""
-        u = w @ self.G.T
+    def __call__(self, w: np.ndarray, delta: int) -> MetricBundle:
+        """The metrics of filter w whose target is the target microphone's speech delayed by delta."""
+        # a sweep calls this on its worker threads, where no call may hand
+        # work to OpenBLAS's own threads (a matrix product or a dot product
+        # of N samples would), which compete with the pool's: u comes from
+        # np.convolve per channel and the target energy from einsum
+        t = _delayed(self.target, delta)
+        u = np.array([np.convolve(w_c, self.g) for w_c in w])
         u[-1, 0] += 1.0
         sel = np.zeros((u.shape[0], self.speech.P))
         sel[:, : u.shape[1]] = -u
-        sel[mic, delta] += 1.0
-        return (
-            _nr_db(self.noise_in, self.noise(u)),
-            _sdi_db(self.speech(sel), float(np.vdot(t, t))),
-            self.drive(w),
+        sel[self.mic, delta] += 1.0
+        return MetricBundle(
+            nr_db=_nr_db(self.noise_in, self.noise(u)),
+            sdi_db=_sdi_db(self.speech(sel), float(np.einsum("i,i", t, t))),
+            effort=self.drive(w),
+            quality_db=quality_proxy(t, self.blocks.error(self.blocks.drive(w))),
         )

@@ -7,18 +7,17 @@ row.  Results go to CSV with a fixed column order.
 
 Only the target vector depends on the delay.  A sweep therefore stacks
 the target vectors of all its delays and designs every filter in one
-multi-right-hand-side solve.  It scores NR, SDI and control effort as
-quadratic forms in each filter over lag correlations of the speech,
-noise and observed stacks, taken once (``metrics._FormScores``), and
-takes the overlap-save block spectra of the observed stack once
-(``simulate._Blocks``), so that per delay it simulates only the error
-signal, for the quality proxy.  Those numpy transforms release the GIL,
-so the sweep runs them on one thread per CPU, after it has freed the
-design and the speech and noise stacks to make room for the threads'
-signals.  ``ssanc simulate`` runs the same kernel
-on the speech and noise stacks (``apply_control``), writes the WAVs and
-prints the four metrics of the sweep's row for its delay
-(``evaluate_run``), the oracle the sweep's scores are tested against.
+multi-right-hand-side solve.  Each delay's row is then one task,
+``metrics._RowScores``: NR, SDI and control effort are quadratic forms
+in the filter over lag correlations taken once, and only the error
+signal is simulated, for the quality proxy, from block spectra of the
+observed stack also taken once.  The tasks are numpy transforms and
+ufuncs that release the GIL, so they run on one thread per CPU, after
+the sweep has freed the design and the speech and noise stacks.
+``ssanc simulate`` runs the same kernel on the speech and noise stacks
+(``apply_control``), writes the WAVs and prints the four metrics of the
+sweep's row for its delay (``evaluate_run``), the oracle the sweep's
+scores are tested against.
 The default configuration is desk-scale (short filters, K = 2,
 synthetic scene) and sweeps in under a second; the paper-scale
 configuration (280-tap filters, K = 4, 141 delays) works the same way
@@ -35,7 +34,7 @@ import resource
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -43,13 +42,13 @@ import numpy as np
 
 from ssanc import signals, wavio
 from ssanc.convmat import block_fft_len, build_conv_matrix, build_q, per_channel
-from ssanc.metrics import _QUALITY_BLOCK, QUALITY_FRAME, _FormScores, evaluate_run, quality_proxy
+from ssanc.metrics import _QUALITY_BLOCK, QUALITY_FRAME, _RowScores, evaluate_run
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
     MicSignals, ScalingError, Scene, SceneLoadError, default_ir_len, integer, load_scene_wav,
     render_mics, synth_scene,
 )
-from ssanc.simulate import _Blocks, _delayed, apply_control, export_run_wavs
+from ssanc.simulate import apply_control, export_run_wavs
 from ssanc.solver import (
     DesignContext,
     DesignParams,
@@ -379,7 +378,7 @@ def _available_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: int | None) -> int:
+def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: int | None, workers: int = 1) -> int:
     """Bytes a command holds at most for K + 1 microphones and n-sample signals.
 
     Every command holds the (K+1, n) speech and noise stacks and a third
@@ -396,16 +395,17 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
     five n-sample signals of one run.  ``sweep`` frees the design after
     its solve and then takes, next to the three stacks, those of the
     observed stack x = s + v from its blocks, and the lag correlations
-    its energies are scored from (``metrics._FormScores``): the spectra
+    its energies are scored from (``metrics._RowScores``): the spectra
     of (K+1)^2 correlations over P = max(L, the last delay + 1) lags of
     s and of v and sim_taps lags of x, about one complex value per lag.
     It then frees the speech and noise stacks and keeps x, the target
     microphone's speech row, the spectra and the correlations, and each
-    of its ``_workers`` threads holds the t and e of one delay and either
+    of its ``workers`` threads holds the t and e of one delay and either
     the block spectra of its drive and their inverse transform or the
     quality proxy's frame batches, about three (``_QUALITY_BLOCK``,
     ``QUALITY_FRAME``) arrays.  A command needs the largest of its
-    phases, not their sum.
+    phases, not their sum; it is refused only if that does not fit on
+    one thread, and a sweep starts as many as fit (``_workers``).
     """
     C = K + 1
     stacks = 3 * 8 * C * n
@@ -427,7 +427,7 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
             per_worker = 16 * n + max(spectra // C + 8 * blocks * nfft, 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME)
             phases += [
                 stacks + 8 * C * blocks * nfft + spectra + forms,
-                8 * (C + 1) * n + spectra + forms + _workers(len(config.deltas())) * per_worker,
+                8 * (C + 1) * n + spectra + forms + workers * per_worker,
             ]
         else:
             phases.append(stacks + 2 * spectra + 8 * 5 * n)
@@ -528,10 +528,20 @@ def _prepare_design(config: SweepConfig, simulate: bool = True) -> tuple[Prepare
     return prep, ctx
 
 
-def _workers(tasks: int) -> int:
-    """Threads a sweep of ``tasks`` delays simulates on: one per CPU this
-    process may run on, and no more than there are delays."""
-    return min(len(os.sched_getaffinity(0)), tasks)
+def _workers(config: SweepConfig, K: int, n: int) -> int:
+    """Threads a sweep of n-sample signals from K + 1 microphones scores on:
+    one per CPU it may run on, at most one per delay, and as many as fit
+    in ``_available_memory()``, but at least the one a refusal checked."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS has no CPU affinity
+        cpus = os.cpu_count() or 1
+    have = _available_memory()
+    return max(
+        (t for t in range(2, min(cpus, len(config.deltas())) + 1)
+         if _memory_need(config, K, n, True, config.Lw, t) <= have),
+        default=1,
+    )
 
 
 def _failed(delta: int, exc: Exception) -> SweepRow:
@@ -544,22 +554,19 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     The scene rendering, ReIR estimation, the design's correlations, all
     delay-independent factorizations, the lag correlations and the
     block spectra of the observed stack are shared across the sweep,
-    and the filters of all delays come from one batched solve.  Per
-    delay, NR, SDI and effort are quadratic forms in the filter
-    (``metrics._FormScores``), scored serially, and only the error
-    signal is simulated, for the quality proxy: ``error(drive(w))`` on
-    the observed stack's ``simulate._Blocks``, the formula
-    ``apply_control`` applies to the speech and noise stacks.  The
-    speech and noise parts of e and the drive y are never formed.
-    Before it simulates, the sweep frees the factorized design and the
-    speech and noise stacks, keeping only the target microphone's
-    speech row; the error signals and quality proxies, numpy transforms
-    that release the GIL, then run on ``_workers`` threads, and the rows
-    come back in delay order.  The rows agree with ``apply_control``
-    and ``evaluate_run``, which ``ssanc simulate`` prints, up to
-    rounding, and do not depend on the number of threads.  A numeric
-    failure at one delay yields an error row and the sweep continues;
-    any other exception propagates.
+    and the filters of all delays come from one batched solve.  Each
+    delay is then one task, ``metrics._RowScores``: NR, SDI and effort
+    are quadratic forms in the filter, and only the error signal is
+    simulated, for the quality proxy, by ``error(drive(w))`` on the
+    observed stack's ``simulate._Blocks``, as ``apply_control`` does on
+    the speech and noise stacks.  Before it scores, the sweep frees the
+    factorized design and the speech and noise stacks; the tasks, numpy
+    transforms that release the GIL, then run on ``_workers`` threads,
+    and the rows come back in delay order.  The rows agree with
+    ``apply_control`` and ``evaluate_run``, which ``ssanc simulate``
+    prints, up to rounding, and do not depend on the number of threads.
+    A numeric failure at one delay yields an error row and the sweep
+    continues; any other exception propagates.
     """
     prep, ctx = _prepare_design(config)
     deltas = config.deltas()
@@ -571,56 +578,32 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     design_ms = (time.perf_counter() - t0) * 1e3 / len(deltas)
     del ctx, F  # only the solve needs the factorized design
 
-    mics, g = prep.mics, prep.scene.g
+    workers = _workers(config, prep.mics.K, prep.mics.N)
     mic = target_mic(config.target_kind, prep.scene.spatial_ref)
-    x = mics.s + mics.v
-    score = _FormScores(mics, x, g, config.Lw, max(prep.L, deltas[-1] + 1))
-    blocks = _Blocks(x, g, config.Lw)
-    target = mics.s[mic].copy()
-    # blocks keeps x's last row, and so x; the speech and noise stacks go
-    del prep, mics, x
+    score = _RowScores(prep.mics, prep.scene.g, config.Lw, max(prep.L, deltas[-1] + 1), mic)
+    del prep  # the speech and noise stacks
 
-    rows = []
-    for delta, res in zip(deltas, designs):
+    def row(delta: int, res) -> SweepRow:
+        """The row of delay delta from its design result, or the numeric failure that stopped it."""
         try:
             if isinstance(res, Exception):
                 raise res
-            nr_db, sdi_db, effort = score(res.filter, mic, delta, _delayed(target, delta))
+            scores = score(res.filter, delta)
         except NUMERIC_ERRORS as exc:  # record and continue with the other deltas
-            rows.append(_failed(delta, exc))
-            continue
-        rows.append(SweepRow(
-            delta=delta,
-            nr_db=nr_db,
-            sdi_db=sdi_db,
-            effort=effort,
-            constraint_residual=res.constraint_residual,
-            design_ms=design_ms,
-        ))
-
-    def quality(delta: int, w: np.ndarray):
-        """The quality proxy of filter w at delay delta, or the numeric failure that stopped it."""
-        try:
-            return quality_proxy(_delayed(target, delta), blocks.error(blocks.drive(w)))
-        except NUMERIC_ERRORS as exc:
-            return exc
+            return _failed(delta, exc)
+        return SweepRow(
+            delta=delta, constraint_residual=res.constraint_residual, design_ms=design_ms, **asdict(scores)
+        )
 
     # imported late: no other command loads its modules, and here their
     # 0.6 MB come after the design's memory peak, not on top of it
     from concurrent.futures import ThreadPoolExecutor
 
-    scored = [i for i, row in enumerate(rows) if not row.error]
     # each task runs in a copy of this thread's context, so that numpy's
     # error state (np.errstate) holds in the workers as it does here
-    contexts = [contextvars.copy_context() for _ in scored]
-    with ThreadPoolExecutor(_workers(len(deltas))) as pool:
-        qualities = pool.map(
-            contextvars.Context.run, contexts, repeat(quality),
-            [deltas[i] for i in scored], [designs[i].filter for i in scored],
-        )
-        for i, q in zip(scored, qualities):
-            rows[i] = _failed(deltas[i], q) if isinstance(q, Exception) else replace(rows[i], quality_db=q)
-    return rows
+    contexts = [contextvars.copy_context() for _ in deltas]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(contextvars.Context.run, contexts, repeat(row), deltas, designs))
 
 
 def _fmt(value) -> str:

@@ -6,7 +6,7 @@ from ssanc.metrics import (
     SDI_FLOOR_DB,
     MetricBundle,
     _FilteredEnergy,
-    _FormScores,
+    _RowScores,
     control_effort,
     evaluate_run,
     noise_reduction,
@@ -224,21 +224,24 @@ def test_filtered_energy_matches_explicit_convolution(C, P, extra, taps, pulse, 
     assert abs(got - want) <= 1e-10 * (want if want > 1e-10 * scale else scale)
 
 
-def test_form_scores_keep_the_metric_semantics():
+def test_row_scores_keep_the_metric_semantics():
     """The zero filter leaves e = p: 0 dB NR, SDI at its floor for the
-    undelayed error-mic target and no effort; silent noise gives inf NR,
-    and a silent target raises as speech_distortion_index does."""
+    undelayed error-mic target, no effort, and the quality proxy of p
+    against that target; silent noise gives inf NR, and a silent target
+    raises as speech_distortion_index does."""
     rng = np.random.default_rng(3)
-    s = rng.standard_normal((3, 400))
-    v = rng.standard_normal((3, 400))
+    s = rng.standard_normal((3, 1024))
+    v = rng.standard_normal((3, 1024))
     w = np.zeros((3, 5))
     g = [0.0, 1.0, 0.5]
-    score = _FormScores(MicSignals(s=s, v=v), s + v, g, 5, 7)
-    nr, sdi, effort = score(w, -1, 0, s[-1])
-    assert nr == pytest.approx(0.0, abs=1e-9)
-    assert sdi == SDI_FLOOR_DB
-    assert effort == 0.0
-    quiet = _FormScores(MicSignals(s=s, v=np.zeros_like(v)), s, g, 5, 7)
-    assert quiet(w, -1, 0, s[-1])[0] == float("inf")
+    row = _RowScores(MicSignals(s=s, v=v), g, 5, 7, -1)(w, 0)
+    assert isinstance(row, MetricBundle)
+    assert row.nr_db == pytest.approx(0.0, abs=1e-9)
+    assert row.sdi_db == SDI_FLOOR_DB
+    assert row.effort == 0.0
+    assert row.quality_db == quality_proxy(s[-1], s[-1] + v[-1])
+    quiet = _RowScores(MicSignals(s=s, v=np.zeros_like(v)), g, 5, 7, -1)
+    assert quiet(w, 0).nr_db == float("inf")
+    s[0] = 0.0
     with pytest.raises(ValueError, match="zero energy"):
-        score(w, -1, 0, np.zeros(400))
+        _RowScores(MicSignals(s=s, v=v), g, 5, 7, 0)(w, 0)

@@ -174,38 +174,69 @@ def test_run_sweep_programming_error_propagates(monkeypatch):
         run_sweep(quick_config())
 
 
-def test_run_sweep_programming_error_in_the_pool_propagates(monkeypatch):
-    """A non-numeric exception raised while a worker thread scores a delay
-    leaves run_sweep; it does not become an error row."""
+@pytest.mark.parametrize("stage", ["_sdi_db", "quality_proxy"])
+def test_run_sweep_programming_error_in_the_pool_propagates(monkeypatch, stage):
+    """A non-numeric exception raised while a worker thread scores a delay,
+    in its form scoring (``_sdi_db``) or its quality proxy, leaves
+    run_sweep; it does not become an error row."""
+    import ssanc.metrics
     from ssanc.simulate import realize_target
 
     cfg = quick_config()
     prep = sweep_mod.prepare_scene(cfg)
     at_two = realize_target(prep.mics, cfg.target_kind, 2, prep.scene.spatial_ref)
-    real = sweep_mod.quality_proxy
+    # each stage knows delta = 2 by its target: _sdi_db by the energy, quality_proxy by the signal
+    at_delta_two = {
+        "_sdi_db": lambda residual, target: target == float(np.einsum("i,i", at_two, at_two)),
+        "quality_proxy": lambda t, u: np.array_equal(t, at_two),
+    }[stage]
+    real = getattr(ssanc.metrics, stage)
 
-    def flaky(t, u):
-        if np.array_equal(t, at_two):
+    def flaky(a, b):
+        if at_delta_two(a, b):
             raise RuntimeError("boom")
-        return real(t, u)
+        return real(a, b)
 
-    monkeypatch.setattr(sweep_mod, "quality_proxy", flaky)
+    monkeypatch.setattr(ssanc.metrics, stage, flaky)
     with pytest.raises(RuntimeError, match="boom"):
         run_sweep(cfg)
 
 
-def test_worker_threads_keep_the_callers_numpy_error_state(monkeypatch):
-    """Under np.errstate(divide="raise") a division by zero in the pooled
-    quality proxy is a FloatingPointError, and so an error row, as it
-    would be on the calling thread."""
+@pytest.mark.parametrize("stage", ["_nr_db", "quality_proxy"])
+def test_worker_threads_keep_the_callers_numpy_error_state(monkeypatch, stage):
+    """Under np.errstate(divide="raise") a division by zero in a pooled
+    task's form scoring (``_nr_db``) or quality proxy is a
+    FloatingPointError, and so an error row, as it would be on the
+    calling thread."""
+    import ssanc.metrics
 
-    def divides_by_zero(t, u):
+    def divides_by_zero(a, b):
         return float(np.log10(np.zeros(1))[0])
 
-    monkeypatch.setattr(sweep_mod, "quality_proxy", divides_by_zero)
+    monkeypatch.setattr(ssanc.metrics, stage, divides_by_zero)
     with np.errstate(divide="raise"):
         rows = run_sweep(quick_config())
     assert all(r.error.startswith("FloatingPointError") for r in rows), [r.error for r in rows]
+
+
+def test_sweep_forms_each_target_once(monkeypatch):
+    """A fig3 sweep delays the target microphone's speech once per delay."""
+    import ssanc.metrics
+    import ssanc.simulate
+
+    calls = []
+    real = ssanc.simulate._delayed
+
+    def counted(x, delta):
+        calls.append(delta)
+        return real(x, delta)
+
+    for module in (ssanc.simulate, ssanc.metrics, sweep_mod):
+        monkeypatch.setattr(module, "_delayed", counted, raising=False)
+    config = SweepConfig.from_json(ROOT / "configs" / "fig3_synthetic.json")
+    rows = run_sweep(config)
+    assert all(r.error == "" for r in rows)
+    assert sorted(calls) == config.deltas()
 
 
 def test_sweep_deterministic_csv_bytes(tmp_path):
@@ -686,9 +717,10 @@ def test_simulation_spectra_that_cannot_fit_are_refused(tmp_path, monkeypatch, c
 
 
 def test_design_fits_where_a_sweep_does_not(tmp_path, monkeypatch, capsys):
-    """On 1.5 s signals a sweep's scoring phase needs more than the design
-    phase it follows; between the need of a design and that of a sweep,
-    ``ssanc design`` runs and ``ssanc sweep`` is refused."""
+    """On 1.5 s signals a sweep's scoring phase, on one thread, needs more
+    than the design phase it follows; between the need of a design and
+    that of a one-thread sweep, ``ssanc design`` runs and ``ssanc sweep``
+    is refused."""
     cfg = write_quick_config(tmp_path)
     config = SweepConfig.from_json(cfg)
     n = int(config.duration_s * config.fs)
@@ -702,6 +734,32 @@ def test_design_fits_where_a_sweep_does_not(tmp_path, monkeypatch, capsys):
     err = one_config_error(capsys)
     assert "design matrices" in err and "simulation spectra" in err and "memory" in err and "GiB" in err
     assert not (tmp_path / "rows.csv").exists()
+
+
+def test_a_sweep_that_fits_on_one_thread_runs_on_a_many_core_host(tmp_path, monkeypatch):
+    """With 64 CPUs and just the memory of a one-thread sweep, ``ssanc sweep``
+    runs on fewer threads instead of being refused, and writes the
+    default run's CSV."""
+    cfg = write_quick_config(tmp_path)
+    config = SweepConfig.from_json(cfg)
+    n = int(config.duration_s * config.fs)
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "default.csv")]) == 0
+    one = sweep_mod._memory_need(config, 2, n, design=True, sim_taps=config.Lw)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    monkeypatch.setattr(sweep_mod, "_available_memory", lambda: one)
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 0
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+    assert sweep_mod._workers(config, 2, n) == 1
+
+
+def test_sweep_runs_where_the_platform_has_no_cpu_affinity(tmp_path, monkeypatch):
+    """Without ``os.sched_getaffinity`` (as on macOS) the sweep counts
+    ``os.cpu_count()`` CPUs and writes the default run's CSV."""
+    cfg = write_quick_config(tmp_path)
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "default.csv")]) == 0
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 0
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
 
 @pytest.mark.parametrize("fault", ["memory", "malformed"])
