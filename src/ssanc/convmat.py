@@ -105,9 +105,10 @@ def overlap_blocks(x: np.ndarray, start: int, count: int, size: int, hop: int) -
     return np.lib.stride_tricks.sliding_window_view(span, size, axis=1)[:, ::hop]
 
 
-# samples per channel transformed at a time by lagged_products: bounds its
-# temporaries to a few MB whatever the signal length
-_CORRELATION_CHUNK = 1 << 16
+# samples per channel transformed at a time by lagged_products and by
+# scene.render_mics: bounds their temporaries to a few MB whatever the
+# signal length
+_BLOCK_CHUNK = 1 << 16
 
 
 def lagged_products(a: np.ndarray, b: np.ndarray, L: int, history: bool = False) -> np.ndarray:
@@ -135,7 +136,7 @@ def lagged_products(a: np.ndarray, b: np.ndarray, L: int, history: bool = False)
     nfft = block_fft_len(M, N)
     hop = nfft - M
     blocks = -(-(N - first) // hop)
-    chunk = max(1, _CORRELATION_CHUNK // nfft)
+    chunk = max(1, _BLOCK_CHUNK // nfft)
     cross = np.zeros((a.shape[0], b.shape[0], nfft // 2 + 1), dtype=complex)
     for block in range(0, blocks, chunk):
         count = min(chunk, blocks - block)
@@ -192,3 +193,15 @@ def frames_from_first_rows(first: np.ndarray, head: np.ndarray, tail: np.ndarray
             - np.multiply.outer(tail[:, i - 1], tail)
         )
     return R
+
+
+def edge_products(a: np.ndarray, b: np.ndarray, first: int, L: int) -> np.ndarray:
+    """The (A, B, L) sums of a_i(n) b_k(n-j) over n = first .. len-1, j < L, b zero before n = 0.
+
+    The products of the few frames at a window's edges, which the
+    full-range correlations of ``lagged_products`` count and a frame sum
+    over the window does not.
+    """
+    # frames[k, n, j] = b_k(n - j); the zero past the end keeps an empty b windowable
+    frames = np.lib.stride_tricks.sliding_window_view(np.pad(b, ((0, 0), (L - 1, 1))), L, axis=1)
+    return np.einsum("in,knj->ikj", a[:, first:], frames[:, first : b.shape[1], ::-1])

@@ -3,9 +3,11 @@
 A relative impulse response (ReIR) maps the desired-source component at
 the spatial reference microphone to its component at another
 microphone.  ReIRs are estimated here as the least-squares fixed point
-of the usual adaptive identification problem: a white-noise
-desired-only rendering is regressed channel by channel onto the
-reference channel's tap history.
+of the usual adaptive identification problem: the desired source's
+response to white noise is regressed channel by channel onto the
+reference channel's tap history.  That response is never rendered: the
+regression reads it only through second-order statistics, which follow
+from the noise's autocorrelation and the scene's speech responses.
 """
 
 import math
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ssanc.convmat import frame_products, lagged_products
-from ssanc.scene import MicSignals
+from ssanc.convmat import edge_products, frames_from_first_rows, lagged_products
+from ssanc.scene import Scene
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,37 +38,83 @@ class ReIRSet:
         return self.h.shape[1]
 
 
-def estimate_reirs(mics: MicSignals, spatial_ref: int, Lh: int, reg: float | None = None) -> ReIRSet:
-    """Least-squares ReIR estimates from a desired-only white-noise rendering.
+def estimate_reirs(scene: Scene, source, Lh: int, reg: float | None = None) -> ReIRSet:
+    """Least-squares ReIR estimates from the scene's speech responses to a white ``source``.
 
-    Solves, per channel k of the speech stack ``mics.s``, the ridge problem
+    With s_k the rendering of the N-sample source through the speech
+    response a_k, cut to N samples (``render_mics``), and s_ref that of
+    the spatial reference ``scene.spatial_ref``, solves per channel k
+    the ridge problem
 
         min_h  sum_n (s_k(n) - (h * s_ref)(n))^2 + reg * ||h||^2
 
-    over the fully-excited frames n >= Lh-1, with s_ref the row
-    ``spatial_ref``.  ``reg`` defaults to 1e-8 times the mean diagonal
-    of the normal matrix, which is enough to keep the solve stable
-    under white-noise excitation without visibly biasing the taps.  The
-    relative residual of each channel comes from one N-sample
-    difference at a time.
+    over the fully-excited frames n = Lh-1 .. N-1.  ``reg`` defaults to
+    1e-8 times the mean diagonal of the normal matrix, which is enough
+    to keep the solve stable under white-noise excitation without
+    visibly biasing the taps.
+
+    No s_k is formed.  With c the source's autocorrelation over all n
+    (``lagged_products``; lags past N are zero) and kappa_k the
+    cross-correlation of a_k and a_ref, s_k(n) s_ref(n-j) sums over
+    every n, the samples cut at N included, to sum_m kappa_k(m) c(j-m).
+    The products before n = Lh-1 and from n = N on are subtracted; they
+    come from the first Lh and the last Lir + Lh - 1 source samples, Lir
+    the longest response.  That gives the right-hand sides and the first
+    row of the normal matrix, whose rest follows along its diagonals
+    (``frames_from_first_rows``).  The relative residual of channel k is
+    the frame energy of the residual filter d_k = a_k - h_k * a_ref on
+    the source over that of a_k, each taken the same way, and not
+    ||s_k||^2 - 2 h'b + h'Rh, which cancels catastrophically at the
+    1e-8 residuals of a pulse.
     """
-    if not 0 <= spatial_ref < mics.K:
-        raise ValueError(f"spatial_ref {spatial_ref} outside reference range [0, {mics.K})")
     if Lh < 1:
         raise ValueError(f"Lh must be >= 1, got {Lh}")
-    if mics.N < 4 * Lh:
-        raise ValueError(f"need N >> Lh; got N={mics.N} for Lh={Lh}")
-    if np.any(mics.v):
-        raise ValueError("ReIR estimation requires a desired-only rendering (zero noise components)")
+    w = np.asarray(source, dtype=float).ravel()
+    N = w.shape[0]
+    if N < 4 * Lh:
+        raise ValueError(f"need N >> Lh; got N={N} for Lh={Lh}")
 
-    ref = mics.s[spatial_ref]
+    Lir = max(a.shape[0] for a in scene.ir_speech)
+    P = Lir + Lh - 1  # the lags of c the products reach
+    irs = np.zeros((scene.K + 1, Lir))
+    for row, a in zip(irs, scene.ir_speech):
+        row[: a.shape[0]] = a
+    a_ref = irs[scene.spatial_ref]
+    c = np.zeros(P)
+    c[: min(P, N)] = lagged_products(w[None], w[None], min(P, N), history=True)[0, 0]
+    tail_source = np.concatenate([np.zeros(max(P - N, 0)), w[max(N - P, 0) :]])
 
-    # normal equations of the regressor rows [ref(n), ..., ref(n-Lh+1)],
-    # n = Lh-1 .. N-1, from the Toeplitz structure instead of the N x Lh rows
-    R = frame_products(ref[None, :], Lh)[0, :, 0, :]
+    def edges(filters):
+        """The filters' responses to the source at n < Lh - 1 and at n >= N - Lh + 1, to their end."""
+        head = np.array([np.convolve(f, w[:Lh])[: Lh - 1] for f in filters])
+        tail = np.array([np.convolve(f, tail_source)[Lir:] for f in filters])
+        return head, tail
+
+    def frame_energies(filters):
+        """sum_n (f * source)(n)^2 over the frames n = Lh-1 .. N-1, per row f of filters."""
+        width = filters.shape[1]
+        rho = np.array([np.correlate(f, f, "full")[width - 1 :] for f in filters])
+        full = 2.0 * (rho @ c[:width]) - rho[:, 0] * c[0]
+        head, tail = edges(filters)
+        # the tail's samples from n = N on; rounding alone can take the difference below 0
+        return np.maximum(full - np.sum(head**2, axis=1) - np.sum(tail[:, Lh - 1 :] ** 2, axis=1), 0.0)
+
+    # sum_m kappa_k(m) c(j-m), j < Lh, from windows over c at lags -(P-1) .. P-1
+    kappa = np.array([np.correlate(a, a_ref, "full") for a in irs])
+    lags = np.concatenate([c[:0:-1], c])
+    windows = np.lib.stride_tricks.sliding_window_view(lags, 2 * Lir - 1)[Lh - 1 : 2 * Lh - 1]
+    head, tail = edges(irs)  # s_k(n) for n < Lh-1 and for n >= N-Lh+1
+    first = (
+        kappa[:, ::-1] @ windows.T
+        - edge_products(head, head[scene.spatial_ref, None], 0, Lh)[:, 0]
+        - edge_products(tail, tail[scene.spatial_ref, None], Lh - 1, Lh)[:, 0]
+    )
+
+    # normal equations of the regressor rows [s_ref(n), ..., s_ref(n-Lh+1)] over the frames
+    ref_head, ref_tail = head[scene.spatial_ref, None, ::-1], tail[scene.spatial_ref, None, : Lh - 1][:, ::-1]
+    R = frames_from_first_rows(first[None, None, scene.spatial_ref].copy(), ref_head, ref_tail)[0, :, 0]
     if reg is None:
         reg = 1e-8 * float(np.mean(np.diag(R)))
-    rhs = lagged_products(mics.s, ref[None, :], Lh)[:, 0, :].T
     R += reg * np.eye(Lh)
     try:
         np.linalg.cholesky(R)  # the definiteness check only
@@ -74,13 +122,11 @@ def estimate_reirs(mics: MicSignals, spatial_ref: int, Lh: int, reg: float | Non
         raise np.linalg.LinAlgError(
             f"singular ReIR normal equations (reg={reg:g}); try increasing reg"
         ) from exc
-    h = np.linalg.solve(R, rhs).T
+    h = np.linalg.solve(R, first.T).T
 
-    residuals = np.empty(mics.K + 1)
-    for k, (target, h_k) in enumerate(zip(mics.s[:, Lh - 1 :], h)):
-        err = target - np.convolve(ref, h_k, mode="valid")
-        residuals[k] = np.sqrt(np.mean(err**2)) / max(np.sqrt(np.mean(target**2)), 1e-300)
-    return ReIRSet(h=h, spatial_ref=spatial_ref, residuals=residuals)
+    residual = np.pad(irs, ((0, 0), (0, Lh - 1))) - np.array([np.convolve(h_k, a_ref) for h_k in h])
+    residuals = np.sqrt(frame_energies(residual)) / np.maximum(np.sqrt(frame_energies(irs)), 1e-300)
+    return ReIRSet(h=h, spatial_ref=scene.spatial_ref, residuals=residuals)
 
 
 def design_min_phase_highpass(cutoff_hz: float, fs: float, length: int) -> np.ndarray:

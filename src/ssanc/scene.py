@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ssanc import wavio
+from ssanc.convmat import _BLOCK_CHUNK, block_fft_len, overlap_blocks
 
 
 class SceneLoadError(ValueError):
@@ -253,6 +254,8 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
     given, the noise components are scaled so the speech-to-noise energy
     ratio at the error microphone is exactly snr_db.  ``noise=None``
     renders a desired-source-only scene with zero noise components.
+    Each source is convolved by overlap-save (``_convolved``): its block
+    spectra are taken once and shared by all K+1 microphones.
     """
     speech = np.asarray(speech, dtype=float).ravel()
     N = speech.shape[0]
@@ -260,7 +263,7 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
     if N <= max_ir:
         raise ValueError(f"signal length {N} must exceed the longest IR ({max_ir} taps)")
 
-    s = np.stack([np.convolve(ir, speech)[:N] for ir in scene.ir_speech])
+    s = _convolved(scene.ir_speech, speech)
     if noise is None:
         # np.zeros, not zeros_like: the pages are calloc'd and never written
         return MicSignals(s=s, v=np.zeros(s.shape))
@@ -268,7 +271,7 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
     noise = np.asarray(noise, dtype=float).ravel()
     if noise.shape[0] != N:
         raise ValueError(f"speech and noise lengths differ: {N} vs {noise.shape[0]}")
-    v = np.stack([np.convolve(ir, noise)[:N] for ir in scene.ir_noise])
+    v = _convolved(scene.ir_noise, noise)
 
     if snr_db is not None:
         es = float(np.sum(s[-1] ** 2))
@@ -279,3 +282,32 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
             raise ScalingError("speech component at the error microphone is silent; cannot set SNR")
         v *= np.sqrt(es / (ev * 10.0 ** (snr_db / 10.0)))
     return MicSignals(s=s, v=v)
+
+
+def _convolved(irs, x: np.ndarray) -> np.ndarray:
+    """The (len(irs), N) stack whose row k is ``np.convolve(irs[k], x)[:N]``, by overlap-save.
+
+    x is cut into blocks of nfft samples overlapping by M, the longest
+    response's length less one (``block_fft_len``).  Each block's
+    spectrum is taken once and multiplied by every response's, and the
+    first M samples of each inverse transform, circular wrap, are
+    dropped.  The blocks are transformed a bounded chunk at a time into
+    the result, so the temporaries do not grow with N, and the cost per
+    sample grows with log(nfft), not with the responses' length.
+    """
+    N = x.shape[0]
+    M = max(len(ir) for ir in irs) - 1
+    nfft = block_fft_len(M, N)
+    hop = nfft - M
+    spectra = np.array([np.fft.rfft(ir, nfft) for ir in irs])[:, None, :]
+    out = np.empty((len(irs), N))
+    blocks = -(-N // hop)
+    chunk = max(1, _BLOCK_CHUNK // nfft)
+    for block in range(0, blocks, chunk):
+        count = min(chunk, blocks - block)
+        start = block * hop
+        X = np.fft.rfft(overlap_blocks(x[None], start - M, count, nfft, hop))
+        y = np.fft.irfft(X * spectra, nfft)[:, :, M:]
+        stop = min(start + count * hop, N)
+        out[:, start:stop] = y.reshape(len(irs), -1)[:, : stop - start]
+    return out

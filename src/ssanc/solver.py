@@ -44,8 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from ssanc.convmat import (
-    build_conv_matrix, build_q, frame_products, frames_from_first_rows, lagged_products, next_fast_len,
-    per_channel,
+    build_conv_matrix, build_q, edge_products, frame_products, frames_from_first_rows, lagged_products,
+    next_fast_len, per_channel,
 )
 from ssanc.reir import ReIRSet
 from ssanc.scene import MicSignals, integer
@@ -386,21 +386,14 @@ def _filtered_correlations(x: np.ndarray, g: np.ndarray, Lw: int) -> tuple[np.nd
     ends = np.fft.rfft(np.stack([x[:, : L - 1], x[:, N - L + 1 :]]), nfft) * np.fft.rfft(g, nfft)
     ends = np.fft.irfft(ends, nfft)
     head, tail = ends[0, :, : L - 1], ends[1, :, Lg - 1 : L + Lg - 2]
-    first = full - _edge_products(head, head, 0, Lw) - _edge_products(tail, tail, Lw - 1, Lw)
+    first = full - edge_products(head, head, 0, Lw) - edge_products(tail, tail, Lw - 1, Lw)
     S = frames_from_first_rows(first, head[:, ::-1][:, : Lw - 1], tail[:, : Lw - 1][:, ::-1])
     phi = np.lib.stride_tricks.sliding_window_view(c[-1], Lg, axis=-1) @ g
-    phi -= _edge_products(x[-1:, : L - 1], head, 0, Lw)[0]
+    phi -= edge_products(x[-1:, : L - 1], head, 0, Lw)[0]
     frames = N - L + 1
     S = S.reshape(C * Lw, C * Lw)
     S /= frames
     return S, phi.reshape(C * Lw) / frames, float(np.vdot(x[-1, L - 1 :], x[-1, L - 1 :])) / frames
-
-
-def _edge_products(a: np.ndarray, b: np.ndarray, first: int, Lw: int) -> np.ndarray:
-    """The (A, B, Lw) sums of a_i(n) b_k(n-j) over n = first .. len-1, j < Lw, b zero before n = 0."""
-    # frames[k, n, j] = b_k(n - j); the zero past the end keeps an empty b windowable
-    frames = np.lib.stride_tricks.sliding_window_view(np.pad(b, ((0, 0), (Lw - 1, 1))), Lw, axis=1)
-    return np.einsum("in,knj->ikj", a[:, first:], frames[:, first : b.shape[1], ::-1])
 
 
 def design_control_filter(

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from ssanc import signals, wavio
-from ssanc.convmat import block_fft_len, build_conv_matrix, build_q, per_channel
+from ssanc.convmat import _BLOCK_CHUNK, block_fft_len, build_conv_matrix, build_q, per_channel
 from ssanc.metrics import _QUALITY_BLOCK, QUALITY_FRAME, _RowScores, evaluate_run
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
@@ -382,15 +382,20 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
     """Bytes a command holds at most for K + 1 microphones and n-sample signals.
 
     Every command holds the (K+1, n) speech and noise stacks and a third
-    stack: their sum while the design correlates them, the convolutions
-    while they are rendered.  A design (``design``, ``sweep``) holds, on
-    top of them, the factorized ``DesignContext``: S, ((K+1) Lw)^2
-    floats, A and Phi_rr^-1 A, (K+1) Lw (Lh + L - 1) floats each, and the
-    eigenvectors of M0, (Lh + L - 1)^2 floats; it never forms Phi_xx or
-    H.  With it come, while it fits the ReIRs, the fit's white-noise
-    rendering, two stacks and its source, and, while it factorizes, the
-    right-hand sides of the solve, as many floats as A.  A simulation of
-    sim_taps-tap filters holds overlap-save block spectra
+    stack: their sum while the design correlates them, the two sources
+    and the overlap-save chunks while they are rendered.  A design
+    (``design``, ``sweep``) holds, on top of them, the factorized
+    ``DesignContext``: S, ((K+1) Lw)^2 floats, A and Phi_rr^-1 A,
+    (K+1) Lw (Lh + L - 1) floats each, and the eigenvectors of M0,
+    (Lh + L - 1)^2 floats; it never forms Phi_xx or H.  With it come,
+    while it correlates the observed stack, the temporaries of one chunk
+    of ``lagged_products`` (``convmat._BLOCK_CHUNK`` samples per channel,
+    or the whole signal if shorter): the block spectra of both operands
+    and their inputs, about four (K+1)-channel arrays of a chunk's
+    samples; and, while it factorizes, the right-hand sides of the
+    solve, as many floats as A.  The ReIR fit holds less than either:
+    one n-sample white source and one channel's correlation chunk.  A
+    simulation of sim_taps-tap filters holds overlap-save block spectra
     (``simulate._Blocks``): ``simulate`` those of both stacks and the
     five n-sample signals of one run.  ``sweep`` frees the design after
     its solve and then takes, next to the three stacks, those of the
@@ -415,7 +420,9 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
         flen = config.Lh + L - 1
         A = C * config.Lw * flen
         context = 8 * ((C * config.Lw) ** 2 + 2 * A + flen**2)
-        phases.append(stacks + context + 8 * max((2 * C + 1) * n, A))
+        nfft = block_fft_len(L - 1, n)
+        chunk = min(max(1, _BLOCK_CHUNK // nfft), -(-n // (nfft - L + 1))) * nfft
+        phases.append(stacks + context + 8 * max(4 * C * chunk, A))
     if sim_taps is not None:
         memory = sim_taps + config.Lg - 2
         nfft = block_fft_len(memory, n)
@@ -447,15 +454,16 @@ def _refuse_unless_fits(config: SweepConfig, K: int, n: int, design: bool, sim_t
 
 
 def _load_source(path, config: SweepConfig, n: int) -> np.ndarray:
+    """The first n samples of a WAV source, read and converted without the rest of the file."""
     try:
-        fs, data = wavio.read_wav_mono(path)
+        fs, data = wavio.read_wav_mono(path, frames=n)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if fs != config.fs:
         raise ConfigError(f"{path}: sample rate {fs} != config fs {config.fs}")
     if data.shape[0] < config.fs:
         raise ConfigError(f"{path}: shorter than 1 s")
-    return data[:n].copy()  # a view would keep the whole file alive
+    return data
 
 
 def _render(config: SweepConfig, scene: Scene, n: int) -> MicSignals:
@@ -480,14 +488,14 @@ def prepare_scene(config: SweepConfig, simulate: bool = True) -> PreparedScene:
 
     Everything a design and, unless ``simulate`` is false, a simulation
     of the configured filter length needs is refused before any source
-    is drawn (``_checked_scene``).  The ReIRs come from a white-noise
-    rendering of the desired source with its own seed, seed+2, so they
-    do not change the microphone signals.
+    is drawn (``_checked_scene``).  The ReIRs are fitted to the speech
+    responses' response to white noise with its own seed, seed+2, so
+    they do not change the microphone signals; the noise is read
+    through its correlations and never rendered (``estimate_reirs``).
     """
     scene, n = _checked_scene(config, design=True, sim_taps=config.Lw if simulate else None)
     mics = _render(config, scene, n)
-    white = signals.white_noise(mics.N, config.seed + 2)
-    reirs = estimate_reirs(render_mics(scene, white), scene.spatial_ref, config.Lh, reg=config.reir_reg)
+    reirs = estimate_reirs(scene, signals.white_noise(mics.N, config.seed + 2), config.Lh, reg=config.reir_reg)
 
     L = config.Lg + config.Lw - 1
     psi = (

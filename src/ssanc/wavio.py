@@ -18,13 +18,23 @@ _PCM_SCALE = {np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}
 _WAVE_FORMAT_IEEE_FLOAT = 3
 
 
-def read_wav_mono(path) -> tuple[int, np.ndarray]:
-    """Read a WAV file that must be single-channel, returning (sample_rate, float64 array)."""
+def read_wav_mono(path, frames: int | None = None) -> tuple[int, np.ndarray]:
+    """Read a WAV file that must be single-channel, returning (sample_rate, float64 array).
+
+    With ``frames``, only the first ``frames`` samples are kept.  They are
+    cut before they are converted, from a memory map of the file, so a
+    long recording is neither read nor converted whole; 24-bit PCM, which
+    has no mappable sample type, is read whole and then cut.
+    """
     from scipy.io import wavfile  # deferred: only reading needs scipy
 
-    fs, data = wavfile.read(str(path))
+    try:
+        fs, data = wavfile.read(str(path), mmap=True)
+    except ValueError:  # 24-bit PCM; a malformed file fails again below
+        fs, data = wavfile.read(str(path))
     if data.ndim != 1:
         raise ValueError(f"expected mono WAV, got {data.shape[1]} channels")
+    data = np.asarray(data)[:frames]  # a plain view of the map: only the samples kept are converted
     if data.dtype in _PCM_SCALE:
         data = data.astype(np.float64) / _PCM_SCALE[data.dtype]
     elif data.dtype == np.uint8:

@@ -65,7 +65,7 @@ def test_criterion_2_zero_action():
         seed=3,
     )
     n = 5 * 16000
-    reirs = estimate_reirs(render_mics(scene, white_noise(n, 2)), scene.spatial_ref, 48)
+    reirs = estimate_reirs(scene, white_noise(n, 2), 48)
     mics = render_mics(scene, speech_shaped_noise(n, 16000, 0))  # desired only
     L = 48 + 48 - 1
     phi_xx = estimate_autocorrelation(input_frames(mics, L))
@@ -182,8 +182,9 @@ def test_criterion_6_reir_recovery():
         fs=16000,
         seed=0,
     )
-    mics = render_mics(scene, white_noise(40000, 1))
-    reirs = estimate_reirs(mics, scene.spatial_ref, 24)
+    white = white_noise(40000, 1)
+    mics = render_mics(scene, white)
+    reirs = estimate_reirs(scene, white, 24)
     gains = [1.0, 0.8, 0.5, 0.6]
     delays = [2, 5, 9, 6]
     worst = max(
@@ -281,7 +282,7 @@ def test_criterion_10_scale_invariance():
         seed=0,
     )
     n = 12000
-    reirs = estimate_reirs(render_mics(scene, white_noise(n, 1)), scene.spatial_ref, 8)
+    reirs = estimate_reirs(scene, white_noise(n, 1), 8)
     mics = render_mics(scene, white_noise(n, 2), white_noise(n, 3), -5.0)
     Lw, Lg = 8, 6
     L = Lg + Lw - 1

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from ssanc.metrics import QUALITY_FRAME
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
-from ssanc.scene import MicSignals, render_mics, synth_scene
+from ssanc.scene import Scene, render_mics, synth_scene
 from ssanc.signals import white_noise
 
 
@@ -22,8 +26,7 @@ def pure_delay_scene(seed=0):
 
 
 def estimate_from_scene(scene, Lh=24, n=20000, seed=1, reg=None):
-    mics = render_mics(scene, white_noise(n, seed))
-    return estimate_reirs(mics, scene.spatial_ref, Lh, reg=reg)
+    return estimate_reirs(scene, white_noise(n, seed), Lh, reg=reg)
 
 
 def test_pure_delay_scene_recovers_gain_and_delay():
@@ -46,8 +49,9 @@ def test_self_reir_is_identity():
 
 def test_reirs_reconstruct_error_mic_speech():
     scene = pure_delay_scene(seed=4)
-    mics = render_mics(scene, white_noise(20000, 5))
-    reirs = estimate_reirs(mics, scene.spatial_ref, 24)
+    white = white_noise(20000, 5)
+    mics = render_mics(scene, white)
+    reirs = estimate_reirs(scene, white, 24)
     recon = np.convolve(reirs.h[-1], mics.s[scene.spatial_ref])[: mics.N]
     rel = np.linalg.norm(recon - mics.p_s) / np.linalg.norm(mics.p_s)
     assert 20 * np.log10(rel) <= -40.0
@@ -89,8 +93,9 @@ def test_structural_estimate_matches_explicit_frames_on_reverberant_scene():
         tail_amp=0.3,
         tail_decay=12.0,
     )
-    mics = render_mics(scene, white_noise(20000, 1))
-    reirs = estimate_reirs(mics, scene.spatial_ref, 24)
+    white = white_noise(20000, 1)
+    mics = render_mics(scene, white)
+    reirs = estimate_reirs(scene, white, 24)
     h, residuals = explicit_frames_reirs(mics, scene.spatial_ref, 24)
     others = np.arange(4) != scene.spatial_ref
     assert np.all((residuals[others] > 0.25) & (residuals[others] < 0.5))
@@ -98,28 +103,61 @@ def test_structural_estimate_matches_explicit_frames_on_reverberant_scene():
     np.testing.assert_allclose(reirs.residuals, residuals, rtol=0, atol=1e-10)
 
 
-def test_rejects_noisy_rendering():
+def test_rejects_a_source_too_short_for_the_fit():
     scene = pure_delay_scene()
-    mics = render_mics(scene, white_noise(8000, 8), white_noise(8000, 9), snr_db=0.0)
-    with pytest.raises(ValueError, match="desired-only"):
-        estimate_reirs(mics, scene.spatial_ref, 16)
+    with pytest.raises(ValueError, match="need N >> Lh"):
+        estimate_reirs(scene, white_noise(63, 8), 16)
 
 
 def test_rejects_bad_spatial_ref():
     scene = pure_delay_scene()
-    mics = render_mics(scene, white_noise(8000, 10))
     with pytest.raises(ValueError, match="spatial_ref"):
-        estimate_reirs(mics, 3, 16)  # error channel is not a reference
+        # the error channel is not a reference
+        estimate_reirs(replace(scene, spatial_ref=3), white_noise(8000, 10), 16)
 
 
 def test_silent_reference_channel_is_singular():
     scene = pure_delay_scene()
-    mics = render_mics(scene, white_noise(8000, 13))
-    silent = MicSignals(
-        s=np.where(np.arange(scene.K + 1)[:, None] == scene.spatial_ref, 0.0, mics.s), v=mics.v
-    )
+    silent = replace(scene, ir_speech=tuple(
+        np.zeros_like(a) if k == scene.spatial_ref else a for k, a in enumerate(scene.ir_speech)
+    ))
     with pytest.raises(np.linalg.LinAlgError, match="singular ReIR normal equations"):
-        estimate_reirs(silent, scene.spatial_ref, 16)
+        estimate_reirs(silent, white_noise(8000, 13), 16)
+
+
+@st.composite
+def fit_cases(draw):
+    """A scene of K+1 speech responses of unequal lengths, Lh and a source length N
+    from the shortest that ``sweep._check_signal_length`` admits: one quality
+    frame, 4 Lh and one sample more than the longest response.  Responses as
+    long as N reach lags of the source past its end (Lir + Lh - 1 > N)."""
+    K = draw(st.integers(1, 4))
+    Lh = draw(st.integers(1, 40))
+    lengths = draw(st.lists(st.integers(1, 700), min_size=K + 1, max_size=K + 1))
+    spatial_ref = draw(st.integers(0, K - 1))
+    seed = draw(st.integers(0, 2**16))
+    shortest = max(QUALITY_FRAME, 4 * Lh, max(lengths) + 1)
+    N = draw(st.integers(shortest, shortest + 2000) | st.just(shortest))
+    rng = np.random.default_rng(seed)
+    irs = [rng.standard_normal(length) * np.exp(-np.arange(length) / 50.0) for length in lengths]
+    # the reference's leading tap dominates, so its normal matrix stays well conditioned
+    irs[spatial_ref][0] = 4.0 * np.sqrt(np.sum(irs[spatial_ref][1:] ** 2)) + 1.0
+    scene = Scene(
+        K=K, ir_speech=tuple(irs), ir_noise=tuple(irs), g=np.ones(1), fs=16000, spatial_ref=spatial_ref
+    )
+    return scene, Lh, white_noise(N, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=fit_cases())
+def test_fit_matches_explicit_frames_on_any_scene(case):
+    """The correlation-domain fit equals the ridge regression on the explicit
+    frames of the rendering, for any K, response lengths, Lh and N."""
+    scene, Lh, white = case
+    reirs = estimate_reirs(scene, white, Lh)
+    h, residuals = explicit_frames_reirs(render_mics(scene, white), scene.spatial_ref, Lh)
+    assert np.max(np.abs(reirs.h - h)) <= 1e-10 * np.max(np.abs(h))
+    np.testing.assert_allclose(reirs.residuals, residuals, rtol=0, atol=1e-10)
 
 
 def test_estimation_deterministic():

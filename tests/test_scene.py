@@ -133,9 +133,30 @@ def test_render_matches_convolution_matrix_form():
     mics = render_mics(scene, speech, noise)
     assert mics.s.shape == mics.v.shape == (scene.K + 1, len(speech))
     for k in range(scene.K + 1):
-        np.testing.assert_array_equal(mics.s[k], np.convolve(scene.ir_speech[k], speech)[:400])
-        np.testing.assert_array_equal(mics.v[k], np.convolve(scene.ir_noise[k], noise)[:400])
+        for row, ir, source in ((mics.s[k], scene.ir_speech[k], speech), (mics.v[k], scene.ir_noise[k], noise)):
+            ref = np.convolve(ir, source)[:400]
+            np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
     assert np.shares_memory(mics.p_s, mics.s) and np.shares_memory(mics.p_v, mics.v)
+
+
+@pytest.mark.parametrize(
+    "n, lengths",
+    [(3000, (40, 1, 17)), (200000, (1500, 900, 1)), (50000, (2049, 3, 700))],
+    ids=["one-block", "long-responses", "unequal-lengths"],
+)
+def test_render_matches_direct_convolution(n, lengths):
+    """Each overlap-save row is np.convolve(ir, x)[:N] to 1e-12 of the row's scale:
+    on one block (N + M < 4096), on blocks longer than 4096 (M > 1024) and for
+    responses of unequal lengths, speech and noise each."""
+    rng = np.random.default_rng(n)
+    irs = tuple(rng.standard_normal(m) * np.exp(-np.arange(m) / 300.0) for m in lengths)
+    scene = Scene(K=len(lengths) - 1, ir_speech=irs, ir_noise=irs[::-1], g=np.ones(1), fs=16000, spatial_ref=0)
+    speech, noise = white_noise(n, 1), white_noise(n, 2)
+    mics = render_mics(scene, speech, noise)
+    for stack, responses, source in ((mics.s, irs, speech), (mics.v, irs[::-1], noise)):
+        for row, ir in zip(stack, responses):
+            ref = np.convolve(ir, source)[:n]
+            assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_render_mics_silent_noise_cannot_scale():
@@ -172,8 +193,9 @@ def traced_peak(fn):
 
 def test_stack_consumers_make_no_stack_copies():
     """On a (3, 960000) rendering, as for a 60 s recording, the observed sum,
-    the simulation set-up beyond the spectra it keeps and the ReIR fit each
-    peak under 1.25 stacks: none of them re-stacks or re-sums the channels."""
+    the simulation set-up beyond the spectra it keeps and the ReIR fit from
+    a 960000-sample source each peak under 1.25 stacks: none of them
+    re-stacks or re-sums the channels, and the fit renders none."""
     scene = synth_scene(
         K=2, speech_delays=[6, 8, 10], noise_delays=[9, 5, 7],
         gains=[(1.0, 0.7), (0.8, 1.0), (0.6, 0.8)], sec_delay=2, sec_ir_len=48,
@@ -187,8 +209,8 @@ def test_stack_consumers_make_no_stack_copies():
     blocks, peak = traced_peak(lambda: _Blocks(mics.s, scene.g, 48))
     assert peak - blocks.X.nbytes < 1.25 * stack
     del blocks
-    white = render_mics(scene, white_noise(n, 2))
-    _, peak = traced_peak(lambda: estimate_reirs(white, scene.spatial_ref, 48))
+    white = white_noise(n, 2)
+    _, peak = traced_peak(lambda: estimate_reirs(scene, white, 48))
     assert peak < 1.25 * stack
 
 

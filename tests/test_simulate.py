@@ -133,7 +133,7 @@ def test_zero_action_filter_leaves_speech_untouched():
         gains=[(1.0, 0.7), (0.8, 1.0), (0.6, 0.8)],
         sec_delay=1, sec_ir_len=6, fs=16000, seed=0,
     )
-    reirs = estimate_reirs(render_mics(scene, white_noise(8000, 1)), scene.spatial_ref, 8)
+    reirs = estimate_reirs(scene, white_noise(8000, 1), 8)
     mics = render_mics(scene, white_noise(8000, 2))  # desired only
     Lw, Lg = 8, 6
     L = Lg + Lw - 1

@@ -417,7 +417,7 @@ def small_noisy_pipeline(seed=0, n=8000, Lw=8, Lg=6, Lh=8, snr_db=-5.0):
         sec_delay=1, sec_ir_len=Lg, fs=16000, seed=seed,
     )
     white = white_noise(n, seed + 100)
-    reirs = estimate_reirs(render_mics(scene, white), scene.spatial_ref, Lh)
+    reirs = estimate_reirs(scene, white, Lh)
     speech = white_noise(n, seed + 200)
     noise = white_noise(n, seed + 300)
     mics = render_mics(scene, speech, noise, snr_db)

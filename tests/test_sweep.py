@@ -442,6 +442,30 @@ def test_cli_simulate_renders_without_reir_estimation(tmp_path, monkeypatch):
     ]) == 0
 
 
+@pytest.mark.parametrize("command", ["design", "simulate", "sweep"])
+def test_every_command_renders_once(tmp_path, monkeypatch, command):
+    """Each command renders its speech and noise once and nothing else: the
+    ReIR fit reads the white noise through its correlations, unrendered."""
+    cfg = write_quick_config(tmp_path)
+    flt = tmp_path / "filter.json"
+    assert cli_main(["design", "--config", str(cfg), "--delta", "1", "--out", str(flt)]) == 0
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return render_mics(*args, **kwargs)
+
+    render_mics = sweep_mod.render_mics
+    monkeypatch.setattr(sweep_mod, "render_mics", counted)
+    extra = {
+        "design": ["--delta", "1", "--out", str(tmp_path / "f.json")],
+        "simulate": ["--filter", str(flt), "--delta", "1", "--out", str(tmp_path / "sim")],
+        "sweep": ["--out", str(tmp_path / "rows.csv")],
+    }[command]
+    assert cli_main([command, "--config", str(cfg), *extra]) == 0
+    assert len(calls) == 1 and calls[0][2] is not None  # speech and noise
+
+
 def run_fresh(code, *args, timeout=120):
     """stdout of ``python -c code *args`` in a fresh interpreter that finds ``ssanc``."""
     paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
@@ -806,6 +830,25 @@ def test_wav_source_shorter_than_the_reir_fit_is_refused(tmp_path, capsys):
     cfg = write_quick_config(tmp_path, duration_s=2.0, Lh=4100, noise_wav=str(tmp_path / "noise.wav"))
     assert cli_main(["sweep", "--config", str(cfg)]) == 1
     assert "signals have 16000 samples; the ReIR fit (4 Lh) needs 16400" in one_config_error(capsys)
+
+
+def test_wav_source_is_cut_before_it_is_converted(tmp_path):
+    """Loading a 10 s WAV source for 1 s signals peaks near the 1 s it keeps,
+    not near the file's length: only those samples are read and converted."""
+    import tracemalloc
+
+    path = tmp_path / "speech.wav"
+    wavio.write_wav(path, 16000, np.random.default_rng(2).standard_normal(160000))
+    config = quick_config(duration_s=1.0, speech_wav=str(path))
+    wavio.read_wav_mono(path, frames=1)  # import the reader outside the trace
+    tracemalloc.start()
+    try:
+        data = sweep_mod._load_source(path, config, 16000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(data, wavio.read_wav_mono(path)[1][:16000])
+    assert peak < 1.5 * data.nbytes, peak  # the file holds 10 times as many
 
 
 @pytest.mark.parametrize("source", ["stereo", "not-riff"])
