@@ -105,9 +105,9 @@ def overlap_blocks(x: np.ndarray, start: int, count: int, size: int, hop: int) -
     return np.lib.stride_tricks.sliding_window_view(span, size, axis=1)[:, ::hop]
 
 
-# samples per channel transformed at a time by lagged_products and by
-# scene.render_mics: bounds their temporaries to a few MB whatever the
-# signal length
+# samples per channel transformed at a time by lagged_products,
+# scene.render_mics and simulate._Blocks: bounds their temporaries to a
+# few MB whatever the signal length
 _BLOCK_CHUNK = 1 << 16
 
 

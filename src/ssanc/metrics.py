@@ -19,7 +19,7 @@ import numpy as np
 
 from ssanc.convmat import lagged_products, next_fast_len
 from ssanc.scene import MicSignals
-from ssanc.simulate import RunResult, _Blocks, _delayed
+from ssanc.simulate import RunResult, _Blocks
 
 SDI_FLOOR_DB = -120.0
 # quality_proxy frame, the shortest signal a run can be scored on, and hop
@@ -187,22 +187,27 @@ class _RowScores:
     is (sel - u) on the speech stack, with sel the unit pulse at the
     target microphone ``mic`` and lag delta; and the drive y is w on the
     observed stack x = s + v.  The speech and noise correlations span
-    ``lags`` >= max(L, delta + 1) lags, those of x Lw.  The error signal,
-    for the quality proxy, comes from the block spectra of x
-    (``simulate._Blocks``).  Of the stacks only x and a copy of the
-    target microphone's speech row are kept.
+    ``lags`` >= max(L, delta + 1) lags, those of x Lw.  Each delay's
+    target is a view of one zero-led copy of the target microphone's
+    speech row.  ``take_spectra`` then replaces x by its block spectra
+    and last row, the error signal's input (``simulate._Blocks``).
     """
 
     def __init__(self, mics: MicSignals, g, Lw: int, lags: int, mic: int):
-        x = mics.s + mics.v
+        self.x = mics.s + mics.v
         self.speech = _FilteredEnergy(mics.s, lags)
         self.noise = _FilteredEnergy(mics.v, lags)
-        self.drive = _FilteredEnergy(x, Lw)
-        self.blocks = _Blocks(x, g, Lw)  # keeps x's last row, and so x
+        self.drive = _FilteredEnergy(self.x, Lw)
+        self.blocks = _Blocks(mics.N, g, Lw)
         self.g = np.asarray(g, dtype=float).ravel()
         self.mic = mic
-        self.target = mics.s[mic].copy()
+        self.target = np.concatenate([np.zeros(lags - 1), mics.s[mic]])
         self.noise_in = float(np.vdot(mics.p_v, mics.p_v))
+
+    def take_spectra(self) -> None:
+        """Replace x by its block spectra X and its last row p: a sweep frees s and v first."""
+        self.X, self.p = self.blocks.all_spectra(self.x), self.x[-1].copy()
+        self.x = None
 
     def __call__(self, w: np.ndarray, delta: int) -> MetricBundle:
         """The metrics of filter w whose target is the target microphone's speech delayed by delta."""
@@ -210,7 +215,7 @@ class _RowScores:
         # work to OpenBLAS's own threads (a matrix product or a dot product
         # of N samples would), which compete with the pool's: u comes from
         # np.convolve per channel and the target energy from einsum
-        t = _delayed(self.target, delta)
+        t = self.target[self.speech.P - 1 - delta :][: self.blocks.N]
         u = np.array([np.convolve(w_c, self.g) for w_c in w])
         u[-1, 0] += 1.0
         sel = np.zeros((u.shape[0], self.speech.P))
@@ -220,5 +225,5 @@ class _RowScores:
             nr_db=_nr_db(self.noise_in, self.noise(u)),
             sdi_db=_sdi_db(self.speech(sel), float(np.einsum("i,i", t, t))),
             effort=self.drive(w),
-            quality_db=quality_proxy(t, self.blocks.error(self.blocks.drive(w))),
+            quality_db=quality_proxy(t, self.blocks.error(w, self.X, self.p)),
         )

@@ -395,26 +395,25 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
     samples; and, while it factorizes, the right-hand sides of the
     solve, as many floats as A.  The ReIR fit holds less than either:
     one n-sample white source and one channel's correlation chunk.  A
-    simulation of sim_taps-tap filters holds overlap-save block spectra
-    (``simulate._Blocks``): ``simulate`` those of both stacks and the
-    five n-sample signals of one run.  ``sweep`` frees the design after
-    its solve and then takes, next to the three stacks, those of the
-    observed stack x = s + v from its blocks, and the lag correlations
-    its energies are scored from (``metrics._RowScores``): the spectra
-    of (K+1)^2 correlations over P = max(L, the last delay + 1) lags of
-    s and of v and sim_taps lags of x, about one complex value per lag.
-    It then frees the speech and noise stacks and keeps x, the target
-    microphone's speech row, the spectra and the correlations, and each
-    of its ``workers`` threads holds the t and e of one delay and either
-    the block spectra of its drive and their inverse transform or the
-    quality proxy's frame batches, about three (``_QUALITY_BLOCK``,
-    ``QUALITY_FRAME``) arrays.  A command needs the largest of its
-    phases, not their sum; it is refused only if that does not fit on
-    one thread, and a sweep starts as many as fit (``_workers``).
+    simulation of sim_taps-tap filters (``simulate._Blocks``) holds one
+    chunk of block spectra at a time: ``simulate`` of both stacks, next
+    to them and the five n-sample signals of one run.  ``sweep`` frees
+    the design after its solve; next to the three stacks it builds the
+    lag correlations it scores from (``metrics._RowScores``), about one
+    complex value per lag of (K+1)^2 channel pairs, P = max(L, the last
+    delay + 1) lags of s and of v and sim_taps of x, and copies the
+    target microphone's speech row.  It frees s and v, takes all block
+    spectra of x next to x and its last row, and frees x; each of its
+    ``workers`` threads then holds the e of one delay and one chunk of
+    its drive's spectra and their inverse transform or the quality
+    proxy's three (``_QUALITY_BLOCK``, ``QUALITY_FRAME``) frame batches.
+    A command needs the largest of its phases, not their sum; it is
+    refused only if that does not fit on one thread, and a sweep starts
+    as many as fit (``_workers``).
     """
     C = K + 1
-    stacks = 3 * 8 * C * n
-    phases = [stacks]
+    stack = 8 * C * n
+    phases = [3 * stack]
     if design:
         L = config.Lg + config.Lw - 1
         flen = config.Lh + L - 1
@@ -422,22 +421,25 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
         context = 8 * ((C * config.Lw) ** 2 + 2 * A + flen**2)
         nfft = block_fft_len(L - 1, n)
         chunk = min(max(1, _BLOCK_CHUNK // nfft), -(-n // (nfft - L + 1))) * nfft
-        phases.append(stacks + context + 8 * max(4 * C * chunk, A))
+        phases.append(3 * stack + context + 8 * max(4 * C * chunk, A))
     if sim_taps is not None:
         memory = sim_taps + config.Lg - 2
         nfft = block_fft_len(memory, n)
         blocks = -(-n // (nfft - memory))
-        spectra = 16 * C * blocks * (nfft // 2 + 1)
+        count = min(max(1, _BLOCK_CHUNK // nfft), blocks)  # blocks per chunk
+        chunk = 16 * C * count * (nfft // 2 + 1)  # one chunk of one stack's block spectra
         if design:
             P = max(config.Lg + config.Lw - 1, config.delta_range[1] + 1)
-            forms = 16 * C * C * (2 * P + sim_taps)
-            per_worker = 16 * n + max(spectra // C + 8 * blocks * nfft, 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME)
+            held = 16 * C * C * (2 * P + sim_taps) + 8 * (n + P)  # the forms and the target row
+            spectra = chunk // count * blocks
+            per_worker = 8 * n + max(chunk // C + 8 * count * nfft, 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME)
             phases += [
-                stacks + 8 * C * blocks * nfft + spectra + forms,
-                8 * (C + 1) * n + spectra + forms + workers * per_worker,
+                3 * stack + held,
+                stack + 8 * n + spectra + chunk + held,
+                8 * n + spectra + held + workers * per_worker,
             ]
         else:
-            phases.append(stacks + 2 * spectra + 8 * 5 * n)
+            phases.append(2 * stack + 2 * chunk + 8 * 5 * n)
     return max(phases)
 
 
@@ -565,14 +567,13 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     and the filters of all delays come from one batched solve.  Each
     delay is then one task, ``metrics._RowScores``: NR, SDI and effort
     are quadratic forms in the filter, and only the error signal is
-    simulated, for the quality proxy, by ``error(drive(w))`` on the
-    observed stack's ``simulate._Blocks``, as ``apply_control`` does on
-    the speech and noise stacks.  Before it scores, the sweep frees the
-    factorized design and the speech and noise stacks; the tasks, numpy
-    transforms that release the GIL, then run on ``_workers`` threads,
-    and the rows come back in delay order.  The rows agree with
-    ``apply_control`` and ``evaluate_run``, which ``ssanc simulate``
-    prints, up to rounding, and do not depend on the number of threads.
+    simulated, for the quality proxy, by the ``simulate._Blocks`` chunks
+    ``apply_control`` runs.  The sweep frees the factorized design
+    before its forms and the speech and noise stacks before the block
+    spectra; the tasks, numpy transforms that release the GIL, then run
+    on ``_workers`` threads, and the rows come back in delay order,
+    agreeing with ``apply_control`` and ``evaluate_run`` up to rounding
+    whatever the number of threads.
     A numeric failure at one delay yields an error row and the sweep
     continues; any other exception propagates.
     """
@@ -590,6 +591,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     mic = target_mic(config.target_kind, prep.scene.spatial_ref)
     score = _RowScores(prep.mics, prep.scene.g, config.Lw, max(prep.L, deltas[-1] + 1), mic)
     del prep  # the speech and noise stacks
+    score.take_spectra()
 
     def row(delta: int, res) -> SweepRow:
         """The row of delay delta from its design result, or the numeric failure that stopped it."""

@@ -11,10 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-# scipy promotes 24-bit PCM to int32 with the payload in the high bytes,
-# so a single full-scale divisor per integer dtype is correct for both.
-_PCM_SCALE = {np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}
-
 _WAVE_FORMAT_IEEE_FLOAT = 3
 
 
@@ -24,24 +20,43 @@ def read_wav_mono(path, frames: int | None = None) -> tuple[int, np.ndarray]:
     With ``frames``, only the first ``frames`` samples are kept.  They are
     cut before they are converted, from a memory map of the file, so a
     long recording is neither read nor converted whole; 24-bit PCM, which
-    has no mappable sample type, is read whole and then cut.
+    has no mappable sample type, is mapped as bytes (``_pcm24``).
     """
     from scipy.io import wavfile  # deferred: only reading needs scipy
 
     try:
         fs, data = wavfile.read(str(path), mmap=True)
-    except ValueError:  # 24-bit PCM; a malformed file fails again below
-        fs, data = wavfile.read(str(path))
+    except ValueError:  # 24-bit PCM, mapped as bytes; anything else fails again below, read whole
+        fs, data = _pcm24(path, frames) or wavfile.read(str(path))
     if data.ndim != 1:
         raise ValueError(f"expected mono WAV, got {data.shape[1]} channels")
     data = np.asarray(data)[:frames]  # a plain view of the map: only the samples kept are converted
-    if data.dtype in _PCM_SCALE:
-        data = data.astype(np.float64) / _PCM_SCALE[data.dtype]
+    out = data.astype(np.float64)
+    if data.dtype.kind == "i":  # full scale of the container; 24-bit PCM arrives as int32
+        out /= 2.0 ** (8 * data.dtype.itemsize - 1)
     elif data.dtype == np.uint8:
-        data = (data.astype(np.float64) - 128.0) / 128.0
-    else:
-        data = data.astype(np.float64)
-    return int(fs), data
+        out = (out - 128.0) / 128.0
+    return int(fs), out
+
+
+def _pcm24(path, frames: int | None) -> tuple[int, np.ndarray] | None:
+    """(rate, first ``frames`` samples) of a mono little-endian 24-bit PCM WAV as scipy reads
+    them (int32, high three bytes) from a memory map of the data chunk; None for other files."""
+    with open(path, "rb") as f:
+        riff, fmt, head = f.read(12)[:4], None, f.read(8)
+        while riff == b"RIFF" and len(head) == 8 and head[:4] != b"data":
+            size = int.from_bytes(head[4:], "little")
+            if head[:4] == b"fmt ":  # tag, channels, rate, bytes per second, bytes per frame
+                fmt, size = struct.unpack("<HHIIH", f.read(14)), size - 14
+            f.seek(size + size % 2, 1)
+            head = f.read(8)
+        if head[:4] != b"data" or fmt is None or fmt[0] not in (1, 0xFFFE) or (fmt[1], fmt[4]) != (1, 3):
+            return None
+        n, offset = int.from_bytes(head[4:], "little") // 3, f.tell()
+    n = n if frames is None else min(n, frames)
+    data = np.zeros((n, 4), dtype=np.uint8)
+    data[:, 1:] = np.memmap(path, np.uint8, "r", offset, (n, 3))
+    return fmt[2], data.view("<i4")[:, 0]
 
 
 def write_wav(path, fs: int, data: np.ndarray) -> None:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -180,17 +178,12 @@ def test_lagged_products_rejects_bad_L():
             lagged_products(x, x, L)
 
 
-def test_lagged_products_memory_does_not_grow_with_N():
+def test_lagged_products_memory_does_not_grow_with_N(traced_peak):
     """One (3, 960000) call, as for the input autocorrelation of a 60 s
     recording, peaks under twice its input's bytes; one full-length
     transform per channel pair would take several times that."""
     x = np.random.default_rng(0).standard_normal((3, 960000))
-    tracemalloc.start()
-    try:
-        lagged_products(x, x, 95)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: lagged_products(x, x, 95))
     assert peak < 2 * x.nbytes
 
 

@@ -234,14 +234,19 @@ def test_row_scores_keep_the_metric_semantics():
     v = rng.standard_normal((3, 1024))
     w = np.zeros((3, 5))
     g = [0.0, 1.0, 0.5]
-    row = _RowScores(MicSignals(s=s, v=v), g, 5, 7, -1)(w, 0)
+    score = _RowScores(MicSignals(s=s, v=v), g, 5, 7, -1)
+    score.take_spectra()
+    row = score(w, 0)
     assert isinstance(row, MetricBundle)
     assert row.nr_db == pytest.approx(0.0, abs=1e-9)
     assert row.sdi_db == SDI_FLOOR_DB
     assert row.effort == 0.0
     assert row.quality_db == quality_proxy(s[-1], s[-1] + v[-1])
     quiet = _RowScores(MicSignals(s=s, v=np.zeros_like(v)), g, 5, 7, -1)
+    quiet.take_spectra()
     assert quiet(w, 0).nr_db == float("inf")
     s[0] = 0.0
+    silent = _RowScores(MicSignals(s=s, v=v), g, 5, 7, 0)
+    silent.take_spectra()
     with pytest.raises(ValueError, match="zero energy"):
-        _RowScores(MicSignals(s=s, v=v), g, 5, 7, 0)(w, 0)
+        silent(w, 0)

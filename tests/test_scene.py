@@ -1,5 +1,5 @@
 import json
-import tracemalloc
+import struct
 
 import numpy as np
 import pytest
@@ -181,17 +181,7 @@ def test_components_sum_exactly():
     np.testing.assert_array_equal(observed[:-1], mics.s[:-1] + mics.v[:-1])
 
 
-def traced_peak(fn):
-    """fn() and the peak bytes it allocated, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_stack_consumers_make_no_stack_copies():
+def test_stack_consumers_make_no_stack_copies(traced_peak):
     """On a (3, 960000) rendering, as for a 60 s recording, the observed sum,
     the simulation set-up beyond the spectra it keeps and the ReIR fit from
     a 960000-sample source each peak under 1.25 stacks: none of them
@@ -206,9 +196,9 @@ def test_stack_consumers_make_no_stack_copies():
     stack = mics.s.nbytes
     _, peak = traced_peak(lambda: input_frames(mics, 95))
     assert peak < 1.25 * stack
-    blocks, peak = traced_peak(lambda: _Blocks(mics.s, scene.g, 48))
-    assert peak - blocks.X.nbytes < 1.25 * stack
-    del blocks
+    X, peak = traced_peak(lambda: _Blocks(n, scene.g, 48).all_spectra(mics.s))
+    assert peak - X.nbytes < 1.25 * stack
+    del X
     white = white_noise(n, 2)
     _, peak = traced_peak(lambda: estimate_reirs(scene, white, 48))
     assert peak < 1.25 * stack
@@ -388,10 +378,20 @@ def test_wav_pcm16_round_trip_within_quantization(tmp_path):
     np.testing.assert_allclose(back, data, atol=2.0**-16)
 
 
+def test_wav_big_endian_pcm16_is_scaled_as_little_endian(tmp_path):
+    """A RIFX file's big-endian 16-bit samples read as the same values as a RIFF file's."""
+    samples = np.round(0.5 * np.sin(np.linspace(0, 20, 400)) * 2.0**15).astype(np.int16)
+    wavfile.write(str(tmp_path / "le.wav"), 16000, samples)
+    raw = samples.astype(">i2").tobytes()
+    body = b"WAVE" + b"fmt " + struct.pack(">IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16)
+    body += b"data" + struct.pack(">I", len(raw)) + raw
+    (tmp_path / "be.wav").write_bytes(b"RIFX" + struct.pack(">I", len(body)) + body)
+    for name in ("le.wav", "be.wav"):
+        np.testing.assert_array_equal(wavio.read_wav_mono(tmp_path / name)[1], samples / 2.0**15)
+
+
 def test_wav_pcm24_read(tmp_path):
     # hand-roll a 24-bit PCM WAV: scipy reads it back as int32 (high bytes)
-    import struct
-
     samples = [0, 1 << 8, -(1 << 8), (1 << 22)]
     raw = b"".join(struct.pack("<i", s)[0:3] for s in samples)
     header = b"RIFF" + struct.pack("<I", 36 + len(raw)) + b"WAVE"
@@ -401,3 +401,33 @@ def test_wav_pcm24_read(tmp_path):
     fs, back = wavio.read_wav_mono(tmp_path / "p24.wav")
     assert fs == 16000
     np.testing.assert_allclose(back, np.array(samples) / 2**23, atol=1e-12)
+
+
+def write_pcm24(path, samples, channels=1):
+    """A 24-bit PCM WAV of the int samples, interleaved, with a LIST chunk before the data."""
+    raw = np.asarray(samples, dtype="<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    fmt = struct.pack("<HHIIHH", 1, channels, 16000, 16000 * 3 * channels, 3 * channels, 24)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"LIST" + struct.pack("<I", 5) + b"INFOx\0"  # odd size: a pad byte follows
+    body += b"data" + struct.pack("<I", len(raw)) + raw
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+def test_wav_pcm24_first_frames_are_read_without_the_rest(tmp_path, traced_peak):
+    """1 s of a 10 s 24-bit PCM WAV reads as the first 16000 samples of scipy's
+    whole read, and peaks under twice the float64 samples it keeps: only
+    their bytes are read, from a memory map of the data chunk."""
+    rng = np.random.default_rng(4)
+    samples = rng.integers(-(1 << 23), 1 << 23, 160000)
+    write_pcm24(tmp_path / "p24.wav", samples)
+    whole = wavfile.read(str(tmp_path / "p24.wav"))[1]
+    wavio.read_wav_mono(tmp_path / "p24.wav", frames=1)  # import the reader outside the trace
+    (fs, data), peak = traced_peak(lambda: wavio.read_wav_mono(tmp_path / "p24.wav", frames=16000))
+    assert fs == 16000
+    np.testing.assert_array_equal(data, whole[:16000] / 2.0**31)
+    np.testing.assert_array_equal(data, samples[:16000] / 2.0**23)
+    assert peak < 2 * data.nbytes, peak / data.nbytes
+    np.testing.assert_array_equal(wavio.read_wav_mono(tmp_path / "p24.wav")[1], whole / 2.0**31)
+    write_pcm24(tmp_path / "stereo.wav", samples[:200], channels=2)
+    with pytest.raises(ValueError, match="mono"):
+        wavio.read_wav_mono(tmp_path / "stereo.wav", frames=10)

@@ -220,23 +220,32 @@ def test_worker_threads_keep_the_callers_numpy_error_state(monkeypatch, stage):
 
 
 def test_sweep_forms_each_target_once(monkeypatch):
-    """A fig3 sweep delays the target microphone's speech once per delay."""
+    """A fig3 sweep forms the target microphone's delayed speech once: each
+    delay's target, as the quality proxy receives it, is a view of one
+    zero-led copy of that row, not an N-sample copy of its own, and holds
+    the row delayed by the delay."""
     import ssanc.metrics
-    import ssanc.simulate
 
-    calls = []
-    real = ssanc.simulate._delayed
+    targets = []
+    real = ssanc.metrics.quality_proxy
 
-    def counted(x, delta):
-        calls.append(delta)
-        return real(x, delta)
+    def recorded(t, u):
+        targets.append(t)
+        return real(t, u)
 
-    for module in (ssanc.simulate, ssanc.metrics, sweep_mod):
-        monkeypatch.setattr(module, "_delayed", counted, raising=False)
+    monkeypatch.setattr(ssanc.metrics, "quality_proxy", recorded)
     config = SweepConfig.from_json(ROOT / "configs" / "fig3_synthetic.json")
     rows = run_sweep(config)
     assert all(r.error == "" for r in rows)
-    assert sorted(calls) == config.deltas()
+    row = targets[0].base
+    assert len(targets) == len(config.deltas())
+    assert all(t.base is row and t.flags.c_contiguous for t in targets)
+    speech = sweep_mod.prepare_scene(config).mics.s[-1]
+    lead = row.shape[0] - speech.shape[0]  # the zeros before the row
+    delays = [lead - (t.ctypes.data - row.ctypes.data) // t.itemsize for t in targets]
+    assert sorted(delays) == config.deltas()
+    for delta, t in zip(delays, targets):
+        np.testing.assert_array_equal(t, np.concatenate([np.zeros(delta), speech[: speech.shape[0] - delta]]))
 
 
 def test_sweep_deterministic_csv_bytes(tmp_path):
@@ -716,18 +725,19 @@ def test_synthetic_design_matrices_are_refused_before_rendering(tmp_path, monkey
 
 
 def test_simulation_spectra_that_cannot_fit_are_refused(tmp_path, monkeypatch, capsys):
-    """The overlap-save spectra of both stacks (two ``simulate._Blocks``) count
-    toward the memory ``ssanc simulate`` must fit in: room for the signals
-    alone is refused."""
+    """One chunk of the overlap-save spectra of both stacks (``simulate._Blocks``)
+    counts toward the memory ``ssanc simulate`` must fit in: room for the
+    signals alone is refused."""
     monkeypatch.chdir(tmp_path)
-    cfg = write_quick_config(tmp_path)
+    cfg = write_quick_config(tmp_path, duration_s=5.0)
     config = SweepConfig.from_json(cfg)
     n = int(config.duration_s * config.fs)
     signals = sweep_mod._memory_need(config, 2, n, design=False, sim_taps=None)
     need = sweep_mod._memory_need(config, 2, n, design=False, sim_taps=config.Lw)
-    # 24000 samples in 4074-sample hops: 6 blocks of 2049 bins, speech and
-    # noise, 3 channels; and the five signals of one run
-    assert need - signals == 2 * 3 * 6 * 2049 * 16 + 5 * 8 * n
+    # 80000 samples in 4074-sample hops: 20 blocks, of which one chunk of
+    # 16 blocks of 2049 bins, speech and noise, 3 channels, is held at a
+    # time; and the five signals of one run, next to two of the three stacks
+    assert need - signals == 2 * 3 * 16 * 2049 * 16 + 5 * 8 * n - 3 * 8 * n
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps({"K": 2, "Lw": 12, "w": np.zeros((3, 12)).tolist()}))
     argv = ["simulate", "--config", str(cfg), "--filter", str(zero)]
@@ -832,21 +842,14 @@ def test_wav_source_shorter_than_the_reir_fit_is_refused(tmp_path, capsys):
     assert "signals have 16000 samples; the ReIR fit (4 Lh) needs 16400" in one_config_error(capsys)
 
 
-def test_wav_source_is_cut_before_it_is_converted(tmp_path):
+def test_wav_source_is_cut_before_it_is_converted(tmp_path, traced_peak):
     """Loading a 10 s WAV source for 1 s signals peaks near the 1 s it keeps,
     not near the file's length: only those samples are read and converted."""
-    import tracemalloc
-
     path = tmp_path / "speech.wav"
     wavio.write_wav(path, 16000, np.random.default_rng(2).standard_normal(160000))
     config = quick_config(duration_s=1.0, speech_wav=str(path))
     wavio.read_wav_mono(path, frames=1)  # import the reader outside the trace
-    tracemalloc.start()
-    try:
-        data = sweep_mod._load_source(path, config, 16000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    data, peak = traced_peak(lambda: sweep_mod._load_source(path, config, 16000))
     np.testing.assert_array_equal(data, wavio.read_wav_mono(path)[1][:16000])
     assert peak < 1.5 * data.nbytes, peak  # the file holds 10 times as many
 
@@ -879,11 +882,9 @@ def write_long_20s_config(tmp_path) -> str:
 
 
 @pytest.mark.parametrize("name", list(MEMORY_RATIO_HIGH))
-def test_memory_need_is_near_the_traced_peak(tmp_path, monkeypatch, name):
+def test_memory_need_is_near_the_traced_peak(tmp_path, monkeypatch, traced_peak, name):
     """Each command's ``_memory_need`` lies within 0.75 and ``MEMORY_RATIO_HIGH``
     of its tracemalloc peak."""
-    import tracemalloc
-
     monkeypatch.chdir(tmp_path)
     if name == "long_20s":
         path = write_long_20s_config(tmp_path)
@@ -897,54 +898,58 @@ def test_memory_need_is_near_the_traced_peak(tmp_path, monkeypatch, name):
         "sweep": (["--out", "rows.csv"], True, config.Lw),
     }
     for command, (extra, design, sim_taps) in commands.items():
-        tracemalloc.start()
-        try:
-            assert cli_main([command, "--config", path, *extra]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: cli_main([command, "--config", path, *extra]))
+        assert code == 0
         ratio = sweep_mod._memory_need(config, config.scene["K"], n, design, sim_taps) / peak
         assert 0.75 <= ratio <= MEMORY_RATIO_HIGH[name], (command, ratio)
 
 
-def test_two_workers_cost_no_memory(tmp_path, monkeypatch):
+def test_two_workers_cost_no_memory(tmp_path, monkeypatch, traced_peak):
     """On long_20s the tracemalloc peak of ``ssanc sweep`` on two worker
     threads is at most 1.1 times its peak on one: the speech and noise
     stacks it frees before scoring pay for the second thread."""
-    import tracemalloc
-
     monkeypatch.chdir(tmp_path)
     path = write_long_20s_config(tmp_path)
     peaks = {}
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-        tracemalloc.start()
-        try:
-            assert cli_main(["sweep", "--config", path, "--out", "rows.csv"]) == 0
-            peaks[cpus] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peaks[cpus] = traced_peak(lambda: cli_main(["sweep", "--config", path, "--out", "rows.csv"]))
+        assert code == 0
     assert peaks[2] <= 1.1 * peaks[1], peaks
 
 
+def test_sweep_and_simulate_peak_near_the_design(tmp_path, monkeypatch, traced_peak):
+    """On long_20s the tracemalloc peak of ``ssanc sweep`` is at most 1.05
+    times that of ``ssanc design``, and that of ``ssanc simulate`` at most
+    1.25 times: neither holds the block spectra of a whole stack next to
+    the speech and noise stacks."""
+    monkeypatch.chdir(tmp_path)
+    path = write_long_20s_config(tmp_path)
+
+    def peak(command, *extra):
+        code, peak = traced_peak(lambda: cli_main([command, "--config", path, *extra]))
+        assert code == 0
+        return peak
+
+    design = peak("design", "--delta", "0", "--out", "f.json")
+    simulate = peak("simulate", "--filter", "f.json", "--out", "sim")
+    sweep = peak("sweep", "--out", "rows.csv")
+    assert sweep <= 1.05 * design, (sweep / design, simulate / design)
+    assert simulate <= 1.25 * design, (sweep / design, simulate / design)
+
+
 @pytest.mark.parametrize("command", ["design", "sweep"])
-def test_memory_need_is_near_the_traced_peak_of_a_paper_scale_design(tmp_path, monkeypatch, command):
+def test_memory_need_is_near_the_traced_peak_of_a_paper_scale_design(tmp_path, monkeypatch, traced_peak, command):
     """On paper_scale, where the design's matrices dominate, the ``_memory_need``
     of ``ssanc design`` and ``ssanc sweep`` lies within 0.75 and 1.25 of its
     tracemalloc peak."""
-    import tracemalloc
-
     monkeypatch.chdir(tmp_path)
     path = str(ROOT / "configs" / "paper_scale.json")
     config = SweepConfig.from_json(path)
     n = int(round(config.duration_s * config.fs))
     extra = {"design": ["--delta", "0", "--out", "f.json"], "sweep": ["--out", "rows.csv"]}[command]
-    tracemalloc.start()
-    try:
-        assert cli_main([command, "--config", path, *extra]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: cli_main([command, "--config", path, *extra]))
+    assert code == 0
     sim_taps = config.Lw if command == "sweep" else None
     ratio = sweep_mod._memory_need(config, config.scene["K"], n, True, sim_taps) / peak
     assert 0.75 <= ratio <= 1.25, ratio
@@ -1107,9 +1112,11 @@ def test_predicted_error_power_is_simulated_error_power(name):
 
     config = SweepConfig.from_json(ROOT / "configs" / f"{name}.json")
     prep, ctx = sweep_mod._prepare_design(config)
-    blocks = _Blocks(prep.mics.s + prep.mics.v, prep.scene.g, config.Lw)
+    x = prep.mics.s + prep.mics.v
+    blocks = _Blocks(prep.mics.N, prep.scene.g, config.Lw)
+    X = blocks.all_spectra(x)
     for delta, res in solve_every_delay(prep, ctx, config):
-        e = blocks.error(blocks.drive(res.filter))
+        e = blocks.error(res.filter, X, x[-1])
         simulated = np.mean(e[prep.L - 1 :] ** 2)
         assert abs(res.predicted_error_power - simulated) <= 1e-10 * simulated, delta
 
@@ -1305,18 +1312,11 @@ def test_design_and_sweep_never_form_phi_xx_or_h(tmp_path, monkeypatch):
     assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 0
 
 
-def test_paper_scale_design_peak_and_held_arrays():
+def test_paper_scale_design_peak_and_held_arrays(traced_peak):
     """On paper_scale ((K+1) L = 2795) the scene and design stage peaks at most
     80 MiB under tracemalloc, and the context keeps no ((K+1) L)^2 array."""
-    import tracemalloc
-
     config = SweepConfig.from_json(ROOT / "configs" / "paper_scale.json")
-    tracemalloc.start()
-    try:
-        prep, ctx = sweep_mod._prepare_design(config, simulate=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (prep, ctx), peak = traced_peak(lambda: sweep_mod._prepare_design(config, simulate=False))
     assert peak <= 80 * 2**20, peak / 2**20
     dim = (prep.scene.K + 1) * prep.L
     assert dim == 2795
