@@ -14,10 +14,10 @@ selection vector picking the current primary sample, H the stacked
 ReIR convolution matrices and f the target response.  The closed form
 is evaluated through two symmetric systems, with numpy.linalg only:
 
-    Phi_rr = G' Phi_xx G + beta I          (SPD for beta > 0; one
-                                            multi-right-hand-side solve)
-    M      = H' G Phi_rr^-1 G' H + rho I   (eigendecomposition: inverse for
-                                            rho > 0, pseudo-inverse at rho = 0)
+    Phi_rr = G' Phi_xx G + beta I          (Lanczos top sets beta; Cholesky
+                                            check; one multi-right-hand-side solve)
+    M      = H' G Phi_rr^-1 G' H + rho I   (Lanczos top sets rho; Cholesky check;
+                                            one solve per batch; rho = 0: eigh)
 
 The design reads the inputs only through the correlations of the
 filtered references r_c = g * x_c (S = G' Phi_xx G, G' Phi_xx q and
@@ -204,6 +204,27 @@ def build_constraint(
     return Constraint(H=H, f=f)
 
 
+def _lanczos_max(M: np.ndarray) -> float:
+    """lambda_max of the symmetric M: the top Ritz value of min(40, n) Lanczos steps
+    from a fixed start vector, each reorthogonalized twice against all earlier ones
+    (Golub & Van Loan, Matrix Computations, 10.1); stops early at an invariant subspace."""
+    m = min(40, M.shape[0])
+    Q, T = np.zeros((m, M.shape[0])), np.zeros((m, m))
+    v = np.random.default_rng(0).standard_normal(M.shape[0])
+    Q[0] = v / np.linalg.norm(v)
+    for j in range(m):
+        w = M @ Q[j]
+        T[j, j] = Q[j] @ w
+        for _ in range(2):  # twice is enough
+            w -= Q[: j + 1].T @ (Q[: j + 1] @ w)
+        b = np.linalg.norm(w)
+        if j + 1 == m or b == 0.0:
+            break
+        T[j, j + 1] = T[j + 1, j] = b
+        Q[j + 1] = w / b
+    return float(np.linalg.eigvalsh(T[: j + 1, : j + 1])[-1])
+
+
 class DesignContext:
     """Factorized design state shared across target vectors.
 
@@ -217,9 +238,10 @@ class DesignContext:
     and the constraint only through A = Gt'H and H'q.  ``from_signals``
     takes them from the signals and the ReIRs (production);
     ``from_dense`` projects a dense Phi_xx and H (the oracle).  Both
-    share this factorization: one ``eigvalsh`` of S whose top sets beta,
-    one multi-right-hand-side solve with S + beta I and one
-    eigendecomposition of the inner matrix whose top sets rho.
+    share this factorization: Lanczos tops of S and M0 = A' Phi_rr^-1 A set
+    beta and rho, Cholesky checks S + beta I and M0 + rho I, one solve with
+    S + beta I has the right-hand sides [A, phi], and ``solve`` solves with
+    the kept M0 + rho I (rho = 0: the pseudo-inverse of M0, by ``eigh``).
     """
 
     def __init__(self, S, phi, power: float, A, Hq, params: DesignParams, K: int, Lw: int):
@@ -231,45 +253,48 @@ class DesignContext:
         self.A = A  # Gt'H: (K+1)Lw x (Lh+L-1)
         self.Hq = Hq
 
-        # the spectrum's top sets beta, its bottom tells whether S + beta I is PD
-        lam_S = np.linalg.eigvalsh(S)
-        self.beta = max(float(lam_S[-1]), 0.0) / params.beta_div
+        self.beta = max(_lanczos_max(S), 0.0) / params.beta_div
         if self.beta <= 0.0:
             raise SingularSystemError(
                 f"beta = {self.beta:g} is not positive; the effort-weighted covariance "
                 "is degenerate (silent inputs?)"
             )
-        if lam_S[0] <= -self.beta:
-            raise SingularSystemError(
-                f"cannot factorize Phi_rr with beta={self.beta:g}; lower beta_div"
-            )
 
-        # Phi_rr = S + beta I in place for the solve; the saved diagonal restores S exactly
+        # Phi_rr = S + beta I in place for the check and the solve; the saved diagonal restores S exactly
         diagonal = S.diagonal().copy()
         S.flat[:: S.shape[0] + 1] += self.beta
-        sol = np.linalg.solve(S, np.column_stack([A, phi]))
-        S.flat[:: S.shape[0] + 1] = diagonal
+        try:
+            np.linalg.cholesky(S)  # the definiteness check only
+            sol = np.linalg.solve(S, np.column_stack([A, phi]))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                f"cannot factorize Phi_rr with beta={self.beta:g}; lower beta_div"
+            ) from exc
+        finally:
+            S.flat[:: S.shape[0] + 1] = diagonal
         self.XA = sol[:, :-1]  # Phi_rr^-1 G'H
         self.xphi = sol[:, -1]  # Phi_rr^-1 phi
         M0 = A.T @ self.XA
         M0 = (M0 + M0.T) / 2.0
 
-        # one eigendecomposition of the PSD inner matrix gives rho, the
-        # definiteness check and the inverse of M0 + rho I on its eigenbasis
-        vals, self._vecs = np.linalg.eigh(M0)
-        self.rho = params.rho if params.rho is not None else max(float(vals[-1]), 0.0) / params.rho_div
+        self.rho = params.rho if params.rho is not None else max(_lanczos_max(M0), 0.0) / params.rho_div
         if self.rho > 0.0:
-            if vals[0] <= -self.rho:
+            M0.flat[:: M0.shape[0] + 1] += self.rho
+            try:
+                np.linalg.cholesky(M0)  # the definiteness check only
+            except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(
                     f"cannot factorize the inner constraint matrix with rho={self.rho:g}; "
                     "increase rho"
-                )
-            self._inv = 1.0 / (vals + self.rho)
+                ) from exc
+            self._inner = M0  # M0 + rho I, solved in each ``solve``
         else:
             # exact equality-constrained solution: the inner matrix is
             # generally rank-deficient, so invert it on its range only
+            vals, vecs = np.linalg.eigh(M0)
             cut = max(vals[-1], 0.0) * vals.size * np.finfo(float).eps
-            self._inv = np.where(vals > cut, 1.0 / np.where(vals > cut, vals, 1.0), 0.0)
+            inv = np.where(vals > cut, 1.0 / np.where(vals > cut, vals, 1.0), 0.0)
+            self._inner = (vecs * inv) @ vecs.T  # the pseudo-inverse of M0 on its range
 
     @classmethod
     def from_signals(cls, mics: MicSignals, g, reirs: ReIRSet, params: DesignParams, Lw: int) -> "DesignContext":
@@ -331,7 +356,7 @@ class DesignContext:
         columns = F if F.ndim == 2 else F[:, None]
         s = columns - self.Hq[:, None] + (self.A.T @ self.xphi)[:, None]
         # (M0 + rho I)^-1 s column by column: a non-finite column fails only its own design
-        mu = self._vecs @ (self._inv[:, None] * (self._vecs.T @ s))
+        mu = np.linalg.solve(self._inner, s) if self.rho > 0.0 else self._inner @ s
         W = self.XA @ mu - self.xphi[:, None]
         residuals = np.linalg.norm(self.Hq[:, None] + self.A.T @ W - columns, axis=0)
         predicted = self.power + 2.0 * (self.phi @ W) + np.einsum("ij,ij->j", W, self.S @ W)
@@ -423,7 +448,7 @@ def kkt_oracle(phi_xx, g, H, f, beta: float, K: int, Lw: int) -> np.ndarray:
     Verification-only counterpart of ``DesignContext`` at rho = 0, for
     the constraint H'(q + G w) = f.  The constraint rows C = H'Gt are
     reduced to their row space by an SVD, which shares nothing with the
-    design's eigh and solve, before the saddle solve; if the solution
+    design's factorizations, before the saddle solve; if the solution
     misses the full constraint, the constraint set is infeasible and an
     InfeasibleConstraintError is raised.
     """

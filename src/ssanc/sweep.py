@@ -386,7 +386,7 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
     and the overlap-save chunks while they are rendered.  A design
     (``design``, ``sweep``) holds, on top of them, the factorized
     ``DesignContext``: S, ((K+1) Lw)^2 floats, A and Phi_rr^-1 A,
-    (K+1) Lw (Lh + L - 1) floats each, and the eigenvectors of M0,
+    (K+1) Lw (Lh + L - 1) floats each, and M0 + rho I,
     (Lh + L - 1)^2 floats; it never forms Phi_xx or H.  With it come,
     while it correlates the observed stack, the temporaries of one chunk
     of ``lagged_products`` (``convmat._BLOCK_CHUNK`` samples per channel,

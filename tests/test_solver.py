@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,12 +17,14 @@ from ssanc.solver import (
     SingularSystemError,
     _DesignContext,
     _constraint_matrix,
+    _lanczos_max,
     build_constraint,
     design_control_filter,
     estimate_autocorrelation,
     input_frames,
     kkt_oracle,
 )
+from ssanc.sweep import SweepConfig, _prepare_design
 
 
 def stacked_frames(channels, L):
@@ -347,6 +352,53 @@ def test_beta_below_minus_smallest_eigenvalue_cannot_factorize():
         _DesignContext(indefinite, g, constraint.H, DesignParams(), K, Lw)
     # the same divisor on the PSD covariance designs
     assert _DesignContext(phi_xx, g, constraint.H, DesignParams(), K, Lw).beta > 0.0
+
+
+def test_inner_matrix_that_does_not_factorize_is_refused():
+    # rho = 1e-300 lifts the rank-deficient inner matrix by less than its rounding
+    phi_xx, g, constraint, K, Lw, _, _ = random_instance(np.random.default_rng(0))
+    with pytest.raises(SingularSystemError, match="cannot factorize the inner constraint matrix"):
+        _DesignContext(phi_xx, g, constraint.H, DesignParams(rho=1e-300), K, Lw)
+
+
+def lanczos_case(name):
+    rng = np.random.default_rng(31)
+    if name.startswith("spd"):
+        return random_psd(int(name[3:]), rng)
+    if name == "negative-definite":  # S of the "beta = 0 is not positive" design
+        _, _, _, _, _, Gt, _ = random_instance(np.random.default_rng(23))
+        return -Gt.T @ Gt
+    if name == "rank-1":
+        u = rng.standard_normal(120)
+        return np.outer(u, u)
+    assert name == "clustered-top"  # lambda_2 / lambda_1 = 0.9999 over a spread tail
+    Q = np.linalg.qr(rng.standard_normal((200, 200)))[0]
+    return (Q * np.concatenate([[1.0, 0.9999], rng.uniform(0.0, 0.9, 198)])) @ Q.T
+
+
+def assert_lanczos_top(M):
+    """_lanczos_max(M) is eigvalsh's top to 1e-12, the same bits twice, and leaves np.random's state alone."""
+    top = np.linalg.eigvalsh(M)[-1]
+    state = np.random.get_state()
+    first = _lanczos_max(M)
+    assert abs(first - top) <= 1e-12 * abs(top)
+    assert np.float64(_lanczos_max(M)).tobytes() == np.float64(first).tobytes()
+    after = np.random.get_state()
+    assert after[0] == state[0] and np.array_equal(after[1], state[1]) and after[2:] == state[2:]
+
+
+@pytest.mark.parametrize("name", ["spd5", "spd39", "spd40", "spd41", "spd300", "negative-definite", "rank-1", "clustered-top"])
+def test_lanczos_top_is_the_largest_eigenvalue(name):
+    assert_lanczos_top(lanczos_case(name))
+
+
+@pytest.mark.parametrize("seed", [0, 6])  # seed 6: the top two eigenvalues of S are 1e-4 apart
+def test_lanczos_top_of_the_paper_scale_design(seed):
+    config = replace(SweepConfig.from_json(Path(__file__).parents[1] / "configs" / "paper_scale.json"), seed=seed)
+    ctx = _prepare_design(config, simulate=False)[1]
+    assert_lanczos_top(ctx.S)
+    M0 = ctx.A.T @ ctx.XA
+    assert_lanczos_top((M0 + M0.T) / 2.0)
 
 
 def test_kkt_solution_beats_feasible_perturbations():

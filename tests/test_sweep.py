@@ -219,6 +219,22 @@ def test_worker_threads_keep_the_callers_numpy_error_state(monkeypatch, stage):
     assert all(r.error.startswith("FloatingPointError") for r in rows), [r.error for r in rows]
 
 
+def test_design_takes_no_full_spectrum(monkeypatch):
+    # beta and rho come from Lanczos runs: eigvalsh and eigh see only their <= 40 x 40 tridiagonals
+    shapes = []
+
+    def recording(real):
+        def call(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+        return call
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    sweep_mod._prepare_design(SweepConfig.from_json(ROOT / "configs" / "fig3_synthetic.json"))
+    assert shapes and max(max(shape) for shape in shapes) <= 40
+
+
 def test_sweep_forms_each_target_once(monkeypatch):
     """A fig3 sweep forms the target microphone's delayed speech once: each
     delay's target, as the quality proxy receives it, is a view of one
