@@ -647,27 +647,6 @@ def write_rows_csv(rows, path, timings: bool = False) -> None:
             ])
 
 
-def write_gnuplot_script(csv_path, script_path) -> None:
-    csv_name = Path(csv_path).name
-    text = f"""set datafile separator ','
-set key autotitle columnhead
-set xlabel 'target delay (samples)'
-set terminal pngcairo size 900,900
-set output '{Path(csv_name).stem}.png'
-set multiplot layout 4,1
-set ylabel 'NR (dB)'
-plot '{csv_name}' using 1:2 with linespoints notitle
-set ylabel 'SDI (dB)'
-plot '{csv_name}' using 1:3 with linespoints notitle
-set ylabel 'quality proxy (dB)'
-plot '{csv_name}' using 1:4 with linespoints notitle
-set ylabel 'control effort'
-plot '{csv_name}' using 1:5 with linespoints notitle
-unset multiplot
-"""
-    Path(script_path).write_text(text)
-
-
 def verify_against_oracle(trials: int = 20, dims: tuple[int, int, int] | None = None, seed: int = 0):
     """Compare the closed-form design (rho = 0) against the KKT saddle solve.
 
@@ -719,10 +698,6 @@ def _cmd_sweep(args) -> int:
     write_rows_csv(rows, out, timings=args.timings)
     failures = [r for r in rows if r.error]
     print(f"wrote {len(rows)} rows to {out}" + (f" ({len(failures)} failed)" if failures else ""))
-    if args.gnuplot:
-        script = Path(out).with_suffix(".gp")
-        write_gnuplot_script(out, script)
-        print(f"wrote {script}")
     return 0
 
 
@@ -801,7 +776,6 @@ def cli_main(argv=None) -> int:
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--timings", action="store_true", help="record wall-clock design_ms in the CSV")
-    p.add_argument("--gnuplot", action="store_true", help="emit a companion gnuplot script")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("design", help="design a single filter and export it as JSON")

@@ -1,62 +1,83 @@
-"""Thin WAV helpers.
+"""Thin WAV helpers on numpy and the standard library.
 
-Reads mono 16/24-bit PCM and 32/64-bit float WAV through scipy.io.wavfile,
-always returning float64, and writes float64 WAV with the standard
-library alone.  PCM is normalized to [-1, 1); floats pass through
-unchanged, so a write/read round trip is exact.
+Reads mono 8-bit (unsigned), 16/24/32-bit PCM and 32/64-bit float WAV,
+``RIFF`` (little-endian) or ``RIFX`` (big-endian), plain or
+``WAVE_FORMAT_EXTENSIBLE``, through one chunk walker, always returning
+float64; any other file (``RF64`` included) raises a one-line
+``ValueError``.  Writes float64 WAV.  PCM is normalized to [-1, 1);
+floats pass through unchanged, so a write/read round trip is exact.
 """
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 _WAVE_FORMAT_IEEE_FLOAT = 3
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# (format tag, bits per sample) -> sample type; 24-bit PCM has none and is mapped as bytes
+_SAMPLE_TYPES = {(1, 8): "u1", (1, 16): "i2", (1, 24): "V3", (1, 32): "i4", (3, 32): "f4", (3, 64): "f8"}
 
 
 def read_wav_mono(path, frames: int | None = None) -> tuple[int, np.ndarray]:
     """Read a WAV file that must be single-channel, returning (sample_rate, float64 array).
 
     With ``frames``, only the first ``frames`` samples are kept.  They are
-    cut before they are converted, from a memory map of the file, so a
-    long recording is neither read nor converted whole; 24-bit PCM, which
-    has no mappable sample type, is mapped as bytes (``_pcm24``).
+    cut before they are converted, from a memory map of the data chunk, so
+    a long recording is neither read nor converted whole.  24-bit PCM is
+    widened to int32 (its high three bytes), as ``scipy.io.wavfile`` reads it.
     """
-    from scipy.io import wavfile  # deferred: only reading needs scipy
-
-    try:
-        fs, data = wavfile.read(str(path), mmap=True)
-    except ValueError:  # 24-bit PCM, mapped as bytes; anything else fails again below, read whole
-        fs, data = _pcm24(path, frames) or wavfile.read(str(path))
-    if data.ndim != 1:
-        raise ValueError(f"expected mono WAV, got {data.shape[1]} channels")
-    data = np.asarray(data)[:frames]  # a plain view of the map: only the samples kept are converted
-    out = data.astype(np.float64)
-    if data.dtype.kind == "i":  # full scale of the container; 24-bit PCM arrives as int32
-        out /= 2.0 ** (8 * data.dtype.itemsize - 1)
-    elif data.dtype == np.uint8:
-        out = (out - 128.0) / 128.0
-    return int(fs), out
-
-
-def _pcm24(path, frames: int | None) -> tuple[int, np.ndarray] | None:
-    """(rate, first ``frames`` samples) of a mono little-endian 24-bit PCM WAV as scipy reads
-    them (int32, high three bytes) from a memory map of the data chunk; None for other files."""
     with open(path, "rb") as f:
-        riff, fmt, head = f.read(12)[:4], None, f.read(8)
-        while riff == b"RIFF" and len(head) == 8 and head[:4] != b"data":
-            size = int.from_bytes(head[4:], "little")
-            if head[:4] == b"fmt ":  # tag, channels, rate, bytes per second, bytes per frame
-                fmt, size = struct.unpack("<HHIIH", f.read(14)), size - 14
-            f.seek(size + size % 2, 1)
-            head = f.read(8)
-        if head[:4] != b"data" or fmt is None or fmt[0] not in (1, 0xFFFE) or (fmt[1], fmt[4]) != (1, 3):
-            return None
-        n, offset = int.from_bytes(head[4:], "little") // 3, f.tell()
-    n = n if frames is None else min(n, frames)
-    data = np.zeros((n, 4), dtype=np.uint8)
-    data[:, 1:] = np.memmap(path, np.uint8, "r", offset, (n, 3))
-    return fmt[2], data.view("<i4")[:, 0]
+        end, head = os.fstat(f.fileno()).st_size, f.read(12)
+        order = {b"RIFF": "<", b"RIFX": ">"}.get(head[:4])
+        if order is None or head[8:] != b"WAVE":
+            raise ValueError(f"not a RIFF or RIFX WAVE file (it starts {head!r})")
+        fmt = None
+        while True:
+            chunk = f.read(8)
+            if len(chunk) < 8:
+                raise ValueError("no data chunk")
+            name, size, start = chunk[:4], struct.unpack(order + "I", chunk[4:])[0], f.tell()
+            if start + size > end:
+                raise ValueError(f"{name!r} chunk of {size} bytes runs past the end of the file")
+            if name == b"data":
+                break
+            if name == b"fmt ":
+                fmt = _sample_format(f.read(size), order)
+            f.seek(start + size + size % 2)
+    if fmt is None:
+        raise ValueError("no fmt chunk before the data chunk")
+    fs, dtype = fmt
+    n = size // dtype.itemsize if frames is None else min(size // dtype.itemsize, frames)
+    if dtype.kind == "V":  # 24-bit PCM: its bytes become the high three of an int32
+        wide, high = np.zeros((n, 4), np.uint8), slice(1, 4) if order == "<" else slice(0, 3)
+        wide[:, high] = np.memmap(path, np.uint8, "r", start, (n, 3))
+        data = wide.view(order + "i4")[:, 0]
+    else:
+        data = np.memmap(path, dtype, "r", start, (n,))
+    out = np.array(data, dtype=np.float64)
+    if data.dtype.kind == "i":  # full scale of the container
+        out /= 2.0 ** (8 * data.dtype.itemsize - 1)
+    elif data.dtype.kind == "u":
+        out = (out - 128.0) / 128.0
+    return fs, out
+
+
+def _sample_format(fmt: bytes, order: str) -> tuple[int, np.dtype]:
+    """(sample rate, sample type) of a mono fmt chunk in the byte order ``order``."""
+    if len(fmt) < 16:
+        raise ValueError(f"fmt chunk of {len(fmt)} bytes; it needs at least 16")
+    tag, channels, fs, _, align, bits = struct.unpack(order + "HHIIHH", fmt[:16])
+    if tag == _WAVE_FORMAT_EXTENSIBLE:  # the subformat GUID starts with the format tag
+        if len(fmt) < 40:
+            raise ValueError(f"WAVE_FORMAT_EXTENSIBLE fmt chunk of {len(fmt)} bytes; it needs 40")
+        tag = struct.unpack(order + "I", fmt[24:28])[0]
+    if channels != 1:
+        raise ValueError(f"expected mono WAV, got {channels} channels")
+    if (tag, bits) not in _SAMPLE_TYPES or align != bits // 8:
+        raise ValueError(f"unsupported WAV format: tag {tag:#06x}, {bits}-bit samples in {align}-byte frames")
+    return fs, np.dtype(order + _SAMPLE_TYPES[tag, bits])
 
 
 def write_wav(path, fs: int, data: np.ndarray) -> None:

@@ -431,3 +431,70 @@ def test_wav_pcm24_first_frames_are_read_without_the_rest(tmp_path, traced_peak)
     write_pcm24(tmp_path / "stereo.wav", samples[:200], channels=2)
     with pytest.raises(ValueError, match="mono"):
         wavio.read_wav_mono(tmp_path / "stereo.wav", frames=10)
+
+
+def write_wav_bytes(path, order, tag, bits, raw, extensible=False):
+    """A mono WAV of the raw sample bytes, RIFF (order '<') or RIFX ('>'), with an
+    odd-sized LIST chunk before the data; ``extensible`` wraps the tag in a
+    WAVE_FORMAT_EXTENSIBLE fmt chunk."""
+    fmt = struct.pack(order + "HHIIHH", 0xFFFE if extensible else tag, 1, 16000, 2000 * bits, bits // 8, bits)
+    if extensible:  # cbSize, valid bits, channel mask, subformat GUID {tag-0000-0010-8000-00AA00389B71}
+        fmt += struct.pack(order + "HHIIHH", 22, bits, 4, tag, 0, 0x10) + b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    chunks = [(b"fmt ", fmt), (b"LIST", b"INFOx"), (b"data", raw)]
+    body = b"WAVE" + b"".join(
+        name + struct.pack(order + "I", len(data)) + data + b"\0" * (len(data) % 2) for name, data in chunks
+    )
+    path.write_bytes((b"RIFF" if order == "<" else b"RIFX") + struct.pack(order + "I", len(body)) + body)
+
+
+@pytest.mark.parametrize("extensible", [False, True], ids=["plain", "extensible"])
+@pytest.mark.parametrize("order", ["<", ">"], ids=["RIFF", "RIFX"])
+@pytest.mark.parametrize("kind", ["u1", "i2", "i4", "f4", "f8"])
+def test_wav_formats_read_as_scipy_reads_them(tmp_path, kind, order, extensible):
+    """Every mapped sample type, in either byte order and either fmt chunk,
+    reads as ``scipy.io.wavfile.read`` scaled to float64, whole or cut."""
+    rng = np.random.default_rng(5)
+    dtype = np.dtype(order + kind)
+    if dtype.kind == "f":
+        samples = rng.standard_normal(101).astype(dtype)
+    else:
+        info = np.iinfo(dtype)
+        samples = rng.integers(info.min, info.max, 101, endpoint=True).astype(dtype)
+    tag = 3 if dtype.kind == "f" else 1
+    write_wav_bytes(tmp_path / "x.wav", order, tag, 8 * dtype.itemsize, samples.tobytes(), extensible)
+    fs, ref = wavfile.read(str(tmp_path / "x.wav"))
+    assert ref.dtype.kind == dtype.kind and ref.dtype.itemsize == dtype.itemsize
+    ref = ref.astype(np.float64)
+    if dtype.kind == "i":
+        ref /= 2.0 ** (8 * dtype.itemsize - 1)
+    elif dtype.kind == "u":
+        ref = (ref - 128.0) / 128.0
+    for frames in (None, 7):
+        rate, back = wavio.read_wav_mono(tmp_path / "x.wav", frames=frames)
+        assert rate == fs == 16000 and back.dtype == np.float64
+        np.testing.assert_array_equal(back, ref[:frames])
+
+
+@pytest.mark.parametrize("extensible", [False, True], ids=["plain", "extensible"])
+@pytest.mark.parametrize("order", ["<", ">"], ids=["RIFF", "RIFX"])
+def test_wav_pcm24_reads_the_written_samples(tmp_path, order, extensible):
+    samples = np.random.default_rng(6).integers(-(1 << 23), 1 << 23, 101)
+    raw = samples.astype(order + "i4").view(np.uint8).reshape(-1, 4)
+    raw = raw[:, :3] if order == "<" else raw[:, 1:]  # the low three bytes of each int32
+    write_wav_bytes(tmp_path / "x.wav", order, 1, 24, raw.tobytes(), extensible)
+    for frames in (None, 7):
+        rate, back = wavio.read_wav_mono(tmp_path / "x.wav", frames=frames)
+        assert rate == 16000
+        np.testing.assert_array_equal(back, samples[:frames] / 2.0**23)
+
+
+@pytest.mark.parametrize("frames", [None, 1])
+@pytest.mark.parametrize("bits", [16, 24])
+def test_wav_data_chunk_past_the_end_is_refused(tmp_path, bits, frames):
+    """A data chunk that claims more bytes than the file holds is refused,
+    whatever the bit depth and however few frames are asked for."""
+    write_wav_bytes(tmp_path / "x.wav", "<", 1, bits, bytes(bits // 8 * 100))
+    whole = (tmp_path / "x.wav").read_bytes()
+    (tmp_path / "x.wav").write_bytes(whole[: -bits // 8 * 50])
+    with pytest.raises(ValueError, match="past the end of the file"):
+        wavio.read_wav_mono(tmp_path / "x.wav", frames=frames)

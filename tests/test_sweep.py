@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -397,9 +398,8 @@ def test_cli_malformed_manifest_is_one_line_error(tmp_path, capsys, key, value):
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     cfg = write_quick_config(tmp_path)
-    assert cli_main(["sweep", "--config", str(cfg), "--gnuplot"]) == 0
+    assert cli_main(["sweep", "--config", str(cfg)]) == 0
     assert (tmp_path / "rows.csv").exists()
-    assert (tmp_path / "rows.gp").exists()
     assert "wrote 4 rows" in capsys.readouterr().out
 
 
@@ -555,6 +555,30 @@ def test_design_and_sweep_never_import_scipy(tmp_path):
     )
     loaded = [line for line in run_fresh(code, *configs).splitlines() if line.startswith("loaded ")]
     assert loaded == ["loaded []"] * 5
+
+
+def test_wav_inputs_never_import_scipy(tmp_path):
+    """``ssanc design``, ``ssanc sweep`` and ``ssanc simulate`` on a WAV manifest
+    scene with WAV speech and noise sources read every WAV on numpy alone."""
+    rng = np.random.default_rng(3)
+    for name in ("speech.wav", "noise.wav"):
+        wavio.write_wav(tmp_path / name, 16000, rng.standard_normal(24000))
+    cfg = write_quick_config(
+        tmp_path, scene=write_manifest_scene(tmp_path),
+        speech_wav=str(tmp_path / "speech.wav"), noise_wav=str(tmp_path / "noise.wav"),
+    )
+    code = (
+        "import sys\n"
+        "from ssanc.sweep import cli_main\n"
+        "cfg, flt, sim = sys.argv[1:]\n"
+        "assert cli_main(['design', '--config', cfg, '--delta', '1', '--out', flt]) == 0\n"
+        "assert cli_main(['sweep', '--config', cfg]) == 0\n"
+        "assert cli_main(['simulate', '--config', cfg, '--filter', flt, '--delta', '1', '--out', sim]) == 0\n"
+        "print('loaded', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = run_fresh(code, str(cfg), str(tmp_path / "filter.json"), str(tmp_path / "sim"))
+    assert [line for line in out.splitlines() if line.startswith("loaded ")] == ["loaded []"]
+    assert (tmp_path / "rows.csv").exists() and (tmp_path / "sim" / "e.wav").exists()
 
 
 def test_design_matrices_that_cannot_fit_are_refused(tmp_path):
@@ -881,6 +905,46 @@ def test_unreadable_wav_source_is_one_line_error(tmp_path, capsys, source):
     assert cli_main(["sweep", "--config", str(cfg)]) == 1
     err = one_config_error(capsys)
     assert str(path) in err and ("mono" if source == "stereo" else "RIFF") in err
+
+
+def malformed_wav(case) -> bytes:
+    """The bytes of a WAV file that is cut short, inconsistent or in an unsupported format."""
+    def riff(*chunks, head=b"RIFF"):
+        body = b"WAVE" + b"".join(name + struct.pack("<I", size) + data for name, size, data in chunks)
+        return head + struct.pack("<I", len(body)) + body
+
+    def fmt(tag=1, bits=16):
+        return b"fmt ", 16, struct.pack("<HHIIHH", tag, 1, 16000, 2000 * bits, bits // 8, bits)
+
+    data = (b"data", 200, bytes(200))
+    return {
+        "riff-only": lambda: b"RIFF",
+        "truncated-fmt": lambda: riff((b"fmt ", 16, fmt()[2][:10])),
+        "no-data": lambda: riff(fmt()),
+        "data-past-end": lambda: riff(fmt(), (b"data", 2000, bytes(200))),
+        "a-law": lambda: riff(fmt(tag=6, bits=8), data),
+        "pcm12": lambda: riff(fmt(bits=12), data),
+        "rf64": lambda: riff(fmt(), data, head=b"RF64"),
+    }[case]()
+
+
+@pytest.mark.parametrize("role", ["speech_wav", "manifest_ir"])
+@pytest.mark.parametrize(
+    "case", ["riff-only", "truncated-fmt", "no-data", "data-past-end", "a-law", "pcm12", "rf64"]
+)
+def test_malformed_wav_is_one_line_error(tmp_path, capsys, case, role):
+    """A malformed WAV, as a source or as one IR of a manifest scene, exits 1 with
+    one config-error line naming the file, not a traceback."""
+    if role == "speech_wav":
+        path = tmp_path / "speech.wav"
+        cfg = write_quick_config(tmp_path, speech_wav=str(path))
+    else:
+        path = tmp_path / "speech_1.wav"
+        cfg = write_quick_config(tmp_path, scene=write_manifest_scene(tmp_path))
+    path.write_bytes(malformed_wav(case))
+    assert cli_main(["sweep", "--config", str(cfg)]) == 1
+    err = one_config_error(capsys)
+    assert str(path) in err and "Traceback" not in err
 
 
 # the upper bound of need / traced peak per config: on 20 s of the
