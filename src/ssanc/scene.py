@@ -16,6 +16,7 @@ import numpy as np
 
 from ssanc import wavio
 from ssanc.convmat import _BLOCK_CHUNK, block_fft_len, overlap_blocks
+from ssanc.threads import thread_map
 
 
 class SceneLoadError(ValueError):
@@ -255,7 +256,10 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
     ratio at the error microphone is exactly snr_db.  ``noise=None``
     renders a desired-source-only scene with zero noise components.
     Each source is convolved by overlap-save (``_convolved``): its block
-    spectra are taken once and shared by all K+1 microphones.
+    spectra are taken once and shared by all K+1 microphones.  The two
+    sources are independent, so they are convolved at once, the speech
+    on the calling thread and the noise on another
+    (``threads.thread_map``), and joined before the scaling.
     """
     speech = np.asarray(speech, dtype=float).ravel()
     N = speech.shape[0]
@@ -263,15 +267,15 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
     if N <= max_ir:
         raise ValueError(f"signal length {N} must exceed the longest IR ({max_ir} taps)")
 
-    s = _convolved(scene.ir_speech, speech)
     if noise is None:
+        s = _convolved(scene.ir_speech, speech)
         # np.zeros, not zeros_like: the pages are calloc'd and never written
         return MicSignals(s=s, v=np.zeros(s.shape))
 
     noise = np.asarray(noise, dtype=float).ravel()
     if noise.shape[0] != N:
         raise ValueError(f"speech and noise lengths differ: {N} vs {noise.shape[0]}")
-    v = _convolved(scene.ir_noise, noise)
+    s, v = thread_map(_convolved, (scene.ir_speech, scene.ir_noise), (speech, noise))
 
     if snr_db is not None:
         es = float(np.sum(s[-1] ** 2))
@@ -291,23 +295,26 @@ def _convolved(irs, x: np.ndarray) -> np.ndarray:
     response's length less one (``block_fft_len``).  Each block's
     spectrum is taken once and multiplied by every response's, and the
     first M samples of each inverse transform, circular wrap, are
-    dropped.  The blocks are transformed a bounded chunk at a time into
-    the result, so the temporaries do not grow with N, and the cost per
-    sample grows with log(nfft), not with the responses' length.
+    dropped.  The blocks are transformed a bounded chunk at a time, and
+    each response's product is inverted on its own straight into its
+    row of the result, so the temporaries do not grow with N or with the
+    number of responses, and the cost per sample grows with log(nfft),
+    not with the responses' length.
     """
     N = x.shape[0]
     M = max(len(ir) for ir in irs) - 1
     nfft = block_fft_len(M, N)
     hop = nfft - M
-    spectra = np.array([np.fft.rfft(ir, nfft) for ir in irs])[:, None, :]
+    spectra = [np.fft.rfft(ir, nfft) for ir in irs]
     out = np.empty((len(irs), N))
     blocks = -(-N // hop)
     chunk = max(1, _BLOCK_CHUNK // nfft)
     for block in range(0, blocks, chunk):
         count = min(chunk, blocks - block)
         start = block * hop
-        X = np.fft.rfft(overlap_blocks(x[None], start - M, count, nfft, hop))
-        y = np.fft.irfft(X * spectra, nfft)[:, :, M:]
         stop = min(start + count * hop, N)
-        out[:, start:stop] = y.reshape(len(irs), -1)[:, : stop - start]
+        X = np.fft.rfft(overlap_blocks(x[None], start - M, count, nfft, hop)[0])
+        for row, spectrum in zip(out, spectra):
+            y = np.fft.irfft(X * spectrum, nfft)[:, M:]
+            row[start:stop] = y.reshape(-1)[: stop - start]
     return out

@@ -39,12 +39,15 @@ def speech_shaped_noise(n: int, fs: float, seed: int) -> np.ndarray:
     f += 1.0
     shape /= np.sqrt(f, out=f)             # -6 dB/oct above 500 Hz
     spec *= shape
+    del f, shape
     x = np.fft.irfft(spec, n)
-    del spec, f, shape
+    del spec
 
-    # syllabic envelope: rectified slow noise with ~4 control points per second
+    # syllabic envelope: rectified slow noise with ~4 control points per second;
+    # a float ramp, so that np.interp converts no second n-sample array
     m = max(8, int(round(4.0 * n / fs)) + 2)
-    env = np.abs(np.interp(np.arange(n), np.linspace(0, n - 1, m), rng.standard_normal(m)))
+    env = np.interp(np.arange(n, dtype=float), np.linspace(0, n - 1, m), rng.standard_normal(m))
+    np.abs(env, out=env)
     peak = max(np.max(env), 1e-12)
     env *= 0.65
     env /= peak

@@ -5,6 +5,11 @@ range, build the spatial constraint, design the control filter,
 simulate it on the rendered microphone signals and collect the metric
 row.  Results go to CSV with a fixed column order.
 
+The speech and noise sources are independent until their SNR scaling,
+so every command draws (or loads) and renders the two at once, the
+speech on the calling thread and the noise on another
+(``threads.thread_map``).
+
 Only the target vector depends on the delay.  A sweep therefore stacks
 the target vectors of all its delays and designs every filter in one
 multi-right-hand-side solve.  Each delay's row is then one task,
@@ -12,8 +17,9 @@ multi-right-hand-side solve.  Each delay's row is then one task,
 in the filter over lag correlations taken once, and only the error
 signal is simulated, for the quality proxy, from block spectra of the
 observed stack also taken once.  The tasks are numpy transforms and
-ufuncs that release the GIL, so they run on one thread per CPU, after
-the sweep has freed the design and the speech and noise stacks.
+ufuncs that release the GIL, so they run on one thread per CPU, by the
+same ``thread_map``, after the sweep has freed the design and the
+speech and noise stacks.
 ``ssanc simulate`` runs the same kernel on the speech and noise stacks
 (``apply_control``), writes the WAVs and prints the four metrics of the
 sweep's row for its delay (``evaluate_run``), the oracle the sweep's
@@ -25,7 +31,6 @@ in a few seconds.
 """
 
 import argparse
-import contextvars
 import csv
 import json
 import math
@@ -35,7 +40,6 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +67,7 @@ from ssanc.solver import (
     save_filter_json,
     target_mic,
 )
+from ssanc.threads import cpu_count, thread_map
 
 CSV_COLUMNS = (
     "delta",
@@ -382,9 +387,13 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
     """Bytes a command holds at most for K + 1 microphones and n-sample signals.
 
     Every command holds the (K+1, n) speech and noise stacks and a third
-    stack: their sum while the design correlates them, the two sources
-    and the overlap-save chunks while they are rendered.  A design
-    (``design``, ``sweep``) holds, on top of them, the factorized
+    stack: their sum while the design correlates them.  The render of
+    the two sources, each on its own thread, holds about as much: while
+    they are convolved, both sources and one chunk of overlap-save
+    temporaries per thread next to the two stacks, and before that,
+    while they are drawn, about three n-sample arrays per source
+    (``signals.speech_shaped_noise``).  A design (``design``,
+    ``sweep``) holds, on top of the three stacks, the factorized
     ``DesignContext``: S, ((K+1) Lw)^2 floats, A and Phi_rr^-1 A,
     (K+1) Lw (Lh + L - 1) floats each, and M0 + rho I,
     (Lh + L - 1)^2 floats; it never forms Phi_xx or H.  With it come,
@@ -472,13 +481,16 @@ def _render(config: SweepConfig, scene: Scene, n: int) -> MicSignals:
     """The scene's microphone signals at the configured SNR, from sources of n samples.
 
     Speech uses the config seed and noise seed+1 (synthetic scene tails
-    use seed+3).  A WAV source shorter than n samples shortens both, and
+    use seed+3).  The two sources are drawn or loaded at once, the
+    speech on the calling thread and the noise on another
+    (``threads.thread_map``), and ``render_mics`` convolves them the
+    same way.  A WAV source shorter than n samples shortens both, and
     its length is checked by the same rules against the scene.
     """
-    speech, noise = (
-        _load_source(path, config, n) if path else signals.speech_shaped_noise(n, config.fs, seed)
-        for path, seed in ((config.speech_wav, config.seed), (config.noise_wav, config.seed + 1))
-    )
+    def source(path, seed) -> np.ndarray:
+        return _load_source(path, config, n) if path else signals.speech_shaped_noise(n, config.fs, seed)
+
+    speech, noise = thread_map(source, (config.speech_wav, config.noise_wav), (config.seed, config.seed + 1))
     m = min(speech.shape[0], noise.shape[0])
     if m < n:
         _check_signal_length(config, m, max(map(len, (*scene.ir_speech, *scene.ir_noise))))
@@ -490,10 +502,12 @@ def prepare_scene(config: SweepConfig, simulate: bool = True) -> PreparedScene:
 
     Everything a design and, unless ``simulate`` is false, a simulation
     of the configured filter length needs is refused before any source
-    is drawn (``_checked_scene``).  The ReIRs are fitted to the speech
-    responses' response to white noise with its own seed, seed+2, so
-    they do not change the microphone signals; the noise is read
-    through its correlations and never rendered (``estimate_reirs``).
+    is drawn (``_checked_scene``).  The speech and noise sources are
+    drawn and rendered on two threads at once (``_render``).  The ReIRs
+    are fitted to the speech responses' response to white noise with its
+    own seed, seed+2, so they do not change the microphone signals; the
+    noise is read through its correlations and never rendered
+    (``estimate_reirs``).
     """
     scene, n = _checked_scene(config, design=True, sim_taps=config.Lw if simulate else None)
     mics = _render(config, scene, n)
@@ -540,15 +554,12 @@ def _prepare_design(config: SweepConfig, simulate: bool = True) -> tuple[Prepare
 
 def _workers(config: SweepConfig, K: int, n: int) -> int:
     """Threads a sweep of n-sample signals from K + 1 microphones scores on:
-    one per CPU it may run on, at most one per delay, and as many as fit
+    one per CPU it may run on (``threads.cpu_count``), the calling thread
+    included, at most one per delay, and as many as fit
     in ``_available_memory()``, but at least the one a refusal checked."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # macOS has no CPU affinity
-        cpus = os.cpu_count() or 1
     have = _available_memory()
     return max(
-        (t for t in range(2, min(cpus, len(config.deltas())) + 1)
+        (t for t in range(2, min(cpu_count(), len(config.deltas())) + 1)
          if _memory_need(config, K, n, True, config.Lw, t) <= have),
         default=1,
     )
@@ -571,7 +582,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     ``apply_control`` runs.  The sweep frees the factorized design
     before its forms and the speech and noise stacks before the block
     spectra; the tasks, numpy transforms that release the GIL, then run
-    on ``_workers`` threads, and the rows come back in delay order,
+    on ``_workers`` threads, the calling thread one of them
+    (``threads.thread_map``), and the rows come back in delay order,
     agreeing with ``apply_control`` and ``evaluate_run`` up to rounding
     whatever the number of threads.
     A numeric failure at one delay yields an error row and the sweep
@@ -605,15 +617,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             delta=delta, constraint_residual=res.constraint_residual, design_ms=design_ms, **asdict(scores)
         )
 
-    # imported late: no other command loads its modules, and here their
-    # 0.6 MB come after the design's memory peak, not on top of it
-    from concurrent.futures import ThreadPoolExecutor
-
-    # each task runs in a copy of this thread's context, so that numpy's
-    # error state (np.errstate) holds in the workers as it does here
-    contexts = [contextvars.copy_context() for _ in deltas]
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(contextvars.Context.run, contexts, repeat(row), deltas, designs))
+    return thread_map(row, deltas, designs, threads=workers)
 
 
 def _fmt(value) -> str:

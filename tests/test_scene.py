@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ssanc.scene import (
     ScalingError,
     Scene,
     SceneLoadError,
+    _convolved,
     load_scene_wav,
     render_mics,
     synth_scene,
@@ -19,6 +21,7 @@ from ssanc.scene import (
 from ssanc.signals import speech_shaped_noise, white_noise
 from ssanc.simulate import _Blocks
 from ssanc.solver import input_frames
+from ssanc.sweep import SweepConfig, _checked_scene
 
 
 def default_scene(tail_amp=0.0, seed=0):
@@ -202,6 +205,20 @@ def test_stack_consumers_make_no_stack_copies(traced_peak):
     white = white_noise(n, 2)
     _, peak = traced_peak(lambda: estimate_reirs(scene, white, 48))
     assert peak < 1.25 * stack
+
+
+def test_convolution_temporaries_do_not_grow_with_the_responses(traced_peak):
+    """``_convolved`` inverts one response's product at a time, straight into
+    its row: on paper_scale's five speech responses its tracemalloc peak
+    exceeds the output by less than 2.5 MiB, about three chunks of
+    ``convmat._BLOCK_CHUNK`` samples (a (K+1)-row inverse transform took 5.66 MiB)."""
+    config = SweepConfig.from_json(Path(__file__).parents[1] / "configs" / "paper_scale.json")
+    scene, n = _checked_scene(config, design=True, sim_taps=None)
+    x = speech_shaped_noise(n, config.fs, 0)
+    expected = _convolved(scene.ir_speech, x)
+    out, peak = traced_peak(lambda: _convolved(scene.ir_speech, x))
+    np.testing.assert_array_equal(out, expected)
+    assert peak - out.nbytes < 2.5 * 2**20, (peak - out.nbytes) / 2**20
 
 
 def test_scene_validation():

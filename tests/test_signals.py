@@ -40,6 +40,15 @@ def test_speech_shaped_noise_matches_plain_expressions(n, seed):
     np.testing.assert_array_equal(speech_shaped_noise(n, 16000.0, seed), plain_speech_shaped_noise(n, 16000.0, seed))
 
 
+def test_speech_shaped_noise_peaks_near_its_output(traced_peak):
+    """The generator holds at most about three n-sample arrays at once: its
+    tracemalloc peak is at most 3.25 times the output's bytes, so that the
+    two sources drawn at once need less than a third stack."""
+    speech_shaped_noise(1000, 16000.0, 0)  # numpy's FFT plans outside the trace
+    x, peak = traced_peak(lambda: speech_shaped_noise(960000, 16000.0, 0))
+    assert peak <= 3.25 * x.nbytes, peak / x.nbytes
+
+
 def test_speech_shaped_noise_spectrum_rolls_off():
     x = speech_shaped_noise(1 << 16, 16000.0, 11)
     spec = np.abs(np.fft.rfft(x)) ** 2

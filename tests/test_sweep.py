@@ -5,6 +5,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -201,6 +202,37 @@ def test_run_sweep_programming_error_in_the_pool_propagates(monkeypatch, stage):
     monkeypatch.setattr(ssanc.metrics, stage, flaky)
     with pytest.raises(RuntimeError, match="boom"):
         run_sweep(cfg)
+
+
+@pytest.mark.parametrize("stage", ["draw", "convolution"])
+def test_render_thread_keeps_the_callers_numpy_error_state(tmp_path, monkeypatch, capsys, stage):
+    """Under np.errstate(divide="raise") a division by zero while the noise
+    source is drawn or convolved, on the render's second thread, is a
+    FloatingPointError: ``ssanc design`` exits 2, as it would if the noise
+    were rendered on the calling thread."""
+    import ssanc.scene
+
+    config = quick_config()
+    noise = ssanc.signals.speech_shaped_noise(round(config.duration_s * config.fs), config.fs, config.seed + 1)
+    module, name, is_noise = {
+        "draw": (ssanc.signals, "speech_shaped_noise", lambda n, fs, seed: seed == config.seed + 1),
+        "convolution": (ssanc.scene, "_convolved", lambda irs, x: np.array_equal(x, noise)),
+    }[stage]
+    real, threads = getattr(module, name), []
+
+    def divides_by_zero_on_the_noise(*args):
+        if is_noise(*args):
+            threads.append(threading.current_thread())
+            np.log10(np.zeros(1))
+        return real(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(module, name, divides_by_zero_on_the_noise)
+    cfg = write_quick_config(tmp_path)
+    with np.errstate(divide="raise"):
+        assert cli_main(["design", "--config", str(cfg), "--delta", "0", "--out", str(tmp_path / "f.json")]) == 2
+    assert "numeric failure: FloatingPointError" in capsys.readouterr().err
+    assert len(threads) == 1 and threads[0] is not threading.main_thread()
 
 
 @pytest.mark.parametrize("stage", ["_nr_db", "quality_proxy"])
@@ -928,16 +960,17 @@ def malformed_wav(case) -> bytes:
     }[case]()
 
 
-@pytest.mark.parametrize("role", ["speech_wav", "manifest_ir"])
+@pytest.mark.parametrize("role", ["speech_wav", "noise_wav", "manifest_ir"])
 @pytest.mark.parametrize(
     "case", ["riff-only", "truncated-fmt", "no-data", "data-past-end", "a-law", "pcm12", "rf64"]
 )
 def test_malformed_wav_is_one_line_error(tmp_path, capsys, case, role):
     """A malformed WAV, as a source or as one IR of a manifest scene, exits 1 with
-    one config-error line naming the file, not a traceback."""
-    if role == "speech_wav":
-        path = tmp_path / "speech.wav"
-        cfg = write_quick_config(tmp_path, speech_wav=str(path))
+    one config-error line naming the file, not a traceback; the noise source
+    is read on the render's second thread."""
+    if role in ("speech_wav", "noise_wav"):
+        path = tmp_path / f"{role.split('_')[0]}.wav"
+        cfg = write_quick_config(tmp_path, **{role: str(path)})
     else:
         path = tmp_path / "speech_1.wav"
         cfg = write_quick_config(tmp_path, scene=write_manifest_scene(tmp_path))
@@ -1240,6 +1273,28 @@ def test_one_worker_equals_many(tmp_path, monkeypatch, name):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         write_rows_csv(run_sweep(config), tmp_path / f"{cpus}.csv")
         assert (tmp_path / f"{cpus}.csv").read_bytes() == (tmp_path / "default.csv").read_bytes(), cpus
+
+
+def test_one_cpu_renders_on_the_calling_thread_what_two_render(monkeypatch):
+    """On one CPU the render starts no thread; on two it starts one per phase
+    (drawing, convolving), and the speech and noise stacks are equal."""
+    config = quick_config()
+    scene, n = sweep_mod._checked_scene(config, design=True, sim_taps=None)
+    starts, stacks = [], {}
+
+    class Counted(threading.Thread):
+        def start(self):
+            starts.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        starts.clear()
+        stacks[cpus] = sweep_mod._render(config, scene, n)
+        assert len(starts) == 2 * (cpus - 1), cpus
+    for name in ("s", "v"):
+        np.testing.assert_array_equal(getattr(stacks[1], name), getattr(stacks[2], name))
 
 
 def test_sweep_matches_the_simulation_oracle_where_sdi_cancels():
