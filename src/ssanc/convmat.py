@@ -1,19 +1,21 @@
-"""Dense convolution-matrix algebra.
+"""Dense convolution-matrix algebra and the one overlap-save layout.
 
 Lower-banded Toeplitz builders, their per-channel application to
 stacked multichannel vectors, the selection vector the filter designer
-is built on, the overlap-save block layout, and the
-structural frame products behind the design's correlations and the
-ReIR estimates.  The matrices are plain float64 and dense on purpose: the
-problem sizes stay small enough that exactness and clarity win.  The
-frame products are the exception, because their frame matrices have N
-rows: they are formed from blockwise FFT cross-correlations and the
-Toeplitz structure of the frames instead (the covariance method of
-linear prediction), which is exact up to rounding.  Long signals are
-transformed in blocks of a few thousand samples (``block_fft_len``,
-``overlap_blocks``), which stay in cache and keep the temporaries of a
-correlation independent of the signal length.  Everything here is
-numpy alone; the FFTs use the 5-smooth sizes of ``next_fast_len``.
+is built on, and the structural frame products behind the design's
+correlations and the ReIR estimates.  The matrices are plain float64
+and dense on purpose: the problem sizes stay small enough that
+exactness and clarity win.  The frame products are the exception,
+because their frame matrices have N rows: they are formed from
+blockwise FFT cross-correlations and the Toeplitz structure of the
+frames instead (the covariance method of linear prediction), which is
+exact up to rounding.  Every long FIR convolution and correlation of
+the package, the render, the simulation, the sweep's error signal and
+the lag correlations alike, runs on one overlap-save layout,
+``Blocks``: blocks of a few thousand samples, which stay in cache and
+keep the temporaries independent of the signal length.  Everything
+here is numpy alone; the FFTs use the 5-smooth sizes of
+``next_fast_len``.
 """
 
 import numpy as np
@@ -77,16 +79,6 @@ def build_q(K: int, L: int) -> np.ndarray:
     return q
 
 
-def block_fft_len(memory: int, n: int) -> int:
-    """FFT size of the overlap-save blocks for a filter memory of ``memory`` samples.
-
-    At least 4 ``memory`` per block keeps the discarded overlap under a
-    quarter, and 4096 samples keep short filters' blocks in cache; a
-    signal of ``n`` samples shorter than one block is a single transform.
-    """
-    return next_fast_len(min(max(4096, 4 * memory), n + memory))
-
-
 def overlap_blocks(x: np.ndarray, start: int, count: int, size: int, hop: int) -> np.ndarray:
     """The (C, count, size) blocks ``x[:, start + i*hop : start + i*hop + size]``, i < count.
 
@@ -105,46 +97,84 @@ def overlap_blocks(x: np.ndarray, start: int, count: int, size: int, hop: int) -
     return np.lib.stride_tricks.sliding_window_view(span, size, axis=1)[:, ::hop]
 
 
-# samples per channel transformed at a time by lagged_products,
-# scene.render_mics and simulate._Blocks: bounds their temporaries to a
-# few MB whatever the signal length
+# samples per channel transformed at a time through a ``Blocks`` layout:
+# bounds the temporaries of every overlap-save pass to a few MB whatever
+# the signal length
 _BLOCK_CHUNK = 1 << 16
 
 
-def lagged_products(a: np.ndarray, b: np.ndarray, L: int, history: bool = False) -> np.ndarray:
-    """Windowed cross-correlations over the fully excited frames.
+class Blocks:
+    """The overlap-save layout of N-sample signals through filters of ``memory`` samples.
+
+    Signals are cut into ``count`` blocks of ``nfft`` samples, ``hop`` =
+    nfft - M apart, that overlap by the memory M, the filter's length
+    less one; the first block starts M samples before n = 0, which read
+    as zero, so a filter meets the signal from rest.  Of each filtered
+    block's inverse transform the first M samples, the circular wrap,
+    are dropped.  At least 4 M per block keeps that wrap under a
+    quarter, and blocks of 4096 samples stay in cache (two to three
+    times faster than one transform of the whole signal); a signal
+    shorter than one block is a single transform.  Blocks are taken,
+    filtered and inverted ``chunks`` of ``per_chunk`` blocks, about
+    ``_BLOCK_CHUNK`` samples, at a time, straight into the output.
+    Nothing held grows with N.
+    """
+
+    def __init__(self, N: int, memory: int):
+        self.N, self.M = N, memory
+        self.nfft = next_fast_len(min(max(4096, 4 * memory), N + memory))
+        self.hop = self.nfft - memory
+        self.count = -(-N // self.hop)
+        self.per_chunk = max(1, min(_BLOCK_CHUNK // self.nfft, self.count))
+
+    @property
+    def chunks(self) -> list[slice]:
+        """The slices of block indices transformed together, in order; listed on each
+        access, so ``sweep._memory_need`` can lay out signals it then refuses."""
+        return [slice(b, min(b + self.per_chunk, self.count)) for b in range(0, self.count, self.per_chunk)]
+
+    def spectra(self, x: np.ndarray, chunk: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The spectra of the chunk's blocks of the (C, N) stack x, written to out if given."""
+        start, count = chunk.start * self.hop - self.M, chunk.stop - chunk.start
+        return np.fft.rfft(overlap_blocks(x, start, count, self.nfft, self.hop), out=out)
+
+    def all_spectra(self, x: np.ndarray) -> np.ndarray:
+        """The spectra of all blocks of x, transformed a chunk at a time straight into one array."""
+        X = np.empty((x.shape[0], self.count, self.nfft // 2 + 1), dtype=complex)
+        for chunk in self.chunks:
+            self.spectra(x, chunk, X[:, chunk])
+        return X
+
+    def put(self, out: np.ndarray, chunk: slice, Y: np.ndarray) -> None:
+        """Write the samples of the chunk's blocks whose spectra are Y into the N-sample out."""
+        start, stop = chunk.start * self.hop, min(chunk.stop * self.hop, self.N)
+        out[start:stop] = np.fft.irfft(Y, self.nfft)[:, self.M :].reshape(-1)[: stop - start]
+
+
+def lagged_products(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
+    """Full-range cross-correlations of signals that a filter meets from rest.
 
     For (A, N) and (B, N) channel stacks returns the (A, B, L) array
-    ``p[i, k, j] = sum_{n=L-1}^{N-1} a_i(n) b_k(n-j)``.  With
-    ``history`` the sum runs over every n = 0 .. N-1 instead, and the
-    samples before n = 0 read as zero: the full-range correlations of
-    signals that a filter meets from rest.  The sum is cut into blocks
-    of ``hop`` terms; each block of ``a`` is paired with the
-    ``hop + L - 1`` samples of ``b`` it reaches, and with
-    ``nfft >= hop + L - 1`` lags 0 .. L-1 of that pair are the head of a
-    circular correlation that never wraps.  The cross-spectra of all
-    blocks are summed, for every channel pair, and transformed back
-    once: the result is exact up to rounding, not a Welch estimate.
-    Blocks are transformed a bounded chunk at a time, so the
-    temporaries do not grow with N.
+    ``p[i, k, j] = sum_{n=0}^{N-1} a_i(n) b_k(n-j)``, the samples before
+    n = 0 read as zero.  The sum is cut into the blocks of
+    ``Blocks(N, L - 1)``: each ``hop`` terms of ``a`` are paired with
+    the nfft = hop + L - 1 samples of ``b`` they reach, and lags
+    0 .. L-1 of that pair are the head of a circular correlation that
+    never wraps.  The cross-spectra of all blocks are summed, for every
+    channel pair, and transformed back once: the result is exact up to
+    rounding, not a Welch estimate.  Blocks are transformed a chunk at
+    a time, so the temporaries do not grow with N.
     """
     N = a.shape[-1]
     if not 1 <= L <= N:
         raise ValueError(f"need 1 <= L <= N, got L={L} for N={N}")
-    M = L - 1
-    first = 0 if history else M
-    nfft = block_fft_len(M, N)
-    hop = nfft - M
-    blocks = -(-(N - first) // hop)
-    chunk = max(1, _BLOCK_CHUNK // nfft)
-    cross = np.zeros((a.shape[0], b.shape[0], nfft // 2 + 1), dtype=complex)
-    for block in range(0, blocks, chunk):
-        count = min(chunk, blocks - block)
-        start = first + block * hop
-        fa = np.fft.rfft(overlap_blocks(a, start, count, hop, hop), nfft)
-        fb = np.fft.rfft(overlap_blocks(b, start - M, count, nfft, hop), nfft)
-        cross += np.einsum("akf,bkf->abf", np.conj(fa, out=fa), fb)
-    return np.fft.irfft(cross, nfft)[:, :, M::-1]
+    blocks = Blocks(N, L - 1)
+    cross = np.zeros((a.shape[0], b.shape[0], blocks.nfft // 2 + 1), dtype=complex)
+    for chunk in blocks.chunks:
+        terms = overlap_blocks(a, chunk.start * blocks.hop, chunk.stop - chunk.start, blocks.hop, blocks.hop)
+        fa = np.fft.rfft(terms, blocks.nfft)
+        cross += np.einsum("akf,bkf->abf", np.conj(fa, out=fa), blocks.spectra(b, chunk))
+    return np.fft.irfft(cross, blocks.nfft)[:, :, L - 1 :: -1]
 
 
 def frame_products(channels: np.ndarray, L: int) -> np.ndarray:
@@ -153,14 +183,17 @@ def frame_products(channels: np.ndarray, L: int) -> np.ndarray:
     x(n) stacks, channel by channel, the history [c(n), ..., c(n-L+1)]
     of the (C, N) array ``channels``; the result is indexed
     ``R[a, i, b, j] = sum_n c_a(n-i) c_b(n-j)`` (reshape to (C*L, C*L)
-    for the matrix).  The first row and column of every block come from
-    ``lagged_products``, the rest from ``frames_from_first_rows``.
-    Costs O(C N log(nfft) + C^2 (N + L^2)), with nfft the block size of
-    ``lagged_products``, instead of O(N (C L)^2).
+    for the matrix).  The first row and column of every block are the
+    full-range ``lagged_products`` less the products of the head
+    n < L - 1 (``edge_products``), the rest comes from
+    ``frames_from_first_rows``.  Costs O(C N log(nfft) + C^2 (N + L^2)),
+    with nfft the block size of ``lagged_products``, instead of
+    O(N (C L)^2).
     """
-    C, N = channels.shape
-    first = lagged_products(channels, channels, L)
-    return frames_from_first_rows(first, channels[:, : L - 1][:, ::-1], channels[:, N - L + 1 :][:, ::-1])
+    N = channels.shape[1]
+    head = channels[:, : L - 1]
+    first = lagged_products(channels, channels, L) - edge_products(head, head, 0, L)
+    return frames_from_first_rows(first, head[:, ::-1], channels[:, N - L + 1 :][:, ::-1])
 
 
 def frames_from_first_rows(first: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ssanc.convmat import lagged_products, next_fast_len
+from ssanc.convmat import Blocks, lagged_products, next_fast_len
 from ssanc.scene import MicSignals
-from ssanc.simulate import RunResult, _Blocks
+from ssanc.simulate import RunResult
 
 SDI_FLOOR_DB = -120.0
 # quality_proxy frame, the shortest signal a run can be scored on, and hop
@@ -140,8 +140,8 @@ class _FilteredEnergy:
     Filter taps h, (C, T) with T <= P, give z(n) = sum_c (h_c * x_c)(n)
     for n = 0 .. N-1, from rest, as a simulation does.  Its energy is a
     quadratic form in h over the stack's full-range lag correlations
-    r_ab(k) = sum_n x_a(n) x_b(n-k), k < P (``lagged_products`` with
-    history), which are taken once, here:
+    r_ab(k) = sum_n x_a(n) x_b(n-k), k < P (``lagged_products``), which
+    are taken once, here:
 
         sum_{n<N} z(n)^2 = sum_ab sum_k r_ab(k) rho_ab(k) - sum_{n>=N} z(n)^2
 
@@ -158,7 +158,7 @@ class _FilteredEnergy:
         N = x.shape[1]
         self.P = P
         self.nfft = next_fast_len(2 * P - 1)
-        r = lagged_products(x, x, P, history=True)
+        r = lagged_products(x, x, P)
         R = np.fft.rfft(r, self.nfft)
         # the spectrum of r_ab over lags -P < k < P: negative lags are r_ba(-k)
         form = R + R.transpose(1, 0, 2).conj() - r[:, :, :1]
@@ -190,7 +190,8 @@ class _RowScores:
     ``lags`` >= max(L, delta + 1) lags, those of x Lw.  Each delay's
     target is a view of one zero-led copy of the target microphone's
     speech row.  ``take_spectra`` then replaces x by its block spectra
-    and last row, the error signal's input (``simulate._Blocks``).
+    in the ``convmat.Blocks`` layout of w * g, the input of ``error``,
+    and its last row.
     """
 
     def __init__(self, mics: MicSignals, g, Lw: int, lags: int, mic: int):
@@ -198,8 +199,9 @@ class _RowScores:
         self.speech = _FilteredEnergy(mics.s, lags)
         self.noise = _FilteredEnergy(mics.v, lags)
         self.drive = _FilteredEnergy(self.x, Lw)
-        self.blocks = _Blocks(mics.N, g, Lw)
         self.g = np.asarray(g, dtype=float).ravel()
+        self.blocks = Blocks(mics.N, Lw + self.g.shape[0] - 2)
+        self.G = np.fft.rfft(self.g, self.blocks.nfft)
         self.mic = mic
         self.target = np.concatenate([np.zeros(lags - 1), mics.s[mic]])
         self.noise_in = float(np.vdot(mics.p_v, mics.p_v))
@@ -208,6 +210,15 @@ class _RowScores:
         """Replace x by its block spectra X and its last row p: a sweep frees s and v first."""
         self.X, self.p = self.blocks.all_spectra(self.x), self.x[-1].copy()
         self.x = None
+
+    def error(self, w: np.ndarray) -> np.ndarray:
+        """The error signal p + g * (w * x) of filter w, from the block spectra of x."""
+        W = np.fft.rfft(w, self.blocks.nfft)
+        e = np.empty(self.blocks.N)
+        for chunk in self.blocks.chunks:
+            self.blocks.put(e, chunk, np.einsum("kb,knb->nb", W, self.X[:, chunk]) * self.G)
+        e += self.p
+        return e
 
     def __call__(self, w: np.ndarray, delta: int) -> MetricBundle:
         """The metrics of filter w whose target is the target microphone's speech delayed by delta."""
@@ -225,5 +236,5 @@ class _RowScores:
             nr_db=_nr_db(self.noise_in, self.noise(u)),
             sdi_db=_sdi_db(self.speech(sel), float(np.einsum("i,i", t, t))),
             effort=self.drive(w),
-            quality_db=quality_proxy(t, self.blocks.error(w, self.X, self.p)),
+            quality_db=quality_proxy(t, self.error(w)),
         )

@@ -81,7 +81,7 @@ def estimate_reirs(scene: Scene, source, Lh: int, reg: float | None = None) -> R
         row[: a.shape[0]] = a
     a_ref = irs[scene.spatial_ref]
     c = np.zeros(P)
-    c[: min(P, N)] = lagged_products(w[None], w[None], min(P, N), history=True)[0, 0]
+    c[: min(P, N)] = lagged_products(w[None], w[None], min(P, N))[0, 0]
     tail_source = np.concatenate([np.zeros(max(P - N, 0)), w[max(N - P, 0) :]])
 
     def edges(filters):

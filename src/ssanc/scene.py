@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ssanc import wavio
-from ssanc.convmat import _BLOCK_CHUNK, block_fft_len, overlap_blocks
+from ssanc.convmat import Blocks
 from ssanc.threads import thread_map
 
 
@@ -291,30 +291,18 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
 def _convolved(irs, x: np.ndarray) -> np.ndarray:
     """The (len(irs), N) stack whose row k is ``np.convolve(irs[k], x)[:N]``, by overlap-save.
 
-    x is cut into blocks of nfft samples overlapping by M, the longest
-    response's length less one (``block_fft_len``).  Each block's
-    spectrum is taken once and multiplied by every response's, and the
-    first M samples of each inverse transform, circular wrap, are
-    dropped.  The blocks are transformed a bounded chunk at a time, and
-    each response's product is inverted on its own straight into its
-    row of the result, so the temporaries do not grow with N or with the
-    number of responses, and the cost per sample grows with log(nfft),
-    not with the responses' length.
+    x runs through the ``convmat.Blocks`` layout of the longest
+    response.  Each chunk's block spectra are taken once and multiplied
+    by every response's, and each response's product is inverted on its
+    own straight into its row of the result, so the temporaries do not
+    grow with N or with the number of responses, and the cost per
+    sample grows with log(nfft), not with the responses' length.
     """
-    N = x.shape[0]
-    M = max(len(ir) for ir in irs) - 1
-    nfft = block_fft_len(M, N)
-    hop = nfft - M
-    spectra = [np.fft.rfft(ir, nfft) for ir in irs]
-    out = np.empty((len(irs), N))
-    blocks = -(-N // hop)
-    chunk = max(1, _BLOCK_CHUNK // nfft)
-    for block in range(0, blocks, chunk):
-        count = min(chunk, blocks - block)
-        start = block * hop
-        stop = min(start + count * hop, N)
-        X = np.fft.rfft(overlap_blocks(x[None], start - M, count, nfft, hop)[0])
+    blocks = Blocks(x.shape[0], max(len(ir) for ir in irs) - 1)
+    spectra = [np.fft.rfft(ir, blocks.nfft) for ir in irs]
+    out = np.empty((len(irs), x.shape[0]))
+    for chunk in blocks.chunks:
+        X = blocks.spectra(x[None], chunk)[0]
         for row, spectrum in zip(out, spectra):
-            y = np.fft.irfft(X * spectrum, nfft)[:, M:]
-            row[start:stop] = y.reshape(-1)[: stop - start]
+            blocks.put(row, chunk, X * spectrum)
     return out

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from ssanc import wavio
-from ssanc.convmat import _BLOCK_CHUNK, block_fft_len, overlap_blocks
+from ssanc.convmat import Blocks
 from ssanc.scene import MicSignals
 from ssanc.solver import target_mic
 
@@ -53,54 +53,6 @@ def realize_target(mics: MicSignals, target_kind: str, delta: int, spatial_ref: 
     return t
 
 
-class _Blocks:
-    """Overlap-save blocks of N-sample signals for (C, Lw) filters followed by the path g.
-
-    Signals are cut into blocks of ``nfft`` samples that overlap by
-    M = Lw + Lg - 2 (the memory of w * g), the circular wrap dropped from
-    each filtered block.  Blocks of a few thousand samples stay in cache
-    (two to three times faster than one transform of the whole signal)
-    and are taken, filtered and inverted ``chunks`` of
-    ``convmat._BLOCK_CHUNK`` samples at a time, straight into the output.
-    """
-
-    def __init__(self, N: int, g, Lw: int):
-        g = np.asarray(g, dtype=float).ravel()
-        self.N = N
-        self.M = Lw + g.shape[0] - 2
-        self.nfft = block_fft_len(self.M, N)
-        self.hop = self.nfft - self.M
-        self.G = np.fft.rfft(g, self.nfft)
-        count, chunk = -(-N // self.hop), max(1, _BLOCK_CHUNK // self.nfft)
-        self.chunks = [slice(block, min(block + chunk, count)) for block in range(0, count, chunk)]
-
-    def spectra(self, x: np.ndarray, chunk: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """The spectra of the chunk's blocks of the (C, N) stack x, written to out if given."""
-        start, count = chunk.start * self.hop - self.M, chunk.stop - chunk.start
-        return np.fft.rfft(overlap_blocks(x, start, count, self.nfft, self.hop), out=out)
-
-    def all_spectra(self, x: np.ndarray) -> np.ndarray:
-        """The spectra of all blocks of x, transformed a chunk at a time straight into one array."""
-        X = np.empty((x.shape[0], self.chunks[-1].stop, self.nfft // 2 + 1), dtype=complex)
-        for chunk in self.chunks:
-            self.spectra(x, chunk, X[:, chunk])
-        return X
-
-    def put(self, out: np.ndarray, chunk: slice, Y: np.ndarray) -> None:
-        """Write the samples of the chunk's blocks whose spectra are Y into the N-sample out."""
-        start, stop = chunk.start * self.hop, min(chunk.stop * self.hop, self.N)
-        out[start:stop] = np.fft.irfft(Y, self.nfft)[:, self.M :].reshape(-1)[: stop - start]
-
-    def error(self, w: np.ndarray, X: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """The error signal p + g * (w * x) of a filter w on the stack x of ``all_spectra`` X."""
-        W = np.fft.rfft(w, self.nfft)
-        e = np.empty(self.N)
-        for chunk in self.chunks:
-            self.put(e, chunk, np.einsum("kb,knb->nb", W, X[:, chunk]) * self.G)
-        e += p
-        return e
-
-
 def apply_control(
     w: np.ndarray, mics: MicSignals, g, target_kind: str, delta: int, spatial_ref: int
 ) -> RunResult:
@@ -109,19 +61,21 @@ def apply_control(
     y is the loudspeaker drive (control filter applied to the reference
     signals and the primary signal), e = p + g*y the resulting error
     signal, and t the target of ``realize_target(mics, target_kind,
-    delta, spatial_ref)``.  The speech and noise stacks run through
-    ``_Blocks`` a chunk at a time; no whole-signal spectrum is kept.
+    delta, spatial_ref)``.  The speech and noise stacks run through the
+    ``convmat.Blocks`` layout of w * g a chunk at a time; no
+    whole-signal spectrum is kept.
     """
     if w.shape[0] != mics.K + 1:
         raise ValueError(f"filter has shape {w.shape}, expected {(mics.K + 1, w.shape[1])}")
-    blocks = _Blocks(mics.N, g, w.shape[-1])
-    W = np.fft.rfft(w, blocks.nfft)
+    g = np.asarray(g, dtype=float).ravel()
+    blocks = Blocks(mics.N, w.shape[-1] + g.shape[0] - 2)
+    W, G = np.fft.rfft(w, blocks.nfft), np.fft.rfft(g, blocks.nfft)
     y, e_s, e_v = (np.empty(mics.N) for _ in range(3))
     for chunk in blocks.chunks:
         Y_s, Y_v = (np.einsum("kb,knb->nb", W, blocks.spectra(stack, chunk)) for stack in (mics.s, mics.v))
         blocks.put(y, chunk, Y_s + Y_v)
-        blocks.put(e_s, chunk, Y_s * blocks.G)
-        blocks.put(e_v, chunk, Y_v * blocks.G)
+        blocks.put(e_s, chunk, Y_s * G)
+        blocks.put(e_v, chunk, Y_v * G)
     e_s += mics.p_s
     e_v += mics.p_v
     t = realize_target(mics, target_kind, delta, spatial_ref)

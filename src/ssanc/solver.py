@@ -403,7 +403,7 @@ def _filtered_correlations(x: np.ndarray, g: np.ndarray, Lw: int) -> tuple[np.nd
     C, N = x.shape
     Lg = g.shape[0]
     L = Lg + Lw - 1
-    c = lagged_products(x, x, L, history=True)
+    c = lagged_products(x, x, L)
     lags = np.concatenate([c.transpose(1, 0, 2)[:, :, Lg - 1 : 0 : -1], c], axis=-1)  # -(Lg-1) .. L-1
     full = np.lib.stride_tricks.sliding_window_view(lags, 2 * Lg - 1, axis=-1) @ np.correlate(g, g, "full")
     # r(n) for n < L-1 (head) and for N-Lw < n < N+Lg-1 (tail), each from L-1 samples of x

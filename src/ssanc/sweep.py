@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from ssanc import signals, wavio
-from ssanc.convmat import _BLOCK_CHUNK, block_fft_len, build_conv_matrix, build_q, per_channel
+from ssanc.convmat import Blocks, build_conv_matrix, build_q, per_channel
 from ssanc.metrics import _QUALITY_BLOCK, QUALITY_FRAME, _RowScores, evaluate_run
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
@@ -398,13 +398,13 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
     (K+1) Lw (Lh + L - 1) floats each, and M0 + rho I,
     (Lh + L - 1)^2 floats; it never forms Phi_xx or H.  With it come,
     while it correlates the observed stack, the temporaries of one chunk
-    of ``lagged_products`` (``convmat._BLOCK_CHUNK`` samples per channel,
-    or the whole signal if shorter): the block spectra of both operands
-    and their inputs, about four (K+1)-channel arrays of a chunk's
-    samples; and, while it factorizes, the right-hand sides of the
+    of ``lagged_products`` (``per_chunk`` blocks of ``nfft`` samples per
+    channel in its ``convmat.Blocks`` layout): the block spectra of both
+    operands and their inputs, about four (K+1)-channel arrays of a
+    chunk's samples; and, while it factorizes, the right-hand sides of the
     solve, as many floats as A.  The ReIR fit holds less than either:
     one n-sample white source and one channel's correlation chunk.  A
-    simulation of sim_taps-tap filters (``simulate._Blocks``) holds one
+    simulation of sim_taps-tap filters (``convmat.Blocks``) holds one
     chunk of block spectra at a time: ``simulate`` of both stacks, next
     to them and the five n-sample signals of one run.  ``sweep`` frees
     the design after its solve; next to the three stacks it builds the
@@ -428,19 +428,17 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
         flen = config.Lh + L - 1
         A = C * config.Lw * flen
         context = 8 * ((C * config.Lw) ** 2 + 2 * A + flen**2)
-        nfft = block_fft_len(L - 1, n)
-        chunk = min(max(1, _BLOCK_CHUNK // nfft), -(-n // (nfft - L + 1))) * nfft
+        blocks = Blocks(n, L - 1)
+        chunk = blocks.per_chunk * blocks.nfft
         phases.append(3 * stack + context + 8 * max(4 * C * chunk, A))
     if sim_taps is not None:
-        memory = sim_taps + config.Lg - 2
-        nfft = block_fft_len(memory, n)
-        blocks = -(-n // (nfft - memory))
-        count = min(max(1, _BLOCK_CHUNK // nfft), blocks)  # blocks per chunk
+        blocks = Blocks(n, sim_taps + config.Lg - 2)
+        count, nfft = blocks.per_chunk, blocks.nfft
         chunk = 16 * C * count * (nfft // 2 + 1)  # one chunk of one stack's block spectra
         if design:
             P = max(config.Lg + config.Lw - 1, config.delta_range[1] + 1)
             held = 16 * C * C * (2 * P + sim_taps) + 8 * (n + P)  # the forms and the target row
-            spectra = chunk // count * blocks
+            spectra = chunk // count * blocks.count
             per_worker = 8 * n + max(chunk // C + 8 * count * nfft, 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME)
             phases += [
                 3 * stack + held,
@@ -578,14 +576,14 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     and the filters of all delays come from one batched solve.  Each
     delay is then one task, ``metrics._RowScores``: NR, SDI and effort
     are quadratic forms in the filter, and only the error signal is
-    simulated, for the quality proxy, by the ``simulate._Blocks`` chunks
-    ``apply_control`` runs.  The sweep frees the factorized design
-    before its forms and the speech and noise stacks before the block
-    spectra; the tasks, numpy transforms that release the GIL, then run
-    on ``_workers`` threads, the calling thread one of them
-    (``threads.thread_map``), and the rows come back in delay order,
-    agreeing with ``apply_control`` and ``evaluate_run`` up to rounding
-    whatever the number of threads.
+    simulated, for the quality proxy, by ``_RowScores.error`` on the
+    ``convmat.Blocks`` chunks ``apply_control`` runs.  The sweep frees
+    the factorized design before its forms and the speech and noise
+    stacks before the block spectra; the tasks, numpy transforms that
+    release the GIL, then run on ``_workers`` threads, the calling
+    thread one of them (``threads.thread_map``), and the rows come back
+    in delay order, agreeing with ``apply_control`` and ``evaluate_run``
+    up to rounding whatever the number of threads.
     A numeric failure at one delay yields an error row and the sweep
     continues; any other exception propagates.
     """

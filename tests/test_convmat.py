@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssanc.convmat import (
-    block_fft_len, build_conv_matrix, build_q, lagged_products, next_fast_len, overlap_blocks,
+    Blocks, build_conv_matrix, build_q, frame_products, lagged_products, next_fast_len, overlap_blocks,
     per_channel,
 )
 
@@ -123,17 +123,18 @@ def lagged_direct(a, b, L):
 
 
 LAGGED_CASES = {
-    # (L, N, blocks of the sum): L = 4 gives 4096-point blocks of hop 4093
-    # over the N - 3 terms; lagged_products transforms 16 blocks per chunk
-    "one-term-short-of-hop": (4, 4093 + 2, 1),
-    "terms-equal-hop": (4, 4093 + 3, 1),
+    # (L, N, blocks of Blocks(N, L - 1)): L = 4 gives 4096-point blocks of
+    # hop 4093; the names count the N - L + 1 terms of the frame sum over
+    # n = L-1 .. N-1, the blocks the N terms from rest, 16 per chunk
+    "one-term-short-of-hop": (4, 4093 + 2, 2),
+    "terms-equal-hop": (4, 4093 + 3, 2),
     "one-term-over-hop": (4, 4093 + 4, 2),
     "N-is-hop": (4, 4093, 1),
     "N-is-2-hops": (4, 2 * 4093, 2),
     "N-is-hop-minus-1": (4, 4093 - 1, 1),
-    "N-is-hop-plus-1": (4, 4093 + 1, 1),
+    "N-is-hop-plus-1": (4, 4093 + 1, 2),
     "several-blocks": (17, 5 * 4080 + 123, 6),
-    "second-chunk": (9, 17 * 4088 + 5, 17),
+    "second-chunk": (9, 17 * 4088 + 5, 18),
     "L-1": (1, 3 * 4096 + 7, 4),
     "L-is-N": (40, 40, 1),
     "L-is-N-minus-1": (40, 41, 1),
@@ -144,29 +145,27 @@ LAGGED_CASES = {
 
 @pytest.mark.parametrize("L, N, blocks", LAGGED_CASES.values(), ids=LAGGED_CASES.keys())
 def test_lagged_products_matches_direct_sum(L, N, blocks):
-    hop = block_fft_len(L - 1, N) - (L - 1)
-    assert -(-(N - L + 1) // hop) == blocks  # the case reaches the layout it names
-    rng = np.random.default_rng(L * 7919 + N)
-    a = rng.standard_normal((2, N))
-    b = rng.standard_normal((3, N))
-    for x, y in ((a, b), (b, a), (a, a)):
-        want = lagged_direct(x, y, L)
-        got = lagged_products(x, y, L)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    """The first rows of ``frame_products``, the sums over the fully excited
+    frames n = L-1 .. N-1, are the full-range correlations less the head."""
+    assert Blocks(N, L - 1).count == blocks  # the case reaches the layout it names
+    x = np.random.default_rng(L * 7919 + N).standard_normal((2, N))
+    want = lagged_direct(x, x, L)
+    got = frame_products(x, L)[:, 0]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("L, N", [case[:2] for case in LAGGED_CASES.values()], ids=LAGGED_CASES.keys())
 def test_lagged_products_with_history_sums_from_rest(L, N):
-    """With history the sum runs over every n, reading samples before n = 0
-    as zero: the plain sum over stacks prefixed by L - 1 zeros."""
+    """The sum runs over every n, reading samples before n = 0 as zero:
+    the plain sum over stacks prefixed by L - 1 zeros."""
     rng = np.random.default_rng(L * 7919 + N + 1)
     a = rng.standard_normal((2, N))
     b = rng.standard_normal((3, N))
     rest = np.zeros((3, L - 1))
     for x, y in ((a, b), (b, a), (a, a)):
         want = lagged_direct(np.hstack([rest[: len(x)], x]), np.hstack([rest[: len(y)], y]), L)
-        got = lagged_products(x, y, L, history=True)
+        got = lagged_products(x, y, L)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -185,6 +184,44 @@ def test_lagged_products_memory_does_not_grow_with_N(traced_peak):
     x = np.random.default_rng(0).standard_normal((3, 960000))
     _, peak = traced_peak(lambda: lagged_products(x, x, 95))
     assert peak < 2 * x.nbytes
+
+
+BLOCK_CASES = {
+    # (M, N, blocks): M = 3 gives 4096-point blocks of hop 4093, 16 per chunk
+    "M-is-0": (0, 3 * 4096 + 5, 4),
+    "N-shorter-than-a-block": (10, 100, 1),
+    "N-is-hop-minus-1": (3, 4093 - 1, 1),
+    "N-is-hop": (3, 4093, 1),
+    "N-is-hop-plus-1": (3, 4093 + 1, 2),
+    "second-chunk": (8, 17 * 4088 + 5, 18),
+}
+
+
+@pytest.mark.parametrize("M, N, count", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+def test_blocks_convolve_like_np_convolve(M, N, count):
+    """Each chunk's ``put`` of the block spectra times an (M+1)-tap filter's
+    writes its samples of the convolution from rest, cut at N."""
+    rng = np.random.default_rng(M * 7919 + N)
+    h = rng.standard_normal(M + 1)
+    x = rng.standard_normal((2, N))
+    blocks = Blocks(N, M)
+    assert blocks.count == count  # the case reaches the layout it names
+    H = np.fft.rfft(h, blocks.nfft)
+    got = np.empty((2, N))
+    for chunk in blocks.chunks:
+        X = blocks.spectra(x, chunk)
+        for c in range(2):
+            blocks.put(got[c], chunk, X[c] * H)
+    for c in range(2):
+        want = np.convolve(h, x[c])[:N]
+        assert np.max(np.abs(got[c] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_blocks_layout_allocates_nothing_per_sample():
+    """The layout of 10^13 samples is built at once: chunks are listed only when asked for."""
+    blocks = Blocks(10**13, 100)
+    assert blocks.nfft == 4096 and blocks.hop == 3996
+    assert (blocks.count - 1) * blocks.hop < 10**13 <= blocks.count * blocks.hop
 
 
 def test_overlap_blocks_zero_pads_outside_the_signal():

@@ -7,7 +7,7 @@ import pytest
 from scipy.io import wavfile
 
 from ssanc import wavio
-from ssanc.convmat import build_conv_matrix
+from ssanc.convmat import Blocks, build_conv_matrix
 from ssanc.reir import estimate_reirs
 from ssanc.scene import (
     ScalingError,
@@ -19,7 +19,6 @@ from ssanc.scene import (
     synth_scene,
 )
 from ssanc.signals import speech_shaped_noise, white_noise
-from ssanc.simulate import _Blocks
 from ssanc.solver import input_frames
 from ssanc.sweep import SweepConfig, _checked_scene
 
@@ -199,7 +198,7 @@ def test_stack_consumers_make_no_stack_copies(traced_peak):
     stack = mics.s.nbytes
     _, peak = traced_peak(lambda: input_frames(mics, 95))
     assert peak < 1.25 * stack
-    X, peak = traced_peak(lambda: _Blocks(n, scene.g, 48).all_spectra(mics.s))
+    X, peak = traced_peak(lambda: Blocks(n, 48 + scene.g.shape[0] - 2).all_spectra(mics.s))
     assert peak - X.nbytes < 1.25 * stack
     del X
     white = white_noise(n, 2)

@@ -797,7 +797,7 @@ def test_synthetic_design_matrices_are_refused_before_rendering(tmp_path, monkey
 
 
 def test_simulation_spectra_that_cannot_fit_are_refused(tmp_path, monkeypatch, capsys):
-    """One chunk of the overlap-save spectra of both stacks (``simulate._Blocks``)
+    """One chunk of the overlap-save spectra of both stacks (``convmat.Blocks``)
     counts toward the memory ``ssanc simulate`` must fit in: room for the
     signals alone is refused."""
     monkeypatch.chdir(tmp_path)
@@ -1221,15 +1221,15 @@ def test_batched_sweep_matches_per_delay_convolution_oracle(shipped_rows, name):
 @pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic"])
 def test_predicted_error_power_is_simulated_error_power(name):
     """(q + G w)' Phi_xx (q + G w) is the mean simulated e^2 over the fully excited n >= L - 1."""
-    from ssanc.simulate import _Blocks
+    from ssanc.metrics import _RowScores
 
     config = SweepConfig.from_json(ROOT / "configs" / f"{name}.json")
     prep, ctx = sweep_mod._prepare_design(config)
-    x = prep.mics.s + prep.mics.v
-    blocks = _Blocks(prep.mics.N, prep.scene.g, config.Lw)
-    X = blocks.all_spectra(x)
+    mic = target_mic(config.target_kind, prep.scene.spatial_ref)
+    score = _RowScores(prep.mics, prep.scene.g, config.Lw, max(prep.L, config.deltas()[-1] + 1), mic)
+    score.take_spectra()
     for delta, res in solve_every_delay(prep, ctx, config):
-        e = blocks.error(res.filter, X, x[-1])
+        e = score.error(res.filter)
         simulated = np.mean(e[prep.L - 1 :] ** 2)
         assert abs(res.predicted_error_power - simulated) <= 1e-10 * simulated, delta
 
