@@ -23,16 +23,19 @@ class RunResult:
 
     e_s / e_v are the speech and noise components of the error signal,
     obtained by running the identical linear pipeline on the speech-only
-    and noise-only inputs; e is their sum by construction.  t is the
-    realized target, the delayed desired component at the target
-    microphone, which the metrics score e_s and e against.
+    and noise-only inputs; the property e, their sum, is formed on each
+    read.  t is the realized target, the delayed desired component at the
+    target microphone, which the metrics score e_s and e against.
     """
 
     y: np.ndarray
-    e: np.ndarray
     e_s: np.ndarray
     e_v: np.ndarray
     t: np.ndarray
+
+    @property
+    def e(self) -> np.ndarray:
+        return self.e_s + self.e_v
 
 
 def realize_target(mics: MicSignals, target_kind: str, delta: int, spatial_ref: int) -> np.ndarray:
@@ -79,7 +82,7 @@ def apply_control(
     e_s += mics.p_s
     e_v += mics.p_v
     t = realize_target(mics, target_kind, delta, spatial_ref)
-    return RunResult(y=y, e=e_s + e_v, e_s=e_s, e_v=e_v, t=t)
+    return RunResult(y=y, e_s=e_s, e_v=e_v, t=t)
 
 
 def export_run_wavs(result: RunResult, directory, fs: int) -> None:

@@ -14,8 +14,8 @@ selection vector picking the current primary sample, H the stacked
 ReIR convolution matrices and f the target response.  The closed form
 is evaluated through two symmetric systems, with numpy.linalg only:
 
-    Phi_rr = G' Phi_xx G + beta I          (Lanczos top sets beta; Cholesky
-                                            check; one multi-right-hand-side solve)
+    Phi_rr = G' Phi_xx G + beta I          (Lanczos top sets beta; overwrites S;
+                                            Cholesky check; one multi-RHS solve)
     M      = H' G Phi_rr^-1 G' H + rho I   (Lanczos top sets rho; Cholesky check;
                                             one solve per batch; rho = 0: eigh)
 
@@ -239,15 +239,15 @@ class DesignContext:
     takes them from the signals and the ReIRs (production);
     ``from_dense`` projects a dense Phi_xx and H (the oracle).  Both
     share this factorization: Lanczos tops of S and M0 = A' Phi_rr^-1 A set
-    beta and rho, Cholesky checks S + beta I and M0 + rho I, one solve with
-    S + beta I has the right-hand sides [A, phi], and ``solve`` solves with
-    the kept M0 + rho I (rho = 0: the pseudo-inverse of M0, by ``eigh``).
+    beta and rho, Phi_rr = S + beta I overwrites S (the constructor consumes
+    its S; both pass a fresh one), Cholesky checks Phi_rr and M0 + rho I, one
+    solve with Phi_rr has the right-hand sides [A, phi], and ``solve`` solves
+    with the kept M0 + rho I (rho = 0: the pseudo-inverse of M0, by ``eigh``).
     """
 
     def __init__(self, S, phi, power: float, A, Hq, params: DesignParams, K: int, Lw: int):
         self.K = K
         self.Lw = Lw
-        self.S = S
         self.phi = phi
         self.power = power
         self.A = A  # Gt'H: (K+1)Lw x (Lh+L-1)
@@ -260,9 +260,7 @@ class DesignContext:
                 "is degenerate (silent inputs?)"
             )
 
-        # Phi_rr = S + beta I in place for the check and the solve; the saved diagonal restores S exactly
-        diagonal = S.diagonal().copy()
-        S.flat[:: S.shape[0] + 1] += self.beta
+        S.flat[:: S.shape[0] + 1] += self.beta  # S is Phi_rr = S + beta I from here on
         try:
             np.linalg.cholesky(S)  # the definiteness check only
             sol = np.linalg.solve(S, np.column_stack([A, phi]))
@@ -270,8 +268,6 @@ class DesignContext:
             raise SingularSystemError(
                 f"cannot factorize Phi_rr with beta={self.beta:g}; lower beta_div"
             ) from exc
-        finally:
-            S.flat[:: S.shape[0] + 1] = diagonal
         self.XA = sol[:, :-1]  # Phi_rr^-1 G'H
         self.xphi = sol[:, -1]  # Phi_rr^-1 phi
         M0 = A.T @ self.XA
@@ -348,9 +344,9 @@ class DesignContext:
         (flen, D) matrix is solved in one multi-right-hand-side pass and
         returns a list of D entries, each the ``DesignResult`` of its
         column or, where that column's taps are non-finite, the
-        ``SingularSystemError`` it would have raised.  The constraint
-        residual is ||H'q + A'w - f|| and the predicted error power
-        power + 2 phi'w + w'Sw, both without forming H or Phi_xx.
+        ``SingularSystemError`` it would have raised.  The residual ||H'q + A'w - f||
+        and the predicted error power power + 2 phi'w + w'Sw = power + phi'w +
+        (A'w)'mu - beta w'w (as Phi_rr w = A mu - phi) need no S, H or Phi_xx.
         """
         F = np.asarray(f, dtype=float)
         columns = F if F.ndim == 2 else F[:, None]
@@ -358,8 +354,9 @@ class DesignContext:
         # (M0 + rho I)^-1 s column by column: a non-finite column fails only its own design
         mu = np.linalg.solve(self._inner, s) if self.rho > 0.0 else self._inner @ s
         W = self.XA @ mu - self.xphi[:, None]
-        residuals = np.linalg.norm(self.Hq[:, None] + self.A.T @ W - columns, axis=0)
-        predicted = self.power + 2.0 * (self.phi @ W) + np.einsum("ij,ij->j", W, self.S @ W)
+        AW = self.A.T @ W
+        residuals = np.linalg.norm(self.Hq[:, None] + AW - columns, axis=0)
+        predicted = self.power + self.phi @ W + np.einsum("ij,ij->j", AW, mu) - self.beta * (W * W).sum(axis=0)
         results = []
         for j, w_flat in enumerate(np.ascontiguousarray(W.T)):
             if not np.all(np.isfinite(w_flat)):

@@ -295,8 +295,8 @@ def _checked_scene(config: SweepConfig, design: bool, sim_taps: int | None) -> t
     the command (a design if ``design``, a simulation of sim_taps-tap
     filters unless None) if they will not fit in memory, for a synthetic
     scene before its responses are allocated, for a manifest scene,
-    whose files bound them, once they are read; and a spatial reference
-    that hears no speech.
+    whose files bound them, once they are read; a spatial reference
+    that hears no speech; and a silent secondary path.
     """
     n = int(round(config.duration_s * config.fs))
     sc = dict(config.scene)
@@ -322,6 +322,8 @@ def _checked_scene(config: SweepConfig, design: bool, sim_taps: int | None) -> t
             f"the speech response at the spatial reference microphone {scene.spatial_ref} "
             "is silent: its ReIRs and target are undefined"
         )
+    if not np.any(scene.g):
+        raise ConfigError("the secondary path is silent: the loudspeaker cannot reach the error microphone")
     return replace(scene, g=_fit_secondary(scene.g, config.Lg)), n
 
 

@@ -162,7 +162,6 @@ def test_evaluate_run_bundles_everything():
     t = mics.p_s.copy()
     run = RunResult(
         y=0.5 * rng.standard_normal(n),
-        e=mics.p_s + 0.5 * mics.p_v,
         e_s=mics.p_s.copy(),
         e_v=0.5 * mics.p_v,
         t=t,

@@ -17,6 +17,7 @@ from ssanc.solver import (
     SingularSystemError,
     _DesignContext,
     _constraint_matrix,
+    _filtered_correlations,
     _lanczos_max,
     build_constraint,
     design_control_filter,
@@ -155,6 +156,7 @@ def test_signals_statistics_equal_the_projected_frame_product(K, Lw, Lg, Lh, N):
     g = rng.standard_normal(Lg)
     reirs = ReIRSet(h=rng.standard_normal((K + 1, Lh)), spatial_ref=0)
     ctx = DesignContext.from_signals(mics, g, reirs, DesignParams(), Lw)
+    S = _filtered_correlations(mics.s + mics.v, g, Lw)[0]  # the S the design consumed
     L = Lg + Lw - 1
     X = stacked_frames(mics.s + mics.v, L)
     phi_xx = X.T @ X / len(X)
@@ -166,10 +168,10 @@ def test_signals_statistics_equal_the_projected_frame_product(K, Lw, Lg, Lh, N):
         "A": Gt.T @ H, "Hq": H.T @ q,
     }
     for key, expected in dense.items():
-        actual = getattr(ctx, key)
+        actual = S if key == "S" else getattr(ctx, key)
         assert np.shape(actual) == np.shape(expected), key
         assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected)), key
-    np.testing.assert_array_equal(ctx.S, ctx.S.T)
+    np.testing.assert_array_equal(S, S.T)
 
 
 def test_signals_design_rejects_short_signals():
@@ -395,8 +397,8 @@ def test_lanczos_top_is_the_largest_eigenvalue(name):
 @pytest.mark.parametrize("seed", [0, 6])  # seed 6: the top two eigenvalues of S are 1e-4 apart
 def test_lanczos_top_of_the_paper_scale_design(seed):
     config = replace(SweepConfig.from_json(Path(__file__).parents[1] / "configs" / "paper_scale.json"), seed=seed)
-    ctx = _prepare_design(config, simulate=False)[1]
-    assert_lanczos_top(ctx.S)
+    prep, ctx = _prepare_design(config, simulate=False)
+    assert_lanczos_top(_filtered_correlations(prep.mics.s + prep.mics.v, prep.scene.g, config.Lw)[0])
     M0 = ctx.A.T @ ctx.XA
     assert_lanczos_top((M0 + M0.T) / 2.0)
 

@@ -23,6 +23,7 @@ from ssanc.solver import (
     DesignParams,
     _constraint_matrix,
     _DesignContext,
+    _filtered_correlations,
     build_constraint,
     estimate_autocorrelation,
     input_frames,
@@ -868,30 +869,37 @@ def test_sweep_runs_where_the_platform_has_no_cpu_affinity(tmp_path, monkeypatch
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
 
-@pytest.mark.parametrize("fault", ["memory", "malformed"])
+@pytest.mark.parametrize("fault", ["memory", "malformed", "silent-secondary"])
 @pytest.mark.parametrize("kind", ["synthetic", "manifest"])
 @pytest.mark.parametrize("command", ["design", "simulate", "sweep"])
 def test_every_refusal_comes_before_any_source(tmp_path, monkeypatch, capsys, command, kind, fault):
-    """A memory refusal and a malformed scene exit 1 with one line before either
+    """A memory refusal, a malformed scene and an all-zero secondary path (synthetic
+    g_taps or a manifest's secondary WAV) exit 1 with one line before either
     source, drawn (speech) or loaded from a WAV file (noise), exists."""
     monkeypatch.chdir(tmp_path)
     wavio.write_wav(tmp_path / "noise.wav", 16000, np.ones(24000))
     malformed = fault == "malformed"
     if kind == "manifest":
         scene = write_manifest_scene(tmp_path, fs=16000.5 if malformed else 16000)
+        if fault == "silent-secondary":
+            wavio.write_wav(tmp_path / "g.wav", 16000, np.zeros(12))
     else:
         scene = {**default_scene_dict(), "K": 2.5 if malformed else 2}
+        if fault == "silent-secondary":
+            scene["g_taps"] = [0.0] * 12
     cfg = write_quick_config(tmp_path, scene=scene, noise_wav=str(tmp_path / "noise.wav"))
     zero = tmp_path / "zero.json"  # the manifest scene has 2 microphones, the synthetic one 3
     mics = 2 if kind == "manifest" else 3
     zero.write_text(json.dumps({"K": mics - 1, "Lw": 12, "w": np.zeros((mics, 12)).tolist()}))
     forbid_sources(monkeypatch)
-    if not malformed:
+    if fault == "memory":
         monkeypatch.setattr(sweep_mod, "_available_memory", lambda: 2**20)
     extra = {"design": ["--delta", "0"], "simulate": ["--filter", str(zero)], "sweep": []}[command]
     assert cli_main([command, "--config", str(cfg), *extra]) == 1
     err = one_config_error(capsys)
-    assert ("memory" if not malformed else "manifest fs" if kind == "manifest" else "scene.K") in err
+    words = {"memory": "memory", "malformed": "manifest fs" if kind == "manifest" else "scene.K",
+             "silent-secondary": "secondary path is silent"}[fault]
+    assert words in err
 
 
 def test_wav_sources_shorter_than_the_duration_shorten_the_sweep(tmp_path):
@@ -1203,7 +1211,7 @@ def convolve_oracle_row(prep, ctx, config, delta):
     e_s = m.p_s + np.convolve(g, y_s)[:N]
     e_v = m.p_v + np.convolve(g, y_v)[:N]
     t = realize_target(m, config.target_kind, delta, prep.scene.spatial_ref)
-    mb = evaluate_run(RunResult(y=y_s + y_v, e=e_s + e_v, e_s=e_s, e_v=e_v, t=t), m)
+    mb = evaluate_run(RunResult(y=y_s + y_v, e_s=e_s, e_v=e_v, t=t), m)
     return [mb.nr_db, mb.sdi_db, mb.quality_db, mb.effort, res.constraint_residual]
 
 
@@ -1232,6 +1240,19 @@ def test_predicted_error_power_is_simulated_error_power(name):
         e = score.error(res.filter)
         simulated = np.mean(e[prep.L - 1 :] ** 2)
         assert abs(res.predicted_error_power - simulated) <= 1e-10 * simulated, delta
+
+
+@pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic", "paper_scale"])
+def test_predicted_error_power_is_the_quadratic_form(name):
+    """At every delay the predicted error power, taken from A'w and mu, equals
+    power + 2 phi'w + w'Sw of the correlations the design consumed, to 1e-12."""
+    config = SweepConfig.from_json(ROOT / "configs" / f"{name}.json")
+    prep, ctx = sweep_mod._prepare_design(config, simulate=False)
+    S, phi, power = _filtered_correlations(prep.mics.s + prep.mics.v, prep.scene.g, config.Lw)
+    for delta, res in solve_every_delay(prep, ctx, config):
+        w = res.filter.ravel()
+        expected = power + 2.0 * (phi @ w) + w @ S @ w
+        assert abs(res.predicted_error_power - expected) <= 1e-12 * expected, delta
 
 
 @pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic", "paper_scale"])
@@ -1403,6 +1424,7 @@ def test_signals_design_statistics_equal_the_dense_projections(name):
     if name == "g_taps_lag0":
         assert prep.scene.g[0] != 0.0
     phi_xx, H = dense_inputs(prep)
+    S = _filtered_correlations(prep.mics.s + prep.mics.v, prep.scene.g, config.Lw)[0]  # the S the design consumed
     Gt = np.kron(np.eye(prep.scene.K + 1), build_conv_matrix(prep.scene.g, config.Lw))
     q = build_q(prep.scene.K, prep.L)
     dense = {
@@ -1410,10 +1432,10 @@ def test_signals_design_statistics_equal_the_dense_projections(name):
         "A": Gt.T @ H, "Hq": H.T @ q,
     }
     for key, expected in dense.items():
-        actual = getattr(ctx, key)
+        actual = S if key == "S" else getattr(ctx, key)
         assert np.shape(actual) == np.shape(expected), key
         assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected)), key
-    np.testing.assert_array_equal(ctx.S, ctx.S.T)
+    np.testing.assert_array_equal(S, S.T)
 
 
 @pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic", "paper_anechoic_error"])
