@@ -15,9 +15,10 @@ ReIR convolution matrices and f the target response.  The closed form
 is evaluated through two symmetric systems, with numpy.linalg only:
 
     Phi_rr = G' Phi_xx G + beta I          (Lanczos top sets beta; overwrites S;
-                                            Cholesky check; one multi-RHS solve)
-    M      = H' G Phi_rr^-1 G' H + rho I   (Lanczos top sets rho; Cholesky check;
-                                            one solve per batch; rho = 0: eigh)
+                                            Cholesky factor; one blocked
+                                            substitution of the multi-RHS [A, phi])
+    M      = H' G Phi_rr^-1 G' H + rho I   (Lanczos top sets rho; Cholesky factor,
+                                            substituted per batch; rho = 0: eigh)
 
 The design reads the inputs only through the correlations of the
 filtered references r_c = g * x_c (S = G' Phi_xx G, G' Phi_xx q and
@@ -204,6 +205,36 @@ def build_constraint(
     return Constraint(H=H, f=f)
 
 
+def _projected_constraint(reirs: ReIRSet, g: np.ndarray, Lw: int) -> np.ndarray:
+    """A = Gt'H without H: block k is the transposed convolution matrix of h_k * g."""
+    return np.vstack([build_conv_matrix(np.convolve(h_k, g), Lw).T for h_k in reirs.h])
+
+
+_TRIANGULAR_BLOCK = 128  # rows per diagonal block of ``_substitute``
+
+
+def _substitute(Lc: np.ndarray, B: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """B <- Lc^-1 B, or Lc^-T B if ``transpose``, in place, for a lower-triangular
+    Lc (``np.linalg.cholesky``) and a (n, m) B; returns B.
+
+    Blocked substitution (Golub & Van Loan, Matrix Computations, 3.1 and
+    4.2): each block of ``_TRIANGULAR_BLOCK`` rows takes one GEMM update
+    from the rows already solved and one ``np.linalg.solve`` with its
+    diagonal block.  Column j of the result reads only column j of B.
+    """
+    n = Lc.shape[0]
+    starts = range(0, n, _TRIANGULAR_BLOCK)
+    for i in reversed(starts) if transpose else starts:
+        j = min(i + _TRIANGULAR_BLOCK, n)
+        if transpose:
+            B[i:j] -= Lc[j:, i:j].T @ B[j:]
+            B[i:j] = np.linalg.solve(Lc[i:j, i:j].T, B[i:j])
+        else:
+            B[i:j] -= Lc[i:j, :i] @ B[:i]
+            B[i:j] = np.linalg.solve(Lc[i:j, i:j], B[i:j])
+    return B
+
+
 def _lanczos_max(M: np.ndarray) -> float:
     """lambda_max of the symmetric M: the top Ritz value of min(40, n) Lanczos steps
     from a fixed start vector, each reorthogonalized twice against all earlier ones
@@ -238,19 +269,22 @@ class DesignContext:
     and the constraint only through A = Gt'H and H'q.  ``from_signals``
     takes them from the signals and the ReIRs (production);
     ``from_dense`` projects a dense Phi_xx and H (the oracle).  Both
-    share this factorization: Lanczos tops of S and M0 = A' Phi_rr^-1 A set
-    beta and rho, Phi_rr = S + beta I overwrites S (the constructor consumes
-    its S; both pass a fresh one), Cholesky checks Phi_rr and M0 + rho I, one
-    solve with Phi_rr has the right-hand sides [A, phi], and ``solve`` solves
-    with the kept M0 + rho I (rho = 0: the pseudo-inverse of M0, by ``eigh``).
+    share this factorization, and each consumes the S and the stacked
+    right-hand sides [A, phi] it passes: the Lanczos top of S sets beta,
+    Phi_rr = S + beta I overwrites S, and its Cholesky factor Lc, which is
+    also the definiteness check, turns [A, phi] in place into
+    Y = Lc^-1 [A, phi] = [YA, yphi] (``_substitute``).  Then
+    M0 = A' Phi_rr^-1 A = YA'YA, whose Lanczos top sets rho, and
+    ``solve`` substitutes with the Cholesky factor of M0 + rho I
+    (rho = 0: the pseudo-inverse of M0, by ``eigh``).  No A, S or LU
+    factor is kept.
     """
 
-    def __init__(self, S, phi, power: float, A, Hq, params: DesignParams, K: int, Lw: int):
+    def __init__(self, S, rhs, power: float, Hq, params: DesignParams, K: int, Lw: int):
         self.K = K
         self.Lw = Lw
-        self.phi = phi
+        self.phi = rhs[:, -1].copy()  # the right-hand sides are substituted in place below
         self.power = power
-        self.A = A  # Gt'H: (K+1)Lw x (Lh+L-1)
         self.Hq = Hq
 
         self.beta = max(_lanczos_max(S), 0.0) / params.beta_div
@@ -262,28 +296,28 @@ class DesignContext:
 
         S.flat[:: S.shape[0] + 1] += self.beta  # S is Phi_rr = S + beta I from here on
         try:
-            np.linalg.cholesky(S)  # the definiteness check only
-            sol = np.linalg.solve(S, np.column_stack([A, phi]))
+            self.Lc = np.linalg.cholesky(S)  # Phi_rr = Lc Lc'
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 f"cannot factorize Phi_rr with beta={self.beta:g}; lower beta_div"
             ) from exc
-        self.XA = sol[:, :-1]  # Phi_rr^-1 G'H
-        self.xphi = sol[:, -1]  # Phi_rr^-1 phi
-        M0 = A.T @ self.XA
+        Y = _substitute(self.Lc, rhs)
+        self.YA = Y[:, :-1]  # Lc^-1 G'H
+        self.yphi = Y[:, -1]  # Lc^-1 phi
+        self.Aphi = self.YA.T @ self.yphi  # A' Phi_rr^-1 phi
+        M0 = self.YA.T @ self.YA
         M0 = (M0 + M0.T) / 2.0
 
         self.rho = params.rho if params.rho is not None else max(_lanczos_max(M0), 0.0) / params.rho_div
         if self.rho > 0.0:
             M0.flat[:: M0.shape[0] + 1] += self.rho
             try:
-                np.linalg.cholesky(M0)  # the definiteness check only
+                self._inner = np.linalg.cholesky(M0)  # M0 + rho I = Lm Lm', substituted in each ``solve``
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(
                     f"cannot factorize the inner constraint matrix with rho={self.rho:g}; "
                     "increase rho"
                 ) from exc
-            self._inner = M0  # M0 + rho I, solved in each ``solve``
         else:
             # exact equality-constrained solution: the inner matrix is
             # generally rank-deficient, so invert it on its range only
@@ -297,8 +331,8 @@ class DesignContext:
         """The design of (K+1, Lw) filters for the observed signals x = ``mics.s + mics.v``.
 
         S, phi and power come from the lag correlations of x
-        (``_filtered_correlations``).  Block k of A is the transposed
-        convolution matrix of h_k * g, and H'q is the error microphone's
+        (``_filtered_correlations``), A from the ReIRs
+        (``_projected_constraint``), and H'q is the error microphone's
         ReIR.  Neither Phi_xx nor H is formed.
         """
         g = np.asarray(g, dtype=float).ravel()
@@ -306,9 +340,8 @@ class DesignContext:
         if mics.N < L:
             raise ValueError(f"signal length {mics.N} shorter than frame history {L}")
         S, phi, power = _filtered_correlations(mics.s + mics.v, g, Lw)
-        A = np.vstack([build_conv_matrix(np.convolve(h_k, g), Lw).T for h_k in reirs.h])
         Hq = np.concatenate([reirs.h[-1], np.zeros(L - 1)])
-        return cls(S, phi, power, A, Hq, params, mics.K, Lw)
+        return cls(S, np.column_stack([_projected_constraint(reirs, g, Lw), phi]), power, Hq, params, mics.K, Lw)
 
     @classmethod
     def from_dense(cls, phi_xx, g, H, params: DesignParams, K: int, Lw: int) -> "DesignContext":
@@ -332,8 +365,8 @@ class DesignContext:
         S = per_channel(Gt, per_channel(Gt, phi_xx).T)
         phi_q = phi_xx @ q
         return cls(
-            (S + S.T) / 2.0, per_channel(Gt, phi_q), float(q @ phi_q), per_channel(Gt, H), H.T @ q,
-            params, K, Lw,
+            (S + S.T) / 2.0, np.column_stack([per_channel(Gt, H), per_channel(Gt, phi_q)]), float(q @ phi_q),
+            H.T @ q, params, K, Lw,
         )
 
     def solve(self, f: np.ndarray):
@@ -344,17 +377,27 @@ class DesignContext:
         (flen, D) matrix is solved in one multi-right-hand-side pass and
         returns a list of D entries, each the ``DesignResult`` of its
         column or, where that column's taps are non-finite, the
-        ``SingularSystemError`` it would have raised.  The residual ||H'q + A'w - f||
-        and the predicted error power power + 2 phi'w + w'Sw = power + phi'w +
-        (A'w)'mu - beta w'w (as Phi_rr w = A mu - phi) need no S, H or Phi_xx.
+        ``SingularSystemError`` it would have raised.
+
+        With Y = Lc^-1 [A, phi] = [YA, yphi], mu = (M0 + rho I)^-1 (f - H'q
+        + A' Phi_rr^-1 phi) takes two substitutions with the factor of
+        M0 + rho I, V = YA mu - yphi = Lc^-1 (A mu - phi), A'w = YA'V, and
+        the taps w = Lc^-T V one backward substitution; each reads its own
+        column only, so a non-finite column fails only its own design.  The
+        residual ||H'q + A'w - f|| and the predicted error power
+        power + 2 phi'w + w'Sw = power + phi'w + (A'w)'mu - beta w'w (as
+        Phi_rr w = A mu - phi) need no S, A, H or Phi_xx.
         """
         F = np.asarray(f, dtype=float)
         columns = F if F.ndim == 2 else F[:, None]
-        s = columns - self.Hq[:, None] + (self.A.T @ self.xphi)[:, None]
-        # (M0 + rho I)^-1 s column by column: a non-finite column fails only its own design
-        mu = np.linalg.solve(self._inner, s) if self.rho > 0.0 else self._inner @ s
-        W = self.XA @ mu - self.xphi[:, None]
-        AW = self.A.T @ W
+        s = columns - self.Hq[:, None] + self.Aphi[:, None]
+        if self.rho > 0.0:
+            mu = _substitute(self._inner, _substitute(self._inner, s), transpose=True)
+        else:
+            mu = self._inner @ s
+        V = self.YA @ mu - self.yphi[:, None]
+        AW = self.YA.T @ V
+        W = _substitute(self.Lc, V, transpose=True)
         residuals = np.linalg.norm(self.Hq[:, None] + AW - columns, axis=0)
         predicted = self.power + self.phi @ W + np.einsum("ij,ij->j", AW, mu) - self.beta * (W * W).sum(axis=0)
         results = []

@@ -395,20 +395,22 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
     temporaries per thread next to the two stacks, and before that,
     while they are drawn, about three n-sample arrays per source
     (``signals.speech_shaped_noise``).  A design (``design``,
-    ``sweep``) holds, on top of the three stacks, the factorized
-    ``DesignContext``: S, ((K+1) Lw)^2 floats, A and Phi_rr^-1 A,
-    (K+1) Lw (Lh + L - 1) floats each, and M0 + rho I,
-    (Lh + L - 1)^2 floats; it never forms Phi_xx or H.  With it come,
-    while it correlates the observed stack, the temporaries of one chunk
-    of ``lagged_products`` (``per_chunk`` blocks of ``nfft`` samples per
-    channel in its ``convmat.Blocks`` layout): the block spectra of both
-    operands and their inputs, about four (K+1)-channel arrays of a
-    chunk's samples; and, while it factorizes, the right-hand sides of the
-    solve, as many floats as A.  The ReIR fit holds less than either:
-    one n-sample white source and one channel's correlation chunk.  A
-    simulation of sim_taps-tap filters (``convmat.Blocks``) holds one
-    chunk of block spectra at a time: ``simulate`` of both stacks, next
-    to them and the five n-sample signals of one run.  ``sweep`` frees
+    ``sweep``) never forms Phi_xx or H.  While it correlates the
+    observed stack it holds the three stacks, S, ((K+1) Lw)^2 floats,
+    and the temporaries of one chunk of ``lagged_products``
+    (``per_chunk`` blocks of ``nfft`` samples per channel in its
+    ``convmat.Blocks`` layout): the block spectra of both operands and
+    their inputs, about four (K+1)-channel arrays of a chunk's samples.
+    While it factorizes (``DesignContext``) the sum is freed, and it
+    holds Phi_rr = S + beta I and its Cholesky factor, ((K+1) Lw)^2
+    floats each, Lc^-1 [A, phi], substituted in place,
+    (K+1) Lw (Lh + L) floats, and M0 + rho I and its factor,
+    (Lh + L - 1)^2 floats each: no LU copy and no A.  The ReIR fit
+    holds less than either: one n-sample white source and one channel's
+    correlation chunk.  A simulation of sim_taps-tap filters
+    (``convmat.Blocks``) holds one chunk of block spectra at a time:
+    ``simulate`` of both stacks, next to them and the five n-sample
+    signals of one run.  ``sweep`` frees
     the design after its solve; next to the three stacks it builds the
     lag correlations it scores from (``metrics._RowScores``), about one
     complex value per lag of (K+1)^2 channel pairs, P = max(L, the last
@@ -428,11 +430,13 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
     if design:
         L = config.Lg + config.Lw - 1
         flen = config.Lh + L - 1
-        A = C * config.Lw * flen
-        context = 8 * ((C * config.Lw) ** 2 + 2 * A + flen**2)
+        dim = C * config.Lw
         blocks = Blocks(n, L - 1)
         chunk = blocks.per_chunk * blocks.nfft
-        phases.append(3 * stack + context + 8 * max(4 * C * chunk, A))
+        phases += [
+            3 * stack + 8 * (dim**2 + 4 * C * chunk),
+            2 * stack + 8 * (2 * dim**2 + dim * (flen + 1) + 2 * flen**2),
+        ]
     if sim_taps is not None:
         blocks = Blocks(n, sim_taps + config.Lg - 2)
         count, nfft = blocks.per_chunk, blocks.nfft

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,10 +16,14 @@ from ssanc.solver import (
     InfeasibleConstraintError,
     InputFrames,
     SingularSystemError,
+    _TRIANGULAR_BLOCK,
     _DesignContext,
     _constraint_matrix,
+    _constraint_vector,
     _filtered_correlations,
     _lanczos_max,
+    _projected_constraint,
+    _substitute,
     build_constraint,
     design_control_filter,
     estimate_autocorrelation,
@@ -149,8 +154,9 @@ def test_input_frames_rejects_short_signals():
 ])
 def test_signals_statistics_equal_the_projected_frame_product(K, Lw, Lg, Lh, N):
     """``DesignContext.from_signals`` on random signals, down to one frame and to
-    one-tap filters or paths: S, phi, power, A and H'q equal the projections of
-    the explicit frame product X'X / (N - L + 1) and of H by Gt = I (x) G."""
+    one-tap filters or paths: S, phi, power, A (``_projected_constraint``) and H'q
+    equal the projections of the explicit frame product X'X / (N - L + 1) and of
+    H by Gt = I (x) G."""
     rng = np.random.default_rng(100 * K + 10 * Lw + Lg)
     mics = random_mics(K, N, seed=N + Lg)
     g = rng.standard_normal(Lg)
@@ -167,8 +173,9 @@ def test_signals_statistics_equal_the_projected_frame_product(K, Lw, Lg, Lh, N):
         "S": Gt.T @ phi_xx @ Gt, "phi": Gt.T @ (phi_xx @ q), "power": q @ phi_xx @ q,
         "A": Gt.T @ H, "Hq": H.T @ q,
     }
+    built = {"S": S, "A": _projected_constraint(reirs, g, Lw)}
     for key, expected in dense.items():
-        actual = S if key == "S" else getattr(ctx, key)
+        actual = built[key] if key in built else getattr(ctx, key)
         assert np.shape(actual) == np.shape(expected), key
         assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected)), key
     np.testing.assert_array_equal(S, S.T)
@@ -267,6 +274,43 @@ def test_constraint_rejects_long_psi():
 
 
 # ---------------------------------------------------------------------------
+# blocked triangular substitution
+# ---------------------------------------------------------------------------
+
+BLOCK_EDGES = [1, _TRIANGULAR_BLOCK - 1, _TRIANGULAR_BLOCK, _TRIANGULAR_BLOCK + 1, 2 * _TRIANGULAR_BLOCK + 1]
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("transpose", [False, True], ids=["Lc", "Lc'"])
+@pytest.mark.parametrize("m", [1, 9])
+def test_substitution_equals_the_dense_solve(n, transpose, m):
+    """``_substitute`` with the Cholesky factor Lc of a random SPD matrix, on
+    either side of a block boundary, overwrites B with ``np.linalg.solve`` of Lc
+    or Lc' to 1e-12 of its scale."""
+    rng = np.random.default_rng(10 * n + 2 * m + transpose)
+    Lc = np.linalg.cholesky(random_psd(n, rng, extra=n))
+    B = rng.standard_normal((n, m))
+    expected = np.linalg.solve(Lc.T if transpose else Lc, B)
+    assert _substitute(Lc, B, transpose) is B
+    assert np.max(np.abs(B - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["Lc", "Lc'"])
+def test_substitution_keeps_a_non_finite_column_in_its_column(transpose):
+    """A NaN in one right-hand side spoils that column and leaves every other
+    column's bits as they are without it."""
+    rng = np.random.default_rng(26)
+    n = 2 * _TRIANGULAR_BLOCK + 1
+    Lc = np.linalg.cholesky(random_psd(n, rng, extra=n))
+    B = rng.standard_normal((n, 5))
+    clean = _substitute(Lc, B.copy(), transpose)
+    B[n // 2, 2] = np.nan
+    spoiled = _substitute(Lc, B, transpose)
+    assert np.isnan(spoiled[:, 2]).any()
+    np.testing.assert_array_equal(np.delete(spoiled, 2, axis=1), np.delete(clean, 2, axis=1))
+
+
+# ---------------------------------------------------------------------------
 # closed form vs KKT oracle
 # ---------------------------------------------------------------------------
 
@@ -302,6 +346,81 @@ def test_rho_rule_design_is_the_penalty_minimizer():
             w = np.linalg.solve(lhs, rhs)
             worst = max(worst, np.linalg.norm(res.filter.ravel() - w) / np.linalg.norm(w))
     assert worst <= 1e-8
+
+
+def dense_closed_form(S, A, phi, Hq, beta, rho, F):
+    """The taps w = Phi_rr^-1 (A mu - phi) of each column f of F, with
+    mu = (M0 + rho I)^-1 (f - H'q + A' Phi_rr^-1 phi), Phi_rr = S + beta I and
+    M0 = A' Phi_rr^-1 A, by ``np.linalg.solve`` alone."""
+    phi_rr = S + beta * np.eye(S.shape[0])
+    X = np.linalg.solve(phi_rr, np.column_stack([A, phi]))
+    inner = A.T @ X[:, :-1] + rho * np.eye(A.shape[1])
+    mu = np.linalg.solve(inner, F - Hq[:, None] + (A.T @ X[:, -1])[:, None])
+    return np.linalg.solve(phi_rr, A @ mu - phi[:, None])
+
+
+def assert_closed_form_taps(ctx, S, A, phi, Hq, F):
+    assert ctx.rho > 0.0
+    expected = dense_closed_form(S, A, phi, Hq, ctx.beta, ctx.rho, F)
+    for j, res in enumerate(ctx.solve(F)):
+        w = expected[:, j]
+        assert np.linalg.norm(res.filter.ravel() - w) <= 1e-10 * np.linalg.norm(w), j
+
+
+def test_rho_rule_design_equals_the_dense_closed_form():
+    """At rho > 0, by the rule or set explicitly, the taps of a batched solve on
+    random instances equal the closed form by dense LU solves to 1e-10."""
+    rng = np.random.default_rng(27)
+    for _ in range(20):
+        phi_xx, g, constraint, K, Lw, Gt, q = random_instance(rng)
+        H = constraint.H
+        F = np.column_stack([constraint.f, *rng.standard_normal((3, constraint.f.shape[0]))])
+        for params in (DesignParams(), DesignParams(rho=0.05)):
+            ctx = _DesignContext(phi_xx, g, H, params, K, Lw)
+            assert_closed_form_taps(ctx, Gt.T @ phi_xx @ Gt, Gt.T @ H, Gt.T @ (phi_xx @ q), H.T @ q, F)
+
+
+def test_paper_scale_design_equals_the_dense_closed_form():
+    """The production design on paper_scale, at three delays, has the closed form's
+    taps by dense LU solves of Phi_rr and M0 + rho I to 1e-10."""
+    config = SweepConfig.from_json(Path(__file__).parents[1] / "configs" / "paper_scale.json")
+    prep, ctx = _prepare_design(config, simulate=False)
+    S, phi, _ = _filtered_correlations(prep.mics.s + prep.mics.v, prep.scene.g, config.Lw)
+    A = _projected_constraint(prep.reirs, prep.scene.g, config.Lw)
+    Hq = np.concatenate([prep.reirs.h[-1], np.zeros(prep.L - 1)])
+    deltas = config.deltas()
+    F = np.column_stack([
+        _constraint_vector(prep.reirs, prep.psi, config.target_kind, d, prep.L)
+        for d in (deltas[0], deltas[len(deltas) // 2], deltas[-1])
+    ])
+    assert_closed_form_taps(ctx, S, A, phi, Hq, F)
+
+
+def test_paper_scale_design_factorizes_each_system_once(monkeypatch):
+    """``_prepare_design`` and a batched solve on paper_scale make one Cholesky
+    factorization of Phi_rr and one of M0 + rho I, and ``np.linalg.solve`` sees
+    no matrix larger than one diagonal block of ``_substitute``: neither system
+    is LU-factorized."""
+    config = SweepConfig.from_json(Path(__file__).parents[1] / "configs" / "paper_scale.json")
+    calls = []
+
+    def recorded(name, fn):
+        def call(a, *args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == "ssanc.solver":
+                calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return call
+
+    for name in ("cholesky", "solve", "eigh", "inv", "pinv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+    prep, ctx = _prepare_design(config, simulate=False)
+    ctx.solve(np.column_stack([
+        _constraint_vector(prep.reirs, prep.psi, config.target_kind, d, prep.L) for d in config.deltas()
+    ]))
+    n, flen = (prep.scene.K + 1) * config.Lw, config.Lh + prep.L - 1
+    assert [shape for name, shape in calls if name == "cholesky"] == [(n, n), (flen, flen)]
+    assert {name for name, _ in calls} == {"cholesky", "solve"}
+    assert max(shape[0] for name, shape in calls if name == "solve") <= _TRIANGULAR_BLOCK
 
 
 @pytest.mark.parametrize("rho", [None, 0.0], ids=["rho-rule", "rho-zero"])
@@ -399,7 +518,7 @@ def test_lanczos_top_of_the_paper_scale_design(seed):
     config = replace(SweepConfig.from_json(Path(__file__).parents[1] / "configs" / "paper_scale.json"), seed=seed)
     prep, ctx = _prepare_design(config, simulate=False)
     assert_lanczos_top(_filtered_correlations(prep.mics.s + prep.mics.v, prep.scene.g, config.Lw)[0])
-    M0 = ctx.A.T @ ctx.XA
+    M0 = ctx.YA.T @ ctx.YA  # A' Phi_rr^-1 A from the context's Lc^-1 A
     assert_lanczos_top((M0 + M0.T) / 2.0)
 
 

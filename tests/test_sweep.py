@@ -24,6 +24,7 @@ from ssanc.solver import (
     _constraint_matrix,
     _DesignContext,
     _filtered_correlations,
+    _projected_constraint,
     build_constraint,
     estimate_autocorrelation,
     input_frames,
@@ -1431,8 +1432,9 @@ def test_signals_design_statistics_equal_the_dense_projections(name):
         "S": Gt.T @ phi_xx @ Gt, "phi": Gt.T @ (phi_xx @ q), "power": q @ phi_xx @ q,
         "A": Gt.T @ H, "Hq": H.T @ q,
     }
+    built = {"S": S, "A": _projected_constraint(prep.reirs, prep.scene.g, config.Lw)}
     for key, expected in dense.items():
-        actual = S if key == "S" else getattr(ctx, key)
+        actual = built[key] if key in built else getattr(ctx, key)
         assert np.shape(actual) == np.shape(expected), key
         assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected)), key
     np.testing.assert_array_equal(S, S.T)
