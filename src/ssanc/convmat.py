@@ -2,9 +2,10 @@
 
 Lower-banded Toeplitz builders, their per-channel application to
 stacked multichannel vectors, the selection vector the filter designer
-is built on, and the structural frame products behind the design's
-correlations and the ReIR estimates.  The matrices are plain float64
-and dense on purpose: the problem sizes stay small enough that
+is built on, the blocked triangular substitution the ReIR fit and the
+design both solve by, and the structural frame products behind the
+design's correlations and the ReIR estimates.  The matrices are plain
+float64 and dense on purpose: the problem sizes stay small enough that
 exactness and clarity win.  The frame products are the exception,
 because their frame matrices have N rows: they are formed from
 blockwise FFT cross-correlations and the Toeplitz structure of the
@@ -77,6 +78,31 @@ def build_q(K: int, L: int) -> np.ndarray:
     q = np.zeros((K + 1) * L)
     q[K * L] = 1.0
     return q
+
+
+_TRIANGULAR_BLOCK = 128  # rows per diagonal block of ``_substitute``
+
+
+def _substitute(Lc: np.ndarray, B: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """B <- Lc^-1 B, or Lc^-T B if ``transpose``, in place, for a lower-triangular
+    Lc (``np.linalg.cholesky``) and a (n, m) B; returns B.
+
+    Blocked substitution (Golub & Van Loan, Matrix Computations, 3.1 and
+    4.2): each block of ``_TRIANGULAR_BLOCK`` rows takes one GEMM update
+    from the rows already solved and one ``np.linalg.solve`` with its
+    diagonal block.  Column j of the result reads only column j of B.
+    """
+    n = Lc.shape[0]
+    starts = range(0, n, _TRIANGULAR_BLOCK)
+    for i in reversed(starts) if transpose else starts:
+        j = min(i + _TRIANGULAR_BLOCK, n)
+        if transpose:
+            B[i:j] -= Lc[j:, i:j].T @ B[j:]
+            B[i:j] = np.linalg.solve(Lc[i:j, i:j].T, B[i:j])
+        else:
+            B[i:j] -= Lc[i:j, :i] @ B[:i]
+            B[i:j] = np.linalg.solve(Lc[i:j, i:j], B[i:j])
+    return B
 
 
 def overlap_blocks(x: np.ndarray, start: int, count: int, size: int, hop: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ssanc.convmat import edge_products, frames_from_first_rows, lagged_products
+from ssanc.convmat import _substitute, edge_products, frames_from_first_rows, lagged_products
 from ssanc.scene import Scene
 
 
@@ -117,12 +117,12 @@ def estimate_reirs(scene: Scene, source, Lh: int, reg: float | None = None) -> R
         reg = 1e-8 * float(np.mean(np.diag(R)))
     R += reg * np.eye(Lh)
     try:
-        np.linalg.cholesky(R)  # the definiteness check only
+        Lr = np.linalg.cholesky(R)  # R = Lr Lr', the definiteness check and the solver
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"singular ReIR normal equations (reg={reg:g}); try increasing reg"
         ) from exc
-    h = np.linalg.solve(R, first.T).T
+    h = _substitute(Lr, _substitute(Lr, np.ascontiguousarray(first.T)), transpose=True).T
 
     residual = np.pad(irs, ((0, 0), (0, Lh - 1))) - np.array([np.convolve(h_k, a_ref) for h_k in h])
     residuals = np.sqrt(frame_energies(residual)) / np.maximum(np.sqrt(frame_energies(irs)), 1e-300)

@@ -45,8 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from ssanc.convmat import (
-    build_conv_matrix, build_q, edge_products, frame_products, frames_from_first_rows, lagged_products,
-    next_fast_len, per_channel,
+    _substitute, build_conv_matrix, build_q, edge_products, frame_products, frames_from_first_rows,
+    lagged_products, next_fast_len, per_channel,
 )
 from ssanc.reir import ReIRSet
 from ssanc.scene import MicSignals, integer
@@ -208,31 +208,6 @@ def build_constraint(
 def _projected_constraint(reirs: ReIRSet, g: np.ndarray, Lw: int) -> np.ndarray:
     """A = Gt'H without H: block k is the transposed convolution matrix of h_k * g."""
     return np.vstack([build_conv_matrix(np.convolve(h_k, g), Lw).T for h_k in reirs.h])
-
-
-_TRIANGULAR_BLOCK = 128  # rows per diagonal block of ``_substitute``
-
-
-def _substitute(Lc: np.ndarray, B: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """B <- Lc^-1 B, or Lc^-T B if ``transpose``, in place, for a lower-triangular
-    Lc (``np.linalg.cholesky``) and a (n, m) B; returns B.
-
-    Blocked substitution (Golub & Van Loan, Matrix Computations, 3.1 and
-    4.2): each block of ``_TRIANGULAR_BLOCK`` rows takes one GEMM update
-    from the rows already solved and one ``np.linalg.solve`` with its
-    diagonal block.  Column j of the result reads only column j of B.
-    """
-    n = Lc.shape[0]
-    starts = range(0, n, _TRIANGULAR_BLOCK)
-    for i in reversed(starts) if transpose else starts:
-        j = min(i + _TRIANGULAR_BLOCK, n)
-        if transpose:
-            B[i:j] -= Lc[j:, i:j].T @ B[j:]
-            B[i:j] = np.linalg.solve(Lc[i:j, i:j].T, B[i:j])
-        else:
-            B[i:j] -= Lc[i:j, :i] @ B[:i]
-            B[i:j] = np.linalg.solve(Lc[i:j, i:j], B[i:j])
-    return B
 
 
 def _lanczos_max(M: np.ndarray) -> float:

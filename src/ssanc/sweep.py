@@ -37,7 +37,6 @@ import math
 import os
 import resource
 import sys
-import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -107,7 +106,7 @@ class SweepRow:
     quality_db: float = float("nan")
     effort: float = float("nan")
     constraint_residual: float = float("nan")
-    design_ms: float = float("nan")
+    design_ms: float = float("nan")  # written empty (``write_rows_csv``)
     error: str = ""
 
 
@@ -478,6 +477,8 @@ def _load_source(path, config: SweepConfig, n: int) -> np.ndarray:
         raise ConfigError(f"{path}: sample rate {fs} != config fs {config.fs}")
     if data.shape[0] < config.fs:
         raise ConfigError(f"{path}: shorter than 1 s")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"{path}: samples must be finite")
     return data
 
 
@@ -595,13 +596,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """
     prep, ctx = _prepare_design(config)
     deltas = config.deltas()
-    t0 = time.perf_counter()
-    F = np.column_stack([
+    designs = ctx.solve(np.column_stack([
         _constraint_vector(prep.reirs, prep.psi, config.target_kind, delta, prep.L) for delta in deltas
-    ])
-    designs = ctx.solve(F)
-    design_ms = (time.perf_counter() - t0) * 1e3 / len(deltas)
-    del ctx, F  # only the solve needs the factorized design
+    ]))
+    del ctx  # only the solve needs the factorized design
 
     workers = _workers(config, prep.mics.K, prep.mics.N)
     mic = target_mic(config.target_kind, prep.scene.spatial_ref)
@@ -617,9 +615,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             scores = score(res.filter, delta)
         except NUMERIC_ERRORS as exc:  # record and continue with the other deltas
             return _failed(delta, exc)
-        return SweepRow(
-            delta=delta, constraint_residual=res.constraint_residual, design_ms=design_ms, **asdict(scores)
-        )
+        return SweepRow(delta=delta, constraint_residual=res.constraint_residual, **asdict(scores))
 
     return thread_map(row, deltas, designs, threads=workers)
 
@@ -628,14 +624,11 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_rows_csv(rows, path, timings: bool = False) -> None:
+def write_rows_csv(rows, path) -> None:
     """Write sweep rows as RFC-4180 CSV (UTF-8, CRLF, fixed column order).
 
-    design_ms is wall time and varies run to run, so it is left empty
-    unless ``timings`` is requested; this keeps the CSV byte-identical
-    for identical configs and seeds.  ``run_sweep`` designs all filters
-    in one batched solve, so its design_ms is that solve's time
-    (target vectors included) divided by the number of delays.
+    The design_ms column is always empty, whatever a row carries, so the
+    CSV of identical configs and seeds is byte-identical.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -650,7 +643,7 @@ def write_rows_csv(rows, path, timings: bool = False) -> None:
                 _fmt(row.quality_db),
                 _fmt(row.effort),
                 _fmt(row.constraint_residual),
-                _fmt(row.design_ms) if timings else "",
+                "",
                 row.error,
             ])
 
@@ -703,7 +696,7 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args)
     rows = run_sweep(config)
     out = args.out or config.out
-    write_rows_csv(rows, out, timings=args.timings)
+    write_rows_csv(rows, out)
     failures = [r for r in rows if r.error]
     print(f"wrote {len(rows)} rows to {out}" + (f" ({len(failures)} failed)" if failures else ""))
     return 0
@@ -771,9 +764,16 @@ def _cmd_verify(args) -> int:
     return 0 if worst <= 1e-8 else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line as a config error, not with exit 2; its subparsers are one too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def cli_main(argv=None) -> int:
-    """Entry point; returns 0 on success, 1 on config errors, 2 on numeric failures."""
-    parser = argparse.ArgumentParser(
+    """Entry point; returns 0 on success, 1 on config errors (a malformed command line too), 2 on numeric failures."""
+    parser = _Parser(
         prog="ssanc",
         description="Design, sweep and simulate spatially selective noise-control filters.",
     )
@@ -783,7 +783,6 @@ def cli_main(argv=None) -> int:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--timings", action="store_true", help="record wall-clock design_ms in the CSV")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("design", help="design a single filter and export it as JSON")
@@ -807,8 +806,8 @@ def cli_main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, SceneLoadError, ScalingError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssanc.convmat import build_conv_matrix, build_q
+from ssanc.convmat import _TRIANGULAR_BLOCK, _substitute, build_conv_matrix, build_q
 from ssanc.reir import ReIRSet, estimate_reirs
 from ssanc.scene import MicSignals, render_mics, synth_scene
 from ssanc.signals import white_noise
@@ -16,14 +16,12 @@ from ssanc.solver import (
     InfeasibleConstraintError,
     InputFrames,
     SingularSystemError,
-    _TRIANGULAR_BLOCK,
     _DesignContext,
     _constraint_matrix,
     _constraint_vector,
     _filtered_correlations,
     _lanczos_max,
     _projected_constraint,
-    _substitute,
     build_constraint,
     design_control_filter,
     estimate_autocorrelation,
@@ -398,15 +396,15 @@ def test_paper_scale_design_equals_the_dense_closed_form():
 
 def test_paper_scale_design_factorizes_each_system_once(monkeypatch):
     """``_prepare_design`` and a batched solve on paper_scale make one Cholesky
-    factorization of Phi_rr and one of M0 + rho I, and ``np.linalg.solve`` sees
-    no matrix larger than one diagonal block of ``_substitute``: neither system
-    is LU-factorized."""
+    factorization of the ReIR fit's normal matrix, one of Phi_rr and one of
+    M0 + rho I, and ``np.linalg.solve`` sees no matrix larger than one diagonal
+    block of ``_substitute``: none of the three systems is LU-factorized."""
     config = SweepConfig.from_json(Path(__file__).parents[1] / "configs" / "paper_scale.json")
     calls = []
 
     def recorded(name, fn):
         def call(a, *args, **kwargs):
-            if sys._getframe(1).f_globals.get("__name__") == "ssanc.solver":
+            if sys._getframe(1).f_globals.get("__name__") in ("ssanc.reir", "ssanc.solver", "ssanc.convmat"):
                 calls.append((name, np.shape(a)))
             return fn(a, *args, **kwargs)
         return call
@@ -417,8 +415,8 @@ def test_paper_scale_design_factorizes_each_system_once(monkeypatch):
     ctx.solve(np.column_stack([
         _constraint_vector(prep.reirs, prep.psi, config.target_kind, d, prep.L) for d in config.deltas()
     ]))
-    n, flen = (prep.scene.K + 1) * config.Lw, config.Lh + prep.L - 1
-    assert [shape for name, shape in calls if name == "cholesky"] == [(n, n), (flen, flen)]
+    Lh, n, flen = config.Lh, (prep.scene.K + 1) * config.Lw, config.Lh + prep.L - 1
+    assert [shape for name, shape in calls if name == "cholesky"] == [(Lh, Lh), (n, n), (flen, flen)]
     assert {name for name, _ in calls} == {"cholesky", "solve"}
     assert max(shape[0] for name, shape in calls if name == "solve") <= _TRIANGULAR_BLOCK
 
