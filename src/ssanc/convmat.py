@@ -2,11 +2,12 @@
 
 Lower-banded Toeplitz builders, their per-channel application to
 stacked multichannel vectors, the selection vector the filter designer
-is built on, the blocked triangular substitution the ReIR fit and the
-design both solve by, and the structural frame products behind the
-design's correlations and the ReIR estimates.  The matrices are plain
-float64 and dense on purpose: the problem sizes stay small enough that
-exactness and clarity win.  The frame products are the exception,
+is built on, the blocked in-place Cholesky factorization and triangular
+substitution the ReIR fit and the design both solve by, and the
+structural frame products behind the design's correlations and the
+ReIR estimates.  The matrices are plain float64 and dense on purpose:
+the problem sizes stay small enough that exactness and clarity win.
+The frame products are the exception,
 because their frame matrices have N rows: they are formed from
 blockwise FFT cross-correlations and the Toeplitz structure of the
 frames instead (the covariance method of linear prediction), which is
@@ -80,12 +81,38 @@ def build_q(K: int, L: int) -> np.ndarray:
     return q
 
 
-_TRIANGULAR_BLOCK = 128  # rows per diagonal block of ``_substitute``
+_TRIANGULAR_BLOCK = 128  # rows per diagonal block of ``_cholesky`` and ``_substitute``
+
+
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """A <- its lower Cholesky factor Lc, A = Lc Lc', in place, for a symmetric
+    positive-definite A of which only the lower triangle is read; returns A.
+
+    Left-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
+    4.2) on ``_TRIANGULAR_BLOCK``-row blocks: each block column takes one
+    GEMM update from the columns already done, ``np.linalg.cholesky`` of
+    its diagonal block, which is the definiteness check, and one
+    ``np.linalg.solve`` with that block for the panel below; the block row
+    above the diagonal is zeroed.  Unlike ``np.linalg.cholesky`` of the
+    whole, it makes no copy of A.  Raises ``np.linalg.LinAlgError`` if A
+    is not positive definite or not finite.
+    """
+    n = A.shape[0]
+    for i in range(0, n, _TRIANGULAR_BLOCK):
+        j = min(i + _TRIANGULAR_BLOCK, n)
+        A[i:, i:j] -= A[i:, :i] @ A[i:j, :i].T
+        A[i:j, i:j] = np.linalg.cholesky(A[i:j, i:j])
+        A[j:, i:j] = np.linalg.solve(A[i:j, i:j], A[j:, i:j].T).T
+        A[i:j, j:] = 0.0
+    # LAPACK passes a NaN pivot, but any non-finite entry reaches the diagonal
+    if not np.all(np.isfinite(A.diagonal())):
+        raise np.linalg.LinAlgError("Matrix is not finite")
+    return A
 
 
 def _substitute(Lc: np.ndarray, B: np.ndarray, transpose: bool = False) -> np.ndarray:
     """B <- Lc^-1 B, or Lc^-T B if ``transpose``, in place, for a lower-triangular
-    Lc (``np.linalg.cholesky``) and a (n, m) B; returns B.
+    Lc (``_cholesky``) and a (n, m) B; returns B.
 
     Blocked substitution (Golub & Van Loan, Matrix Computations, 3.1 and
     4.2): each block of ``_TRIANGULAR_BLOCK`` rows takes one GEMM update

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ssanc.convmat import _substitute, edge_products, frames_from_first_rows, lagged_products
+from ssanc.convmat import _cholesky, _substitute, edge_products, frames_from_first_rows, lagged_products
 from ssanc.scene import Scene
 
 
@@ -117,7 +117,7 @@ def estimate_reirs(scene: Scene, source, Lh: int, reg: float | None = None) -> R
         reg = 1e-8 * float(np.mean(np.diag(R)))
     R += reg * np.eye(Lh)
     try:
-        Lr = np.linalg.cholesky(R)  # R = Lr Lr', the definiteness check and the solver
+        Lr = _cholesky(R)  # R = Lr Lr' in R's place, the definiteness check and the solver
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"singular ReIR normal equations (reg={reg:g}); try increasing reg"

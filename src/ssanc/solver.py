@@ -14,11 +14,16 @@ selection vector picking the current primary sample, H the stacked
 ReIR convolution matrices and f the target response.  The closed form
 is evaluated through two symmetric systems, with numpy.linalg only:
 
-    Phi_rr = G' Phi_xx G + beta I          (Lanczos top sets beta; overwrites S;
-                                            Cholesky factor; one blocked
-                                            substitution of the multi-RHS [A, phi])
-    M      = H' G Phi_rr^-1 G' H + rho I   (Lanczos top sets rho; Cholesky factor,
-                                            substituted per batch; rho = 0: eigh)
+    Phi_rr = G' Phi_xx G + beta I          (Lanczos top sets beta; overwrites S,
+                                            then its Cholesky factor overwrites
+                                            it; one blocked substitution of the
+                                            multi-RHS [A, phi])
+    M      = H' G Phi_rr^-1 G' H + rho I   (Lanczos top sets rho; Cholesky factor
+                                            in M's place, substituted per batch;
+                                            rho = 0: eigh)
+
+Both factors are ``convmat._cholesky``'s blocked factorization in place, so
+no LAPACK copy of either matrix is made.
 
 The design reads the inputs only through the correlations of the
 filtered references r_c = g * x_c (S = G' Phi_xx G, G' Phi_xx q and
@@ -45,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from ssanc.convmat import (
-    _substitute, build_conv_matrix, build_q, edge_products, frame_products, frames_from_first_rows,
+    _cholesky, _substitute, build_conv_matrix, build_q, edge_products, frame_products, frames_from_first_rows,
     lagged_products, next_fast_len, per_channel,
 )
 from ssanc.reir import ReIRSet
@@ -205,9 +210,14 @@ def build_constraint(
     return Constraint(H=H, f=f)
 
 
-def _projected_constraint(reirs: ReIRSet, g: np.ndarray, Lw: int) -> np.ndarray:
-    """A = Gt'H without H: block k is the transposed convolution matrix of h_k * g."""
-    return np.vstack([build_conv_matrix(np.convolve(h_k, g), Lw).T for h_k in reirs.h])
+def _projected_constraint(reirs: ReIRSet, g: np.ndarray, Lw: int, out: np.ndarray | None = None) -> np.ndarray:
+    """A = Gt'H without H: block k is the transposed convolution matrix of h_k * g,
+    written a block at a time into out if given."""
+    if out is None:
+        out = np.empty((reirs.h.shape[0] * Lw, reirs.Lh + g.shape[0] + Lw - 2))
+    for rows, h_k in zip(np.split(out, reirs.h.shape[0]), reirs.h):
+        rows[:] = build_conv_matrix(np.convolve(h_k, g), Lw).T
+    return out
 
 
 def _lanczos_max(M: np.ndarray) -> float:
@@ -247,12 +257,15 @@ class DesignContext:
     share this factorization, and each consumes the S and the stacked
     right-hand sides [A, phi] it passes: the Lanczos top of S sets beta,
     Phi_rr = S + beta I overwrites S, and its Cholesky factor Lc, which is
-    also the definiteness check, turns [A, phi] in place into
-    Y = Lc^-1 [A, phi] = [YA, yphi] (``_substitute``).  Then
-    M0 = A' Phi_rr^-1 A = YA'YA, whose Lanczos top sets rho, and
-    ``solve`` substitutes with the Cholesky factor of M0 + rho I
-    (rho = 0: the pseudo-inverse of M0, by ``eigh``).  No A, S or LU
-    factor is kept.
+    also the definiteness check, overwrites Phi_rr (``_cholesky``) and
+    turns [A, phi] in place into Y = Lc^-1 [A, phi] = [YA, yphi]
+    (``_substitute``).  Then M0 = A' Phi_rr^-1 A = YA'YA, exactly
+    symmetric as computed, whose Lanczos top sets rho, and ``solve``
+    substitutes with the Cholesky factor of M0 + rho I, formed in M0's
+    place (rho = 0: the pseudo-inverse of M0, by ``eigh``).  So the
+    context holds one ((K+1) Lw)^2 matrix, Lc, one (K+1) Lw x (F + 1), Y,
+    and one F x F, the inner factor (``sweep._design_bytes``); no A, S,
+    copy or LU factor is kept.
     """
 
     def __init__(self, S, rhs, power: float, Hq, params: DesignParams, K: int, Lw: int):
@@ -271,7 +284,7 @@ class DesignContext:
 
         S.flat[:: S.shape[0] + 1] += self.beta  # S is Phi_rr = S + beta I from here on
         try:
-            self.Lc = np.linalg.cholesky(S)  # Phi_rr = Lc Lc'
+            self.Lc = _cholesky(S)  # Phi_rr = Lc Lc', in S's place
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 f"cannot factorize Phi_rr with beta={self.beta:g}; lower beta_div"
@@ -280,14 +293,13 @@ class DesignContext:
         self.YA = Y[:, :-1]  # Lc^-1 G'H
         self.yphi = Y[:, -1]  # Lc^-1 phi
         self.Aphi = self.YA.T @ self.yphi  # A' Phi_rr^-1 phi
-        M0 = self.YA.T @ self.YA
-        M0 = (M0 + M0.T) / 2.0
+        M0 = self.YA.T @ self.YA  # exactly symmetric (BLAS syrk)
 
         self.rho = params.rho if params.rho is not None else max(_lanczos_max(M0), 0.0) / params.rho_div
         if self.rho > 0.0:
             M0.flat[:: M0.shape[0] + 1] += self.rho
             try:
-                self._inner = np.linalg.cholesky(M0)  # M0 + rho I = Lm Lm', substituted in each ``solve``
+                self._inner = _cholesky(M0)  # M0 + rho I = Lm Lm' in M0's place, substituted in each ``solve``
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(
                     f"cannot factorize the inner constraint matrix with rho={self.rho:g}; "
@@ -316,7 +328,10 @@ class DesignContext:
             raise ValueError(f"signal length {mics.N} shorter than frame history {L}")
         S, phi, power = _filtered_correlations(mics.s + mics.v, g, Lw)
         Hq = np.concatenate([reirs.h[-1], np.zeros(L - 1)])
-        return cls(S, np.column_stack([_projected_constraint(reirs, g, Lw), phi]), power, Hq, params, mics.K, Lw)
+        rhs = np.empty((phi.shape[0], Hq.shape[0] + 1))  # [A, phi], with no second copy of A
+        _projected_constraint(reirs, g, Lw, out=rhs[:, :-1])
+        rhs[:, -1] = phi
+        return cls(S, rhs, power, Hq, params, mics.K, Lw)
 
     @classmethod
     def from_dense(cls, phi_xx, g, H, params: DesignParams, K: int, Lw: int) -> "DesignContext":

@@ -384,6 +384,16 @@ def _available_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _design_bytes(config: SweepConfig, K: int) -> int:
+    """Bytes of the matrices a ``DesignContext`` of K + 1 channels holds: the
+    Cholesky factor Lc of Phi_rr, ((K+1) Lw)^2 floats, Y = Lc^-1 [A, phi],
+    (K+1) Lw (F + 1) floats, and the factor of M0 + rho I, F^2 floats, with
+    F = Lh + L - 1 the length of a target vector."""
+    dim = (K + 1) * config.Lw
+    F = config.Lh + config.Lg + config.Lw - 2
+    return 8 * (dim**2 + dim * (F + 1) + F**2)
+
+
 def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: int | None, workers: int = 1) -> int:
     """Bytes a command holds at most for K + 1 microphones and n-sample signals.
 
@@ -401,16 +411,16 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
     ``convmat.Blocks`` layout): the block spectra of both operands and
     their inputs, about four (K+1)-channel arrays of a chunk's samples.
     While it factorizes (``DesignContext``) the sum is freed, and it
-    holds Phi_rr = S + beta I and its Cholesky factor, ((K+1) Lw)^2
-    floats each, Lc^-1 [A, phi], substituted in place,
-    (K+1) Lw (Lh + L) floats, and M0 + rho I and its factor,
-    (Lh + L - 1)^2 floats each: no LU copy and no A.  The ReIR fit
-    holds less than either: one n-sample white source and one channel's
-    correlation chunk.  A simulation of sim_taps-tap filters
-    (``convmat.Blocks``) holds one chunk of block spectra at a time:
-    ``simulate`` of both stacks, next to them and the five n-sample
-    signals of one run.  ``sweep`` frees
-    the design after its solve; next to the three stacks it builds the
+    holds the matrices of ``_design_bytes``, each factorized or
+    substituted in its own place: no copy, no LU factor and no A.  Its
+    solve adds about three vectors of (K+1) Lw and three of F floats per
+    target vector, one for ``design`` and one per delay for ``sweep``,
+    which solves them all at once.  The ReIR fit holds less than
+    either: one n-sample white source and one channel's correlation
+    chunk.  A simulation of sim_taps-tap filters (``convmat.Blocks``)
+    holds one chunk of block spectra at a time: ``simulate`` of both
+    stacks, next to them and the five n-sample signals of one run.
+    ``sweep`` frees the design after its solve; next to the three stacks it builds the
     lag correlations it scores from (``metrics._RowScores``), about one
     complex value per lag of (K+1)^2 channel pairs, P = max(L, the last
     delay + 1) lags of s and of v and sim_taps of x, and copies the
@@ -427,14 +437,13 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
     stack = 8 * C * n
     phases = [3 * stack]
     if design:
-        L = config.Lg + config.Lw - 1
-        flen = config.Lh + L - 1
-        dim = C * config.Lw
-        blocks = Blocks(n, L - 1)
+        dim, F = C * config.Lw, config.Lh + config.Lg + config.Lw - 2
+        targets = len(config.deltas()) if sim_taps is not None else 1
+        blocks = Blocks(n, config.Lg + config.Lw - 2)
         chunk = blocks.per_chunk * blocks.nfft
         phases += [
             3 * stack + 8 * (dim**2 + 4 * C * chunk),
-            2 * stack + 8 * (2 * dim**2 + dim * (flen + 1) + 2 * flen**2),
+            2 * stack + _design_bytes(config, K) + 24 * targets * (dim + F),
         ]
     if sim_taps is not None:
         blocks = Blocks(n, sim_taps + config.Lg - 2)
@@ -772,7 +781,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cli_main(argv=None) -> int:
-    """Entry point; returns 0 on success, 1 on config errors (a malformed command line too), 2 on numeric failures."""
+    """Entry point; returns 0 on success, 1 on config errors (a malformed command line and
+    running out of memory too), 2 on numeric failures."""
     parser = _Parser(
         prog="ssanc",
         description="Design, sweep and simulate spatially selective noise-control filters.",
@@ -815,6 +825,9 @@ def cli_main(argv=None) -> int:
     except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # the estimate fits, the address space does not
+        print(f"config error: out of memory{f': {exc}' if str(exc) else ''}; try a smaller problem", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ssanc.convmat import build_conv_matrix, per_channel
+from ssanc.convmat import _TRIANGULAR_BLOCK, build_conv_matrix, per_channel
 from ssanc.metrics import control_effort, noise_reduction, quality_proxy, speech_distortion_index
 from ssanc.reir import ReIRSet, estimate_reirs
 from ssanc.scene import MicSignals, render_mics, synth_scene
@@ -47,6 +47,18 @@ def test_criterion_1_oracle_equivalence():
         worst <= 1e-8 and elapsed < 5.0,
         "criterion 1 (oracle equivalence)",
         f"max relative deviation {worst:.3e} (<= 1e-8) over {len(gaps)} instances in {elapsed:.2f} s (< 5 s)",
+    )
+
+
+def test_criterion_1_oracle_equivalence_across_diagonal_blocks():
+    """At Lw = 70, Phi_rr has (K+1) Lw >= 140 rows, more than one diagonal
+    block of the blocked Cholesky, and the design still meets the oracle."""
+    assert 2 * 70 > _TRIANGULAR_BLOCK
+    worst, gaps = verify_against_oracle(trials=4, dims=(70, 70, 8), seed=2024)
+    report(
+        worst <= 1e-8,
+        "criterion 1 (oracle equivalence, multi-block factor)",
+        f"max relative deviation {worst:.3e} (<= 1e-8) over {len(gaps)} instances at Lw = Lg = 70, Lh = 8",
     )
 
 

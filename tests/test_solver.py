@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssanc.convmat import _TRIANGULAR_BLOCK, _substitute, build_conv_matrix, build_q
+from ssanc.convmat import _TRIANGULAR_BLOCK, _cholesky, _substitute, build_conv_matrix, build_q
 from ssanc.reir import ReIRSet, estimate_reirs
 from ssanc.scene import MicSignals, render_mics, synth_scene
 from ssanc.signals import white_noise
@@ -272,8 +272,35 @@ def test_constraint_rejects_long_psi():
 
 
 # ---------------------------------------------------------------------------
-# blocked triangular substitution
+# blocked Cholesky factorization and triangular substitution
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, _TRIANGULAR_BLOCK - 1, _TRIANGULAR_BLOCK, _TRIANGULAR_BLOCK + 1, 300])
+def test_cholesky_is_numpys_factor_in_place(n):
+    """``_cholesky`` of a random SPD matrix, on either side of a block boundary,
+    returns its argument overwritten with ``np.linalg.cholesky``'s factor to
+    1e-13 of its scale, upper triangle zero, and never reads that triangle."""
+    rng = np.random.default_rng(n)
+    A = random_psd(n, rng, extra=n)
+    expected = np.linalg.cholesky(A)
+    A[np.triu_indices(n, 1)] = np.nan
+    assert _cholesky(A) is A
+    assert np.max(np.abs(A - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert not np.triu(A, 1).any()
+
+
+@pytest.mark.parametrize("entry, value", [((150, 150), -1.0), ((200, 10), np.nan), ((5, 5), np.nan)],
+                         ids=["indefinite-second-block", "nan-panel", "nan-diagonal"])
+def test_cholesky_refuses_an_indefinite_or_non_finite_matrix(entry, value):
+    """A matrix whose first block is definite but whose second is not, or with
+    one NaN in its lower triangle, raises ``LinAlgError``."""
+    rng = np.random.default_rng(28)
+    n = 2 * _TRIANGULAR_BLOCK + 1
+    A = random_psd(n, rng, extra=n)
+    A[entry] = value
+    with pytest.raises(np.linalg.LinAlgError):
+        _cholesky(A)
 
 BLOCK_EDGES = [1, _TRIANGULAR_BLOCK - 1, _TRIANGULAR_BLOCK, _TRIANGULAR_BLOCK + 1, 2 * _TRIANGULAR_BLOCK + 1]
 
@@ -395,10 +422,11 @@ def test_paper_scale_design_equals_the_dense_closed_form():
 
 
 def test_paper_scale_design_factorizes_each_system_once(monkeypatch):
-    """``_prepare_design`` and a batched solve on paper_scale make one Cholesky
-    factorization of the ReIR fit's normal matrix, one of Phi_rr and one of
-    M0 + rho I, and ``np.linalg.solve`` sees no matrix larger than one diagonal
-    block of ``_substitute``: none of the three systems is LU-factorized."""
+    """``_prepare_design`` and a batched solve on paper_scale make one blocked
+    factorization (``_cholesky``) of the ReIR fit's normal matrix, one of
+    Phi_rr and one of M0 + rho I, in that order, and no ``np.linalg`` call sees
+    a matrix larger than one ``_TRIANGULAR_BLOCK``-row diagonal block: none of
+    the three systems is LU-factorized or copied whole by LAPACK."""
     config = SweepConfig.from_json(Path(__file__).parents[1] / "configs" / "paper_scale.json")
     calls = []
 
@@ -416,9 +444,15 @@ def test_paper_scale_design_factorizes_each_system_once(monkeypatch):
         _constraint_vector(prep.reirs, prep.psi, config.target_kind, d, prep.L) for d in config.deltas()
     ]))
     Lh, n, flen = config.Lh, (prep.scene.K + 1) * config.Lw, config.Lh + prep.L - 1
-    assert [shape for name, shape in calls if name == "cholesky"] == [(Lh, Lh), (n, n), (flen, flen)]
+    assert (Lh, n, flen) == (280, 1400, 838)
+
+    def diagonal_blocks(size):
+        return [(min(_TRIANGULAR_BLOCK, size - i),) * 2 for i in range(0, size, _TRIANGULAR_BLOCK)]
+
+    expected = diagonal_blocks(Lh) + diagonal_blocks(n) + diagonal_blocks(flen)
+    assert [shape for name, shape in calls if name == "cholesky"] == expected
     assert {name for name, _ in calls} == {"cholesky", "solve"}
-    assert max(shape[0] for name, shape in calls if name == "solve") <= _TRIANGULAR_BLOCK
+    assert max(shape[0] for _, shape in calls) <= _TRIANGULAR_BLOCK
 
 
 @pytest.mark.parametrize("rho", [None, 0.0], ids=["rho-rule", "rho-zero"])

@@ -614,10 +614,10 @@ def test_wav_inputs_never_import_scipy(tmp_path):
 
 
 def test_design_matrices_that_cannot_fit_are_refused(tmp_path):
-    """Lw = Lg = 3000 at K = 2 needs about 2.1 GiB of design matrices; under a
+    """Lw = Lg = 4000 at K = 2 needs about 2.3 GiB of design matrices; under a
     1.5 GiB address-space limit, set in the child process only, ``ssanc
     design`` exits 1 with one line before it allocates them."""
-    cfg = write_quick_config(tmp_path, Lw=3000, Lg=3000)
+    cfg = write_quick_config(tmp_path, Lw=4000, Lg=4000)
     config = SweepConfig.from_json(cfg)
     assert sweep_mod._memory_need(config, 2, 24000, design=True, sim_taps=None) > 2 * 2**30
     code = (
@@ -782,6 +782,23 @@ def one_config_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.splitlines()) == 1, err
     return err
+
+
+@pytest.mark.parametrize("command", ["design", "sweep"])
+def test_running_out_of_memory_is_one_line_error(tmp_path, monkeypatch, capsys, command):
+    """A ``MemoryError`` raised mid-command, here by the design stage, exits 1
+    with one config-error line naming memory, not a traceback."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 15.0 MiB for an array with shape (1400, 1400) and data type float64")
+
+    monkeypatch.setattr(sweep_mod, "_prepare_design", exhausted)
+    cfg = write_quick_config(tmp_path)
+    extra = ["--delta", "0"] if command == "design" else []
+    assert cli_main([command, "--config", str(cfg), *extra, "--out", str(tmp_path / "out")]) == 1
+    err = one_config_error(capsys)
+    assert "out of memory" in err and "1400" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synthetic_design_matrices_are_refused_before_rendering(tmp_path, monkeypatch, capsys):
@@ -1530,11 +1547,24 @@ def test_design_and_sweep_never_form_phi_xx_or_h(tmp_path, monkeypatch):
 
 def test_paper_scale_design_peak_and_held_arrays(traced_peak):
     """On paper_scale ((K+1) L = 2795) the scene and design stage peaks at most
-    80 MiB under tracemalloc, and the context keeps no ((K+1) L)^2 array."""
+    38 MiB under tracemalloc, and the context keeps no ((K+1) L)^2 array and
+    exactly one ((K+1) Lw)^2 array, the factor of Phi_rr in S's place."""
     config = SweepConfig.from_json(ROOT / "configs" / "paper_scale.json")
     (prep, ctx), peak = traced_peak(lambda: sweep_mod._prepare_design(config, simulate=False))
-    assert peak <= 80 * 2**20, peak / 2**20
+    assert peak <= 38 * 2**20, peak / 2**20
     dim = (prep.scene.K + 1) * prep.L
     assert dim == 2795
     held = [value.size for value in vars(ctx).values() if isinstance(value, np.ndarray)]
     assert held and max(held) < dim**2
+    assert held.count(((prep.scene.K + 1) * config.Lw) ** 2) == 1
+
+
+def test_memory_need_counts_the_matrices_a_paper_scale_design_holds():
+    """``_design_bytes``, the design phase of ``_memory_need``, is exactly the
+    bytes of the factor Lc, of Y = Lc^-1 [A, phi] and of the factor of
+    M0 + rho I that the paper_scale ``DesignContext`` holds."""
+    config = SweepConfig.from_json(ROOT / "configs" / "paper_scale.json")
+    prep, ctx = sweep_mod._prepare_design(config, simulate=False)
+    Y = ctx.YA.base
+    assert Y is ctx.yphi.base and Y.shape == (ctx.Lc.shape[0], ctx.Hq.shape[0] + 1)
+    assert sweep_mod._design_bytes(config, prep.scene.K) == ctx.Lc.nbytes + Y.nbytes + ctx._inner.nbytes
