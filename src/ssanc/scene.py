@@ -6,6 +6,10 @@ to the error microphone.  Channel layout is fixed throughout the
 package: indices 0..K-1 are the reference microphones, index K is the
 error microphone.  Rendered signals keep that layout as two (K+1, N)
 stacks, speech and noise, so every consumer takes rows of one array.
+
+``ConfigError`` refuses every input from outside the program (the CLI's one
+``config error:`` line, exit 1); ``synth_scene`` and ``Scene`` refuse bad
+arguments with a plain ``ValueError``, which the config reader wraps in one.
 """
 
 import json
@@ -19,21 +23,18 @@ from ssanc.convmat import Blocks
 from ssanc.threads import thread_map
 
 
-class SceneLoadError(ValueError):
-    """A WAV manifest could not be resolved into a consistent scene."""
+class ConfigError(ValueError):
+    """An input from outside the program is refused: a config value, a scene, a
+    WAV file, an SNR that a silent component cannot meet or a filter file."""
 
 
-class ScalingError(ValueError):
-    """Component energies do not admit the requested SNR scaling."""
-
-
-def integer(key: str, value, error: type[ValueError] = SceneLoadError) -> int:
+def integer(key: str, value) -> int:
     """A JSON number with an integral value, as int; anything else (a bool, a string,
-    a fractional float) raises ``error``: nothing is truncated or converted."""
+    a fractional float) is a ``ConfigError``: nothing is truncated or converted."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise error(f"{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
 
 
@@ -149,6 +150,8 @@ def synth_scene(
     speech_delays = [int(d) for d in speech_delays]
     noise_delays = [int(d) for d in noise_delays]
     gains = [(float(gs), float(gv)) for gs, gv in gains]
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     if len(speech_delays) != K + 1 or len(noise_delays) != K + 1 or len(gains) != K + 1:
         raise ValueError("need K+1 delays per source and K+1 gain pairs")
     if min(speech_delays) < 0 or min(noise_delays) < 0:
@@ -190,7 +193,8 @@ def load_scene_wav(directory, manifest) -> Scene:
     (= K+1), speech_irs, noise_irs (lists of K+1 filenames, error mic
     last), secondary, spatial_ref (0-based reference index).  fs, mics
     and spatial_ref must be integers by ``integer``'s rule.  Filenames
-    resolve relative to ``directory``.
+    resolve relative to ``directory``.  An unreadable or inconsistent
+    manifest or impulse-response file raises ``ConfigError``.
     """
     directory = Path(directory)
     if not isinstance(manifest, dict):
@@ -200,7 +204,7 @@ def load_scene_wav(directory, manifest) -> Scene:
         try:
             manifest = json.loads(manifest_path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise SceneLoadError(f"cannot read manifest {manifest_path}: {exc}") from exc
+            raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
 
     try:
         fs = integer("manifest fs", manifest["fs"])
@@ -210,30 +214,30 @@ def load_scene_wav(directory, manifest) -> Scene:
         secondary_name = manifest["secondary"]
         spatial_ref = integer("manifest spatial_ref", manifest.get("spatial_ref", 0))
     except (KeyError, TypeError) as exc:
-        raise SceneLoadError(f"manifest missing or malformed field: {exc}") from exc
+        raise ConfigError(f"manifest missing or malformed field: {exc}") from exc
     if not (isinstance(speech_names, list) and isinstance(noise_names, list)):
-        raise SceneLoadError("manifest speech_irs and noise_irs must be lists of file names")
+        raise ConfigError("manifest speech_irs and noise_irs must be lists of file names")
 
     if mics < 2:
-        raise SceneLoadError(f"need at least 2 microphones (1 reference + error), got {mics}")
+        raise ConfigError(f"need at least 2 microphones (1 reference + error), got {mics}")
     if len(speech_names) != mics or len(noise_names) != mics:
-        raise SceneLoadError(
+        raise ConfigError(
             f"manifest lists {len(speech_names)} speech and {len(noise_names)} noise IRs, "
             f"expected {mics} each"
         )
 
     def load_ir(name):
         if not isinstance(name, str):
-            raise SceneLoadError(f"impulse-response file names must be strings, got {name!r}")
+            raise ConfigError(f"impulse-response file names must be strings, got {name!r}")
         path = directory / name
         if not path.exists():
-            raise SceneLoadError(f"missing impulse-response file {path}")
+            raise ConfigError(f"missing impulse-response file {path}")
         try:
             wav_fs, data = wavio.read_wav_mono(path)
         except ValueError as exc:
-            raise SceneLoadError(f"{path}: {exc}") from exc
+            raise ConfigError(f"{path}: {exc}") from exc
         if wav_fs != fs:
-            raise SceneLoadError(f"{path}: sample rate {wav_fs} != manifest fs {fs}")
+            raise ConfigError(f"{path}: sample rate {wav_fs} != manifest fs {fs}")
         return data
 
     ir_speech = tuple(load_ir(n) for n in speech_names)
@@ -244,7 +248,7 @@ def load_scene_wav(directory, manifest) -> Scene:
             K=mics - 1, ir_speech=ir_speech, ir_noise=ir_noise, g=g, fs=fs, spatial_ref=spatial_ref
         )
     except ValueError as exc:
-        raise SceneLoadError(f"manifest scene in {directory}: {exc}") from exc
+        raise ConfigError(f"manifest scene in {directory}: {exc}") from exc
 
 
 def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -> MicSignals:
@@ -253,7 +257,8 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
     Components are truncated to the source length N (same-length
     convention) so speech and noise parts stay aligned.  When snr_db is
     given, the noise components are scaled so the speech-to-noise energy
-    ratio at the error microphone is exactly snr_db.  ``noise=None``
+    ratio at the error microphone is exactly snr_db; a ``ConfigError``
+    if either component is silent there.  ``noise=None``
     renders a desired-source-only scene with zero noise components.
     Each source is convolved by overlap-save (``_convolved``): its block
     spectra are taken once and shared by all K+1 microphones.  The two
@@ -281,9 +286,9 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
         es = float(np.sum(s[-1] ** 2))
         ev = float(np.sum(v[-1] ** 2))
         if ev <= 0.0:
-            raise ScalingError("noise component at the error microphone is silent; cannot set SNR")
+            raise ConfigError("noise component at the error microphone is silent; cannot set SNR")
         if es <= 0.0:
-            raise ScalingError("speech component at the error microphone is silent; cannot set SNR")
+            raise ConfigError("speech component at the error microphone is silent; cannot set SNR")
         v *= np.sqrt(es / (ev * 10.0 ** (snr_db / 10.0)))
     return MicSignals(s=s, v=v)
 

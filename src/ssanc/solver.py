@@ -54,7 +54,7 @@ from ssanc.convmat import (
     lagged_products, next_fast_len, per_channel,
 )
 from ssanc.reir import ReIRSet
-from ssanc.scene import MicSignals, integer
+from ssanc.scene import ConfigError, MicSignals, integer
 
 logger = logging.getLogger(__name__)
 
@@ -539,13 +539,13 @@ def save_filter_json(result: DesignResult, path) -> None:
 
 
 def load_filter_json(path) -> np.ndarray:
-    """The (K+1, Lw) taps of a filter file; refuses any but a finite ``w`` of the
-    shape its header states, with integers ``K`` and ``Lw`` >= 1 (``scene.integer``)."""
+    """The (K+1, Lw) taps of a filter file; refuses, as a ``ConfigError``, any but a finite
+    ``w`` of the shape its header states, with integers ``K`` and ``Lw`` >= 1 (``scene.integer``)."""
     payload = json.loads(Path(path).read_text())
-    K, Lw = (integer(key, payload[key], ValueError) for key in ("K", "Lw"))
+    K, Lw = (integer(key, payload[key]) for key in ("K", "Lw"))
     w = np.asarray(payload["w"], dtype=float)
     if w.shape != (K + 1, Lw) or Lw < 1:
-        raise ValueError(f"w must be a (K+1, Lw) = ({K + 1}, {Lw}) array with Lw >= 1, got shape {w.shape}")
+        raise ConfigError(f"w must be a (K+1, Lw) = ({K + 1}, {Lw}) array with Lw >= 1, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
-        raise ValueError("control filter taps must be finite")
+        raise ConfigError("control filter taps must be finite")
     return w

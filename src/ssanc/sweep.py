@@ -48,8 +48,7 @@ from ssanc.convmat import Blocks, build_conv_matrix, build_q, per_channel
 from ssanc.metrics import _QUALITY_BLOCK, QUALITY_FRAME, _RowScores, evaluate_run
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
-    MicSignals, ScalingError, Scene, SceneLoadError, default_ir_len, integer, load_scene_wav,
-    render_mics, synth_scene,
+    ConfigError, MicSignals, Scene, default_ir_len, integer, load_scene_wav, render_mics, synth_scene,
 )
 from ssanc.simulate import apply_control, export_run_wavs
 from ssanc.solver import (
@@ -85,10 +84,6 @@ NUMERIC_ERRORS = (
     np.linalg.LinAlgError,
     FloatingPointError,
 )
-
-
-class ConfigError(ValueError):
-    """The sweep configuration is missing, malformed or inconsistent."""
 
 
 # render_mics scales the noise by 10**(-snr_db/20), which leaves float64
@@ -128,11 +123,6 @@ def default_scene_dict() -> dict:
         "spatial_ref": None,
         "ir_len": None,
     }
-
-
-def _integer(key: str, value) -> int:
-    """A JSON number with an integral value, as int (``scene.integer``); else a config error."""
-    return integer(key, value, ConfigError)
 
 
 def _real(key: str, value) -> float:
@@ -180,7 +170,7 @@ class SweepConfig:
             merged["scene"] = default_scene_dict()
 
         for key in cls._INTEGERS:
-            merged[key] = _integer(key, merged[key])
+            merged[key] = integer(key, merged[key])
         for key in cls._REALS:
             merged[key] = _real(key, merged[key])
         psi = merged["psi"]
@@ -201,7 +191,7 @@ class SweepConfig:
         dr = merged["delta_range"]
         if not isinstance(dr, (list, tuple)) or len(dr) != 3:
             raise ConfigError(f"delta_range must be [start, stop, step], got {dr!r}")
-        merged["delta_range"] = tuple(_integer("delta_range", v) for v in dr)
+        merged["delta_range"] = tuple(integer("delta_range", v) for v in dr)
 
         cfg = cls(**merged)
         cfg.validate()
@@ -338,13 +328,13 @@ def _synthetic_scene(config: SweepConfig, sc: dict, n: int, design: bool, sim_ta
         return None if sc.get(key) is None else check(f"scene.{key}", sc[key])
 
     try:
-        speech_delays = [_integer("scene.speech_delays", d) for d in sc["speech_delays"]]
-        noise_delays = [_integer("scene.noise_delays", d) for d in sc["noise_delays"]]
+        speech_delays = [integer("scene.speech_delays", d) for d in sc["speech_delays"]]
+        noise_delays = [integer("scene.noise_delays", d) for d in sc["noise_delays"]]
         tail_amp = _real("scene.tail_amp", sc.get("tail_amp", 0.0))
         tail_decay = _real("scene.tail_decay", sc.get("tail_decay", 6.0))
-        ir_len = optional("ir_len", _integer)
-        seed = optional("seed", _integer)
-        K = _integer("scene.K", sc["K"])
+        ir_len = optional("ir_len", integer)
+        seed = optional("seed", integer)
+        K = integer("scene.K", sc["K"])
         # refuse long responses and a run too large for memory before
         # synth_scene allocates the responses
         _check_signal_length(config, n, ir_len if ir_len is not None else default_ir_len(
@@ -356,11 +346,11 @@ def _synthetic_scene(config: SweepConfig, sc: dict, n: int, design: bool, sim_ta
             speech_delays=speech_delays,
             noise_delays=noise_delays,
             gains=[[_real("scene.gains", v) for v in pair] for pair in sc["gains"]],
-            sec_delay=_integer("scene.sec_delay", sc["sec_delay"]),
+            sec_delay=integer("scene.sec_delay", sc["sec_delay"]),
             sec_ir_len=config.Lg,
             fs=config.fs,
             seed=seed if seed is not None else config.seed + 3,
-            spatial_ref=optional("spatial_ref", _integer),
+            spatial_ref=optional("spatial_ref", integer),
             ir_len=ir_len,
             tail_amp=tail_amp,
             tail_decay=tail_decay,
@@ -781,8 +771,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cli_main(argv=None) -> int:
-    """Entry point; returns 0 on success, 1 on config errors (a malformed command line and
-    running out of memory too), 2 on numeric failures."""
+    """Entry point; returns 0 on success, 1 on a ``ConfigError`` or ``OSError`` (a malformed
+    command line too) and on running out of memory, 2 on numeric failures."""
     parser = _Parser(
         prog="ssanc",
         description="Design, sweep and simulate spatially selective noise-control filters.",
@@ -819,7 +809,7 @@ def cli_main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, SceneLoadError, ScalingError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NUMERIC_ERRORS as exc:

@@ -347,3 +347,45 @@ def test_criterion_11_paper_scale_delay_trends():
         f"reference target: NR and effort best at delta = {best_ref} (d = {d}), "
         f"SDI(0) = {sdi_ref[0]:.1f} dB >= SDI(d) + 40 = {sdi_ref[d] + 40:.1f} dB",
     )
+
+
+def test_criterion_12_spatial_selectivity():
+    """A noise source in the speech's own direction is kept, and the filter
+    removes it the more, the more its arrival differs from the speech's.
+
+    ``paper_anechoic_error``'s scene with every noise gain set to that
+    microphone's speech gain and the noise delayed s samples behind the
+    speech at microphones 1 and 3.  At s = 0 the noise is an image of the
+    speech, so the constraint keeps it: the error target (delta = 0)
+    removes none, and the reference target (delta = d = 4) leaves the
+    noise scaled by the speech's g_err / g_ref."""
+    base = json.loads((CONFIGS / "paper_anechoic_error.json").read_text())
+    scene = base["scene"]
+    ref = int(np.argmin(scene["speech_delays"][:-1]))  # synth_scene's default spatial_ref
+    d = scene["speech_delays"][-1] - scene["speech_delays"][ref]
+    gains = [[gs, gs] for gs, _ in scene["gains"]]
+    kept = {"error_mic": 0.0, "reference_mic": 20 * np.log10(gains[-1][0] / gains[ref][0])}
+    skews = (0, 2, 5)
+    nr = {kind: [] for kind in kept}
+    sdi = []
+    for s in skews:
+        noise_delays = [t + (s if m in (1, 3) else 0) for m, t in enumerate(scene["speech_delays"])]
+        for kind, delta in (("error_mic", 0), ("reference_mic", d)):
+            config = SweepConfig.from_dict({
+                **base, "scene": {**scene, "gains": gains, "noise_delays": noise_delays},
+                "target_kind": kind, "delta_range": [delta, delta, 1],
+            })
+            (row,) = run_sweep(config)
+            assert row.error == ""
+            nr[kind].append(row.nr_db)
+            sdi.append(row.sdi_db)
+    table = "; ".join(
+        f"{kind}: NR " + " / ".join(f"{v:.2f}" for v in nr[kind]) + f" dB (kept {kept[kind]:.2f} dB)"
+        for kind in kept
+    )
+    report(
+        all(abs(nr[kind][0] - kept[kind]) <= 0.1 and np.all(np.diff(nr[kind]) > 0) for kind in kept)
+        and max(sdi) <= -40.0,
+        "criterion 12 (spatial selectivity)",
+        f"noise skew s = {skews} samples at mics 1 and 3; {table}; SDI <= {max(sdi):.1f} dB (<= -40)",
+    )

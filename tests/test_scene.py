@@ -10,9 +10,8 @@ from ssanc import wavio
 from ssanc.convmat import Blocks, build_conv_matrix
 from ssanc.reir import estimate_reirs
 from ssanc.scene import (
-    ScalingError,
+    ConfigError,
     Scene,
-    SceneLoadError,
     _convolved,
     load_scene_wav,
     render_mics,
@@ -164,7 +163,7 @@ def test_render_matches_direct_convolution(n, lengths):
 def test_render_mics_silent_noise_cannot_scale():
     scene = default_scene()
     speech = white_noise(2000, 3)
-    with pytest.raises(ScalingError):
+    with pytest.raises(ConfigError):
         render_mics(scene, speech, np.zeros(2000), snr_db=-5.0)
 
 
@@ -300,20 +299,20 @@ def test_load_scene_unit_impulse_wav(tmp_path):
 
 def test_load_scene_missing_file(tmp_path):
     write_manifest_scene(tmp_path, skip_file="noise_3.wav")
-    with pytest.raises(SceneLoadError, match="missing"):
+    with pytest.raises(ConfigError, match="missing"):
         load_scene_wav(tmp_path, "manifest.json")
 
 
 def test_load_scene_sample_rate_mismatch(tmp_path):
     write_manifest_scene(tmp_path, fs=16000, fs_override=8000)
-    with pytest.raises(SceneLoadError, match="sample rate"):
+    with pytest.raises(ConfigError, match="sample rate"):
         load_scene_wav(tmp_path, "manifest.json")
 
 
 @pytest.mark.parametrize("key, value", [("speech_irs", [1, 2, 3, 4, 5]), ("secondary", ["g.wav"])])
 def test_load_scene_rejects_non_string_file_names(tmp_path, key, value):
     manifest = write_manifest_scene(tmp_path)
-    with pytest.raises(SceneLoadError, match="file names must be strings"):
+    with pytest.raises(ConfigError, match="file names must be strings"):
         load_scene_wav(tmp_path, {**manifest, key: value})
 
 
@@ -332,7 +331,7 @@ def test_load_scene_refuses_malformed_numbers_and_lists(tmp_path, key, value):
     """Integers follow the config's rule (no truncation, no bool, no string); name lists are lists."""
     manifest = {**write_manifest_scene(tmp_path, mics=3), "spatial_ref": 0}
     load_scene_wav(tmp_path, manifest)
-    with pytest.raises(SceneLoadError, match=key):
+    with pytest.raises(ConfigError, match=key):
         load_scene_wav(tmp_path, {**manifest, key: value})
 
 
@@ -346,7 +345,7 @@ def test_load_scene_accepts_integral_floats(tmp_path):
 def test_load_scene_rejects_stereo(tmp_path):
     manifest = write_manifest_scene(tmp_path)
     wavio.write_wav(tmp_path / "speech_1.wav", 16000, np.zeros((16, 2)))
-    with pytest.raises(SceneLoadError, match="mono"):
+    with pytest.raises(ConfigError, match="mono"):
         load_scene_wav(tmp_path, manifest)
 
 
@@ -361,7 +360,7 @@ def test_load_scene_rejects_stereo(tmp_path):
 def test_load_scene_rejects_empty_or_non_finite_ir(tmp_path, name, data, match):
     manifest = write_manifest_scene(tmp_path)
     wavio.write_wav(tmp_path / name, 16000, data)
-    with pytest.raises(SceneLoadError, match=match):
+    with pytest.raises(ConfigError, match=match):
         load_scene_wav(tmp_path, manifest)
 
 

@@ -981,6 +981,9 @@ def malformed_wav(case) -> bytes:
         "a-law": lambda: riff(fmt(tag=6, bits=8), data),
         "pcm12": lambda: riff(fmt(bits=12), data),
         "rf64": lambda: riff(fmt(), data, head=b"RF64"),
+        "data-before-fmt": lambda: riff(data, fmt()),
+        "short-fmt": lambda: riff((b"fmt ", 10, fmt()[2][:10]), data),
+        "short-extensible": lambda: riff(fmt(tag=0xFFFE), data),
     }[case]()
 
 
@@ -1002,6 +1005,105 @@ def test_malformed_wav_is_one_line_error(tmp_path, capsys, case, role):
     assert cli_main(["sweep", "--config", str(cfg)]) == 1
     err = one_config_error(capsys)
     assert str(path) in err and "Traceback" not in err
+
+
+def edited_manifest(tmp_path, **fields) -> dict:
+    """Config keys of ``write_manifest_scene``'s scene with manifest fields set, or dropped where None."""
+    scene = write_manifest_scene(tmp_path)
+    path = tmp_path / scene["manifest"]
+    edited = {**json.loads(path.read_text()), **fields}
+    path.write_text(json.dumps({k: v for k, v in edited.items() if v is not None}))
+    return {"scene": scene}
+
+
+def synthetic(**keys) -> dict:
+    return {"scene": {**default_scene_dict(), **keys}}
+
+
+def speech_source(tmp_path, samples, fs=16000) -> dict:
+    """Config keys of a speech WAV source holding samples, or these bytes."""
+    path = tmp_path / "speech.wav"
+    if isinstance(samples, bytes):
+        path.write_bytes(samples)
+    else:
+        wavio.write_wav(path, fs, samples)
+    return {"speech_wav": str(path)}
+
+
+# refusal -> (the quick config's overrides, made in a test directory, and
+# the text of its one config-error line); the filter case runs simulate
+REFUSALS = {
+    "config-not-an-object": (lambda tmp: [1, 2], "config must be a JSON object, got list"),
+    "fs": (lambda tmp: {"fs": 0}, "fs must be positive, got 0"),
+    "Lw": (lambda tmp: {"Lw": 0}, "Lw, Lg, Lh must all be >= 1"),
+    "duration": (lambda tmp: {"duration_s": 0.5}, "signals must be at least 1 s, got 0.5 s"),
+    "beta_div": (lambda tmp: {"beta_div": 0.0}, "beta_div and rho_div must be positive"),
+    "manifest-without-dir": (
+        lambda tmp: {"scene": {"kind": "manifest", "manifest": "scene.json"}}, "manifest scene needs 'dir' key"
+    ),
+    "manifest-fs": (lambda tmp: {"fs": 8000, **edited_manifest(tmp)}, "scene fs 16000 != config fs 8000"),
+    "scene-key": (lambda tmp: synthetic(colour=1), "unknown synthetic-scene keys: ['colour']"),
+    "source-fs": (
+        lambda tmp: speech_source(tmp, np.ones(24000), fs=8000), "sample rate 8000 != config fs 16000"
+    ),
+    "source-under-1s": (lambda tmp: speech_source(tmp, np.ones(8000)), "speech.wav: shorter than 1 s"),
+    "delay-count": (lambda tmp: synthetic(speech_delays=[6, 8]), "need K+1 delays per source and K+1 gain pairs"),
+    "negative-delay": (lambda tmp: synthetic(speech_delays=[-1, 8, 10]), "delays must be >= 0"),
+    "ir_len": (lambda tmp: synthetic(ir_len=5), "ir_len 5 must exceed every source delay"),
+    "K": (
+        lambda tmp: synthetic(K=0, speech_delays=[6], noise_delays=[9], gains=[[1.0, 0.7]]),
+        "K must be >= 1, got 0",
+    ),
+    "manifest-unreadable": (
+        lambda tmp: {"scene": {**write_manifest_scene(tmp), "manifest": "missing.json"}}, "cannot read manifest"
+    ),
+    "manifest-field": (
+        lambda tmp: edited_manifest(tmp, secondary=None), "manifest missing or malformed field: 'secondary'"
+    ),
+    "one-microphone": (
+        lambda tmp: edited_manifest(tmp, mics=1), "need at least 2 microphones (1 reference + error), got 1"
+    ),
+    "ir-count": (
+        lambda tmp: edited_manifest(tmp, mics=3), "manifest lists 2 speech and 2 noise IRs, expected 3 each"
+    ),
+    "silent-error-speech": (
+        lambda tmp: synthetic(gains=[[1.0, 0.7], [0.8, 1.0], [0.0, 0.8]]),
+        "speech component at the error microphone is silent; cannot set SNR",
+    ),
+    "filter-nan": (lambda tmp: {}, "control filter taps must be finite"),
+    "wav-data-before-fmt": (
+        lambda tmp: speech_source(tmp, malformed_wav("data-before-fmt")), "no fmt chunk before the data chunk"
+    ),
+    "wav-short-fmt": (
+        lambda tmp: speech_source(tmp, malformed_wav("short-fmt")), "fmt chunk of 10 bytes; it needs at least 16"
+    ),
+    "wav-short-extensible": (
+        lambda tmp: speech_source(tmp, malformed_wav("short-extensible")),
+        "WAVE_FORMAT_EXTENSIBLE fmt chunk of 16 bytes; it needs 40",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_every_refusal_is_one_config_error_line(tmp_path, monkeypatch, capsys, case):
+    """Each refusal the CLI can reach exits 1 with one ``config error:`` line
+    that holds its message."""
+    monkeypatch.chdir(tmp_path)
+    overrides_in, text = REFUSALS[case]
+    overrides = overrides_in(tmp_path)
+    if isinstance(overrides, dict):
+        config = write_quick_config(tmp_path, **overrides)
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(overrides))
+    argv = ["sweep", "--config", str(config)]
+    if case == "filter-nan":
+        w = np.zeros((3, 12))
+        w[1, 5] = np.nan
+        (tmp_path / "nan.json").write_text(json.dumps({"K": 2, "Lw": 12, "w": w.tolist()}))
+        argv = ["simulate", *argv[1:], "--filter", str(tmp_path / "nan.json")]
+    assert cli_main(argv) == 1
+    assert text in one_config_error(capsys)
 
 
 @pytest.mark.parametrize("command", ["design", "simulate", "sweep"])
@@ -1369,6 +1471,33 @@ def test_one_worker_equals_many(tmp_path, monkeypatch, name):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         write_rows_csv(run_sweep(config), tmp_path / f"{cpus}.csv")
         assert (tmp_path / f"{cpus}.csv").read_bytes() == (tmp_path / "default.csv").read_bytes(), cpus
+
+
+def test_openblas_thread_count_moves_no_column_past_1e_10(tmp_path):
+    """The sweep CSV is byte-identical only for one OpenBLAS thread count: under
+    one thread and under two, every column of ``paper_anechoic_error``, whose
+    sdi_db and constraint_residual sit at its rounding floor, agrees to 1e-10
+    of its largest magnitude, with the same delays and no error row."""
+    code = "import sys; from ssanc.sweep import cli_main; sys.exit(cli_main(sys.argv[1:]))"
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    children = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "OPENBLAS_NUM_THREADS": threads}
+        argv = ["sweep", "--config", str(ROOT / "configs" / "paper_anechoic_error.json"),
+                "--out", str(tmp_path / f"{threads}.csv")]
+        children[threads] = subprocess.Popen([sys.executable, "-c", code, *argv], env=env, stdout=subprocess.DEVNULL)
+    tables = {}
+    for threads, child in children.items():
+        assert child.wait(timeout=120) == 0
+        with (tmp_path / f"{threads}.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(row["error"] == "" for row in rows)
+        tables[threads] = rows
+    one, two = tables["1"], tables["2"]
+    assert [row["delta"] for row in one] == [row["delta"] for row in two]
+    for column in METRIC_COLUMNS:
+        a, b = (np.array([float(row[column]) for row in rows]) for rows in (one, two))
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(a)), column
 
 
 def test_one_cpu_renders_on_the_calling_thread_what_two_render(monkeypatch):
