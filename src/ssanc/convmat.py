@@ -4,13 +4,14 @@ Lower-banded Toeplitz builders, their per-channel application to
 stacked multichannel vectors, the selection vector the filter designer
 is built on, the blocked in-place Cholesky factorization and triangular
 substitution the ReIR fit and the design both solve by, and the
-structural frame products behind the design's correlations and the
-ReIR estimates.  The matrices are plain float64 and dense on purpose:
-the problem sizes stay small enough that exactness and clarity win.
-The frame products are the exception,
-because their frame matrices have N rows: they are formed from
-blockwise FFT cross-correlations and the Toeplitz structure of the
-frames instead (the covariance method of linear prediction), which is
+pieces the frame sums of ``solver`` and ``reir`` are assembled from.
+The matrices are plain float64 and dense on purpose: the problem sizes
+stay small enough that exactness and clarity win.  Frame matrices are
+the exception, because they have N rows: a frame sum (the covariance
+method of linear prediction) is never formed from them but from
+blockwise FFT cross-correlations (``lagged_products``), the products
+of the frames at a window's edges (``edge_products``) and the Toeplitz
+recursion along the diagonals (``frames_from_first_rows``), which is
 exact up to rounding.  Every long FIR convolution and correlation of
 the package, the render, the simulation, the sweep's error signal and
 the lag correlations alike, runs on one overlap-save layout,
@@ -228,25 +229,6 @@ def lagged_products(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
         fa = np.fft.rfft(terms, blocks.nfft)
         cross += np.einsum("akf,bkf->abf", np.conj(fa, out=fa), blocks.spectra(b, chunk))
     return np.fft.irfft(cross, blocks.nfft)[:, :, L - 1 :: -1]
-
-
-def frame_products(channels: np.ndarray, L: int) -> np.ndarray:
-    """``sum_n x(n) x(n)'`` over the fully excited frames n = L-1 .. N-1.
-
-    x(n) stacks, channel by channel, the history [c(n), ..., c(n-L+1)]
-    of the (C, N) array ``channels``; the result is indexed
-    ``R[a, i, b, j] = sum_n c_a(n-i) c_b(n-j)`` (reshape to (C*L, C*L)
-    for the matrix).  The first row and column of every block are the
-    full-range ``lagged_products`` less the products of the head
-    n < L - 1 (``edge_products``), the rest comes from
-    ``frames_from_first_rows``.  Costs O(C N log(nfft) + C^2 (N + L^2)),
-    with nfft the block size of ``lagged_products``, instead of
-    O(N (C L)^2).
-    """
-    N = channels.shape[1]
-    head = channels[:, : L - 1]
-    first = lagged_products(channels, channels, L) - edge_products(head, head, 0, L)
-    return frames_from_first_rows(first, head[:, ::-1], channels[:, N - L + 1 :][:, ::-1])
 
 
 def frames_from_first_rows(first: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:

@@ -50,8 +50,8 @@ from pathlib import Path
 import numpy as np
 
 from ssanc.convmat import (
-    _cholesky, _substitute, build_conv_matrix, build_q, edge_products, frame_products, frames_from_first_rows,
-    lagged_products, next_fast_len, per_channel,
+    _cholesky, _substitute, build_conv_matrix, build_q, edge_products, frames_from_first_rows, lagged_products,
+    next_fast_len, per_channel,
 )
 from ssanc.reir import ReIRSet
 from ssanc.scene import ConfigError, MicSignals, integer
@@ -112,7 +112,7 @@ class DesignResult:
 class InputFrames:
     """The (C, N) channel stack and frame history L behind a set of stacked frames.
 
-    ``estimate_autocorrelation`` never builds the frames.
+    ``estimate_autocorrelation`` sums them by ``_filtered_correlations`` at g = [1], never building them.
     """
 
     channels: np.ndarray
@@ -133,18 +133,12 @@ def input_frames(mics: MicSignals, L: int) -> InputFrames:
 
 
 def estimate_autocorrelation(frames: InputFrames) -> np.ndarray:
-    """Sample-average autocorrelation matrix (1/N) sum_n x(n) x'(n) of ``input_frames``,
-    the dense oracle's Phi_xx.
-
-    The sum over the N - L + 1 fully excited frames comes from the
-    channels' cross-correlations (``convmat.frame_products``) without
-    forming any frame, and is exactly symmetric as computed.
+    """The dense oracle's Phi_xx: the mean of x(n) x'(n) over the N - L + 1 fully excited
+    frames n = L-1 .. N-1 of ``input_frames``, which is the S of ``_filtered_correlations``
+    at the one-tap secondary path g = [1] (r = x, Lw = L).  No frame is formed, and the
+    result is exactly symmetric as computed.
     """
-    C, N = frames.channels.shape
-    L = frames.L
-    phi = frame_products(frames.channels, L).reshape(C * L, C * L)
-    phi /= N - L + 1
-    return phi
+    return _filtered_correlations(frames.channels, np.ones(1), frames.L)[0]
 
 
 def _constraint_matrix(reirs: ReIRSet, L: int) -> np.ndarray:
@@ -429,6 +423,7 @@ def _filtered_correlations(x: np.ndarray, g: np.ndarray, Lw: int) -> tuple[np.nd
     their products are subtracted from the first rows of S, and the rest
     of S follows along its diagonals (``frames_from_first_rows``).  phi
     is sum_m g(m) c_Kc(j+m) less the same head; p is zero past N - 1.
+    At g = [1], S is the dense oracle's Phi_xx (``estimate_autocorrelation``).
     """
     C, N = x.shape
     Lg = g.shape[0]

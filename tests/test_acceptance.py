@@ -17,6 +17,7 @@ from ssanc.signals import speech_shaped_noise, white_noise
 from ssanc.simulate import apply_control
 from ssanc.solver import (
     DesignParams,
+    _constraint_vector,
     build_constraint,
     design_control_filter,
     estimate_autocorrelation,
@@ -24,6 +25,7 @@ from ssanc.solver import (
 )
 from ssanc.sweep import (
     SweepConfig,
+    _prepare_design,
     default_scene_dict,
     run_sweep,
     verify_against_oracle,
@@ -388,4 +390,98 @@ def test_criterion_12_spatial_selectivity():
         and max(sdi) <= -40.0,
         "criterion 12 (spatial selectivity)",
         f"noise skew s = {skews} samples at mics 1 and 3; {table}; SDI <= {max(sdi):.1f} dB (<= -40)",
+    )
+
+
+def test_criterion_13_optimal_delay_over_geometries():
+    """The optimal delay is the effort optimum on a grid of anechoic geometries.
+
+    ``paper_anechoic_reference``'s scene with the error microphone's speech
+    delay set to 6 + d, so that d is the acoustic delay from the spatial
+    reference (mic 0, delay 6), for d = 2 and 7, the shipped noise delays
+    and "early at the references" ones, and both targets over
+    delta = 0 .. d + 4.  A row is feasible when its constraint residual is
+    at most 0.1.  Among the feasible rows the reference target's effort is
+    lowest at delta = d and the error target's at delta = 0.  Only the
+    reference target's rows at delta < sec_delay are infeasible: the
+    loudspeaker cannot reach the error mic before the direct speech.  NR's
+    argmax is reported, not gated: it need not fall at d."""
+    base = json.loads((CONFIGS / "paper_anechoic_reference.json").read_text())
+    scene = base["scene"]
+    ref = int(np.argmin(scene["speech_delays"][:-1]))  # synth_scene's default spatial_ref
+    noise = {"shipped": scene["noise_delays"], "early": [3, 3, 3, 3, 9]}
+    ok, worst, nr_gaps = True, 0.0, []
+    for d in (2, 7):
+        speech_delays = [*scene["speech_delays"][:-1], scene["speech_delays"][ref] + d]
+        for name, noise_delays in noise.items():
+            for kind, optimum in (("reference_mic", d), ("error_mic", 0)):
+                config = SweepConfig.from_dict({
+                    **base, "scene": {**scene, "speech_delays": speech_delays, "noise_delays": noise_delays},
+                    "target_kind": kind, "delta_range": [0, d + 4, 1],
+                })
+                rows = run_sweep(config)
+                assert all(r.error == "" for r in rows)
+                feasible = [r for r in rows if r.constraint_residual <= 0.1]
+                blocked = list(range(scene["sec_delay"])) if kind == "reference_mic" else []
+                ok &= (
+                    min(feasible, key=lambda r: r.effort).delta == optimum
+                    and [r.delta for r in rows if r.constraint_residual > 0.1] == blocked
+                    and all(r.constraint_residual < 1e-2 for r in feasible)
+                )
+                worst = max(worst, *(r.constraint_residual for r in feasible))
+                if kind == "reference_mic":
+                    top = max(feasible, key=lambda r: r.nr_db)
+                    nr_gaps.append(f"{name} d = {d}: {rows[d].nr_db - top.nr_db:.2f} dB (argmax {top.delta})")
+    report(
+        ok,
+        "criterion 13 (optimal delay over geometries)",
+        f"d = 2, 7 x 2 noise directions x 2 targets: least effort at delta = d (reference) "
+        f"and 0 (error), infeasible rows exactly delta < sec_delay (reference), "
+        f"feasible residuals <= {worst:.1e}; NR(d) - feasible max NR: " + "; ".join(nr_gaps),
+    )
+
+
+def test_criterion_14_rows_follow_the_required_re_emission():
+    """Each row is explained by the speech the target asks the loudspeaker to re-emit.
+
+    The error mic hears the desired component p_s; to make it the target
+    t_delta, the loudspeaker must add t_delta - p_s.  The required
+    re-emission R(delta) = ||t_delta - p_s||^2 / ||p_s||^2 depends on the
+    rendered scene alone; the achieved one is ||e_s - p_s||^2 / ||p_s||^2
+    of the simulated run.  On the anechoic pair's one scene they agree
+    within 0.1 dB on every feasible row with R > 0.  The error target at
+    delta = 0, which asks for nothing (R = 0), re-emits at most -40 dB.  The
+    reference target's effort is least at the feasible delay d-hat that asks
+    for the least re-emission."""
+    config = SweepConfig.from_json(CONFIGS / "paper_anechoic_reference.json")
+    assert json.loads((CONFIGS / "paper_anechoic_error.json").read_text())["scene"] == config.scene
+    prep, ctx = _prepare_design(config)
+    spans = {"reference_mic": 60, "error_mic": 30}
+    cases = [(kind, delta) for kind, top in spans.items() for delta in range(top + 1)]
+    designs = ctx.solve(np.column_stack([
+        _constraint_vector(prep.reirs, prep.psi, kind, delta, prep.L) for kind, delta in cases
+    ]))
+    del ctx
+    p_s = prep.mics.p_s
+    rows = {kind: [] for kind in spans}  # (delta, required, achieved, effort) of the feasible rows
+    for (kind, delta), res in zip(cases, designs):
+        assert not isinstance(res, Exception)
+        if res.constraint_residual > 0.1:
+            continue
+        run = apply_control(res.filter, prep.mics, prep.scene.g, kind, delta, prep.scene.spatial_ref)
+        required, achieved = (float(np.sum((u - p_s) ** 2) / np.sum(p_s**2)) for u in (run.t, run.e_s))
+        rows[kind].append((delta, required, achieved, control_effort(run.y)))
+    gaps = {
+        kind: max(abs(10 * np.log10(a / r)) for _, r, a, _ in table if r > 0) for kind, table in rows.items()
+    }
+    silent = {delta: 10 * np.log10(a) for delta, r, a, _ in rows["error_mic"] if r == 0}
+    d_hat = min(rows["reference_mic"], key=lambda row: row[1])[0]
+    least_effort = min(rows["reference_mic"], key=lambda row: row[3])[0]
+    report(
+        max(gaps.values()) <= 0.1 and list(silent) == [0] and silent[0] <= -40.0 and least_effort == d_hat,
+        "criterion 14 (rows follow the required re-emission)",
+        f"achieved within {gaps['reference_mic']:.4f} dB (reference, delta = 0 .. 60) and "
+        f"{gaps['error_mic']:.4f} dB (error, delta = 0 .. 30) of required on feasible rows (<= 0.1); "
+        f"error target re-emits {silent[0]:.1f} dB at delta = 0 (<= -40); "
+        f"reference target's least effort at delta = {least_effort} = d-hat = {d_hat}",
     )

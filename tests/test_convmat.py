@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ssanc.convmat import (
-    Blocks, build_conv_matrix, build_q, frame_products, lagged_products, next_fast_len, overlap_blocks,
-    per_channel,
+    Blocks, build_conv_matrix, build_q, lagged_products, next_fast_len, overlap_blocks, per_channel,
 )
+from ssanc.solver import _filtered_correlations
 
 
 def conv_direct(h, x):
@@ -145,12 +145,13 @@ LAGGED_CASES = {
 
 @pytest.mark.parametrize("L, N, blocks", LAGGED_CASES.values(), ids=LAGGED_CASES.keys())
 def test_lagged_products_matches_direct_sum(L, N, blocks):
-    """The first rows of ``frame_products``, the sums over the fully excited
-    frames n = L-1 .. N-1, are the full-range correlations less the head."""
+    """The first rows of the frame sums over the fully excited frames
+    n = L-1 .. N-1, ``_filtered_correlations``'s S at g = [1] times the
+    N - L + 1 frames, are the full-range correlations less the head."""
     assert Blocks(N, L - 1).count == blocks  # the case reaches the layout it names
     x = np.random.default_rng(L * 7919 + N).standard_normal((2, N))
     want = lagged_direct(x, x, L)
-    got = frame_products(x, L)[:, 0]
+    got = _filtered_correlations(x, np.ones(1), L)[0].reshape(2, L, 2, L)[:, 0] * (N - L + 1)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
