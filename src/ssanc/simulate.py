@@ -7,6 +7,7 @@ convolutions, evaluated blockwise in the frequency domain.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,8 @@ class RunResult:
 
     e_s / e_v are the speech and noise components of the error signal,
     obtained by running the identical linear pipeline on the speech-only
-    and noise-only inputs; the property e, their sum, is formed on each
-    read.  t is the realized target, the delayed desired component at the
+    and noise-only inputs; e, their sum, is formed on its first read and
+    kept.  t is the realized target, the delayed desired component at the
     target microphone, which the metrics score e_s and e against.
     """
 
@@ -33,7 +34,7 @@ class RunResult:
     e_v: np.ndarray
     t: np.ndarray
 
-    @property
+    @cached_property
     def e(self) -> np.ndarray:
         return self.e_s + self.e_v
 

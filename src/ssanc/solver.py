@@ -379,11 +379,16 @@ class DesignContext:
             mu = _substitute(self._inner, _substitute(self._inner, s), transpose=True)
         else:
             mu = self._inner @ s
-        V = self.YA @ mu - self.yphi[:, None]
+        V = self.YA @ mu
+        V -= self.yphi[:, None]
         AW = self.YA.T @ V
         W = _substitute(self.Lc, V, transpose=True)
-        residuals = np.linalg.norm(self.Hq[:, None] + AW - columns, axis=0)
-        predicted = self.power + self.phi @ W + np.einsum("ij,ij->j", AW, mu) - self.beta * (W * W).sum(axis=0)
+        r = self.Hq[:, None] + AW
+        r -= columns
+        residuals = np.linalg.norm(r, axis=0)
+        AWmu = np.einsum("ij,ij->j", AW, mu)
+        del r, AW, mu, s  # before W * W and the per-column copy of W; with rho > 0, mu is s
+        predicted = self.power + self.phi @ W + AWmu - self.beta * (W * W).sum(axis=0)
         results = []
         for j, w_flat in enumerate(np.ascontiguousarray(W.T)):
             if not np.all(np.isfinite(w_flat)):

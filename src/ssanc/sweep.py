@@ -22,8 +22,9 @@ same ``thread_map``, after the sweep has freed the design and the
 speech and noise stacks.
 ``ssanc simulate`` runs the same kernel on the speech and noise stacks
 (``apply_control``), writes the WAVs and prints the four metrics of the
-sweep's row for its delay (``evaluate_run``), the oracle the sweep's
-scores are tested against.
+sweep's row for its delay, by the functions ``evaluate_run`` (the
+oracle the sweep's scores are tested against) composes; only the noise
+reduction reads the stacks, which are freed before the rest is scored.
 The default configuration is desk-scale (short filters, K = 2,
 synthetic scene) and sweeps in under a second; the paper-scale
 configuration (280-tap filters, K = 4, 141 delays) works the same way
@@ -45,7 +46,9 @@ import numpy as np
 
 from ssanc import signals, wavio
 from ssanc.convmat import Blocks, build_conv_matrix, build_q, per_channel
-from ssanc.metrics import _QUALITY_BLOCK, QUALITY_FRAME, _RowScores, evaluate_run
+from ssanc.metrics import (
+    _QUALITY_BLOCK, QUALITY_FRAME, _RowScores, control_effort, noise_reduction, quality_proxy, speech_distortion_index,
+)
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
     ConfigError, MicSignals, Scene, default_ir_len, integer, load_scene_wav, render_mics, synth_scene,
@@ -408,8 +411,12 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
     which solves them all at once.  The ReIR fit holds less than
     either: one n-sample white source and one channel's correlation
     chunk.  A simulation of sim_taps-tap filters (``convmat.Blocks``)
-    holds one chunk of block spectra at a time: ``simulate`` of both
-    stacks, next to them and the five n-sample signals of one run.
+    holds one chunk of block spectra at a time.  ``simulate`` takes
+    those of both stacks, next to them and the four n-sample signals it
+    fills (y, e_s, e_v, then t).  It then frees the stacks: the error
+    signal e and the quality proxy's three (``_QUALITY_BLOCK``,
+    ``QUALITY_FRAME``) frame batches sit on top of the four signals, and
+    the SDI's one n-sample difference comes and goes before e.
     ``sweep`` frees the design after its solve; next to the three stacks it builds the
     lag correlations it scores from (``metrics._RowScores``), about one
     complex value per lag of (K+1)^2 channel pairs, P = max(L, the last
@@ -450,7 +457,7 @@ def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: in
                 8 * n + spectra + held + workers * per_worker,
             ]
         else:
-            phases.append(2 * stack + 2 * chunk + 8 * 5 * n)
+            phases += [2 * stack + 2 * chunk + 8 * 4 * n, 8 * 5 * n + 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME]
     return max(phases)
 
 
@@ -733,12 +740,16 @@ def _cmd_simulate(args) -> int:
         w, mics, scene.g,
         target_kind=config.target_kind, delta=args.delta, spatial_ref=scene.spatial_ref,
     )
+    # evaluate_run's four scores; the stacks are freed once the one that reads them is taken
+    nr_db = noise_reduction(mics.p_v, run.e_v)
+    del mics
+    sdi_db, effort = speech_distortion_index(run.t, run.e_s), control_effort(run.y)
     out = args.out or "simulation"
     export_run_wavs(run, out, config.fs)
-    mb = evaluate_run(run, mics)
+    quality_db = quality_proxy(run.t, run.e)
     print(
-        f"NR={mb.nr_db:.2f} dB SDI={mb.sdi_db:.2f} dB quality={mb.quality_db:.2f} dB "
-        f"effort={mb.effort:.6g} -> {out}/"
+        f"NR={nr_db:.2f} dB SDI={sdi_db:.2f} dB quality={quality_db:.2f} dB "
+        f"effort={effort:.6g} -> {out}/"
     )
     return 0
 

@@ -825,8 +825,8 @@ def test_simulation_spectra_that_cannot_fit_are_refused(tmp_path, monkeypatch, c
     need = sweep_mod._memory_need(config, 2, n, design=False, sim_taps=config.Lw)
     # 80000 samples in 4074-sample hops: 20 blocks, of which one chunk of
     # 16 blocks of 2049 bins, speech and noise, 3 channels, is held at a
-    # time; and the five signals of one run, next to two of the three stacks
-    assert need - signals == 2 * 3 * 16 * 2049 * 16 + 5 * 8 * n - 3 * 8 * n
+    # time; and the four signals a run fills, next to two of the three stacks
+    assert need - signals == 2 * 3 * 16 * 2049 * 16 + 4 * 8 * n - 3 * 8 * n
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps({"K": 2, "Lw": 12, "w": np.zeros((3, 12)).tolist()}))
     argv = ["simulate", "--config", str(cfg), "--filter", str(zero)]
@@ -1181,8 +1181,9 @@ def test_two_workers_cost_no_memory(tmp_path, monkeypatch, traced_peak):
 def test_sweep_and_simulate_peak_near_the_design(tmp_path, monkeypatch, traced_peak):
     """On long_20s the tracemalloc peak of ``ssanc sweep`` is at most 1.05
     times that of ``ssanc design``, and that of ``ssanc simulate`` at most
-    1.25 times: neither holds the block spectra of a whole stack next to
-    the speech and noise stacks."""
+    1.0 times: neither holds the block spectra of a whole stack next to
+    the speech and noise stacks, and ``simulate`` frees the stacks before
+    it forms e and scores its run."""
     monkeypatch.chdir(tmp_path)
     path = write_long_20s_config(tmp_path)
 
@@ -1195,7 +1196,7 @@ def test_sweep_and_simulate_peak_near_the_design(tmp_path, monkeypatch, traced_p
     simulate = peak("simulate", "--filter", "f.json", "--out", "sim")
     sweep = peak("sweep", "--out", "rows.csv")
     assert sweep <= 1.05 * design, (sweep / design, simulate / design)
-    assert simulate <= 1.25 * design, (sweep / design, simulate / design)
+    assert simulate <= 1.0 * design, (sweep / design, simulate / design)
 
 
 @pytest.mark.parametrize("command", ["design", "sweep"])
@@ -1444,8 +1445,8 @@ def test_shipped_sweep_matches_captured_reference(shipped_rows, name):
 
 def test_sweep_never_runs_the_full_simulation(shipped_rows, monkeypatch):
     """The sweep scores NR, SDI and effort from lag correlations and simulates
-    e alone: with the five-signal run and its metric bundle made to raise,
-    fig3 gives the same rows."""
+    e alone: with the five-signal run, its metric bundle and the scores
+    ``ssanc simulate`` takes of it made to raise, fig3 gives the same rows."""
     import ssanc.metrics
     import ssanc.simulate
 
@@ -1454,8 +1455,9 @@ def test_sweep_never_runs_the_full_simulation(shipped_rows, monkeypatch):
 
     for module in (ssanc.simulate, sweep_mod):
         monkeypatch.setattr(module, "apply_control", forbidden)
-    for module in (ssanc.metrics, sweep_mod):
-        monkeypatch.setattr(module, "evaluate_run", forbidden)
+    monkeypatch.setattr(ssanc.metrics, "evaluate_run", forbidden)
+    for name in ("noise_reduction", "speech_distortion_index", "control_effort"):
+        monkeypatch.setattr(sweep_mod, name, forbidden)
     rows = run_sweep(SweepConfig.from_json(ROOT / "configs" / "fig3_synthetic.json"))
     untimed = [replace(r, design_ms=0.0) for r in rows]  # the unset design_ms is NaN
     assert untimed == [replace(r, design_ms=0.0) for r in shipped_rows("fig3_synthetic")]
@@ -1559,6 +1561,36 @@ def test_simulate_reports_the_sweep_row(shipped_rows, tmp_path, capsys, name):
     )
     if name == "fig3_synthetic":
         assert printed.startswith("NR=10.44 dB SDI=-15.07 dB quality=7.88 dB effort=368464 ->")
+
+
+def test_simulate_prints_the_row_of_evaluate_run(tmp_path, capsys):
+    """``ssanc simulate`` frees the stacks before it scores its run, by the
+    functions ``evaluate_run`` composes: on fig3 at delta = 4 its printed
+    line is the one formatted from ``evaluate_run`` of the same run, and its
+    five WAVs are byte for byte those ``export_run_wavs`` writes of it."""
+    from ssanc.metrics import evaluate_run
+    from ssanc.simulate import apply_control, export_run_wavs
+    from ssanc.solver import load_filter_json
+
+    path = str(ROOT / "configs" / "fig3_synthetic.json")
+    flt, sim = str(tmp_path / "filter.json"), tmp_path / "sim"
+    assert cli_main(["design", "--config", path, "--delta", "4", "--out", flt]) == 0
+    capsys.readouterr()
+    assert cli_main(["simulate", "--config", path, "--filter", flt, "--delta", "4", "--out", str(sim)]) == 0
+    printed = capsys.readouterr().out
+
+    config, w = SweepConfig.from_json(path), load_filter_json(flt)
+    scene, n = sweep_mod._checked_scene(config, design=False, sim_taps=w.shape[1])
+    mics = sweep_mod._render(config, scene, n)
+    run = apply_control(w, mics, scene.g, config.target_kind, 4, scene.spatial_ref)
+    mb = evaluate_run(run, mics)
+    assert printed == (
+        f"NR={mb.nr_db:.2f} dB SDI={mb.sdi_db:.2f} dB quality={mb.quality_db:.2f} dB "
+        f"effort={mb.effort:.6g} -> {sim}/\n"
+    )
+    export_run_wavs(run, tmp_path / "oracle", config.fs)
+    for name in ("y", "e", "e_s", "e_v", "t"):
+        assert (sim / f"{name}.wav").read_bytes() == (tmp_path / "oracle" / f"{name}.wav").read_bytes(), name
 
 
 @pytest.mark.parametrize("name, best, at_best, other, at_other", [
