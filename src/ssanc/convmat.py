@@ -200,9 +200,14 @@ class Blocks:
         return X
 
     def put(self, out: np.ndarray, chunk: slice, Y: np.ndarray) -> None:
-        """Write the samples of the chunk's blocks whose spectra are Y into the N-sample out."""
+        """Write the samples of the chunk's blocks whose spectra are Y into the N-sample out,
+        each block straight into its hop (a view of out): no copy of the chunk is made."""
         start, stop = chunk.start * self.hop, min(chunk.stop * self.hop, self.N)
-        out[start:stop] = np.fft.irfft(Y, self.nfft)[:, self.M :].reshape(-1)[: stop - start]
+        y = np.fft.irfft(Y, self.nfft)[:, self.M :]
+        whole = (stop - start) // self.hop  # the blocks that end inside out
+        out[start : start + whole * self.hop].reshape(whole, self.hop)[...] = y[:whole]
+        if start + whole * self.hop < stop:
+            out[start + whole * self.hop : stop] = y[whole, : stop - start - whole * self.hop]
 
 
 def lagged_products(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:

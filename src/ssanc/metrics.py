@@ -1,10 +1,12 @@
 """Evaluation metrics: noise reduction, speech distortion, control effort, quality proxy.
 
 ``evaluate_run`` scores the signals of one simulation run; a sweep's
-``_RowScores`` returns the same bundle for any filter without them:
-NR, SDI and effort are quadratic forms in the taps over lag
-correlations taken once (``_FilteredEnergy``), and only the error
-signal is simulated, for the quality proxy.
+``_RowScores`` returns the same bundle for any filter without them,
+from the two sources alone: NR, SDI and effort are energies of the
+sources through the responses the filter gives the drive and the error
+microphone, quadratic forms over the sources' lag correlations taken
+once (``_FilteredEnergy``), and only the error signal is simulated, for
+the quality proxy.
 
 The quality proxy is a frame-wise log-spectral distance, standing in
 for standardized perceptual scores (which need the ITU reference
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ssanc.convmat import Blocks, lagged_products, next_fast_len
-from ssanc.scene import MicSignals
+from ssanc.scene import MicSignals, Scene, _convolved
 from ssanc.simulate import RunResult
 
 SDI_FLOOR_DB = -120.0
@@ -140,8 +142,8 @@ class _FilteredEnergy:
     Filter taps h, (C, T) with T <= P, give z(n) = sum_c (h_c * x_c)(n)
     for n = 0 .. N-1, from rest, as a simulation does.  Its energy is a
     quadratic form in h over the stack's full-range lag correlations
-    r_ab(k) = sum_n x_a(n) x_b(n-k), k < P (``lagged_products``), which
-    are taken once, here:
+    r_ab(k) = sum_n x_a(n) x_b(n-k), k < P (``lagged_products``; lags
+    past N read as zero), which are taken once, here:
 
         sum_{n<N} z(n)^2 = sum_ab sum_k r_ab(k) rho_ab(k) - sum_{n>=N} z(n)^2
 
@@ -155,10 +157,11 @@ class _FilteredEnergy:
     """
 
     def __init__(self, x: np.ndarray, P: int):
-        N = x.shape[1]
+        C, N = x.shape
         self.P = P
         self.nfft = next_fast_len(2 * P - 1)
-        r = lagged_products(x, x, P)
+        r = np.zeros((C, C, P))
+        r[:, :, : min(P, N)] = lagged_products(x, x, min(P, N))
         R = np.fft.rfft(r, self.nfft)
         # the spectrum of r_ab over lags -P < k < P: negative lags are r_ba(-k)
         form = R + R.transpose(1, 0, 2).conj() - r[:, :, :1]
@@ -168,73 +171,99 @@ class _FilteredEnergy:
         if self.nfft % 2 == 0:
             weight[-1] = 1.0 / self.nfft  # the Nyquist bin has no mirror image
         self._form = form * weight
-        self._tail = np.fft.rfft(x[:, N - P + 1 :], self.nfft)
+        # the last P - 1 samples, led by zeros where the stack is shorter
+        last = min(P - 1, N)
+        tail = np.zeros((C, P - 1))
+        tail[:, P - 1 - last :] = x[:, N - last :]
+        self._tail = np.fft.rfft(tail, self.nfft)
 
-    def __call__(self, taps: np.ndarray) -> float:
-        """Energy of the first N samples of sum_c taps_c * x_c for (C, T <= P) taps."""
+    def __call__(self, taps: np.ndarray):
+        """Energy of the first N samples of sum_c taps_c * x_c for (..., C, T <= P) taps,
+        one per filter of the leading axes."""
         H = np.fft.rfft(taps, self.nfft)
-        full = np.vdot(H, np.einsum("abf,af->bf", self._form, H)).real
-        tail = np.fft.irfft(np.einsum("cf,cf->f", H, self._tail), self.nfft)[self.P - 1 : 2 * self.P - 2]
-        return float(full - np.vdot(tail, tail))
+        full = np.einsum("...bf,abf,...af->...", H.conj(), self._form, H).real
+        tail = np.fft.irfft(np.einsum("...cf,cf->...f", H, self._tail), self.nfft)[..., self.P - 1 : 2 * self.P - 2]
+        return full - np.einsum("...i,...i->...", tail, tail)
 
 
 class _RowScores:
-    """The four metrics of any (K+1, Lw) filter and delay, from correlations and spectra taken once.
+    """The four metrics of any (K+1, Lw) filter and delay, from the two sources alone.
 
-    For a filter w the response of the error microphone to the stacked
-    inputs is u = q + g * w (the primary sample plus the secondary path
-    applied to every channel), so e_v is u on the noise stack; t - e_s
-    is (sel - u) on the speech stack, with sel the unit pulse at the
-    target microphone ``mic`` and lag delta; and the drive y is w on the
-    observed stack x = s + v.  The speech and noise correlations span
-    ``lags`` >= max(L, delta + 1) lags, those of x Lw.  Each delay's
-    target is a view of one zero-led copy of the target microphone's
-    speech row.  ``take_spectra`` then replaces x by its block spectra
-    in the ``convmat.Blocks`` layout of w * g, the input of ``error``,
-    and its last row.
+    The error microphone hears each source through one overall response.
+    With ``sources`` the (2, N) stack of the speech and of the noise at
+    its SNR gain, h_k the scene's responses of a source at microphone k
+    and a filter w, u = q + g * w (the primary sample plus the secondary
+    path applied to every channel), that response is
+
+        f = sum_k u_k * h_k = g * d + h_K,     d = sum_k w_k * h_k
+
+    per source.  So e_v is f_v on the noise, t - e_s is (a_mic delayed
+    by delta, less f_s) on the speech, with a_mic the speech response of
+    the target microphone ``mic``, and the drive y is [d_s, d_v] on both
+    sources.  These three are energies of one ``_FilteredEnergy`` of the
+    sources, whose lags span the longest filter: f, of L + Lir - 1 taps
+    for Lir the longest response, or a_mic delayed by ``last_delta``.
+    The residual's taps cancel before they are squared, so an SDI near
+    its rounding floor keeps its digits.  The error signal is
+    e = sum f * source, from the sources' block spectra in the
+    ``convmat.Blocks`` layout of f, taken once; each delay's target is a
+    view of one zero-led copy of the target microphone's speech row,
+    rendered as ``render_mics`` renders it.  NR divides ``noise_energy``,
+    that of the error microphone's noise row, by e_v's.
     """
 
-    def __init__(self, mics: MicSignals, g, Lw: int, lags: int, mic: int):
-        self.x = mics.s + mics.v
-        self.speech = _FilteredEnergy(mics.s, lags)
-        self.noise = _FilteredEnergy(mics.v, lags)
-        self.drive = _FilteredEnergy(self.x, Lw)
-        self.g = np.asarray(g, dtype=float).ravel()
-        self.blocks = Blocks(mics.N, Lw + self.g.shape[0] - 2)
-        self.G = np.fft.rfft(self.g, self.blocks.nfft)
-        self.mic = mic
-        self.target = np.concatenate([np.zeros(lags - 1), mics.s[mic]])
-        self.noise_in = float(np.vdot(mics.p_v, mics.p_v))
+    def __init__(self, sources: np.ndarray, scene: Scene, Lw: int, last_delta: int, mic: int, noise_energy: float):
+        N = sources.shape[1]
+        speech_len = max(map(len, scene.ir_speech))
+        Lir = max(speech_len, *map(len, scene.ir_noise))
+        self.h = np.zeros((2, scene.K + 1, Lir))  # the responses of the speech, then of the noise
+        for rows, irs in zip(self.h, (scene.ir_speech, scene.ir_noise)):
+            for row, ir in zip(rows, irs):
+                row[: len(ir)] = ir
+        self.g = np.asarray(scene.g, dtype=float).ravel()
+        taps = Lw + self.g.shape[0] + Lir - 2  # those of f
+        self.energy = _FilteredEnergy(sources, max(taps, last_delta + Lir))
+        self.blocks = Blocks(N, taps - 1)
+        self.X = self.blocks.all_spectra(sources)
+        self.mic, self.last_delta, self.noise_energy = mic, last_delta, noise_energy
+        self.target = np.zeros(last_delta + N)
+        _convolved((self.h[0, mic, :speech_len],), sources[0], out=self.target[None, last_delta:])
 
-    def take_spectra(self) -> None:
-        """Replace x by its block spectra X and its last row p: a sweep frees s and v first."""
-        self.X, self.p = self.blocks.all_spectra(self.x), self.x[-1].copy()
-        self.x = None
+    def responses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d and f of filter w, a row per source: its drive's and its error signal's responses."""
+        # a sweep calls this on its worker threads, where no call may hand
+        # work to OpenBLAS's own threads (a matrix product would), which
+        # compete with the pool's: the sums are of np.convolve per channel
+        d = np.array([sum(np.convolve(w_k, h_k) for w_k, h_k in zip(w, irs)) for irs in self.h])
+        f = np.array([np.convolve(self.g, d_source) for d_source in d])
+        f[:, : self.h.shape[2]] += self.h[:, -1]
+        return d, f
 
     def error(self, w: np.ndarray) -> np.ndarray:
-        """The error signal p + g * (w * x) of filter w, from the block spectra of x."""
-        W = np.fft.rfft(w, self.blocks.nfft)
+        """The error signal of filter w, sum f * source, from the sources' block spectra."""
+        return self._error(self.responses(w)[1])
+
+    def _error(self, f: np.ndarray) -> np.ndarray:
+        F = np.fft.rfft(f, self.blocks.nfft)
         e = np.empty(self.blocks.N)
         for chunk in self.blocks.chunks:
-            self.blocks.put(e, chunk, np.einsum("kb,knb->nb", W, self.X[:, chunk]) * self.G)
-        e += self.p
+            self.blocks.put(e, chunk, np.einsum("sb,snb->nb", F, self.X[:, chunk]))
         return e
 
     def __call__(self, w: np.ndarray, delta: int) -> MetricBundle:
         """The metrics of filter w whose target is the target microphone's speech delayed by delta."""
-        # a sweep calls this on its worker threads, where no call may hand
-        # work to OpenBLAS's own threads (a matrix product or a dot product
-        # of N samples would), which compete with the pool's: u comes from
-        # np.convolve per channel and the target energy from einsum
-        t = self.target[self.speech.P - 1 - delta :][: self.blocks.N]
-        u = np.array([np.convolve(w_c, self.g) for w_c in w])
-        u[-1, 0] += 1.0
-        sel = np.zeros((u.shape[0], self.speech.P))
-        sel[:, : u.shape[1]] = -u
-        sel[self.mic, delta] += 1.0
+        t = self.target[self.last_delta - delta :][: self.blocks.N]
+        d, f = self.responses(w)
+        Lir = self.h.shape[2]
+        taps = np.zeros((3, 2, self.energy.P))
+        taps[0, 1, : f.shape[1]] = f[1]  # e_v: f_v on the noise
+        taps[1, 0, delta : delta + Lir] = self.h[0, self.mic]  # t - e_s: a_mic delayed, less f_s, on the speech
+        taps[1, 0, : f.shape[1]] -= f[0]
+        taps[2, :, : d.shape[1]] = d  # y: d on both sources
+        noise, residual, effort = self.energy(taps)
         return MetricBundle(
-            nr_db=_nr_db(self.noise_in, self.noise(u)),
-            sdi_db=_sdi_db(self.speech(sel), float(np.einsum("i,i", t, t))),
-            effort=self.drive(w),
-            quality_db=quality_proxy(t, self.error(w)),
+            nr_db=_nr_db(self.noise_energy, float(noise)),
+            sdi_db=_sdi_db(float(residual), float(np.einsum("i,i", t, t))),
+            effort=float(effort),
+            quality_db=quality_proxy(t, self._error(f)),
         )

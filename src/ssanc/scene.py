@@ -266,6 +266,11 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
     on the calling thread and the noise on another
     (``threads.thread_map``), and joined before the scaling.
     """
+    return render_with_gain(scene, speech, noise, snr_db)[0]
+
+
+def render_with_gain(scene: Scene, speech, noise=None, snr_db: float | None = None) -> tuple[MicSignals, float]:
+    """``render_mics`` and the gain its noise components were scaled by (1 without snr_db)."""
     speech = np.asarray(speech, dtype=float).ravel()
     N = speech.shape[0]
     max_ir = max(len(ir) for ir in (*scene.ir_speech, *scene.ir_noise))
@@ -275,13 +280,14 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
     if noise is None:
         s = _convolved(scene.ir_speech, speech)
         # np.zeros, not zeros_like: the pages are calloc'd and never written
-        return MicSignals(s=s, v=np.zeros(s.shape))
+        return MicSignals(s=s, v=np.zeros(s.shape)), 1.0
 
     noise = np.asarray(noise, dtype=float).ravel()
     if noise.shape[0] != N:
         raise ValueError(f"speech and noise lengths differ: {N} vs {noise.shape[0]}")
     s, v = thread_map(_convolved, (scene.ir_speech, scene.ir_noise), (speech, noise))
 
+    gain = 1.0
     if snr_db is not None:
         es = float(np.sum(s[-1] ** 2))
         ev = float(np.sum(v[-1] ** 2))
@@ -289,12 +295,14 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
             raise ConfigError("noise component at the error microphone is silent; cannot set SNR")
         if es <= 0.0:
             raise ConfigError("speech component at the error microphone is silent; cannot set SNR")
-        v *= np.sqrt(es / (ev * 10.0 ** (snr_db / 10.0)))
-    return MicSignals(s=s, v=v)
+        gain = np.sqrt(es / (ev * 10.0 ** (snr_db / 10.0)))
+        v *= gain
+    return MicSignals(s=s, v=v), float(gain)
 
 
-def _convolved(irs, x: np.ndarray) -> np.ndarray:
-    """The (len(irs), N) stack whose row k is ``np.convolve(irs[k], x)[:N]``, by overlap-save.
+def _convolved(irs, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The (len(irs), N) stack whose row k is ``np.convolve(irs[k], x)[:N]``, by overlap-save,
+    written to out if given.
 
     x runs through the ``convmat.Blocks`` layout of the longest
     response.  Each chunk's block spectra are taken once and multiplied
@@ -305,7 +313,8 @@ def _convolved(irs, x: np.ndarray) -> np.ndarray:
     """
     blocks = Blocks(x.shape[0], max(len(ir) for ir in irs) - 1)
     spectra = [np.fft.rfft(ir, blocks.nfft) for ir in irs]
-    out = np.empty((len(irs), x.shape[0]))
+    if out is None:
+        out = np.empty((len(irs), x.shape[0]))
     for chunk in blocks.chunks:
         X = blocks.spectra(x[None], chunk)[0]
         for row, spectrum in zip(out, spectra):

@@ -28,10 +28,12 @@ no LAPACK copy of either matrix is made.
 The design reads the inputs only through the correlations of the
 filtered references r_c = g * x_c (S = G' Phi_xx G, G' Phi_xx q and
 q' Phi_xx q) and the constraint only through G'H and H'q.
-``DesignContext.from_signals``, which ``ssanc design`` and ``ssanc
-sweep`` use, takes them from the signals' lag correlations and the
-ReIRs' convolutions with g, so neither the ((K+1) L)^2 matrix Phi_xx nor
-H is ever formed.  The dense route (``input_frames``,
+``DesignContext.from_correlations``, which ``ssanc design`` and ``ssanc
+sweep`` use once they have freed the signals, takes them from the
+signals' lag correlations (``_filtered_correlations``) and the ReIRs'
+convolutions with g, so neither the ((K+1) L)^2 matrix Phi_xx nor H is
+ever formed; ``DesignContext.from_signals`` correlates the signals
+first.  The dense route (``input_frames``,
 ``estimate_autocorrelation``, ``build_constraint``,
 ``DesignContext.from_dense``, ``design_control_filter``) builds both and
 is the oracle the signals route is tested against.
@@ -245,8 +247,9 @@ class DesignContext:
 
         S = Gt' Phi_xx Gt      phi = Gt' Phi_xx q      power = q' Phi_xx q
 
-    and the constraint only through A = Gt'H and H'q.  ``from_signals``
-    takes them from the signals and the ReIRs (production);
+    and the constraint only through A = Gt'H and H'q.  ``from_correlations``
+    takes them from the signals' correlations and the ReIRs (production;
+    ``from_signals`` correlates the signals first);
     ``from_dense`` projects a dense Phi_xx and H (the oracle).  Both
     share this factorization, and each consumes the S and the stacked
     right-hand sides [A, phi] it passes: the Lanczos top of S sets beta,
@@ -309,23 +312,27 @@ class DesignContext:
 
     @classmethod
     def from_signals(cls, mics: MicSignals, g, reirs: ReIRSet, params: DesignParams, Lw: int) -> "DesignContext":
-        """The design of (K+1, Lw) filters for the observed signals x = ``mics.s + mics.v``.
-
-        S, phi and power come from the lag correlations of x
-        (``_filtered_correlations``), A from the ReIRs
-        (``_projected_constraint``), and H'q is the error microphone's
-        ReIR.  Neither Phi_xx nor H is formed.
-        """
+        """The design of (K+1, Lw) filters for the observed signals x = ``mics.s + mics.v``:
+        ``from_correlations`` of x's S, phi and power (``_filtered_correlations``)."""
         g = np.asarray(g, dtype=float).ravel()
         L = g.shape[0] + Lw - 1
         if mics.N < L:
             raise ValueError(f"signal length {mics.N} shorter than frame history {L}")
-        S, phi, power = _filtered_correlations(mics.s + mics.v, g, Lw)
-        Hq = np.concatenate([reirs.h[-1], np.zeros(L - 1)])
+        return cls.from_correlations(*_filtered_correlations(mics.s + mics.v, g, Lw), g, reirs, params, Lw)
+
+    @classmethod
+    def from_correlations(cls, S, phi, power: float, g, reirs: ReIRSet, params: DesignParams, Lw: int) -> "DesignContext":
+        """The design of (K+1, Lw) filters from the S, phi and power of the observed
+        signals (``_filtered_correlations``), of which it consumes S: A comes from the
+        ReIRs (``_projected_constraint``), and H'q is the error microphone's ReIR.
+        Neither Phi_xx nor H is formed, and no signal is read, so a caller frees its
+        signals before the factorization."""
+        g = np.asarray(g, dtype=float).ravel()
+        Hq = np.concatenate([reirs.h[-1], np.zeros(g.shape[0] + Lw - 2)])
         rhs = np.empty((phi.shape[0], Hq.shape[0] + 1))  # [A, phi], with no second copy of A
         _projected_constraint(reirs, g, Lw, out=rhs[:, :-1])
         rhs[:, -1] = phi
-        return cls(S, rhs, power, Hq, params, mics.K, Lw)
+        return cls(S, rhs, power, Hq, params, reirs.h.shape[0] - 1, Lw)
 
     @classmethod
     def from_dense(cls, phi_xx, g, H, params: DesignParams, K: int, Lw: int) -> "DesignContext":
@@ -415,7 +422,7 @@ _DesignContext = DesignContext.from_dense
 
 
 def _filtered_correlations(x: np.ndarray, g: np.ndarray, Lw: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """S, phi and power of ``DesignContext.from_signals``: the means of r(n) r(n)',
+    """S, phi and power of ``DesignContext.from_correlations``: the means of r(n) r(n)',
     r(n) p(n) and p(n)^2 over the frames n = L-1 .. N-1, for the filtered
     references r_c = g * x_c from rest, r(n) their stacked Lw-sample
     histories, and the primary signal p = x_K.

@@ -10,16 +10,19 @@ so every command draws (or loads) and renders the two at once, the
 speech on the calling thread and the noise on another
 (``threads.thread_map``).
 
-Only the target vector depends on the delay.  A sweep therefore stacks
-the target vectors of all its delays and designs every filter in one
-multi-right-hand-side solve.  Each delay's row is then one task,
-``metrics._RowScores``: NR, SDI and control effort are quadratic forms
-in the filter over lag correlations taken once, and only the error
-signal is simulated, for the quality proxy, from block spectra of the
-observed stack also taken once.  The tasks are numpy transforms and
-ufuncs that release the GIL, so they run on one thread per CPU, by the
-same ``thread_map``, after the sweep has freed the design and the
-speech and noise stacks.
+The microphone stacks are needed only for the design's correlations,
+so ``ssanc design`` and ``ssanc sweep`` free them before the design
+factorizes.  Only the target vector depends on the delay.  A sweep
+therefore stacks the target vectors of its delays and designs their
+filters in a few multi-right-hand-side solves.  Each delay's row is
+then one task, ``metrics._RowScores``, which reads the two sources
+alone: NR, SDI and control effort are quadratic forms in the responses
+the filter gives the drive and the error microphone, over the sources'
+lag correlations taken once, and only the error signal is simulated,
+for the quality proxy, from the sources' block spectra also taken once.
+The tasks are numpy transforms and ufuncs that release the GIL, so they
+run on one thread per CPU, by the same ``thread_map``, after the sweep
+has freed the design.
 ``ssanc simulate`` runs the same kernel on the speech and noise stacks
 (``apply_control``), writes the WAVs and prints the four metrics of the
 sweep's row for its delay, by the functions ``evaluate_run`` (the
@@ -45,13 +48,13 @@ from pathlib import Path
 import numpy as np
 
 from ssanc import signals, wavio
-from ssanc.convmat import Blocks, build_conv_matrix, build_q, per_channel
+from ssanc.convmat import _TRIANGULAR_BLOCK, Blocks, build_conv_matrix, build_q, next_fast_len, per_channel
 from ssanc.metrics import (
     _QUALITY_BLOCK, QUALITY_FRAME, _RowScores, control_effort, noise_reduction, quality_proxy, speech_distortion_index,
 )
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
-    ConfigError, MicSignals, Scene, default_ir_len, integer, load_scene_wav, render_mics, synth_scene,
+    ConfigError, MicSignals, Scene, default_ir_len, integer, load_scene_wav, render_with_gain, synth_scene,
 )
 from ssanc.simulate import apply_control, export_run_wavs
 from ssanc.solver import (
@@ -62,6 +65,7 @@ from ssanc.solver import (
     TARGET_KINDS,
     _constraint_matrix,
     _constraint_vector,
+    _filtered_correlations,
     kkt_oracle,
     load_filter_json,
     max_delay,
@@ -92,6 +96,9 @@ NUMERIC_ERRORS = (
 # render_mics scales the noise by 10**(-snr_db/20), which leaves float64
 # range near +-3000 dB; physical SNRs lie far inside this bound
 MAX_SNR_DB = 300.0
+
+# target vectors per solve of a sweep: bounds the solve's temporaries below the design's
+_SOLVE_BATCH = 48
 
 
 @dataclass(frozen=True)
@@ -305,8 +312,9 @@ def _checked_scene(config: SweepConfig, design: bool, sim_taps: int | None) -> t
         scene = load_scene_wav(directory, manifest)
         if scene.fs != config.fs:
             raise ConfigError(f"scene fs {scene.fs} != config fs {config.fs}")
-        _check_signal_length(config, n, max(map(len, (*scene.ir_speech, *scene.ir_noise))))
-        _refuse_unless_fits(config, scene.K, n, design, sim_taps)
+        ir_len = max(map(len, (*scene.ir_speech, *scene.ir_noise)))
+        _check_signal_length(config, n, ir_len)
+        _refuse_unless_fits(config, scene.K, n, design, sim_taps, ir_len)
     else:
         scene = _synthetic_scene(config, sc, n, design, sim_taps)
     if not np.any(scene.ir_speech[scene.spatial_ref]):
@@ -340,10 +348,10 @@ def _synthetic_scene(config: SweepConfig, sc: dict, n: int, design: bool, sim_ta
         K = integer("scene.K", sc["K"])
         # refuse long responses and a run too large for memory before
         # synth_scene allocates the responses
-        _check_signal_length(config, n, ir_len if ir_len is not None else default_ir_len(
-            speech_delays + noise_delays, tail_amp, tail_decay
-        ))
-        _refuse_unless_fits(config, K, n, design, sim_taps)
+        if ir_len is None:
+            ir_len = default_ir_len(speech_delays + noise_delays, tail_amp, tail_decay)
+        _check_signal_length(config, n, ir_len)
+        _refuse_unless_fits(config, K, n, design, sim_taps, ir_len)
         scene = synth_scene(
             K=K,
             speech_delays=speech_delays,
@@ -387,83 +395,108 @@ def _design_bytes(config: SweepConfig, K: int) -> int:
     return 8 * (dim**2 + dim * (F + 1) + F**2)
 
 
-def _memory_need(config: SweepConfig, K: int, n: int, design: bool, sim_taps: int | None, workers: int = 1) -> int:
-    """Bytes a command holds at most for K + 1 microphones and n-sample signals.
+def _memory_need(
+    config: SweepConfig, K: int, n: int, design: bool, sim_taps: int | None, ir_len: int, workers: int = 1
+) -> int:
+    """Bytes a command holds at most for K + 1 microphones, n-sample signals and
+    scene responses of at most ir_len taps.
 
-    Every command holds the (K+1, n) speech and noise stacks and a third
-    stack: their sum while the design correlates them.  The render of
-    the two sources, each on its own thread, holds about as much: while
-    they are convolved, both sources and one chunk of overlap-save
-    temporaries per thread next to the two stacks, and before that,
-    while they are drawn, about three n-sample arrays per source
-    (``signals.speech_shaped_noise``).  A design (``design``,
-    ``sweep``) never forms Phi_xx or H.  While it correlates the
-    observed stack it holds the three stacks, S, ((K+1) Lw)^2 floats,
-    and the temporaries of one chunk of ``lagged_products``
-    (``per_chunk`` blocks of ``nfft`` samples per channel in its
-    ``convmat.Blocks`` layout): the block spectra of both operands and
-    their inputs, about four (K+1)-channel arrays of a chunk's samples.
-    While it factorizes (``DesignContext``) the sum is freed, and it
-    holds the matrices of ``_design_bytes``, each factorized or
-    substituted in its own place: no copy, no LU factor and no A.  Its
-    solve adds about three vectors of (K+1) Lw and three of F floats per
-    target vector, one for ``design`` and one per delay for ``sweep``,
-    which solves them all at once.  The ReIR fit holds less than
-    either: one n-sample white source and one channel's correlation
-    chunk.  A simulation of sim_taps-tap filters (``convmat.Blocks``)
-    holds one chunk of block spectra at a time.  ``simulate`` takes
-    those of both stacks, next to them and the four n-sample signals it
-    fills (y, e_s, e_v, then t).  It then frees the stacks: the error
-    signal e and the quality proxy's three (``_QUALITY_BLOCK``,
-    ``QUALITY_FRAME``) frame batches sit on top of the four signals, and
-    the SDI's one n-sample difference comes and goes before e.
-    ``sweep`` frees the design after its solve; next to the three stacks it builds the
-    lag correlations it scores from (``metrics._RowScores``), about one
-    complex value per lag of (K+1)^2 channel pairs, P = max(L, the last
-    delay + 1) lags of s and of v and sim_taps of x, and copies the
-    target microphone's speech row.  It frees s and v, takes all block
-    spectra of x next to x and its last row, and frees x; each of its
-    ``workers`` threads then holds the e of one delay and one chunk of
-    its drive's spectra and their inverse transform or the quality
-    proxy's three (``_QUALITY_BLOCK``, ``QUALITY_FRAME``) frame batches.
-    A command needs the largest of its phases, not their sum; it is
-    refused only if that does not fit on one thread, and a sweep starts
-    as many as fit (``_workers``).
+    Every command draws the two n-sample sources, about three n-sample
+    arrays each (``signals.speech_shaped_noise``), and renders the
+    (K+1, n) speech and noise stacks from them, each on its own thread:
+    it holds both stacks, both sources and either, per thread, one
+    chunk of overlap-save temporaries in the ``convmat.Blocks`` layout
+    of the longest response (the block spectra, their product with one
+    response, its inverse transform and, at the edges, a copied span:
+    four arrays of a chunk's samples) or, while the SNR is set, the
+    square of one error-microphone row.  A design (``design``, ``sweep``) never forms
+    Phi_xx or H, and no stack outlives its correlations: it forms the
+    observed stack x = s + v in s's place and frees v, and a sweep then
+    stacks its two sources into one (2, n) array.  While it correlates
+    x it holds x, the sweep's sources, and either the temporaries of one
+    chunk of ``lagged_products`` (``per_chunk`` blocks of ``nfft``
+    samples per channel in its ``convmat.Blocks`` layout: the block
+    spectra of both operands and, at the edges, a copied span of them,
+    about three and a half (K+1)-channel arrays of a chunk's samples) or
+    S, ((K+1) Lw)^2 floats.  While it factorizes (``DesignContext``) x
+    is freed, and it holds the matrices of ``_design_bytes``, each
+    factorized or substituted in its own place (no copy, no LU factor
+    and no A), and one panel of the blocked Cholesky factorization of
+    M0 + rho I, ``_TRIANGULAR_BLOCK`` x F floats; or, as it solves,
+    about three vectors of (K+1) Lw and three of F floats per target
+    vector, one for ``design`` and ``_SOLVE_BATCH`` at most for
+    ``sweep``, which keeps every delay's filter.  The ReIR fit holds
+    less: one n-sample white source and one channel's correlation chunk.
+    A simulation of sim_taps-tap filters (``convmat.Blocks``) holds one
+    chunk of block spectra at a time.  ``simulate`` takes those of both
+    stacks, next to them and the four n-sample signals it fills (y, e_s,
+    e_v, then t).  It then frees the stacks: the error signal e and the
+    quality proxy's three (``_QUALITY_BLOCK``, ``QUALITY_FRAME``) frame
+    batches sit on top of the four signals, and the SDI's one n-sample
+    difference comes and goes before e.  ``sweep`` keeps its sources
+    and filters, frees the design after its solve and scores from the
+    sources alone (``metrics._RowScores``).  It takes their lag
+    correlations over P lags, those of the longest filter it scores:
+    the response f a filter gives the error microphone, sim_taps + Lg +
+    ir_len - 2 taps, or the target's response delayed by the last
+    delay.  It holds them, P floats per channel pair, next to one chunk
+    of ``lagged_products``' temporaries for the two sources, and then
+    forms them as four complex values per bin of an nfft >= 2P - 1 point
+    grid and two more for the sources' last P - 1 samples, with three
+    times the four while it does.  Next to those it takes the block
+    spectra of both sources in the layout of f and one copy of the
+    target microphone's speech row led by the last delay's zeros, and
+    frees the sources.  Each of its ``workers`` threads then holds the e
+    of one delay and either one chunk of e's spectra and their inverse
+    transform or the quality proxy's three frame batches.  A command
+    needs the largest of its phases, not their sum; it is refused only
+    if that does not fit on one thread, and a sweep starts as many as
+    fit (``_workers``).
     """
     C = K + 1
-    stack = 8 * C * n
-    phases = [3 * stack]
+    stack, sources = 8 * C * n, 16 * n
+    render = Blocks(n, ir_len - 1)
+    phases = [2 * stack + sources + max(8 * n, 2 * 32 * render.per_chunk * render.nfft)]
+    sweep = design and sim_taps is not None
+    filters = 8 * C * config.Lw * len(config.deltas()) if sweep else 0
+    kept = sources if sweep else 0
     if design:
         dim, F = C * config.Lw, config.Lh + config.Lg + config.Lw - 2
-        targets = len(config.deltas()) if sim_taps is not None else 1
+        targets = min(len(config.deltas()), _SOLVE_BATCH) if sweep else 1
         blocks = Blocks(n, config.Lg + config.Lw - 2)
         chunk = blocks.per_chunk * blocks.nfft
         phases += [
-            3 * stack + 8 * (dim**2 + 4 * C * chunk),
-            2 * stack + _design_bytes(config, K) + 24 * targets * (dim + F),
+            stack + 2 * kept,
+            stack + kept + max(8 * dim**2, 28 * C * chunk),
+            kept + _design_bytes(config, K) + max(8 * _TRIANGULAR_BLOCK * F, 24 * targets * (dim + F) + filters),
         ]
     if sim_taps is not None:
-        blocks = Blocks(n, sim_taps + config.Lg - 2)
-        count, nfft = blocks.per_chunk, blocks.nfft
-        chunk = 16 * C * count * (nfft // 2 + 1)  # one chunk of one stack's block spectra
-        if design:
-            P = max(config.Lg + config.Lw - 1, config.delta_range[1] + 1)
-            held = 16 * C * C * (2 * P + sim_taps) + 8 * (n + P)  # the forms and the target row
-            spectra = chunk // count * blocks.count
-            per_worker = 8 * n + max(chunk // C + 8 * count * nfft, 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME)
+        if sweep:
+            last = config.delta_range[1]
+            taps = sim_taps + config.Lg + ir_len - 2  # those of f
+            P = max(taps, last + ir_len)
+            bins = next_fast_len(2 * P - 1) // 2 + 1
+            lags = Blocks(n, min(P, n) - 1)
+            blocks = Blocks(n, taps - 1)
+            spectra = 16 * 2 * blocks.count * (blocks.nfft // 2 + 1)
+            held = filters + 16 * 6 * bins + spectra + 8 * (n + last)
+            chunk = blocks.per_chunk * blocks.nfft
+            per_worker = 8 * n + max(16 * chunk, 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME)
             phases += [
-                3 * stack + held,
-                stack + 8 * n + spectra + chunk + held,
-                8 * n + spectra + held + workers * per_worker,
+                sources + filters + 8 * 4 * P + max(16 * 12 * bins, 8 * 4 * 2 * lags.per_chunk * lags.nfft),
+                sources + held,
+                held + workers * per_worker,
             ]
         else:
+            blocks = Blocks(n, sim_taps + config.Lg - 2)
+            chunk = 16 * C * blocks.per_chunk * (blocks.nfft // 2 + 1)  # one chunk of one stack's block spectra
             phases += [2 * stack + 2 * chunk + 8 * 4 * n, 8 * 5 * n + 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME]
     return max(phases)
 
 
-def _refuse_unless_fits(config: SweepConfig, K: int, n: int, design: bool, sim_taps: int | None) -> None:
+def _refuse_unless_fits(config: SweepConfig, K: int, n: int, design: bool, sim_taps: int | None, ir_len: int) -> None:
     """Refuse, as a config error, a command whose ``_memory_need`` exceeds ``_available_memory()``."""
-    need, have = _memory_need(config, K, n, design, sim_taps), _available_memory()
+    need, have = _memory_need(config, K, n, design, sim_taps, ir_len), _available_memory()
     if need > have:
         raise ConfigError(
             f"{n}-sample signals of {K + 1} microphones"
@@ -489,7 +522,14 @@ def _load_source(path, config: SweepConfig, n: int) -> np.ndarray:
 
 
 def _render(config: SweepConfig, scene: Scene, n: int) -> MicSignals:
-    """The scene's microphone signals at the configured SNR, from sources of n samples.
+    """The scene's microphone signals at the configured SNR, from sources of n samples
+    (``_render_sources``)."""
+    return _render_sources(config, scene, n)[0]
+
+
+def _render_sources(config: SweepConfig, scene: Scene, n: int) -> tuple[MicSignals, np.ndarray, np.ndarray]:
+    """The scene's microphone signals at the configured SNR and the two sources they
+    were rendered from: the speech and the noise at the gain that sets the SNR.
 
     Speech uses the config seed and noise seed+1 (synthetic scene tails
     use seed+3).  The two sources are drawn or loaded at once, the
@@ -505,7 +545,10 @@ def _render(config: SweepConfig, scene: Scene, n: int) -> MicSignals:
     m = min(speech.shape[0], noise.shape[0])
     if m < n:
         _check_signal_length(config, m, max(map(len, (*scene.ir_speech, *scene.ir_noise))))
-    return render_mics(scene, speech[:m], noise[:m], config.snr_db)
+    speech, noise = speech[:m], noise[:m]
+    mics, gain = render_with_gain(scene, speech, noise, config.snr_db)
+    noise *= gain
+    return mics, speech, noise
 
 
 def prepare_scene(config: SweepConfig, simulate: bool = True) -> PreparedScene:
@@ -522,15 +565,20 @@ def prepare_scene(config: SweepConfig, simulate: bool = True) -> PreparedScene:
     """
     scene, n = _checked_scene(config, design=True, sim_taps=config.Lw if simulate else None)
     mics = _render(config, scene, n)
-    reirs = estimate_reirs(scene, signals.white_noise(mics.N, config.seed + 2), config.Lh, reg=config.reir_reg)
+    reirs = _reirs(config, scene, mics.N)
+    return PreparedScene(scene=scene, mics=mics, reirs=reirs, psi=_psi(config), L=config.Lg + config.Lw - 1)
 
-    L = config.Lg + config.Lw - 1
-    psi = (
-        np.array([1.0])
-        if config.psi is None
-        else design_min_phase_highpass(config.psi, config.fs, L)
-    )
-    return PreparedScene(scene=scene, mics=mics, reirs=reirs, psi=psi, L=L)
+
+def _reirs(config: SweepConfig, scene: Scene, n: int) -> ReIRSet:
+    """The ReIRs of the scene's speech responses, fitted to n samples of white noise seeded seed+2."""
+    return estimate_reirs(scene, signals.white_noise(n, config.seed + 2), config.Lh, reg=config.reir_reg)
+
+
+def _psi(config: SweepConfig) -> np.ndarray:
+    """The taps of the target's spectral weighting: the configured high-pass, or [1]."""
+    if config.psi is None:
+        return np.array([1.0])
+    return design_min_phase_highpass(config.psi, config.fs, config.Lg + config.Lw - 1)
 
 
 def _fit_secondary(g, Lg: int) -> np.ndarray:
@@ -549,29 +597,64 @@ def _fit_secondary(g, Lg: int) -> np.ndarray:
     return g
 
 
-def _prepare_design(config: SweepConfig, simulate: bool = True) -> tuple[PreparedScene, DesignContext]:
+@dataclass(frozen=True, eq=False)
+class PreparedDesign:
+    """What a design leaves next to its ``DesignContext``: the scene, ReIRs, target
+    weighting and frame history of ``PreparedScene``, without the microphone stacks,
+    the noise energy at the error microphone and, for a sweep (None for a design
+    alone), the (2, N) stack of its speech and noise sources (``_render_sources``),
+    which its rows are scored from (``metrics._RowScores``)."""
+
+    scene: Scene
+    reirs: ReIRSet
+    psi: np.ndarray
+    L: int
+    noise_energy: float
+    sources: np.ndarray | None
+
+
+def _prepare_design(config: SweepConfig, simulate: bool = True) -> tuple[PreparedDesign, DesignContext]:
     """Scene and factorized design: all that no delay changes.
 
     ``run_sweep`` and ``ssanc design`` (which does not simulate) both
     start here; ``ctx.solve`` then designs the filter for one target
-    vector.  The design is taken from the signals
-    (``DesignContext.from_signals``): no Phi_xx and no H is formed.
+    vector.  The design is taken from the signals' correlations
+    (``DesignContext.from_correlations``): no Phi_xx and no H is formed.
+    The microphone stacks live only until those correlations are taken:
+    the observed stack x = s + v is formed in s's place, v is freed
+    first, x once S, phi and power are taken, so no (K+1, N) array is
+    held while the ReIRs are fitted or the design factorizes.  A sweep
+    (``simulate``) keeps the two sources its rows are scored from.
     """
-    prep = prepare_scene(config, simulate)
+    scene, n = _checked_scene(config, design=True, sim_taps=config.Lw if simulate else None)
+    psi = _psi(config)  # first, while little is held: its transforms are 2^17 points on paper_scale
+    mics, speech, noise = _render_sources(config, scene, n)
+    N, x, v, noise_energy = mics.N, mics.s, mics.v, float(np.vdot(mics.p_v, mics.p_v))
+    del mics
+    x += v
+    del v
+    sources = np.stack([speech, noise]) if simulate else None
+    del speech, noise
+    S, phi, power = _filtered_correlations(x, scene.g, config.Lw)
+    del x
+    prep = PreparedDesign(
+        scene=scene, reirs=_reirs(config, scene, N), psi=psi, L=config.Lg + config.Lw - 1,
+        noise_energy=noise_energy, sources=sources,
+    )
     params = DesignParams(beta_div=config.beta_div, rho_div=config.rho_div)
-    ctx = DesignContext.from_signals(prep.mics, prep.scene.g, prep.reirs, params, config.Lw)
-    return prep, ctx
+    return prep, DesignContext.from_correlations(S, phi, power, scene.g, prep.reirs, params, config.Lw)
 
 
-def _workers(config: SweepConfig, K: int, n: int) -> int:
-    """Threads a sweep of n-sample signals from K + 1 microphones scores on:
-    one per CPU it may run on (``threads.cpu_count``), the calling thread
-    included, at most one per delay, and as many as fit
-    in ``_available_memory()``, but at least the one a refusal checked."""
+def _workers(config: SweepConfig, K: int, n: int, ir_len: int) -> int:
+    """Threads a sweep of n-sample signals from K + 1 microphones and responses of
+    at most ir_len taps scores on: one per CPU it may run on
+    (``threads.cpu_count``), the calling thread included, at most one per delay,
+    and as many as fit in ``_available_memory()``, but at least the one a refusal
+    checked."""
     have = _available_memory()
     return max(
         (t for t in range(2, min(cpu_count(), len(config.deltas())) + 1)
-         if _memory_need(config, K, n, True, config.Lw, t) <= have),
+         if _memory_need(config, K, n, True, config.Lw, ir_len, t) <= have),
         default=1,
     )
 
@@ -584,34 +667,39 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Design and score one filter per delay in the configured range.
 
     The scene rendering, ReIR estimation, the design's correlations, all
-    delay-independent factorizations, the lag correlations and the
-    block spectra of the observed stack are shared across the sweep,
-    and the filters of all delays come from one batched solve.  Each
-    delay is then one task, ``metrics._RowScores``: NR, SDI and effort
-    are quadratic forms in the filter, and only the error signal is
-    simulated, for the quality proxy, by ``_RowScores.error`` on the
-    ``convmat.Blocks`` chunks ``apply_control`` runs.  The sweep frees
-    the factorized design before its forms and the speech and noise
-    stacks before the block spectra; the tasks, numpy transforms that
-    release the GIL, then run on ``_workers`` threads, the calling
-    thread one of them (``threads.thread_map``), and the rows come back
-    in delay order, agreeing with ``apply_control`` and ``evaluate_run``
-    up to rounding whatever the number of threads.
+    delay-independent factorizations, the sources' lag correlations and
+    block spectra are shared across the sweep, and the filters come from
+    batched solves of ``_SOLVE_BATCH`` delays each.  Each delay is then
+    one task, ``metrics._RowScores``: NR, SDI and effort are quadratic
+    forms in the responses the filter gives the drive and the error
+    microphone, over the lag correlations of the two sources, and only
+    the error signal is simulated, for the quality proxy, on the
+    ``convmat.Blocks`` layout of those responses.  No microphone stack
+    outlives the design's correlations (``_prepare_design``), and the
+    sweep frees the factorized design before it scores; the tasks, numpy
+    transforms that release the GIL, then run on ``_workers`` threads,
+    the calling thread one of them (``threads.thread_map``), and the
+    rows come back in delay order, agreeing with ``apply_control`` and
+    ``evaluate_run`` up to rounding whatever the number of threads.
     A numeric failure at one delay yields an error row and the sweep
     continues; any other exception propagates.
     """
     prep, ctx = _prepare_design(config)
     deltas = config.deltas()
-    designs = ctx.solve(np.column_stack([
-        _constraint_vector(prep.reirs, prep.psi, config.target_kind, delta, prep.L) for delta in deltas
-    ]))
+    designs = []
+    for start in range(0, len(deltas), _SOLVE_BATCH):
+        designs += ctx.solve(np.column_stack([
+            _constraint_vector(prep.reirs, prep.psi, config.target_kind, delta, prep.L)
+            for delta in deltas[start : start + _SOLVE_BATCH]
+        ]))
     del ctx  # only the solve needs the factorized design
 
-    workers = _workers(config, prep.mics.K, prep.mics.N)
-    mic = target_mic(config.target_kind, prep.scene.spatial_ref)
-    score = _RowScores(prep.mics, prep.scene.g, config.Lw, max(prep.L, deltas[-1] + 1), mic)
-    del prep  # the speech and noise stacks
-    score.take_spectra()
+    scene = prep.scene
+    ir_len = max(map(len, (*scene.ir_speech, *scene.ir_noise)))
+    workers = _workers(config, scene.K, prep.sources.shape[1], ir_len)
+    mic = target_mic(config.target_kind, scene.spatial_ref)
+    score = _RowScores(prep.sources, scene, config.Lw, deltas[-1], mic, prep.noise_energy)
+    del prep  # the sources: _RowScores keeps only their spectra and correlations
 
     def row(delta: int, res) -> SweepRow:
         """The row of delay delta from its design result, or the numeric failure that stopped it."""

@@ -27,6 +27,7 @@ from ssanc.sweep import (
     SweepConfig,
     _prepare_design,
     default_scene_dict,
+    prepare_scene,
     run_sweep,
     verify_against_oracle,
     write_rows_csv,
@@ -455,7 +456,8 @@ def test_criterion_14_rows_follow_the_required_re_emission():
     for the least re-emission."""
     config = SweepConfig.from_json(CONFIGS / "paper_anechoic_reference.json")
     assert json.loads((CONFIGS / "paper_anechoic_error.json").read_text())["scene"] == config.scene
-    prep, ctx = _prepare_design(config)
+    ctx = _prepare_design(config)[1]
+    prep = prepare_scene(config)  # the same scene, ReIRs and weighting, with the stacks the design frees
     spans = {"reference_mic": 60, "error_mic": 30}
     cases = [(kind, delta) for kind, top in spans.items() for delta in range(top + 1)]
     designs = ctx.solve(np.column_stack([

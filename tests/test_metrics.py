@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +15,7 @@ from ssanc.metrics import (
     quality_proxy,
     speech_distortion_index,
 )
-from ssanc.scene import MicSignals
+from ssanc.scene import MicSignals, Scene, render_mics
 from ssanc.simulate import RunResult
 
 
@@ -223,29 +225,39 @@ def test_filtered_energy_matches_explicit_convolution(C, P, extra, taps, pulse, 
     assert abs(got - want) <= 1e-10 * (want if want > 1e-10 * scale else scale)
 
 
+def test_filtered_energy_reads_lags_past_the_signal_as_zero():
+    """Filters longer than the signal (P > N) still score: the lags past N,
+    which no product reaches, read as zero, and the energy is that of the
+    explicit np.convolve cut to N samples."""
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2, 50))
+    h = rng.standard_normal((3, 2, 80))
+    got = _FilteredEnergy(x, 80)(h)
+    for energy, taps in zip(got, h):
+        z = sum(np.convolve(taps[c], x[c])[:50] for c in range(2))
+        assert energy == pytest.approx(float(np.vdot(z, z)), rel=1e-10)
+
+
 def test_row_scores_keep_the_metric_semantics():
     """The zero filter leaves e = p: 0 dB NR, SDI at its floor for the
     undelayed error-mic target, no effort, and the quality proxy of p
     against that target; silent noise gives inf NR, and a silent target
     raises as speech_distortion_index does."""
     rng = np.random.default_rng(3)
-    s = rng.standard_normal((3, 1024))
-    v = rng.standard_normal((3, 1024))
+    speech_irs, noise_irs = (tuple(rng.standard_normal(4) for _ in range(3)) for _ in range(2))
+    scene = Scene(K=2, ir_speech=speech_irs, ir_noise=noise_irs, g=np.array([0.0, 1.0, 0.5]), fs=16000, spatial_ref=0)
+    sources = rng.standard_normal((2, 1024))
+    mics = render_mics(scene, *sources)
     w = np.zeros((3, 5))
-    g = [0.0, 1.0, 0.5]
-    score = _RowScores(MicSignals(s=s, v=v), g, 5, 7, -1)
-    score.take_spectra()
+    score = _RowScores(sources, scene, 5, 6, -1, float(np.vdot(mics.p_v, mics.p_v)))
     row = score(w, 0)
     assert isinstance(row, MetricBundle)
     assert row.nr_db == pytest.approx(0.0, abs=1e-9)
     assert row.sdi_db == SDI_FLOOR_DB
     assert row.effort == 0.0
-    assert row.quality_db == quality_proxy(s[-1], s[-1] + v[-1])
-    quiet = _RowScores(MicSignals(s=s, v=np.zeros_like(v)), g, 5, 7, -1)
-    quiet.take_spectra()
+    assert row.quality_db == pytest.approx(quality_proxy(mics.p_s, mics.p_s + mics.p_v), rel=1e-12)
+    quiet = _RowScores(np.stack([sources[0], np.zeros(1024)]), scene, 5, 6, -1, 0.0)
     assert quiet(w, 0).nr_db == float("inf")
-    s[0] = 0.0
-    silent = _RowScores(MicSignals(s=s, v=v), g, 5, 7, 0)
-    silent.take_spectra()
+    silent = replace(scene, ir_speech=(np.zeros(4), *speech_irs[1:]))
     with pytest.raises(ValueError, match="zero energy"):
-        silent(w, 0)
+        _RowScores(sources, silent, 5, 6, 0, 1.0)(w, 0)

@@ -28,7 +28,7 @@ from ssanc.solver import (
     input_frames,
     kkt_oracle,
 )
-from ssanc.sweep import SweepConfig, _prepare_design
+from ssanc.sweep import SweepConfig, _prepare_design, prepare_scene
 
 
 def stacked_frames(channels, L):
@@ -410,7 +410,8 @@ def test_paper_scale_design_equals_the_dense_closed_form():
     taps by dense LU solves of Phi_rr and M0 + rho I to 1e-10."""
     config = SweepConfig.from_json(Path(__file__).parents[1] / "configs" / "paper_scale.json")
     prep, ctx = _prepare_design(config, simulate=False)
-    S, phi, _ = _filtered_correlations(prep.mics.s + prep.mics.v, prep.scene.g, config.Lw)
+    mics = prepare_scene(config, simulate=False).mics  # the stacks the design frees
+    S, phi, _ = _filtered_correlations(mics.s + mics.v, prep.scene.g, config.Lw)
     A = _projected_constraint(prep.reirs, prep.scene.g, config.Lw)
     Hq = np.concatenate([prep.reirs.h[-1], np.zeros(prep.L - 1)])
     deltas = config.deltas()
@@ -549,7 +550,8 @@ def test_lanczos_top_is_the_largest_eigenvalue(name):
 def test_lanczos_top_of_the_paper_scale_design(seed):
     config = replace(SweepConfig.from_json(Path(__file__).parents[1] / "configs" / "paper_scale.json"), seed=seed)
     prep, ctx = _prepare_design(config, simulate=False)
-    assert_lanczos_top(_filtered_correlations(prep.mics.s + prep.mics.v, prep.scene.g, config.Lw)[0])
+    mics = prepare_scene(config, simulate=False).mics  # the stacks the design frees
+    assert_lanczos_top(_filtered_correlations(mics.s + mics.v, prep.scene.g, config.Lw)[0])
     M0 = ctx.YA.T @ ctx.YA  # A' Phi_rr^-1 A from the context's Lc^-1 A
     assert_lanczos_top((M0 + M0.T) / 2.0)
 
