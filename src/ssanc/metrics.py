@@ -152,8 +152,9 @@ class _FilteredEnergy:
     the T - 1 samples past N that the cut drops, reads only the last
     P - 1 samples of the stack.  Both are evaluated on an nfft >= 2P - 1
     point grid, where the lag sum is, by Parseval, a Hermitian form in
-    the spectra of the taps.  Nothing held or computed per filter grows
-    with N.
+    the spectra of the taps, so a caller that forms its filters as
+    spectra on that grid passes them as they are.  Nothing held or
+    computed per filter grows with N.
     """
 
     def __init__(self, x: np.ndarray, P: int):
@@ -177,10 +178,10 @@ class _FilteredEnergy:
         tail[:, P - 1 - last :] = x[:, N - last :]
         self._tail = np.fft.rfft(tail, self.nfft)
 
-    def __call__(self, taps: np.ndarray):
-        """Energy of the first N samples of sum_c taps_c * x_c for (..., C, T <= P) taps,
-        one per filter of the leading axes."""
-        H = np.fft.rfft(taps, self.nfft)
+    def __call__(self, H: np.ndarray):
+        """Energy of the first N samples of sum_c taps_c * x_c for (..., C, nfft // 2 + 1)
+        spectra H, the ``nfft``-point rfft of taps of at most P samples, one per
+        filter of the leading axes."""
         full = np.einsum("...bf,abf,...af->...", H.conj(), self._form, H).real
         tail = np.fft.irfft(np.einsum("...cf,cf->...f", H, self._tail), self.nfft)[..., self.P - 1 : 2 * self.P - 2]
         return full - np.einsum("...i,...i->...", tail, tail)
@@ -203,9 +204,12 @@ class _RowScores:
     sources.  These three are energies of one ``_FilteredEnergy`` of the
     sources, whose lags span the longest filter: f, of L + Lir - 1 taps
     for Lir the longest response, or a_mic delayed by ``last_delta``.
-    The residual's taps cancel before they are squared, so an SDI near
-    its rounding floor keeps its digits.  The error signal is
-    e = sum f * source, from the sources' block spectra in the
+    d and f are formed as spectra on its grid, from the responses'
+    spectra taken once, so no filter is convolved with a response and a
+    delay costs a few transforms of that grid, however long the
+    responses.  The residual's spectrum cancels before it is squared, so
+    an SDI near its rounding floor keeps its digits.  The error signal
+    is e = sum f * source, from the sources' block spectra in the
     ``convmat.Blocks`` layout of f, taken once; each delay's target is a
     view of one zero-led copy of the target microphone's speech row,
     rendered as ``render_mics`` renders it.  NR divides ``noise_energy``,
@@ -216,35 +220,36 @@ class _RowScores:
         N = sources.shape[1]
         speech_len = max(map(len, scene.ir_speech))
         Lir = max(speech_len, *map(len, scene.ir_noise))
-        self.h = np.zeros((2, scene.K + 1, Lir))  # the responses of the speech, then of the noise
-        for rows, irs in zip(self.h, (scene.ir_speech, scene.ir_noise)):
+        h = np.zeros((2, scene.K + 1, Lir))  # the responses of the speech, then of the noise
+        for rows, irs in zip(h, (scene.ir_speech, scene.ir_noise)):
             for row, ir in zip(rows, irs):
                 row[: len(ir)] = ir
-        self.g = np.asarray(scene.g, dtype=float).ravel()
-        taps = Lw + self.g.shape[0] + Lir - 2  # those of f
-        self.energy = _FilteredEnergy(sources, max(taps, last_delta + Lir))
-        self.blocks = Blocks(N, taps - 1)
+        g = np.asarray(scene.g, dtype=float).ravel()
+        self.taps = Lw + g.shape[0] + Lir - 2  # those of f
+        self.energy = _FilteredEnergy(sources, max(self.taps, last_delta + Lir))
+        self.H = np.fft.rfft(h, self.energy.nfft)
+        self.G = np.fft.rfft(g, self.energy.nfft)
+        self.blocks = Blocks(N, self.taps - 1)
         self.X = self.blocks.all_spectra(sources)
         self.mic, self.last_delta, self.noise_energy = mic, last_delta, noise_energy
         self.target = np.zeros(last_delta + N)
-        _convolved((self.h[0, mic, :speech_len],), sources[0], out=self.target[None, last_delta:])
+        _convolved((h[0, mic, :speech_len],), sources[0], out=self.target[None, last_delta:])
 
     def responses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """d and f of filter w, a row per source: its drive's and its error signal's responses."""
+        """The spectra of d and f of filter w on the energy's grid, a row per source:
+        its drive's and its error signal's responses."""
         # a sweep calls this on its worker threads, where no call may hand
         # work to OpenBLAS's own threads (a matrix product would), which
-        # compete with the pool's: the sums are of np.convolve per channel
-        d = np.array([sum(np.convolve(w_k, h_k) for w_k, h_k in zip(w, irs)) for irs in self.h])
-        f = np.array([np.convolve(self.g, d_source) for d_source in d])
-        f[:, : self.h.shape[2]] += self.h[:, -1]
-        return d, f
+        # compete with the pool's: the sum over channels is an einsum
+        D = np.einsum("kf,skf->sf", np.fft.rfft(w, self.energy.nfft), self.H)
+        return D, D * self.G + self.H[:, -1]
 
     def error(self, w: np.ndarray) -> np.ndarray:
         """The error signal of filter w, sum f * source, from the sources' block spectra."""
         return self._error(self.responses(w)[1])
 
-    def _error(self, f: np.ndarray) -> np.ndarray:
-        F = np.fft.rfft(f, self.blocks.nfft)
+    def _error(self, F: np.ndarray) -> np.ndarray:
+        F = np.fft.rfft(np.fft.irfft(F, self.energy.nfft)[:, : self.taps], self.blocks.nfft)
         e = np.empty(self.blocks.N)
         for chunk in self.blocks.chunks:
             self.blocks.put(e, chunk, np.einsum("sb,snb->nb", F, self.X[:, chunk]))
@@ -253,17 +258,18 @@ class _RowScores:
     def __call__(self, w: np.ndarray, delta: int) -> MetricBundle:
         """The metrics of filter w whose target is the target microphone's speech delayed by delta."""
         t = self.target[self.last_delta - delta :][: self.blocks.N]
-        d, f = self.responses(w)
-        Lir = self.h.shape[2]
-        taps = np.zeros((3, 2, self.energy.P))
-        taps[0, 1, : f.shape[1]] = f[1]  # e_v: f_v on the noise
-        taps[1, 0, delta : delta + Lir] = self.h[0, self.mic]  # t - e_s: a_mic delayed, less f_s, on the speech
-        taps[1, 0, : f.shape[1]] -= f[0]
-        taps[2, :, : d.shape[1]] = d  # y: d on both sources
-        noise, residual, effort = self.energy(taps)
+        D, F = self.responses(w)
+        nfft = self.energy.nfft
+        # the delay as a phase, its angle reduced to one turn so it keeps its digits
+        shift = np.exp(-2j * np.pi / nfft * (delta * np.arange(F.shape[1]) % nfft))
+        spectra = np.zeros((3, 2, F.shape[1]), dtype=complex)
+        spectra[0, 1] = F[1]  # e_v: f_v on the noise
+        spectra[1, 0] = self.H[0, self.mic] * shift - F[0]  # t - e_s: a_mic delayed, less f_s, on the speech
+        spectra[2] = D  # y: d on both sources
+        noise, residual, effort = self.energy(spectra)
         return MetricBundle(
             nr_db=_nr_db(self.noise_energy, float(noise)),
             sdi_db=_sdi_db(float(residual), float(np.einsum("i,i", t, t))),
             effort=float(effort),
-            quality_db=quality_proxy(t, self._error(f)),
+            quality_db=quality_proxy(t, self._error(F)),
         )

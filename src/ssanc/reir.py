@@ -18,6 +18,9 @@ import numpy as np
 from ssanc.convmat import _cholesky, _substitute, edge_products, frames_from_first_rows, lagged_products
 from ssanc.scene import Scene
 
+# window floats the ReIR fit's first rows read per product (8 MB)
+_WINDOW_FLOATS = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class ReIRSet:
@@ -99,13 +102,17 @@ def estimate_reirs(scene: Scene, source, Lh: int, reg: float | None = None) -> R
         # the tail's samples from n = N on; rounding alone can take the difference below 0
         return np.maximum(full - np.sum(head**2, axis=1) - np.sum(tail[:, Lh - 1 :] ** 2, axis=1), 0.0)
 
-    # sum_m kappa_k(m) c(j-m), j < Lh, from windows over c at lags -(P-1) .. P-1
+    # sum_m kappa_k(m) c(j-m), j < Lh, from windows over c at lags -(P-1) .. P-1;
+    # the product copies the windows it reads, so it reads at most
+    # _WINDOW_FLOATS of them at a time: Lh (2 Lir - 1) floats would be
+    # 36 MB for 8000-tap responses
     kappa = np.array([np.correlate(a, a_ref, "full") for a in irs])
     lags = np.concatenate([c[:0:-1], c])
     windows = np.lib.stride_tricks.sliding_window_view(lags, 2 * Lir - 1)[Lh - 1 : 2 * Lh - 1]
+    step = max(1, _WINDOW_FLOATS // windows.shape[1])
     head, tail = edges(irs)  # s_k(n) for n < Lh-1 and for n >= N-Lh+1
     first = (
-        kappa[:, ::-1] @ windows.T
+        np.concatenate([kappa[:, ::-1] @ windows[j : j + step].T for j in range(0, Lh, step)], axis=1)
         - edge_products(head, head[scene.spatial_ref, None], 0, Lh)[:, 0]
         - edge_products(tail, tail[scene.spatial_ref, None], Lh - 1, Lh)[:, 0]
     )

@@ -32,8 +32,7 @@ q' Phi_xx q) and the constraint only through G'H and H'q.
 sweep`` use once they have freed the signals, takes them from the
 signals' lag correlations (``_filtered_correlations``) and the ReIRs'
 convolutions with g, so neither the ((K+1) L)^2 matrix Phi_xx nor H is
-ever formed; ``DesignContext.from_signals`` correlates the signals
-first.  The dense route (``input_frames``,
+ever formed.  The dense route (``input_frames``,
 ``estimate_autocorrelation``, ``build_constraint``,
 ``DesignContext.from_dense``, ``design_control_filter``) builds both and
 is the oracle the signals route is tested against.
@@ -248,8 +247,7 @@ class DesignContext:
         S = Gt' Phi_xx Gt      phi = Gt' Phi_xx q      power = q' Phi_xx q
 
     and the constraint only through A = Gt'H and H'q.  ``from_correlations``
-    takes them from the signals' correlations and the ReIRs (production;
-    ``from_signals`` correlates the signals first);
+    takes them from the signals' correlations and the ReIRs (production);
     ``from_dense`` projects a dense Phi_xx and H (the oracle).  Both
     share this factorization, and each consumes the S and the stacked
     right-hand sides [A, phi] it passes: the Lanczos top of S sets beta,
@@ -311,16 +309,6 @@ class DesignContext:
             self._inner = (vecs * inv) @ vecs.T  # the pseudo-inverse of M0 on its range
 
     @classmethod
-    def from_signals(cls, mics: MicSignals, g, reirs: ReIRSet, params: DesignParams, Lw: int) -> "DesignContext":
-        """The design of (K+1, Lw) filters for the observed signals x = ``mics.s + mics.v``:
-        ``from_correlations`` of x's S, phi and power (``_filtered_correlations``)."""
-        g = np.asarray(g, dtype=float).ravel()
-        L = g.shape[0] + Lw - 1
-        if mics.N < L:
-            raise ValueError(f"signal length {mics.N} shorter than frame history {L}")
-        return cls.from_correlations(*_filtered_correlations(mics.s + mics.v, g, Lw), g, reirs, params, Lw)
-
-    @classmethod
     def from_correlations(cls, S, phi, power: float, g, reirs: ReIRSet, params: DesignParams, Lw: int) -> "DesignContext":
         """The design of (K+1, Lw) filters from the S, phi and power of the observed
         signals (``_filtered_correlations``), of which it consumes S: A comes from the
@@ -337,7 +325,7 @@ class DesignContext:
     @classmethod
     def from_dense(cls, phi_xx, g, H, params: DesignParams, K: int, Lw: int) -> "DesignContext":
         """The design for a dense (K+1)L x (K+1)L Phi_xx and constraint matrix H,
-        projected by Gt = I_{K+1} (x) G, one shared G: the oracle of ``from_signals``."""
+        projected by Gt = I_{K+1} (x) G, one shared G: the oracle of ``from_correlations``."""
         phi_xx = np.asarray(phi_xx, dtype=float)
         g = np.asarray(g, dtype=float).ravel()
         Lg = g.shape[0]
@@ -440,6 +428,8 @@ def _filtered_correlations(x: np.ndarray, g: np.ndarray, Lw: int) -> tuple[np.nd
     C, N = x.shape
     Lg = g.shape[0]
     L = Lg + Lw - 1
+    if N < L:
+        raise ValueError(f"signal length {N} shorter than frame history {L}")
     c = lagged_products(x, x, L)
     lags = np.concatenate([c.transpose(1, 0, 2)[:, :, Lg - 1 : 0 : -1], c], axis=-1)  # -(Lg-1) .. L-1
     full = np.lib.stride_tricks.sliding_window_view(lags, 2 * Lg - 1, axis=-1) @ np.correlate(g, g, "full")

@@ -426,7 +426,8 @@ def _memory_need(
     about three vectors of (K+1) Lw and three of F floats per target
     vector, one for ``design`` and ``_SOLVE_BATCH`` at most for
     ``sweep``, which keeps every delay's filter.  The ReIR fit holds
-    less: one n-sample white source and one channel's correlation chunk.
+    less: one n-sample white source, one channel's correlation chunk and
+    at most 8 MB of lag windows (``reir._WINDOW_FLOATS``).
     A simulation of sim_taps-tap filters (``convmat.Blocks``) holds one
     chunk of block spectra at a time.  ``simulate`` takes those of both
     stacks, next to them and the four n-sample signals it fills (y, e_s,
@@ -443,7 +444,8 @@ def _memory_need(
     of ``lagged_products``' temporaries for the two sources, and then
     forms them as four complex values per bin of an nfft >= 2P - 1 point
     grid and two more for the sources' last P - 1 samples, with three
-    times the four while it does.  Next to those it takes the block
+    times the four while it does.  Next to those it takes the spectra of
+    the scene's 2 (K+1) responses and of g on that grid, the block
     spectra of both sources in the layout of f and one copy of the
     target microphone's speech row led by the last delay's zeros, and
     frees the sources.  Each of its ``workers`` threads then holds the e
@@ -479,7 +481,7 @@ def _memory_need(
             lags = Blocks(n, min(P, n) - 1)
             blocks = Blocks(n, taps - 1)
             spectra = 16 * 2 * blocks.count * (blocks.nfft // 2 + 1)
-            held = filters + 16 * 6 * bins + spectra + 8 * (n + last)
+            held = filters + 16 * (6 + 2 * C + 1) * bins + spectra + 8 * (n + last)
             chunk = blocks.per_chunk * blocks.nfft
             per_worker = 8 * n + max(16 * chunk, 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME)
             phases += [
@@ -521,12 +523,6 @@ def _load_source(path, config: SweepConfig, n: int) -> np.ndarray:
     return data
 
 
-def _render(config: SweepConfig, scene: Scene, n: int) -> MicSignals:
-    """The scene's microphone signals at the configured SNR, from sources of n samples
-    (``_render_sources``)."""
-    return _render_sources(config, scene, n)[0]
-
-
 def _render_sources(config: SweepConfig, scene: Scene, n: int) -> tuple[MicSignals, np.ndarray, np.ndarray]:
     """The scene's microphone signals at the configured SNR and the two sources they
     were rendered from: the speech and the noise at the gain that sets the SNR.
@@ -557,14 +553,14 @@ def prepare_scene(config: SweepConfig, simulate: bool = True) -> PreparedScene:
     Everything a design and, unless ``simulate`` is false, a simulation
     of the configured filter length needs is refused before any source
     is drawn (``_checked_scene``).  The speech and noise sources are
-    drawn and rendered on two threads at once (``_render``).  The ReIRs
+    drawn and rendered on two threads at once (``_render_sources``).  The ReIRs
     are fitted to the speech responses' response to white noise with its
     own seed, seed+2, so they do not change the microphone signals; the
     noise is read through its correlations and never rendered
     (``estimate_reirs``).
     """
     scene, n = _checked_scene(config, design=True, sim_taps=config.Lw if simulate else None)
-    mics = _render(config, scene, n)
+    mics = _render_sources(config, scene, n)[0]
     reirs = _reirs(config, scene, mics.N)
     return PreparedScene(scene=scene, mics=mics, reirs=reirs, psi=_psi(config), L=config.Lg + config.Lw - 1)
 
@@ -823,7 +819,7 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(
             f"filter {args.filter} has {w.shape[0] - 1} reference channels, the scene has {scene.K}"
         )
-    mics = _render(config, scene, n)
+    mics = _render_sources(config, scene, n)[0]
     run = apply_control(
         w, mics, scene.g,
         target_kind=config.target_kind, delta=args.delta, spatial_ref=scene.spatial_ref,

@@ -151,7 +151,8 @@ def test_input_frames_rejects_short_signals():
     (3, 6, 4, 5, 9), (2, 7, 9, 6, 400), (4, 12, 20, 8, 3000),
 ])
 def test_signals_statistics_equal_the_projected_frame_product(K, Lw, Lg, Lh, N):
-    """``DesignContext.from_signals`` on random signals, down to one frame and to
+    """``DesignContext.from_correlations`` of the signals' ``_filtered_correlations``
+    on random signals, down to one frame and to
     one-tap filters or paths: S, phi, power, A (``_projected_constraint``) and H'q
     equal the projections of the explicit frame product X'X / (N - L + 1) and of
     H by Gt = I (x) G."""
@@ -159,8 +160,8 @@ def test_signals_statistics_equal_the_projected_frame_product(K, Lw, Lg, Lh, N):
     mics = random_mics(K, N, seed=N + Lg)
     g = rng.standard_normal(Lg)
     reirs = ReIRSet(h=rng.standard_normal((K + 1, Lh)), spatial_ref=0)
-    ctx = DesignContext.from_signals(mics, g, reirs, DesignParams(), Lw)
-    S = _filtered_correlations(mics.s + mics.v, g, Lw)[0]  # the S the design consumed
+    S, phi, power = _filtered_correlations(mics.s + mics.v, g, Lw)
+    ctx = DesignContext.from_correlations(S.copy(), phi, power, g, reirs, DesignParams(), Lw)  # it consumes S
     L = Lg + Lw - 1
     X = stacked_frames(mics.s + mics.v, L)
     phi_xx = X.T @ X / len(X)
@@ -180,9 +181,9 @@ def test_signals_statistics_equal_the_projected_frame_product(K, Lw, Lg, Lh, N):
 
 
 def test_signals_design_rejects_short_signals():
-    reirs = ReIRSet(h=np.ones((2, 3)), spatial_ref=0)
+    mics = random_mics(1, 4, 0)
     with pytest.raises(ValueError, match="shorter than frame history"):
-        DesignContext.from_signals(random_mics(1, 4, 0), np.ones(3), reirs, DesignParams(), 3)
+        _filtered_correlations(mics.s + mics.v, np.ones(3), 3)
 
 
 # ---------------------------------------------------------------------------
