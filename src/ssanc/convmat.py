@@ -236,6 +236,64 @@ def lagged_products(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
     return np.fft.irfft(cross, blocks.nfft)[:, :, L - 1 :: -1]
 
 
+class _FilteredEnergy:
+    """Lag products of one (C, N) stack through C-channel FIR responses, from its
+    lag correlations taken once.
+
+    Responses h_ac of at most T taps give the signals y_a(n) =
+    sum_c (h_ac * x_c)(n) for n = 0 .. N-1, from rest, as a simulation
+    does.  Over all n, their products c_ab(j) = sum_n y_a(n) y_b(n-j)
+    are quadratic in the responses over the stack's full-range lag
+    correlations r_cd(k) = sum_n x_c(n) x_d(n-k), |k| < P
+    (``lagged_products``; lags past N read as zero), which are taken
+    once, here; the products past N that the cut drops read only the
+    stack's last P - 1 samples.  Both are evaluated on an nfft >= 2P - 1
+    point grid from the responses' spectra, so a caller that forms its
+    responses as spectra on that grid passes them as they are.  Nothing
+    held or computed per response grows with N.
+    """
+
+    def __init__(self, x: np.ndarray, P: int):
+        C, N = x.shape
+        self.P, self.N = P, N
+        self.nfft = next_fast_len(2 * P - 1)
+        r = np.zeros((C, C, P))
+        r[:, :, : min(P, N)] = lagged_products(x, x, min(P, N))
+        R = np.fft.rfft(r, self.nfft)
+        # the spectrum of r_cd over lags -P < k < P: negative lags are r_dc(-k)
+        self._spectrum = R + R.transpose(1, 0, 2).conj() - r[:, :, :1]
+        # the first P - 1 samples and the last, led by zeros where the stack is shorter
+        last = min(P - 1, N)
+        ends = np.zeros((2, C, P - 1))
+        ends[0, :, :last] = x[:, :last]
+        ends[1, :, P - 1 - last :] = x[:, N - last :]
+        self._ends = np.fft.rfft(ends, self.nfft)
+
+    def __call__(self, H: np.ndarray) -> np.ndarray:
+        """Energy of the first N samples of sum_c taps_c * x_c for (..., C, nfft // 2 + 1)
+        spectra H, the ``nfft``-point rfft of taps of at most P samples, one per
+        filter of the leading axes: its products at lag 0."""
+        c = self.products(H.reshape(-1, *H.shape[-2:]), 1)[0]
+        return np.diagonal(c[..., 0]).reshape(H.shape[:-2])
+
+    def products(self, H: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The inputs of ``solver._filtered_correlations`` for the signals
+        y_a(n) = sum_c (h_ac * x_c)(n), n < N, from rest, of the (A, C, nfft // 2 + 1)
+        spectra H of responses of at most P - L + 1 taps, for N >= L: their lag
+        products c_ab(j) = sum_{n<N} y_a(n) y_b(n-j), j < L, their first and last
+        L - 1 samples, and N.
+
+        Over all n, c_ab is the inverse transform of H_a r H_b', which does not
+        wrap on this grid for j < L; the products past N that the cut drops,
+        and the samples at both ends, are those of the first and last P - 1
+        samples of the stack through the responses.
+        """
+        full = np.fft.irfft(np.einsum("asf,stf,btf->abf", H, self._spectrum, H.conj()), self.nfft)[..., :L]
+        head, tail = np.fft.irfft(np.einsum("acf,ecf->eaf", H, self._ends), self.nfft)
+        tail = tail[:, self.P - L : 2 * self.P - L - 1]  # y(n) for N - L < n < N + P - L
+        return full - edge_products(tail, tail, L - 1, L), head[:, : L - 1], tail[:, : L - 1], self.N
+
+
 def frames_from_first_rows(first: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """The frame products ``R[a, i, b, j] = sum_{n=n0}^{n1} c_a(n-i) c_b(n-j)`` of
     L-sample frames from their first rows ``first[a, b, j] = R[a, 0, b, j]``.

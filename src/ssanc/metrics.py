@@ -5,7 +5,7 @@
 from the two sources alone: NR, SDI and effort are energies of the
 sources through the responses the filter gives the drive and the error
 microphone, quadratic forms over the sources' lag correlations taken
-once (``_FilteredEnergy``), and only the error signal is simulated, for
+once (``convmat._FilteredEnergy``), and only the error signal is simulated, for
 the quality proxy.
 
 The quality proxy is a frame-wise log-spectral distance, standing in
@@ -19,17 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ssanc.convmat import Blocks, lagged_products, next_fast_len
-from ssanc.scene import MicSignals, Scene, _convolved
+from ssanc.convmat import Blocks, _FilteredEnergy
+from ssanc.scene import MicSignals, Scene, _convolved, _responses
 from ssanc.simulate import RunResult
 
 SDI_FLOOR_DB = -120.0
 # quality_proxy frame, the shortest signal a run can be scored on, and hop
 QUALITY_FRAME = 512
 _QUALITY_HOP = 256
-# frames summed or transformed per batch by quality_proxy: bounds its
-# temporaries to a few MB whatever the signal length
-_QUALITY_BLOCK = 256
+# frames per quality_proxy batch: its temporaries, at most 512 KB at any signal length, stay under the
+# mmap threshold glibc reaches once a 5 s signal's arrays are freed, so sweep rows reuse heap pages
+_QUALITY_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -136,55 +136,12 @@ def evaluate_run(result: RunResult, mics: MicSignals) -> MetricBundle:
     )
 
 
-class _FilteredEnergy:
-    """Energies of one (C, N) stack through C-channel FIR filters of at most P taps.
-
-    Filter taps h, (C, T) with T <= P, give z(n) = sum_c (h_c * x_c)(n)
-    for n = 0 .. N-1, from rest, as a simulation does.  Its energy is a
-    quadratic form in h over the stack's full-range lag correlations
-    r_ab(k) = sum_n x_a(n) x_b(n-k), k < P (``lagged_products``; lags
-    past N read as zero), which are taken once, here:
-
-        sum_{n<N} z(n)^2 = sum_ab sum_k r_ab(k) rho_ab(k) - sum_{n>=N} z(n)^2
-
-    with rho_ab(k) = sum_i h_a(i) h_b(i+k) over lags of both signs.  The
-    first term is the energy of the full convolution; the second, of
-    the T - 1 samples past N that the cut drops, reads only the last
-    P - 1 samples of the stack.  Both are evaluated on an nfft >= 2P - 1
-    point grid, where the lag sum is, by Parseval, a Hermitian form in
-    the spectra of the taps, so a caller that forms its filters as
-    spectra on that grid passes them as they are.  Nothing held or
-    computed per filter grows with N.
-    """
-
-    def __init__(self, x: np.ndarray, P: int):
-        C, N = x.shape
-        self.P = P
-        self.nfft = next_fast_len(2 * P - 1)
-        r = np.zeros((C, C, P))
-        r[:, :, : min(P, N)] = lagged_products(x, x, min(P, N))
-        R = np.fft.rfft(r, self.nfft)
-        # the spectrum of r_ab over lags -P < k < P: negative lags are r_ba(-k)
-        form = R + R.transpose(1, 0, 2).conj() - r[:, :, :1]
-        # one-sided bins stand for their mirror images too, and Parseval divides by nfft
-        weight = np.full(form.shape[-1], 2.0 / self.nfft)
-        weight[0] = 1.0 / self.nfft
-        if self.nfft % 2 == 0:
-            weight[-1] = 1.0 / self.nfft  # the Nyquist bin has no mirror image
-        self._form = form * weight
-        # the last P - 1 samples, led by zeros where the stack is shorter
-        last = min(P - 1, N)
-        tail = np.zeros((C, P - 1))
-        tail[:, P - 1 - last :] = x[:, N - last :]
-        self._tail = np.fft.rfft(tail, self.nfft)
-
-    def __call__(self, H: np.ndarray):
-        """Energy of the first N samples of sum_c taps_c * x_c for (..., C, nfft // 2 + 1)
-        spectra H, the ``nfft``-point rfft of taps of at most P samples, one per
-        filter of the leading axes."""
-        full = np.einsum("...bf,abf,...af->...", H.conj(), self._form, H).real
-        tail = np.fft.irfft(np.einsum("...cf,cf->...f", H, self._tail), self.nfft)[..., self.P - 1 : 2 * self.P - 2]
-        return full - np.einsum("...i,...i->...", tail, tail)
+def _lag_span(scene: Scene, L: int, last_delta: int) -> int:
+    """The lags P of the sources' ``_FilteredEnergy`` that a design of L-sample frames and
+    the scores of its filters up to last_delta both read: those of a microphone's
+    response over one frame and of f, L + Lir - 1, or of the target's response delayed
+    by last_delta, last_delta + Lir, for Lir the scene's longest response."""
+    return max(map(len, (*scene.ir_speech, *scene.ir_noise))) - 1 + max(L, last_delta + 1)
 
 
 class _RowScores:
@@ -201,10 +158,11 @@ class _RowScores:
     per source.  So e_v is f_v on the noise, t - e_s is (a_mic delayed
     by delta, less f_s) on the speech, with a_mic the speech response of
     the target microphone ``mic``, and the drive y is [d_s, d_v] on both
-    sources.  These three are energies of one ``_FilteredEnergy`` of the
-    sources, whose lags span the longest filter: f, of L + Lir - 1 taps
-    for Lir the longest response, or a_mic delayed by ``last_delta``.
-    d and f are formed as spectra on its grid, from the responses'
+    sources.  These three are energies of ``energy``, the sources'
+    ``_FilteredEnergy``, whose lags (``_lag_span``) span the longest
+    filter: f, of L + Lir - 1 taps for Lir the longest response, or a_mic
+    delayed by ``last_delta``; the design took its statistics from the
+    same correlations.  d and f are formed as spectra on its grid, from the responses'
     spectra taken once, so no filter is convolved with a response and a
     delay costs a few transforms of that grid, however long the
     responses.  The residual's spectrum cancels before it is squared, so
@@ -212,27 +170,24 @@ class _RowScores:
     is e = sum f * source, from the sources' block spectra in the
     ``convmat.Blocks`` layout of f, taken once; each delay's target is a
     view of one zero-led copy of the target microphone's speech row,
-    rendered as ``render_mics`` renders it.  NR divides ``noise_energy``,
-    that of the error microphone's noise row, by e_v's.
+    rendered as ``render_mics`` renders it.  NR divides the energy of
+    the error microphone's noise, h_K on the noise, by e_v's.
     """
 
-    def __init__(self, sources: np.ndarray, scene: Scene, Lw: int, last_delta: int, mic: int, noise_energy: float):
+    def __init__(self, energy: _FilteredEnergy, sources: np.ndarray, scene: Scene, Lw: int, last_delta: int, mic: int):
         N = sources.shape[1]
-        speech_len = max(map(len, scene.ir_speech))
-        Lir = max(speech_len, *map(len, scene.ir_noise))
-        h = np.zeros((2, scene.K + 1, Lir))  # the responses of the speech, then of the noise
-        for rows, irs in zip(h, (scene.ir_speech, scene.ir_noise)):
-            for row, ir in zip(rows, irs):
-                row[: len(ir)] = ir
+        h = _responses(scene)
         g = np.asarray(scene.g, dtype=float).ravel()
-        self.taps = Lw + g.shape[0] + Lir - 2  # those of f
-        self.energy = _FilteredEnergy(sources, max(self.taps, last_delta + Lir))
+        self.taps = Lw + g.shape[0] + h.shape[-1] - 2  # those of f
+        self.energy = energy
         self.H = np.fft.rfft(h, self.energy.nfft)
         self.G = np.fft.rfft(g, self.energy.nfft)
         self.blocks = Blocks(N, self.taps - 1)
         self.X = self.blocks.all_spectra(sources)
-        self.mic, self.last_delta, self.noise_energy = mic, last_delta, noise_energy
+        self.mic, self.last_delta = mic, last_delta
+        self.noise_energy = float(energy(np.stack([np.zeros_like(self.G), self.H[1, -1]])))
         self.target = np.zeros(last_delta + N)
+        speech_len = max(map(len, scene.ir_speech))
         _convolved((h[0, mic, :speech_len],), sources[0], out=self.target[None, last_delta:])
 
     def responses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,11 +199,9 @@ class _RowScores:
         D = np.einsum("kf,skf->sf", np.fft.rfft(w, self.energy.nfft), self.H)
         return D, D * self.G + self.H[:, -1]
 
-    def error(self, w: np.ndarray) -> np.ndarray:
-        """The error signal of filter w, sum f * source, from the sources' block spectra."""
-        return self._error(self.responses(w)[1])
-
-    def _error(self, F: np.ndarray) -> np.ndarray:
+    def error(self, F: np.ndarray) -> np.ndarray:
+        """The error signal sum f * source of the spectra F of f (``responses``), from the
+        sources' block spectra."""
         F = np.fft.rfft(np.fft.irfft(F, self.energy.nfft)[:, : self.taps], self.blocks.nfft)
         e = np.empty(self.blocks.N)
         for chunk in self.blocks.chunks:
@@ -271,5 +224,5 @@ class _RowScores:
             nr_db=_nr_db(self.noise_energy, float(noise)),
             sdi_db=_sdi_db(float(residual), float(np.einsum("i,i", t, t))),
             effort=float(effort),
-            quality_db=quality_proxy(t, self._error(F)),
+            quality_db=quality_proxy(t, self.error(F)),
         )

@@ -15,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ssanc.convmat import _cholesky, _substitute, edge_products, frames_from_first_rows, lagged_products
-from ssanc.scene import Scene
-
-# window floats the ReIR fit's first rows read per product (8 MB)
-_WINDOW_FLOATS = 1 << 20
+from ssanc.convmat import _cholesky, _FilteredEnergy, _substitute, edge_products, frames_from_first_rows
+from ssanc.scene import Scene, _responses
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,14 +53,13 @@ def estimate_reirs(scene: Scene, source, Lh: int, reg: float | None = None) -> R
     to keep the solve stable under white-noise excitation without
     visibly biasing the taps.
 
-    No s_k is formed.  With c the source's autocorrelation over all n
-    (``lagged_products``; lags past N are zero) and kappa_k the
-    cross-correlation of a_k and a_ref, s_k(n) s_ref(n-j) sums over
-    every n, the samples cut at N included, to sum_m kappa_k(m) c(j-m).
-    The products before n = Lh-1 and from n = N on are subtracted; they
-    come from the first Lh and the last Lir + Lh - 1 source samples, Lir
-    the longest response.  That gives the right-hand sides and the first
-    row of the normal matrix, whose rest follows along its diagonals
+    No s_k is formed.  Their lag products over the N samples and their
+    first and last Lh - 1 samples follow from the source's
+    autocorrelation through the responses, in one ``lagged_products``
+    pass (``convmat._FilteredEnergy``, over lags that responses of
+    Lir + Lh - 1 taps reach, Lir the longest).  Less the products before
+    n = Lh-1 they give the right-hand sides and the first row of the
+    normal matrix, whose rest follows along its diagonals
     (``frames_from_first_rows``).  The relative residual of channel k is
     the frame energy of the residual filter d_k = a_k - h_k * a_ref on
     the source over that of a_k, each taken the same way, and not
@@ -77,49 +73,18 @@ def estimate_reirs(scene: Scene, source, Lh: int, reg: float | None = None) -> R
     if N < 4 * Lh:
         raise ValueError(f"need N >> Lh; got N={N} for Lh={Lh}")
 
-    Lir = max(a.shape[0] for a in scene.ir_speech)
-    P = Lir + Lh - 1  # the lags of c the products reach
-    irs = np.zeros((scene.K + 1, Lir))
-    for row, a in zip(irs, scene.ir_speech):
-        row[: a.shape[0]] = a
-    a_ref = irs[scene.spatial_ref]
-    c = np.zeros(P)
-    c[: min(P, N)] = lagged_products(w[None], w[None], min(P, N))[0, 0]
-    tail_source = np.concatenate([np.zeros(max(P - N, 0)), w[max(N - P, 0) :]])
+    irs, ref = _responses(scene)[0], scene.spatial_ref  # the speech responses, Lir taps each
+    energy = _FilteredEnergy(w[None], irs.shape[1] + 2 * Lh - 2)
 
-    def edges(filters):
-        """The filters' responses to the source at n < Lh - 1 and at n >= N - Lh + 1, to their end."""
-        head = np.array([np.convolve(f, w[:Lh])[: Lh - 1] for f in filters])
-        tail = np.array([np.convolve(f, tail_source)[Lir:] for f in filters])
-        return head, tail
+    def frame_products(filters):
+        """The products over the frames n = Lh-1 .. N-1 of the filters' responses to
+        the source, f_a(n) f_b(n-j) for j < Lh, and their first and last Lh - 1 samples."""
+        c, head, tail, _ = energy.products(np.fft.rfft(filters, energy.nfft)[:, None], Lh)
+        return c - edge_products(head, head, 0, Lh), head, tail
 
-    def frame_energies(filters):
-        """sum_n (f * source)(n)^2 over the frames n = Lh-1 .. N-1, per row f of filters."""
-        width = filters.shape[1]
-        rho = np.array([np.correlate(f, f, "full")[width - 1 :] for f in filters])
-        full = 2.0 * (rho @ c[:width]) - rho[:, 0] * c[0]
-        head, tail = edges(filters)
-        # the tail's samples from n = N on; rounding alone can take the difference below 0
-        return np.maximum(full - np.sum(head**2, axis=1) - np.sum(tail[:, Lh - 1 :] ** 2, axis=1), 0.0)
-
-    # sum_m kappa_k(m) c(j-m), j < Lh, from windows over c at lags -(P-1) .. P-1;
-    # the product copies the windows it reads, so it reads at most
-    # _WINDOW_FLOATS of them at a time: Lh (2 Lir - 1) floats would be
-    # 36 MB for 8000-tap responses
-    kappa = np.array([np.correlate(a, a_ref, "full") for a in irs])
-    lags = np.concatenate([c[:0:-1], c])
-    windows = np.lib.stride_tricks.sliding_window_view(lags, 2 * Lir - 1)[Lh - 1 : 2 * Lh - 1]
-    step = max(1, _WINDOW_FLOATS // windows.shape[1])
-    head, tail = edges(irs)  # s_k(n) for n < Lh-1 and for n >= N-Lh+1
-    first = (
-        np.concatenate([kappa[:, ::-1] @ windows[j : j + step].T for j in range(0, Lh, step)], axis=1)
-        - edge_products(head, head[scene.spatial_ref, None], 0, Lh)[:, 0]
-        - edge_products(tail, tail[scene.spatial_ref, None], Lh - 1, Lh)[:, 0]
-    )
-
-    # normal equations of the regressor rows [s_ref(n), ..., s_ref(n-Lh+1)] over the frames
-    ref_head, ref_tail = head[scene.spatial_ref, None, ::-1], tail[scene.spatial_ref, None, : Lh - 1][:, ::-1]
-    R = frames_from_first_rows(first[None, None, scene.spatial_ref].copy(), ref_head, ref_tail)[0, :, 0]
+    # the normal equations of the regressor rows [s_ref(n), ..., s_ref(n-Lh+1)] over the frames
+    c, head, tail = frame_products(irs)
+    R = frames_from_first_rows(c[None, None, ref, ref].copy(), head[ref, None, ::-1], tail[ref, None, ::-1])[0, :, 0]
     if reg is None:
         reg = 1e-8 * float(np.mean(np.diag(R)))
     R += reg * np.eye(Lh)
@@ -129,10 +94,12 @@ def estimate_reirs(scene: Scene, source, Lh: int, reg: float | None = None) -> R
         raise np.linalg.LinAlgError(
             f"singular ReIR normal equations (reg={reg:g}); try increasing reg"
         ) from exc
-    h = _substitute(Lr, _substitute(Lr, np.ascontiguousarray(first.T)), transpose=True).T
+    h = _substitute(Lr, _substitute(Lr, np.ascontiguousarray(c[:, ref].T)), transpose=True).T
 
-    residual = np.pad(irs, ((0, 0), (0, Lh - 1))) - np.array([np.convolve(h_k, a_ref) for h_k in h])
-    residuals = np.sqrt(frame_energies(residual)) / np.maximum(np.sqrt(frame_energies(irs)), 1e-300)
+    residual = np.pad(irs, ((0, 0), (0, Lh - 1))) - np.array([np.convolve(h_k, irs[ref]) for h_k in h])
+    # the frame energies of d_k and of a_k; rounding alone can take one below 0
+    energies = [np.maximum(np.diagonal(products[..., 0]), 0.0) for products in (frame_products(residual)[0], c)]
+    residuals = np.sqrt(energies[0]) / np.maximum(np.sqrt(energies[1]), 1e-300)
     return ReIRSet(h=h, spatial_ref=scene.spatial_ref, residuals=residuals)
 
 

@@ -256,9 +256,9 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
 
     Components are truncated to the source length N (same-length
     convention) so speech and noise parts stay aligned.  When snr_db is
-    given, the noise components are scaled so the speech-to-noise energy
-    ratio at the error microphone is exactly snr_db; a ``ConfigError``
-    if either component is silent there.  ``noise=None``
+    given, the noise components are scaled by ``snr_gain`` of the error
+    microphone's rows, so the speech-to-noise energy ratio there is
+    exactly snr_db.  ``noise=None``
     renders a desired-source-only scene with zero noise components.
     Each source is convolved by overlap-save (``_convolved``): its block
     spectra are taken once and shared by all K+1 microphones.  The two
@@ -266,11 +266,6 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
     on the calling thread and the noise on another
     (``threads.thread_map``), and joined before the scaling.
     """
-    return render_with_gain(scene, speech, noise, snr_db)[0]
-
-
-def render_with_gain(scene: Scene, speech, noise=None, snr_db: float | None = None) -> tuple[MicSignals, float]:
-    """``render_mics`` and the gain its noise components were scaled by (1 without snr_db)."""
     speech = np.asarray(speech, dtype=float).ravel()
     N = speech.shape[0]
     max_ir = max(len(ir) for ir in (*scene.ir_speech, *scene.ir_noise))
@@ -280,24 +275,49 @@ def render_with_gain(scene: Scene, speech, noise=None, snr_db: float | None = No
     if noise is None:
         s = _convolved(scene.ir_speech, speech)
         # np.zeros, not zeros_like: the pages are calloc'd and never written
-        return MicSignals(s=s, v=np.zeros(s.shape)), 1.0
+        return MicSignals(s=s, v=np.zeros(s.shape))
 
     noise = np.asarray(noise, dtype=float).ravel()
     if noise.shape[0] != N:
         raise ValueError(f"speech and noise lengths differ: {N} vs {noise.shape[0]}")
     s, v = thread_map(_convolved, (scene.ir_speech, scene.ir_noise), (speech, noise))
-
-    gain = 1.0
     if snr_db is not None:
-        es = float(np.sum(s[-1] ** 2))
-        ev = float(np.sum(v[-1] ** 2))
-        if ev <= 0.0:
-            raise ConfigError("noise component at the error microphone is silent; cannot set SNR")
-        if es <= 0.0:
-            raise ConfigError("speech component at the error microphone is silent; cannot set SNR")
-        gain = np.sqrt(es / (ev * 10.0 ** (snr_db / 10.0)))
-        v *= gain
-    return MicSignals(s=s, v=v), float(gain)
+        v *= snr_gain(s[-1], v[-1], snr_db)
+    return MicSignals(s=s, v=v)
+
+
+def snr_gain(p_s: np.ndarray, p_v: np.ndarray, snr_db: float) -> float:
+    """The gain that scales the noise to a speech-to-noise energy ratio of snr_db at
+    the error microphone, whose unscaled speech and noise rows are p_s and p_v; a
+    ``ConfigError`` if either is silent.  The one rule of ``render_mics`` and of the
+    design, which renders those two rows alone (``_error_rows``)."""
+    es, ev = float(np.vdot(p_s, p_s)), float(np.vdot(p_v, p_v))
+    if ev <= 0.0:
+        raise ConfigError("noise component at the error microphone is silent; cannot set SNR")
+    if es <= 0.0:
+        raise ConfigError("speech component at the error microphone is silent; cannot set SNR")
+    return float(np.sqrt(es / (ev * 10.0 ** (snr_db / 10.0))))
+
+
+def _error_rows(scene: Scene, speech: np.ndarray, noise: np.ndarray) -> list[np.ndarray]:
+    """The error microphone's rows of ``render_mics``' unscaled speech and noise stacks,
+    bit for bit, without the other rows: each response is zero-padded to the longest
+    of its source's, so each row is convolved on the ``Blocks`` layout of its stack,
+    and the two on two threads at once."""
+    def row(irs, x):
+        return _convolved((np.pad(irs[-1], (0, max(map(len, irs)) - len(irs[-1]))),), x)[0]
+
+    return thread_map(row, (scene.ir_speech, scene.ir_noise), (speech, noise))
+
+
+def _responses(scene: Scene) -> np.ndarray:
+    """The (2, K+1, Lir) responses of the speech, then of the noise, at each microphone,
+    zero-padded to the longest, Lir taps."""
+    h = np.zeros((2, scene.K + 1, max(map(len, (*scene.ir_speech, *scene.ir_noise)))))
+    for rows, irs in zip(h, (scene.ir_speech, scene.ir_noise)):
+        for row, ir in zip(rows, irs):
+            row[: len(ir)] = ir
+    return h
 
 
 def _convolved(irs, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -29,10 +29,11 @@ The design reads the inputs only through the correlations of the
 filtered references r_c = g * x_c (S = G' Phi_xx G, G' Phi_xx q and
 q' Phi_xx q) and the constraint only through G'H and H'q.
 ``DesignContext.from_correlations``, which ``ssanc design`` and ``ssanc
-sweep`` use once they have freed the signals, takes them from the
-signals' lag correlations (``_filtered_correlations``) and the ReIRs'
-convolutions with g, so neither the ((K+1) L)^2 matrix Phi_xx nor H is
-ever formed.  The dense route (``input_frames``,
+sweep`` use, takes them from the inputs' lag products and their first
+and last L-1 samples (``_filtered_correlations``), which those commands
+take from the two sources and the scene's responses without rendering
+a microphone stack, and from the ReIRs' convolutions with g, so neither
+the ((K+1) L)^2 matrix Phi_xx nor H is ever formed.  The dense route (``input_frames``,
 ``estimate_autocorrelation``, ``build_constraint``,
 ``DesignContext.from_dense``, ``design_control_filter``) builds both and
 is the oracle the signals route is tested against.
@@ -139,7 +140,7 @@ def estimate_autocorrelation(frames: InputFrames) -> np.ndarray:
     at the one-tap secondary path g = [1] (r = x, Lw = L).  No frame is formed, and the
     result is exactly symmetric as computed.
     """
-    return _filtered_correlations(frames.channels, np.ones(1), frames.L)[0]
+    return _filtered_correlations(*_stack_products(frames.channels, frames.L), np.ones(1), frames.L)[0]
 
 
 def _constraint_matrix(reirs: ReIRSet, L: int) -> np.ndarray:
@@ -313,8 +314,7 @@ class DesignContext:
         """The design of (K+1, Lw) filters from the S, phi and power of the observed
         signals (``_filtered_correlations``), of which it consumes S: A comes from the
         ReIRs (``_projected_constraint``), and H'q is the error microphone's ReIR.
-        Neither Phi_xx nor H is formed, and no signal is read, so a caller frees its
-        signals before the factorization."""
+        Neither Phi_xx nor H is formed, and no signal is read."""
         g = np.asarray(g, dtype=float).ravel()
         Hq = np.concatenate([reirs.h[-1], np.zeros(g.shape[0] + Lw - 2)])
         rhs = np.empty((phi.shape[0], Hq.shape[0] + 1))  # [A, phi], with no second copy of A
@@ -409,43 +409,50 @@ class DesignContext:
 _DesignContext = DesignContext.from_dense
 
 
-def _filtered_correlations(x: np.ndarray, g: np.ndarray, Lw: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _filtered_correlations(c, head, tail, N: int, g: np.ndarray, Lw: int) -> tuple[np.ndarray, np.ndarray, float]:
     """S, phi and power of ``DesignContext.from_correlations``: the means of r(n) r(n)',
     r(n) p(n) and p(n)^2 over the frames n = L-1 .. N-1, for the filtered
     references r_c = g * x_c from rest, r(n) their stacked Lw-sample
-    histories, and the primary signal p = x_K.
+    histories, and the primary signal p = x_K, of a (C, N) stack x read
+    only through its lag products c_ab(j) = sum_n x_a(n) x_b(n-j) over
+    all n, j < L, and its first (head) and last (tail) L-1 samples: the
+    design takes them from the sources (``convmat._FilteredEnergy``), the
+    dense oracle from the stack (``_stack_products``).
 
-    r is never formed.  One ``lagged_products`` pass over x gives its
-    correlations c_ab(k) over all n, and with gamma the autocorrelation
-    of g, r_a(n) r_b(n-j) sums over all n to sum_k gamma(k) c_ab(j-k).
-    Outside the frames, r is read only before n = L-1 and after n = N-Lw,
-    and those samples come from the first and last L-1 samples of x:
-    their products are subtracted from the first rows of S, and the rest
-    of S follows along its diagonals (``frames_from_first_rows``).  phi
-    is sum_m g(m) c_Kc(j+m) less the same head; p is zero past N - 1.
-    At g = [1], S is the dense oracle's Phi_xx (``estimate_autocorrelation``).
+    r is never formed: with gamma the autocorrelation of g, r_a(n) r_b(n-j)
+    sums over all n to sum_k gamma(k) c_ab(j-k).  Outside the frames, r is
+    read only before n = L-1 and after n = N-Lw, from the head and the
+    tail: their products are subtracted from the first rows of S, and the
+    rest of S follows along its diagonals (``frames_from_first_rows``).
+    phi is sum_m g(m) c_Kc(j+m) less the same head, and power is c_KK(0)
+    less the head's.  At g = [1], S is the dense oracle's Phi_xx
+    (``estimate_autocorrelation``).
     """
-    C, N = x.shape
-    Lg = g.shape[0]
+    C, Lg = c.shape[0], g.shape[0]
     L = Lg + Lw - 1
-    if N < L:
-        raise ValueError(f"signal length {N} shorter than frame history {L}")
-    c = lagged_products(x, x, L)
     lags = np.concatenate([c.transpose(1, 0, 2)[:, :, Lg - 1 : 0 : -1], c], axis=-1)  # -(Lg-1) .. L-1
     full = np.lib.stride_tricks.sliding_window_view(lags, 2 * Lg - 1, axis=-1) @ np.correlate(g, g, "full")
     # r(n) for n < L-1 (head) and for N-Lw < n < N+Lg-1 (tail), each from L-1 samples of x
     nfft = next_fast_len(L + Lg - 1)
-    ends = np.fft.rfft(np.stack([x[:, : L - 1], x[:, N - L + 1 :]]), nfft) * np.fft.rfft(g, nfft)
-    ends = np.fft.irfft(ends, nfft)
-    head, tail = ends[0, :, : L - 1], ends[1, :, Lg - 1 : L + Lg - 2]
-    first = full - edge_products(head, head, 0, Lw) - edge_products(tail, tail, Lw - 1, Lw)
-    S = frames_from_first_rows(first, head[:, ::-1][:, : Lw - 1], tail[:, : Lw - 1][:, ::-1])
+    ends = np.fft.irfft(np.fft.rfft(np.stack([head, tail]), nfft) * np.fft.rfft(g, nfft), nfft)
+    r_head, r_tail = ends[0, :, : L - 1], ends[1, :, Lg - 1 : L + Lg - 2]
+    first = full - edge_products(r_head, r_head, 0, Lw) - edge_products(r_tail, r_tail, Lw - 1, Lw)
+    S = frames_from_first_rows(first, r_head[:, ::-1][:, : Lw - 1], r_tail[:, : Lw - 1][:, ::-1])
     phi = np.lib.stride_tricks.sliding_window_view(c[-1], Lg, axis=-1) @ g
-    phi -= edge_products(x[-1:, : L - 1], head, 0, Lw)[0]
+    phi -= edge_products(head[-1:], r_head, 0, Lw)[0]
     frames = N - L + 1
     S = S.reshape(C * Lw, C * Lw)
     S /= frames
-    return S, phi.reshape(C * Lw) / frames, float(np.vdot(x[-1, L - 1 :], x[-1, L - 1 :])) / frames
+    return S, phi.reshape(C * Lw) / frames, float(c[-1, -1, 0] - np.vdot(head[-1], head[-1])) / frames
+
+
+def _stack_products(x: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The inputs of ``_filtered_correlations`` read off a (C, N) stack x itself: one
+    ``lagged_products`` pass over x, its first and last L-1 samples, and N."""
+    N = x.shape[1]
+    if N < L:
+        raise ValueError(f"signal length {N} shorter than frame history {L}")
+    return lagged_products(x, x, L), x[:, : L - 1], x[:, N - L + 1 :], N
 
 
 def design_control_filter(

@@ -6,20 +6,21 @@ simulate it on the rendered microphone signals and collect the metric
 row.  Results go to CSV with a fixed column order.
 
 The speech and noise sources are independent until their SNR scaling,
-so every command draws (or loads) and renders the two at once, the
+so every command draws (or loads) and convolves the two at once, the
 speech on the calling thread and the noise on another
 (``threads.thread_map``).
 
-The microphone stacks are needed only for the design's correlations,
-so ``ssanc design`` and ``ssanc sweep`` free them before the design
-factorizes.  Only the target vector depends on the delay.  A sweep
+``ssanc design`` and ``ssanc sweep`` render no microphone stack: the
+design reads the stacks only through lag correlations, which follow
+from the two sources' lag correlations, taken once, and the scene's
+responses.  Only the target vector depends on the delay.  A sweep
 therefore stacks the target vectors of its delays and designs their
 filters in a few multi-right-hand-side solves.  Each delay's row is
-then one task, ``metrics._RowScores``, which reads the two sources
-alone: NR, SDI and control effort are quadratic forms in the responses
-the filter gives the drive and the error microphone, over the sources'
-lag correlations taken once, and only the error signal is simulated,
-for the quality proxy, from the sources' block spectra also taken once.
+then one task, ``metrics._RowScores``, which reads the same source
+correlations: NR, SDI and control effort are quadratic forms in the
+responses the filter gives the drive and the error microphone, and only
+the error signal is simulated, for the quality proxy, from the sources'
+block spectra taken once.
 The tasks are numpy transforms and ufuncs that release the GIL, so they
 run on one thread per CPU, by the same ``thread_map``, after the sweep
 has freed the design.
@@ -50,11 +51,13 @@ import numpy as np
 from ssanc import signals, wavio
 from ssanc.convmat import _TRIANGULAR_BLOCK, Blocks, build_conv_matrix, build_q, next_fast_len, per_channel
 from ssanc.metrics import (
-    _QUALITY_BLOCK, QUALITY_FRAME, _RowScores, control_effort, noise_reduction, quality_proxy, speech_distortion_index,
+    _QUALITY_BLOCK, QUALITY_FRAME, _FilteredEnergy, _lag_span, _RowScores, control_effort, noise_reduction,
+    quality_proxy, speech_distortion_index,
 )
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
-    ConfigError, MicSignals, Scene, default_ir_len, integer, load_scene_wav, render_with_gain, synth_scene,
+    ConfigError, MicSignals, Scene, _error_rows, _responses, default_ir_len, integer, load_scene_wav, render_mics,
+    snr_gain, synth_scene,
 )
 from ssanc.simulate import apply_control, export_run_wavs
 from ssanc.solver import (
@@ -399,96 +402,84 @@ def _memory_need(
     config: SweepConfig, K: int, n: int, design: bool, sim_taps: int | None, ir_len: int, workers: int = 1
 ) -> int:
     """Bytes a command holds at most for K + 1 microphones, n-sample signals and
-    scene responses of at most ir_len taps.
+    scene responses of at most ir_len taps: the largest of its phases.
 
-    Every command draws the two n-sample sources, about three n-sample
-    arrays each (``signals.speech_shaped_noise``), and renders the
-    (K+1, n) speech and noise stacks from them, each on its own thread:
-    it holds both stacks, both sources and either, per thread, one
-    chunk of overlap-save temporaries in the ``convmat.Blocks`` layout
-    of the longest response (the block spectra, their product with one
-    response, its inverse transform and, at the edges, a copied span:
-    four arrays of a chunk's samples) or, while the SNR is set, the
-    square of one error-microphone row.  A design (``design``, ``sweep``) never forms
-    Phi_xx or H, and no stack outlives its correlations: it forms the
-    observed stack x = s + v in s's place and frees v, and a sweep then
-    stacks its two sources into one (2, n) array.  While it correlates
-    x it holds x, the sweep's sources, and either the temporaries of one
-    chunk of ``lagged_products`` (``per_chunk`` blocks of ``nfft``
-    samples per channel in its ``convmat.Blocks`` layout: the block
-    spectra of both operands and, at the edges, a copied span of them,
-    about three and a half (K+1)-channel arrays of a chunk's samples) or
-    S, ((K+1) Lw)^2 floats.  While it factorizes (``DesignContext``) x
-    is freed, and it holds the matrices of ``_design_bytes``, each
-    factorized or substituted in its own place (no copy, no LU factor
-    and no A), and one panel of the blocked Cholesky factorization of
-    M0 + rho I, ``_TRIANGULAR_BLOCK`` x F floats; or, as it solves,
-    about three vectors of (K+1) Lw and three of F floats per target
-    vector, one for ``design`` and ``_SOLVE_BATCH`` at most for
-    ``sweep``, which keeps every delay's filter.  The ReIR fit holds
-    less: one n-sample white source, one channel's correlation chunk and
-    at most 8 MB of lag windows (``reir._WINDOW_FLOATS``).
-    A simulation of sim_taps-tap filters (``convmat.Blocks``) holds one
-    chunk of block spectra at a time.  ``simulate`` takes those of both
-    stacks, next to them and the four n-sample signals it fills (y, e_s,
+    Every command draws its two n-sample sources at once, on two threads,
+    about three n-sample arrays each (``signals.speech_shaped_noise``).
+    Each convolution of a source, on the ``convmat.Blocks`` layout of its
+    longest response, holds per thread one chunk of overlap-save
+    temporaries (the block spectra, their product with one response, its
+    inverse transform and, at the edges, a copied span: four arrays of a
+    chunk's samples).  A design (``design``, ``sweep``) renders no
+    microphone stack and never forms Phi_xx or H.  It convolves the error
+    microphone's two rows alone, for the SNR gain, next to both sources.
+    Next to the sources it then takes their lag correlations over P lags
+    (``metrics._lag_span``), P floats per channel pair, with one chunk of
+    ``lagged_products``' temporaries, and forms them as eight complex
+    values per bin of an nfft >= 2P - 1 point grid, with three times four
+    while it does; from those it takes S, ((K+1) Lw)^2 floats, with two
+    (K+1)^2 arrays of the grid's bins.  A design alone then frees the
+    sources, a sweep keeps them and their correlations.  The ReIR fit
+    holds less.  While it factorizes (``DesignContext``) it holds the
+    matrices of ``_design_bytes``, each factorized or substituted in its
+    own place (no copy, no LU factor and no A), and one panel of the
+    blocked Cholesky factorization of M0 + rho I, ``_TRIANGULAR_BLOCK`` x
+    F floats; or, as it solves, about three vectors of (K+1) Lw and three
+    of F floats per target vector, one for ``design`` and ``_SOLVE_BATCH``
+    at most for ``sweep``, which keeps every delay's filter.
+    A simulation of sim_taps-tap filters renders the (K+1, n) speech and
+    noise stacks, each on its own thread, next to both sources.
+    ``simulate`` then takes one chunk of block spectra of both stacks at a
+    time, next to them and the four n-sample signals it fills (y, e_s,
     e_v, then t).  It then frees the stacks: the error signal e and the
     quality proxy's three (``_QUALITY_BLOCK``, ``QUALITY_FRAME``) frame
     batches sit on top of the four signals, and the SDI's one n-sample
-    difference comes and goes before e.  ``sweep`` keeps its sources
-    and filters, frees the design after its solve and scores from the
-    sources alone (``metrics._RowScores``).  It takes their lag
-    correlations over P lags, those of the longest filter it scores:
-    the response f a filter gives the error microphone, sim_taps + Lg +
-    ir_len - 2 taps, or the target's response delayed by the last
-    delay.  It holds them, P floats per channel pair, next to one chunk
-    of ``lagged_products``' temporaries for the two sources, and then
-    forms them as four complex values per bin of an nfft >= 2P - 1 point
-    grid and two more for the sources' last P - 1 samples, with three
-    times the four while it does.  Next to those it takes the spectra of
-    the scene's 2 (K+1) responses and of g on that grid, the block
-    spectra of both sources in the layout of f and one copy of the
-    target microphone's speech row led by the last delay's zeros, and
-    frees the sources.  Each of its ``workers`` threads then holds the e
-    of one delay and either one chunk of e's spectra and their inverse
-    transform or the quality proxy's three frame batches.  A command
-    needs the largest of its phases, not their sum; it is refused only
-    if that does not fit on one thread, and a sweep starts as many as
-    fit (``_workers``).
+    difference comes and goes before e.  ``sweep`` frees the design after
+    its solve and scores from the sources alone (``metrics._RowScores``):
+    next to its filters and the sources' correlations it takes the
+    spectra of the scene's 2 (K+1) responses and of g on their grid, the
+    block spectra of both sources in the layout of the response f a
+    filter gives the error microphone, sim_taps + Lg + ir_len - 2 taps,
+    and one copy of the target microphone's speech row led by the last
+    delay's zeros, and frees the sources.  Each of its ``workers`` threads
+    then holds the e of one delay and either one chunk of e's spectra and
+    their inverse transform or the quality proxy's three frame batches.
+    A command is refused only if its need on one thread does not fit, and
+    a sweep starts as many threads as fit (``_workers``).
     """
     C = K + 1
     stack, sources = 8 * C * n, 16 * n
     render = Blocks(n, ir_len - 1)
-    phases = [2 * stack + sources + max(8 * n, 2 * 32 * render.per_chunk * render.nfft)]
+    temporaries = 2 * 32 * render.per_chunk * render.nfft  # one chunk of a convolution's, on each of two threads
+    phases = [3 * sources]
+    if not design:
+        phases.append(2 * stack + sources + temporaries)
     sweep = design and sim_taps is not None
     filters = 8 * C * config.Lw * len(config.deltas()) if sweep else 0
     kept = sources if sweep else 0
+    last = config.delta_range[1]
+    P = ir_len - 1 + max(config.Lg + config.Lw - 1, last + 1)
+    bins = next_fast_len(2 * P - 1) // 2 + 1
+    correlations = 16 * 8 * bins
     if design:
         dim, F = C * config.Lw, config.Lh + config.Lg + config.Lw - 2
         targets = min(len(config.deltas()), _SOLVE_BATCH) if sweep else 1
-        blocks = Blocks(n, config.Lg + config.Lw - 2)
-        chunk = blocks.per_chunk * blocks.nfft
+        lags = Blocks(n, min(P, n) - 1)
         phases += [
-            stack + 2 * kept,
-            stack + kept + max(8 * dim**2, 28 * C * chunk),
+            2 * sources + temporaries,
+            sources + 8 * 4 * P + max(16 * 12 * bins, 8 * 4 * 2 * lags.per_chunk * lags.nfft),
+            sources + correlations + 8 * dim**2 + 16 * 2 * C**2 * bins,
             kept + _design_bytes(config, K) + max(8 * _TRIANGULAR_BLOCK * F, 24 * targets * (dim + F) + filters),
         ]
     if sim_taps is not None:
         if sweep:
-            last = config.delta_range[1]
             taps = sim_taps + config.Lg + ir_len - 2  # those of f
-            P = max(taps, last + ir_len)
-            bins = next_fast_len(2 * P - 1) // 2 + 1
-            lags = Blocks(n, min(P, n) - 1)
             blocks = Blocks(n, taps - 1)
             spectra = 16 * 2 * blocks.count * (blocks.nfft // 2 + 1)
-            held = filters + 16 * (6 + 2 * C + 1) * bins + spectra + 8 * (n + last)
+            held = filters + correlations + 16 * (2 * C + 1) * bins + spectra + 8 * (n + last)
             chunk = blocks.per_chunk * blocks.nfft
             per_worker = 8 * n + max(16 * chunk, 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME)
-            phases += [
-                sources + filters + 8 * 4 * P + max(16 * 12 * bins, 8 * 4 * 2 * lags.per_chunk * lags.nfft),
-                sources + held,
-                held + workers * per_worker,
-            ]
+            phases += [sources + held, held + workers * per_worker]
         else:
             blocks = Blocks(n, sim_taps + config.Lg - 2)
             chunk = 16 * C * blocks.per_chunk * (blocks.nfft // 2 + 1)  # one chunk of one stack's block spectra
@@ -523,16 +514,15 @@ def _load_source(path, config: SweepConfig, n: int) -> np.ndarray:
     return data
 
 
-def _render_sources(config: SweepConfig, scene: Scene, n: int) -> tuple[MicSignals, np.ndarray, np.ndarray]:
-    """The scene's microphone signals at the configured SNR and the two sources they
-    were rendered from: the speech and the noise at the gain that sets the SNR.
+def _draw_sources(config: SweepConfig, scene: Scene, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The speech and noise sources of the scene, before the SNR gain.
 
     Speech uses the config seed and noise seed+1 (synthetic scene tails
     use seed+3).  The two sources are drawn or loaded at once, the
     speech on the calling thread and the noise on another
-    (``threads.thread_map``), and ``render_mics`` convolves them the
-    same way.  A WAV source shorter than n samples shortens both, and
-    its length is checked by the same rules against the scene.
+    (``threads.thread_map``).  A WAV source shorter than n samples
+    shortens both, and its length is checked by the same rules against
+    the scene.
     """
     def source(path, seed) -> np.ndarray:
         return _load_source(path, config, n) if path else signals.speech_shaped_noise(n, config.fs, seed)
@@ -541,10 +531,7 @@ def _render_sources(config: SweepConfig, scene: Scene, n: int) -> tuple[MicSigna
     m = min(speech.shape[0], noise.shape[0])
     if m < n:
         _check_signal_length(config, m, max(map(len, (*scene.ir_speech, *scene.ir_noise))))
-    speech, noise = speech[:m], noise[:m]
-    mics, gain = render_with_gain(scene, speech, noise, config.snr_db)
-    noise *= gain
-    return mics, speech, noise
+    return speech[:m], noise[:m]
 
 
 def prepare_scene(config: SweepConfig, simulate: bool = True) -> PreparedScene:
@@ -553,14 +540,14 @@ def prepare_scene(config: SweepConfig, simulate: bool = True) -> PreparedScene:
     Everything a design and, unless ``simulate`` is false, a simulation
     of the configured filter length needs is refused before any source
     is drawn (``_checked_scene``).  The speech and noise sources are
-    drawn and rendered on two threads at once (``_render_sources``).  The ReIRs
+    drawn and rendered on two threads at once (``render_mics``).  The ReIRs
     are fitted to the speech responses' response to white noise with its
     own seed, seed+2, so they do not change the microphone signals; the
     noise is read through its correlations and never rendered
     (``estimate_reirs``).
     """
     scene, n = _checked_scene(config, design=True, sim_taps=config.Lw if simulate else None)
-    mics = _render_sources(config, scene, n)[0]
+    mics = render_mics(scene, *_draw_sources(config, scene, n), config.snr_db)
     reirs = _reirs(config, scene, mics.N)
     return PreparedScene(scene=scene, mics=mics, reirs=reirs, psi=_psi(config), L=config.Lg + config.Lw - 1)
 
@@ -597,16 +584,16 @@ def _fit_secondary(g, Lg: int) -> np.ndarray:
 class PreparedDesign:
     """What a design leaves next to its ``DesignContext``: the scene, ReIRs, target
     weighting and frame history of ``PreparedScene``, without the microphone stacks,
-    the noise energy at the error microphone and, for a sweep (None for a design
-    alone), the (2, N) stack of its speech and noise sources (``_render_sources``),
-    which its rows are scored from (``metrics._RowScores``)."""
+    and, for a sweep (None for a design alone), the (2, N) stack of its speech and
+    noise sources and their lag correlations (``convmat._FilteredEnergy``), which its
+    rows are scored from (``metrics._RowScores``)."""
 
     scene: Scene
     reirs: ReIRSet
     psi: np.ndarray
     L: int
-    noise_energy: float
     sources: np.ndarray | None
+    energy: _FilteredEnergy | None
 
 
 def _prepare_design(config: SweepConfig, simulate: bool = True) -> tuple[PreparedDesign, DesignContext]:
@@ -615,27 +602,35 @@ def _prepare_design(config: SweepConfig, simulate: bool = True) -> tuple[Prepare
     ``run_sweep`` and ``ssanc design`` (which does not simulate) both
     start here; ``ctx.solve`` then designs the filter for one target
     vector.  The design is taken from the signals' correlations
-    (``DesignContext.from_correlations``): no Phi_xx and no H is formed.
-    The microphone stacks live only until those correlations are taken:
-    the observed stack x = s + v is formed in s's place, v is freed
-    first, x once S, phi and power are taken, so no (K+1, N) array is
-    held while the ReIRs are fitted or the design factorizes.  A sweep
-    (``simulate``) keeps the two sources its rows are scored from.
+    (``DesignContext.from_correlations``): no Phi_xx and no H is formed,
+    and no microphone stack is rendered.  The observed stack is read only
+    through its lag products and its first and last L-1 samples
+    (``_filtered_correlations``), and those follow from the two sources
+    through the scene's responses: one ``lagged_products`` pass over the
+    sources (``convmat._FilteredEnergy``), over the lags the sweep's
+    scores read too (``metrics._lag_span``), gives them.  The SNR gain
+    comes from the error microphone's two rows alone (``scene._error_rows``).
+    A sweep (``simulate``) keeps the sources and their correlations for its
+    rows; a design alone frees them before the ReIRs are fitted.
     """
     scene, n = _checked_scene(config, design=True, sim_taps=config.Lw if simulate else None)
     psi = _psi(config)  # first, while little is held: its transforms are 2^17 points on paper_scale
-    mics, speech, noise = _render_sources(config, scene, n)
-    N, x, v, noise_energy = mics.N, mics.s, mics.v, float(np.vdot(mics.p_v, mics.p_v))
-    del mics
-    x += v
-    del v
-    sources = np.stack([speech, noise]) if simulate else None
+    L = config.Lg + config.Lw - 1
+    speech, noise = _draw_sources(config, scene, n)
+    # the SNR gain of render_mics, from the error microphone's two rows alone
+    noise *= snr_gain(*_error_rows(scene, speech, noise), config.snr_db)
+    sources = np.stack([speech, noise])
     del speech, noise
-    S, phi, power = _filtered_correlations(x, scene.g, config.Lw)
-    del x
+    N = sources.shape[1]
+    energy = _FilteredEnergy(sources, _lag_span(scene, L, config.deltas()[-1]))
+    # each microphone's responses to the two sources, (K+1, 2) spectra on the energy's grid
+    H = np.fft.rfft(_responses(scene), energy.nfft).transpose(1, 0, 2)
+    S, phi, power = _filtered_correlations(*energy.products(H, L), scene.g, config.Lw)
+    if not simulate:
+        sources = energy = None
     prep = PreparedDesign(
-        scene=scene, reirs=_reirs(config, scene, N), psi=psi, L=config.Lg + config.Lw - 1,
-        noise_energy=noise_energy, sources=sources,
+        scene=scene, reirs=_reirs(config, scene, N), psi=psi, L=L,
+        sources=sources, energy=energy,
     )
     params = DesignParams(beta_div=config.beta_div, rho_div=config.rho_div)
     return prep, DesignContext.from_correlations(S, phi, power, scene.g, prep.reirs, params, config.Lw)
@@ -662,21 +657,21 @@ def _failed(delta: int, exc: Exception) -> SweepRow:
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Design and score one filter per delay in the configured range.
 
-    The scene rendering, ReIR estimation, the design's correlations, all
-    delay-independent factorizations, the sources' lag correlations and
-    block spectra are shared across the sweep, and the filters come from
-    batched solves of ``_SOLVE_BATCH`` delays each.  Each delay is then
-    one task, ``metrics._RowScores``: NR, SDI and effort are quadratic
-    forms in the responses the filter gives the drive and the error
-    microphone, over the lag correlations of the two sources, and only
+    The sources, ReIR estimation, all delay-independent factorizations,
+    the sources' lag correlations, which the design's statistics are
+    taken from too, and their block spectra are shared across the sweep,
+    and the filters come from batched solves of ``_SOLVE_BATCH`` delays
+    each.  Each delay is then one task, ``metrics._RowScores``: NR, SDI
+    and effort are quadratic forms in the responses the filter gives the
+    drive and the error microphone, over those lag correlations, and only
     the error signal is simulated, for the quality proxy, on the
-    ``convmat.Blocks`` layout of those responses.  No microphone stack
-    outlives the design's correlations (``_prepare_design``), and the
-    sweep frees the factorized design before it scores; the tasks, numpy
-    transforms that release the GIL, then run on ``_workers`` threads,
-    the calling thread one of them (``threads.thread_map``), and the
-    rows come back in delay order, agreeing with ``apply_control`` and
-    ``evaluate_run`` up to rounding whatever the number of threads.
+    ``convmat.Blocks`` layout of those responses.  No microphone stack is
+    rendered (``_prepare_design``), and the sweep frees the factorized
+    design before it scores; the tasks, numpy transforms that release
+    the GIL, then run on ``_workers`` threads, the calling thread one of
+    them (``threads.thread_map``), and the rows come back in delay
+    order, agreeing with ``apply_control`` and ``evaluate_run`` up to
+    rounding whatever the number of threads.
     A numeric failure at one delay yields an error row and the sweep
     continues; any other exception propagates.
     """
@@ -694,7 +689,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     ir_len = max(map(len, (*scene.ir_speech, *scene.ir_noise)))
     workers = _workers(config, scene.K, prep.sources.shape[1], ir_len)
     mic = target_mic(config.target_kind, scene.spatial_ref)
-    score = _RowScores(prep.sources, scene, config.Lw, deltas[-1], mic, prep.noise_energy)
+    score = _RowScores(prep.energy, prep.sources, scene, config.Lw, deltas[-1], mic)
     del prep  # the sources: _RowScores keeps only their spectra and correlations
 
     def row(delta: int, res) -> SweepRow:
@@ -819,7 +814,7 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(
             f"filter {args.filter} has {w.shape[0] - 1} reference channels, the scene has {scene.K}"
         )
-    mics = _render_sources(config, scene, n)[0]
+    mics = render_mics(scene, *_draw_sources(config, scene, n), config.snr_db)
     run = apply_control(
         w, mics, scene.g,
         target_kind=config.target_kind, delta=args.delta, spatial_ref=scene.spatial_ref,

@@ -4,7 +4,7 @@ import pytest
 from ssanc.convmat import (
     Blocks, build_conv_matrix, build_q, lagged_products, next_fast_len, overlap_blocks, per_channel,
 )
-from ssanc.solver import _filtered_correlations
+from ssanc.solver import _filtered_correlations, _stack_products
 
 
 def conv_direct(h, x):
@@ -151,7 +151,7 @@ def test_lagged_products_matches_direct_sum(L, N, blocks):
     assert Blocks(N, L - 1).count == blocks  # the case reaches the layout it names
     x = np.random.default_rng(L * 7919 + N).standard_normal((2, N))
     want = lagged_direct(x, x, L)
-    got = _filtered_correlations(x, np.ones(1), L)[0].reshape(2, L, 2, L)[:, 0] * (N - L + 1)
+    got = _filtered_correlations(*_stack_products(x, L), np.ones(1), L)[0].reshape(2, L, 2, L)[:, 0] * (N - L + 1)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

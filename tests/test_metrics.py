@@ -8,6 +8,7 @@ from ssanc.metrics import (
     SDI_FLOOR_DB,
     MetricBundle,
     _FilteredEnergy,
+    _lag_span,
     _RowScores,
     control_effort,
     evaluate_run,
@@ -251,15 +252,20 @@ def test_row_scores_keep_the_metric_semantics():
     sources = rng.standard_normal((2, 1024))
     mics = render_mics(scene, *sources)
     w = np.zeros((3, 5))
-    score = _RowScores(sources, scene, 5, 6, -1, float(np.vdot(mics.p_v, mics.p_v)))
+
+    def scores(sources, scene, mic):
+        """The scores of 5-tap filters up to delay 6, from the sources' correlations over the lags they read."""
+        return _RowScores(_FilteredEnergy(sources, _lag_span(scene, 7, 6)), sources, scene, 5, 6, mic)
+
+    score = scores(sources, scene, -1)
     row = score(w, 0)
     assert isinstance(row, MetricBundle)
     assert row.nr_db == pytest.approx(0.0, abs=1e-9)
     assert row.sdi_db == SDI_FLOOR_DB
     assert row.effort == 0.0
     assert row.quality_db == pytest.approx(quality_proxy(mics.p_s, mics.p_s + mics.p_v), rel=1e-12)
-    quiet = _RowScores(np.stack([sources[0], np.zeros(1024)]), scene, 5, 6, -1, 0.0)
+    quiet = scores(np.stack([sources[0], np.zeros(1024)]), scene, -1)
     assert quiet(w, 0).nr_db == float("inf")
     silent = replace(scene, ir_speech=(np.zeros(4), *speech_irs[1:]))
     with pytest.raises(ValueError, match="zero energy"):
-        _RowScores(sources, silent, 5, 6, 0, 1.0)(w, 0)
+        scores(sources, silent, 0)(w, 0)

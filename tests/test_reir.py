@@ -103,25 +103,6 @@ def test_structural_estimate_matches_explicit_frames_on_reverberant_scene():
     np.testing.assert_allclose(reirs.residuals, residuals, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("window_floats", [1, 1000])
-def test_fit_reading_its_windows_in_parts_matches_one_product(monkeypatch, window_floats):
-    """The fit reads its lag windows ``_WINDOW_FLOATS`` at a time, so long
-    responses need no Lh (2 Lir - 1) copy; one window per product, or a few
-    with a shorter last part, give the taps and residuals of one product."""
-    import ssanc.reir as reir
-
-    scene = synth_scene(
-        K=3, speech_delays=[2, 5, 9, 6], noise_delays=[4, 1, 3, 2],
-        gains=[(1.0, 0.5), (0.8, 1.0), (0.5, 0.7), (0.6, 0.9)],
-        sec_delay=1, sec_ir_len=8, fs=16000, seed=0, tail_amp=0.3, tail_decay=12.0,
-    )
-    whole = estimate_from_scene(scene, Lh=23)
-    monkeypatch.setattr(reir, "_WINDOW_FLOATS", window_floats)
-    parts = estimate_from_scene(scene, Lh=23)
-    assert np.max(np.abs(parts.h - whole.h)) <= 1e-13 * np.max(np.abs(whole.h))
-    np.testing.assert_allclose(parts.residuals, whole.residuals, rtol=0, atol=1e-14)
-
-
 def test_rejects_a_source_too_short_for_the_fit():
     scene = pure_delay_scene()
     with pytest.raises(ValueError, match="need N >> Lh"):

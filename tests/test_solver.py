@@ -22,6 +22,7 @@ from ssanc.solver import (
     _filtered_correlations,
     _lanczos_max,
     _projected_constraint,
+    _stack_products,
     build_constraint,
     design_control_filter,
     estimate_autocorrelation,
@@ -160,7 +161,7 @@ def test_signals_statistics_equal_the_projected_frame_product(K, Lw, Lg, Lh, N):
     mics = random_mics(K, N, seed=N + Lg)
     g = rng.standard_normal(Lg)
     reirs = ReIRSet(h=rng.standard_normal((K + 1, Lh)), spatial_ref=0)
-    S, phi, power = _filtered_correlations(mics.s + mics.v, g, Lw)
+    S, phi, power = _filtered_correlations(*_stack_products(mics.s + mics.v, Lg + Lw - 1), g, Lw)
     ctx = DesignContext.from_correlations(S.copy(), phi, power, g, reirs, DesignParams(), Lw)  # it consumes S
     L = Lg + Lw - 1
     X = stacked_frames(mics.s + mics.v, L)
@@ -183,7 +184,7 @@ def test_signals_statistics_equal_the_projected_frame_product(K, Lw, Lg, Lh, N):
 def test_signals_design_rejects_short_signals():
     mics = random_mics(1, 4, 0)
     with pytest.raises(ValueError, match="shorter than frame history"):
-        _filtered_correlations(mics.s + mics.v, np.ones(3), 3)
+        _filtered_correlations(*_stack_products(mics.s + mics.v, 5), np.ones(3), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +413,7 @@ def test_paper_scale_design_equals_the_dense_closed_form():
     config = SweepConfig.from_json(Path(__file__).parents[1] / "configs" / "paper_scale.json")
     prep, ctx = _prepare_design(config, simulate=False)
     mics = prepare_scene(config, simulate=False).mics  # the stacks the design frees
-    S, phi, _ = _filtered_correlations(mics.s + mics.v, prep.scene.g, config.Lw)
+    S, phi, _ = _filtered_correlations(*_stack_products(mics.s + mics.v, prep.L), prep.scene.g, config.Lw)
     A = _projected_constraint(prep.reirs, prep.scene.g, config.Lw)
     Hq = np.concatenate([prep.reirs.h[-1], np.zeros(prep.L - 1)])
     deltas = config.deltas()
@@ -552,7 +553,7 @@ def test_lanczos_top_of_the_paper_scale_design(seed):
     config = replace(SweepConfig.from_json(Path(__file__).parents[1] / "configs" / "paper_scale.json"), seed=seed)
     prep, ctx = _prepare_design(config, simulate=False)
     mics = prepare_scene(config, simulate=False).mics  # the stacks the design frees
-    assert_lanczos_top(_filtered_correlations(mics.s + mics.v, prep.scene.g, config.Lw)[0])
+    assert_lanczos_top(_filtered_correlations(*_stack_products(mics.s + mics.v, prep.L), prep.scene.g, config.Lw)[0])
     M0 = ctx.YA.T @ ctx.YA  # A' Phi_rr^-1 A from the context's Lc^-1 A
     assert_lanczos_top((M0 + M0.T) / 2.0)
 
