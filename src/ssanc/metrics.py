@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ssanc.convmat import Blocks, _FilteredEnergy
-from ssanc.scene import MicSignals, Scene, _convolved, _responses
+from ssanc.scene import MicSignals, Scene, _led_speech_row, _responses
 from ssanc.simulate import RunResult
 
 SDI_FLOOR_DB = -120.0
@@ -170,8 +170,9 @@ class _RowScores:
     is e = sum f * source, from the sources' block spectra in the
     ``convmat.Blocks`` layout of f, taken once; each delay's target is a
     view of one zero-led copy of the target microphone's speech row,
-    rendered as ``render_mics`` renders it.  NR divides the energy of
-    the error microphone's noise, h_K on the noise, by e_v's.
+    rendered as ``render_mics`` renders it (``scene._led_speech_row``), as
+    ``simulate.simulate_sources`` renders its target.  NR divides the
+    energy of the error microphone's noise, h_K on the noise, by e_v's.
     """
 
     def __init__(self, energy: _FilteredEnergy, sources: np.ndarray, scene: Scene, Lw: int, last_delta: int, mic: int):
@@ -186,9 +187,7 @@ class _RowScores:
         self.X = self.blocks.all_spectra(sources)
         self.mic, self.last_delta = mic, last_delta
         self.noise_energy = float(energy(np.stack([np.zeros_like(self.G), self.H[1, -1]])))
-        self.target = np.zeros(last_delta + N)
-        speech_len = max(map(len, scene.ir_speech))
-        _convolved((h[0, mic, :speech_len],), sources[0], out=self.target[None, last_delta:])
+        self.target = _led_speech_row(scene, sources[0], mic, last_delta)
 
     def responses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The spectra of d and f of filter w on the energy's grid, a row per source:

@@ -264,7 +264,10 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
     spectra are taken once and shared by all K+1 microphones.  The two
     sources are independent, so they are convolved at once, the speech
     on the calling thread and the noise on another
-    (``threads.thread_map``), and joined before the scaling.
+    (``threads.thread_map``), and joined before the scaling.  No command
+    renders the stacks (``sweep._source_stack`` renders the error
+    microphone's two rows alone, ``_error_rows``): this stays as the
+    tests' oracle and for the benchmark's traced pass.
     """
     speech = np.asarray(speech, dtype=float).ravel()
     N = speech.shape[0]
@@ -289,8 +292,8 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
 def snr_gain(p_s: np.ndarray, p_v: np.ndarray, snr_db: float) -> float:
     """The gain that scales the noise to a speech-to-noise energy ratio of snr_db at
     the error microphone, whose unscaled speech and noise rows are p_s and p_v; a
-    ``ConfigError`` if either is silent.  The one rule of ``render_mics`` and of the
-    design, which renders those two rows alone (``_error_rows``)."""
+    ``ConfigError`` if either is silent.  The one rule of ``render_mics`` and of every
+    command, which renders those two rows alone (``_error_rows``)."""
     es, ev = float(np.vdot(p_s, p_s)), float(np.vdot(p_v, p_v))
     if ev <= 0.0:
         raise ConfigError("noise component at the error microphone is silent; cannot set SNR")
@@ -308,6 +311,16 @@ def _error_rows(scene: Scene, speech: np.ndarray, noise: np.ndarray) -> list[np.
         return _convolved((np.pad(irs[-1], (0, max(map(len, irs)) - len(irs[-1]))),), x)[0]
 
     return thread_map(row, (scene.ir_speech, scene.ir_noise), (speech, noise))
+
+
+def _led_speech_row(scene: Scene, speech: np.ndarray, mic: int, lead: int) -> np.ndarray:
+    """Microphone mic's row of ``render_mics``' speech stack, bit for bit, led by lead
+    zeros: lead + N samples.  Like ``_error_rows``, its response is zero-padded to
+    the longest speech response, so the row is convolved on the stack's layout."""
+    ir, longest = scene.ir_speech[mic], max(map(len, scene.ir_speech))
+    row = np.zeros(lead + speech.shape[0])
+    _convolved((np.pad(ir, (0, longest - len(ir))),), speech, out=row[None, lead:])
+    return row
 
 
 def _responses(scene: Scene) -> np.ndarray:

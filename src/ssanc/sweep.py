@@ -2,8 +2,8 @@
 
 Runs the delay-sweep experiment: for each target delay in a configured
 range, build the spatial constraint, design the control filter,
-simulate it on the rendered microphone signals and collect the metric
-row.  Results go to CSV with a fixed column order.
+score it on the scene's two sources and collect the metric row.
+Results go to CSV with a fixed column order.
 
 The speech and noise sources are independent until their SNR scaling,
 so every command draws (or loads) and convolves the two at once, the
@@ -24,11 +24,16 @@ block spectra taken once.
 The tasks are numpy transforms and ufuncs that release the GIL, so they
 run on one thread per CPU, by the same ``thread_map``, after the sweep
 has freed the design.
-``ssanc simulate`` runs the same kernel on the speech and noise stacks
-(``apply_control``), writes the WAVs and prints the four metrics of the
-sweep's row for its delay, by the functions ``evaluate_run`` (the
-oracle the sweep's scores are tested against) composes; only the noise
-reduction reads the stacks, which are freed before the rest is scored.
+``ssanc simulate`` renders no microphone stack either: it forms the
+drive, the error signal's speech and noise components and the target
+from the same two sources, through the responses the filter gives the
+drive and the error microphone (``simulate.simulate_sources``), frees
+the sources, writes the WAVs and prints the four metrics of the sweep's
+row for its delay, by the functions ``evaluate_run`` (the oracle the
+sweep's scores are tested against) composes.  ``prepare_scene``, which
+renders the stacks (``render_mics``), and ``apply_control`` stay only as
+the tests' oracle and for the benchmark's traced pass
+(``perfbench/traced.py``).
 The default configuration is desk-scale (short filters, K = 2,
 synthetic scene) and sweeps in under a second; the paper-scale
 configuration (280-tap filters, K = 4, 141 delays) works the same way
@@ -51,15 +56,15 @@ import numpy as np
 from ssanc import signals, wavio
 from ssanc.convmat import _TRIANGULAR_BLOCK, Blocks, build_conv_matrix, build_q, next_fast_len, per_channel
 from ssanc.metrics import (
-    _QUALITY_BLOCK, QUALITY_FRAME, _FilteredEnergy, _lag_span, _RowScores, control_effort, noise_reduction,
-    quality_proxy, speech_distortion_index,
+    _QUALITY_BLOCK, QUALITY_FRAME, _FilteredEnergy, _lag_span, _nr_db, _RowScores, control_effort, quality_proxy,
+    speech_distortion_index,
 )
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
     ConfigError, MicSignals, Scene, _error_rows, _responses, default_ir_len, integer, load_scene_wav, render_mics,
     snr_gain, synth_scene,
 )
-from ssanc.simulate import apply_control, export_run_wavs
+from ssanc.simulate import export_run_wavs, simulate_sources
 from ssanc.solver import (
     DesignContext,
     DesignParams,
@@ -410,14 +415,14 @@ def _memory_need(
     longest response, holds per thread one chunk of overlap-save
     temporaries (the block spectra, their product with one response, its
     inverse transform and, at the edges, a copied span: four arrays of a
-    chunk's samples).  A design (``design``, ``sweep``) renders no
-    microphone stack and never forms Phi_xx or H.  It convolves the error
-    microphone's two rows alone, for the SNR gain, next to both sources.
-    Next to the sources it then takes their lag correlations over P lags
-    (``metrics._lag_span``), P floats per channel pair, with one chunk of
-    ``lagged_products``' temporaries, and forms them as eight complex
-    values per bin of an nfft >= 2P - 1 point grid, with three times four
-    while it does; from those it takes S, ((K+1) Lw)^2 floats, with two
+    chunk's samples).  No command renders a microphone stack: each
+    convolves the error microphone's two rows alone, for the SNR gain,
+    next to both sources.  A design (``design``, ``sweep``) never forms
+    Phi_xx or H.  Next to the sources it then takes their lag
+    correlations over P lags (``metrics._lag_span``), P floats per
+    channel pair, with one chunk of ``lagged_products``' temporaries, and
+    forms them as eight complex values per bin of an nfft >= 2P - 1 point
+    grid, with three times four while it does; from those it takes S, ((K+1) Lw)^2 floats, with two
     (K+1)^2 arrays of the grid's bins.  A design alone then frees the
     sources, a sweep keeps them and their correlations.  The ReIR fit
     holds less.  While it factorizes (``DesignContext``) it holds the
@@ -427,33 +432,32 @@ def _memory_need(
     F floats; or, as it solves, about three vectors of (K+1) Lw and three
     of F floats per target vector, one for ``design`` and ``_SOLVE_BATCH``
     at most for ``sweep``, which keeps every delay's filter.
-    A simulation of sim_taps-tap filters renders the (K+1, n) speech and
-    noise stacks, each on its own thread, next to both sources.
-    ``simulate`` then takes one chunk of block spectra of both stacks at a
-    time, next to them and the four n-sample signals it fills (y, e_s,
-    e_v, then t).  It then frees the stacks: the error signal e and the
-    quality proxy's three (``_QUALITY_BLOCK``, ``QUALITY_FRAME``) frame
-    batches sit on top of the four signals, and the SDI's one n-sample
-    difference comes and goes before e.  ``sweep`` frees the design after
-    its solve and scores from the sources alone (``metrics._RowScores``):
-    next to its filters and the sources' correlations it takes the
-    spectra of the scene's 2 (K+1) responses and of g on their grid, the
-    block spectra of both sources in the layout of the response f a
-    filter gives the error microphone, sim_taps + Lg + ir_len - 2 taps,
-    and one copy of the target microphone's speech row led by the last
-    delay's zeros, and frees the sources.  Each of its ``workers`` threads
-    then holds the e of one delay and either one chunk of e's spectra and
-    their inverse transform or the quality proxy's three frame batches.
+    ``simulate`` of sim_taps-tap filters (``simulate.simulate_sources``)
+    holds both sources and the four n-sample signals it fills (t, then y,
+    e_s and e_v) next to one chunk of both sources' block spectra in the
+    ``convmat.Blocks`` layout of the response f the filter gives the
+    error microphone, sim_taps + Lg + ir_len - 2 taps, with their product
+    with one response and its inverse transform.  It then frees the
+    sources: the error signal e and the quality proxy's three
+    (``_QUALITY_BLOCK``, ``QUALITY_FRAME``) frame batches sit on top of
+    the four signals, and the SDI's one n-sample difference comes and
+    goes before e.  ``sweep`` frees the design after its solve and
+    scores from the sources alone (``metrics._RowScores``): next to its
+    filters and the sources' correlations it takes the spectra of the
+    scene's 2 (K+1) responses and of g on their grid, the block spectra
+    of both sources in the layout of f, and one copy of the target
+    microphone's speech row led by the last delay's zeros, and frees the
+    sources.  Each of its ``workers`` threads then holds the e of one
+    delay and either one chunk of e's spectra and their inverse transform
+    or the quality proxy's three frame batches.
     A command is refused only if its need on one thread does not fit, and
     a sweep starts as many threads as fit (``_workers``).
     """
     C = K + 1
-    stack, sources = 8 * C * n, 16 * n
+    sources = 16 * n
     render = Blocks(n, ir_len - 1)
     temporaries = 2 * 32 * render.per_chunk * render.nfft  # one chunk of a convolution's, on each of two threads
-    phases = [3 * sources]
-    if not design:
-        phases.append(2 * stack + sources + temporaries)
+    phases = [3 * sources, 2 * sources + temporaries]
     sweep = design and sim_taps is not None
     filters = 8 * C * config.Lw * len(config.deltas()) if sweep else 0
     kept = sources if sweep else 0
@@ -466,24 +470,22 @@ def _memory_need(
         targets = min(len(config.deltas()), _SOLVE_BATCH) if sweep else 1
         lags = Blocks(n, min(P, n) - 1)
         phases += [
-            2 * sources + temporaries,
             sources + 8 * 4 * P + max(16 * 12 * bins, 8 * 4 * 2 * lags.per_chunk * lags.nfft),
             sources + correlations + 8 * dim**2 + 16 * 2 * C**2 * bins,
             kept + _design_bytes(config, K) + max(8 * _TRIANGULAR_BLOCK * F, 24 * targets * (dim + F) + filters),
         ]
     if sim_taps is not None:
+        blocks = Blocks(n, sim_taps + config.Lg + ir_len - 3)  # the layout of f, less one tap
+        frames = 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME
         if sweep:
-            taps = sim_taps + config.Lg + ir_len - 2  # those of f
-            blocks = Blocks(n, taps - 1)
             spectra = 16 * 2 * blocks.count * (blocks.nfft // 2 + 1)
             held = filters + correlations + 16 * (2 * C + 1) * bins + spectra + 8 * (n + last)
             chunk = blocks.per_chunk * blocks.nfft
-            per_worker = 8 * n + max(16 * chunk, 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME)
+            per_worker = 8 * n + max(16 * chunk, frames)
             phases += [sources + held, held + workers * per_worker]
         else:
-            blocks = Blocks(n, sim_taps + config.Lg - 2)
-            chunk = 16 * C * blocks.per_chunk * (blocks.nfft // 2 + 1)  # one chunk of one stack's block spectra
-            phases += [2 * stack + 2 * chunk + 8 * 4 * n, 8 * 5 * n + 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME]
+            chunk = 16 * 2 * blocks.per_chunk * (blocks.nfft // 2 + 1)  # one chunk of both sources' block spectra
+            phases += [sources + 8 * 4 * n + 2 * chunk, 8 * 5 * n + frames]
     return max(phases)
 
 
@@ -534,6 +536,27 @@ def _draw_sources(config: SweepConfig, scene: Scene, n: int) -> tuple[np.ndarray
     return speech[:m], noise[:m]
 
 
+def _source_stack(config: SweepConfig, scene: Scene, n: int) -> tuple[np.ndarray, float]:
+    """The (2, N) stack of the speech and of the noise at its SNR gain, and the energy
+    of the error microphone's noise at that gain, which NR divides by.
+
+    The sources are drawn (``_draw_sources``), and the gain of
+    ``render_mics`` is taken from the error microphone's two rows alone
+    (``scene._error_rows``), which are freed before the stack is formed;
+    the noise row is scaled as ``render_mics`` scales it, so its energy
+    keeps the bits ``noise_reduction`` reads from a rendered stack.
+    """
+    speech, noise = _draw_sources(config, scene, n)
+    p_s, p_v = _error_rows(scene, speech, noise)
+    gain = snr_gain(p_s, p_v, config.snr_db)
+    noise *= gain
+    p_v *= gain
+    noise_energy = float(np.vdot(p_v, p_v))
+    del p_s, p_v
+    sources = np.stack([speech, noise])
+    return sources, noise_energy
+
+
 def prepare_scene(config: SweepConfig, simulate: bool = True) -> PreparedScene:
     """Render microphone signals and estimate ReIRs for a configuration.
 
@@ -544,7 +567,9 @@ def prepare_scene(config: SweepConfig, simulate: bool = True) -> PreparedScene:
     are fitted to the speech responses' response to white noise with its
     own seed, seed+2, so they do not change the microphone signals; the
     noise is read through its correlations and never rendered
-    (``estimate_reirs``).
+    (``estimate_reirs``).  No command calls this: it stays, with the
+    stacks it renders, as the tests' oracle and for the benchmark's
+    traced pass (``perfbench/traced.py``).
     """
     scene, n = _checked_scene(config, design=True, sim_taps=config.Lw if simulate else None)
     mics = render_mics(scene, *_draw_sources(config, scene, n), config.snr_db)
@@ -616,11 +641,7 @@ def _prepare_design(config: SweepConfig, simulate: bool = True) -> tuple[Prepare
     scene, n = _checked_scene(config, design=True, sim_taps=config.Lw if simulate else None)
     psi = _psi(config)  # first, while little is held: its transforms are 2^17 points on paper_scale
     L = config.Lg + config.Lw - 1
-    speech, noise = _draw_sources(config, scene, n)
-    # the SNR gain of render_mics, from the error microphone's two rows alone
-    noise *= snr_gain(*_error_rows(scene, speech, noise), config.snr_db)
-    sources = np.stack([speech, noise])
-    del speech, noise
+    sources, _ = _source_stack(config, scene, n)  # _RowScores takes NR's energy from the correlations
     N = sources.shape[1]
     energy = _FilteredEnergy(sources, _lag_span(scene, L, config.deltas()[-1]))
     # each microphone's responses to the two sources, (K+1, 2) spectra on the energy's grid
@@ -814,14 +835,10 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(
             f"filter {args.filter} has {w.shape[0] - 1} reference channels, the scene has {scene.K}"
         )
-    mics = render_mics(scene, *_draw_sources(config, scene, n), config.snr_db)
-    run = apply_control(
-        w, mics, scene.g,
-        target_kind=config.target_kind, delta=args.delta, spatial_ref=scene.spatial_ref,
-    )
-    # evaluate_run's four scores; the stacks are freed once the one that reads them is taken
-    nr_db = noise_reduction(mics.p_v, run.e_v)
-    del mics
+    sources, noise_energy = _source_stack(config, scene, n)
+    run = simulate_sources(w, sources, scene, config.target_kind, args.delta)
+    del sources  # evaluate_run's four scores read only the run and the noise energy
+    nr_db = _nr_db(noise_energy, float(np.vdot(run.e_v, run.e_v)))
     sdi_db, effort = speech_distortion_index(run.t, run.e_s), control_effort(run.y)
     out = args.out or "simulation"
     export_run_wavs(run, out, config.fs)

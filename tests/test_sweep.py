@@ -505,27 +505,27 @@ def test_cli_simulate_renders_without_reir_estimation(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["design", "simulate", "sweep"])
 def test_every_command_renders_once(tmp_path, monkeypatch, command):
-    """``ssanc simulate`` renders its speech and noise stacks once and nothing
-    else.  ``ssanc design`` and ``ssanc sweep``, with any convolution of a
-    source with more than one response made to raise, render no microphone
-    stack: they convolve the error microphone's speech and noise rows alone,
-    for the SNR gain.  The ReIR fit reads the white noise through its
-    correlations, unrendered."""
-    import ssanc.scene
-
+    """No command renders a microphone stack: with any convolution of a source
+    with more than one response made to raise, wherever ``ssanc`` names it,
+    each convolves the error microphone's speech and noise rows alone, for
+    the SNR gain, and ``ssanc simulate`` and ``ssanc sweep`` the target
+    microphone's speech row too, for the target.  The ReIR fit reads the
+    white noise through its correlations, unrendered."""
     cfg = write_quick_config(tmp_path)
     flt = tmp_path / "filter.json"
     assert cli_main(["design", "--config", str(cfg), "--delta", "1", "--out", str(flt)]) == 0
-    stacks, rows = [], []
+    rows = []
 
     def counted(irs, x, out=None):
-        if len(irs) > 1 and command != "simulate":
+        if len(irs) > 1:
             raise AssertionError(f"ssanc {command} rendered a microphone stack")
-        (stacks if len(irs) > 1 else rows).append(x.shape)
+        rows.append(x.shape)
         return convolve(irs, x, out)
 
-    convolve = ssanc.scene._convolved
-    monkeypatch.setattr(ssanc.scene, "_convolved", counted)
+    convolve = sys.modules["ssanc.scene"]._convolved
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ssanc.") and getattr(module, "_convolved", None) is convolve:
+            monkeypatch.setattr(module, "_convolved", counted)
     extra = {
         "design": ["--delta", "1", "--out", str(tmp_path / "f.json")],
         "simulate": ["--filter", str(flt), "--delta", "1", "--out", str(tmp_path / "sim")],
@@ -533,7 +533,28 @@ def test_every_command_renders_once(tmp_path, monkeypatch, command):
     }[command]
     assert cli_main([command, "--config", str(cfg), *extra]) == 0
     n = int(round(SweepConfig.from_json(cfg).duration_s * 16000))
-    assert (stacks, rows) == (([(n,)] * 2, []) if command == "simulate" else ([], [(n,)] * 2))
+    assert rows == [(n,)] * (2 if command == "design" else 3)
+
+
+def test_simulate_never_renders_or_applies_control(tmp_path, monkeypatch):
+    """``ssanc simulate`` forms its run from the two sources
+    (``simulate.simulate_sources``): with ``render_mics`` and
+    ``apply_control`` made to raise wherever ``ssanc`` names them, it still
+    writes its five WAVs."""
+    cfg = write_quick_config(tmp_path)
+    flt, sim = tmp_path / "filter.json", tmp_path / "sim"
+    assert cli_main(["design", "--config", str(cfg), "--delta", "1", "--out", str(flt)]) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ssanc simulate reached a microphone stack")
+
+    for name, module in list(sys.modules.items()):
+        if name == "ssanc" or name.startswith("ssanc."):
+            for function in ("render_mics", "apply_control"):
+                if hasattr(module, function):
+                    monkeypatch.setattr(module, function, forbidden)
+    assert cli_main(["simulate", "--config", str(cfg), "--filter", str(flt), "--delta", "1", "--out", str(sim)]) == 0
+    assert sorted(path.name for path in sim.iterdir()) == ["e.wav", "e_s.wav", "e_v.wav", "t.wav", "y.wav"]
 
 
 @pytest.mark.parametrize("command", ["design", "sweep"])
@@ -861,21 +882,23 @@ def test_synthetic_design_matrices_are_refused_before_rendering(tmp_path, monkey
 
 
 def test_simulation_spectra_that_cannot_fit_are_refused(tmp_path, monkeypatch, capsys):
-    """One chunk of the overlap-save spectra of both stacks (``convmat.Blocks``)
+    """One chunk of the overlap-save spectra of both sources (``convmat.Blocks``)
     counts toward the memory ``ssanc simulate`` must fit in: room for the
-    signals alone is refused."""
+    draw and the SNR gain's two rows alone is refused."""
     monkeypatch.chdir(tmp_path)
-    cfg = write_quick_config(tmp_path, duration_s=5.0)
+    cfg = write_quick_config(tmp_path, duration_s=10.0)
     config = SweepConfig.from_json(cfg)
     n = int(config.duration_s * config.fs)
     signals = sweep_mod._memory_need(config, 2, n, design=False, sim_taps=None, ir_len=longest_response(config))
     need = sweep_mod._memory_need(config, 2, n, design=False, sim_taps=config.Lw, ir_len=longest_response(config))
-    # 80000 samples in 4074-sample hops: 20 blocks, of which one chunk of
-    # 16 blocks of 2049 bins, speech and noise, 3 channels, is held at a
-    # time; and the four signals a run fills next to the two stacks, where
-    # the render holds the two sources and, on each of its two threads,
-    # four arrays of one chunk of 16 blocks of 4096 samples
-    assert need - signals == 2 * 3 * 16 * 2049 * 16 + 4 * 8 * n - 2 * 8 * n - 2 * 4 * 8 * 16 * 4096
+    # the two rows next to both sources, and on each of the two threads that
+    # convolve them four arrays of one chunk of 16 blocks of 4096 samples
+    assert signals == 4 * 8 * n + 2 * 4 * 8 * 16 * 4096
+    # 160000 samples in 4016-sample hops of f's 81 taps: 40 blocks, of which
+    # one chunk of 16 blocks of 2049 bins, speech and noise, is held at a
+    # time, with its product and inverse transform, next to both sources and
+    # the four signals a run fills
+    assert need == 2 * 8 * n + 4 * 8 * n + 2 * 2 * 16 * 2049 * 16 > signals
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps({"K": 2, "Lw": 12, "w": np.zeros((3, 12)).tolist()}))
     argv = ["simulate", "--config", str(cfg), "--filter", str(zero)]
@@ -1242,12 +1265,12 @@ def test_a_second_worker_costs_the_share_memory_need_counts(tmp_path, monkeypatc
 
 
 def test_every_command_peaks_under_its_bound_on_long_20s(tmp_path, monkeypatch, traced_peak):
-    """On long_20s, drawn, rendered and scored on two threads, the tracemalloc
-    peak of ``ssanc design`` is at most 16 MiB and that of ``ssanc sweep`` at
-    most 18 MiB: neither renders a microphone stack, so the design peaks while
-    it draws its two sources and the sweep while it scores.  That of ``ssanc
-    simulate``, which renders the stacks and frees them before it forms e and
-    scores its run, is at most 27 MiB.  On the host's own CPUs, where a sweep
+    """On long_20s, drawn and scored on two threads, the tracemalloc peak of
+    ``ssanc design`` is at most 16 MiB, that of ``ssanc sweep`` at most 18 MiB
+    and that of ``ssanc simulate`` at most 20 MiB: none renders a microphone
+    stack, so the design peaks while it draws its two sources, the sweep
+    while it scores, and ``simulate`` while it simulates from the sources,
+    next to the four signals it fills.  On the host's own CPUs, where a sweep
     may score on more threads than two, its peak lies within 0.75 and 1.25 of
     the ``_memory_need`` of the ``_workers`` it starts."""
     monkeypatch.chdir(tmp_path)
@@ -1270,7 +1293,7 @@ def test_every_command_peaks_under_its_bound_on_long_20s(tmp_path, monkeypatch, 
         "simulate": peak("simulate", "--filter", "f.json", "--out", "sim"),
         "sweep": peak("sweep", "--out", "rows.csv"),
     }
-    bounds = {"design": 16 * 2**20, "simulate": 27 * 2**20, "sweep": 18 * 2**20}
+    bounds = {"design": 16 * 2**20, "simulate": 20 * 2**20, "sweep": 18 * 2**20}
     assert all(peaks[command] <= bounds[command] for command in peaks), {c: p / 2**20 for c, p in peaks.items()}
 
 
@@ -1585,9 +1608,10 @@ def test_sweep_never_runs_the_full_simulation(shipped_rows, monkeypatch):
         raise AssertionError("the sweep left its fast path")
 
     for module in (ssanc.simulate, sweep_mod):
-        monkeypatch.setattr(module, "apply_control", forbidden)
+        monkeypatch.setattr(module, "simulate_sources", forbidden)
+    monkeypatch.setattr(ssanc.simulate, "apply_control", forbidden)
     monkeypatch.setattr(ssanc.metrics, "evaluate_run", forbidden)
-    for name in ("noise_reduction", "speech_distortion_index", "control_effort"):
+    for name in ("_nr_db", "speech_distortion_index", "control_effort"):
         monkeypatch.setattr(sweep_mod, name, forbidden)
     rows = run_sweep(SweepConfig.from_json(ROOT / "configs" / "fig3_synthetic.json"))
     untimed = [replace(r, design_ms=0.0) for r in rows]  # the unset design_ms is NaN
@@ -1756,10 +1780,12 @@ def test_simulate_reports_the_sweep_row(shipped_rows, tmp_path, capsys, name):
 
 
 def test_simulate_prints_the_row_of_evaluate_run(tmp_path, capsys):
-    """``ssanc simulate`` frees the stacks before it scores its run, by the
-    functions ``evaluate_run`` composes: on fig3 at delta = 4 its printed
-    line is the one formatted from ``evaluate_run`` of the same run, and its
-    five WAVs are byte for byte those ``export_run_wavs`` writes of it."""
+    """``ssanc simulate`` scores its run from the two sources by the functions
+    ``evaluate_run`` composes: on fig3 at delta = 4 its printed line is the
+    one formatted from ``evaluate_run`` of ``apply_control`` on the rendered
+    stacks, its y, e, e_s and e_v WAVs lie within 1e-12 of each file's peak
+    of those ``export_run_wavs`` writes of that run, and its t.wav is that
+    file byte for byte."""
     from ssanc.metrics import evaluate_run
     from ssanc.simulate import apply_control, export_run_wavs
     from ssanc.solver import load_filter_json
@@ -1780,9 +1806,66 @@ def test_simulate_prints_the_row_of_evaluate_run(tmp_path, capsys):
         f"NR={mb.nr_db:.2f} dB SDI={mb.sdi_db:.2f} dB quality={mb.quality_db:.2f} dB "
         f"effort={mb.effort:.6g} -> {sim}/\n"
     )
-    export_run_wavs(run, tmp_path / "oracle", config.fs)
-    for name in ("y", "e", "e_s", "e_v", "t"):
-        assert (sim / f"{name}.wav").read_bytes() == (tmp_path / "oracle" / f"{name}.wav").read_bytes(), name
+    oracle = tmp_path / "oracle"
+    export_run_wavs(run, oracle, config.fs)
+    for name in ("y", "e", "e_s", "e_v"):
+        got, want = (wavio.read_wav_mono(d / f"{name}.wav")[1] for d in (sim, oracle))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+    assert (sim / "t.wav").read_bytes() == (oracle / "t.wav").read_bytes()
+
+
+def write_uneven_manifest_scene(directory) -> dict:
+    """A three-microphone WAV scene in directory whose speech and noise responses
+    and secondary path all have different lengths, as a config's scene entry."""
+    rng = np.random.default_rng(21)
+    names = {"speech_irs": [], "noise_irs": []}
+    for role, shapes in (("speech_irs", [(3, 20), (5, 7), (7, 33)]), ("noise_irs", [(6, 41), (2, 5), (4, 12)])):
+        for m, (delay, taps) in enumerate(shapes):
+            ir = np.zeros(taps)
+            ir[delay] = 1.0
+            ir[delay + 1 :] = 0.2 * rng.standard_normal(taps - delay - 1)
+            name = f"{role[:-4]}_{m}.wav"
+            wavio.write_wav(directory / name, 16000, ir)
+            names[role].append(name)
+    g = np.zeros(12)
+    g[2], g[3] = 1.0, 0.4
+    wavio.write_wav(directory / "g.wav", 16000, g)
+    manifest = {"fs": 16000, "mics": 3, **names, "secondary": "g.wav", "spatial_ref": 1}
+    (directory / "scene.json").write_text(json.dumps(manifest))
+    return {"kind": "manifest", "dir": str(directory), "manifest": "scene.json"}
+
+
+@pytest.mark.parametrize("name, delta", [
+    ("fig3_synthetic", 4), ("fig5_synthetic", 6), ("fig3_synthetic", "last"), ("uneven_manifest", 3),
+])
+def test_simulating_from_the_sources_matches_the_rendered_stacks(tmp_path, name, delta):
+    """``simulate.simulate_sources`` on ``sweep._source_stack``'s sources gives
+    the run ``apply_control`` gives on ``render_mics``' stacks of the same draw,
+    for the designed filter: y, e_s and e_v within 1e-12 of each signal's peak
+    and t bit for bit, for the error target (fig3), the reference target
+    (fig5), the last delay of fig3's range, and a manifest scene whose
+    responses differ in length; ``_source_stack``'s noise energy is the
+    rendered error microphone's, bit for bit."""
+    from ssanc.simulate import apply_control, simulate_sources
+
+    if name == "uneven_manifest":
+        config = quick_config(scene=write_uneven_manifest_scene(tmp_path), target_kind="reference_mic")
+    else:
+        config = SweepConfig.from_json(ROOT / "configs" / f"{name}.json")
+    if delta == "last":
+        delta = config.delta_range[1]
+    prep, ctx = sweep_mod._prepare_design(config, simulate=False)
+    w = ctx.solve(sweep_mod._constraint_vector(prep.reirs, prep.psi, config.target_kind, delta, prep.L)).filter
+    scene, n = sweep_mod._checked_scene(config, design=False, sim_taps=config.Lw)
+    sources, noise_energy = sweep_mod._source_stack(config, scene, n)
+    got = simulate_sources(w, sources, scene, config.target_kind, delta)
+    mics = render_sources(config, scene, n)
+    want = apply_control(w, mics, scene.g, config.target_kind, delta, scene.spatial_ref)
+    for signal in ("y", "e_s", "e_v"):
+        a, b = getattr(got, signal), getattr(want, signal)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), signal
+    assert np.array_equal(got.t, want.t)
+    assert noise_energy == float(np.vdot(mics.p_v, mics.p_v))
 
 
 @pytest.mark.parametrize("name, best, at_best, other, at_other", [
