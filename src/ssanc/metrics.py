@@ -1,12 +1,14 @@
 """Evaluation metrics: noise reduction, speech distortion, control effort, quality proxy.
 
-``evaluate_run`` scores the signals of one simulation run; a sweep's
-``_RowScores`` returns the same bundle for any filter without them,
-from the two sources alone: NR, SDI and effort are energies of the
-sources through the responses the filter gives the drive and the error
-microphone, quadratic forms over the sources' lag correlations taken
-once (``convmat._FilteredEnergy``), and only the error signal is simulated, for
-the quality proxy.
+``evaluate_run`` scores the signals of one simulation run; ``_RowScores``,
+which ``ssanc sweep`` and ``ssanc simulate`` both score by, returns the
+same bundle for any filter without them, from the two sources alone:
+NR, SDI and effort are energies of the sources through the responses
+the filter gives the drive and the error microphone, quadratic forms
+over the sources' lag correlations taken once
+(``convmat._FilteredEnergy``), and only the error signal is simulated,
+for the quality proxy.  Its ``run`` simulates the drive and the error
+signal's two components by the same overlap-save loop.
 
 The quality proxy is a frame-wise log-spectral distance, standing in
 for standardized perceptual scores (which need the ITU reference
@@ -145,13 +147,13 @@ def _lag_span(scene: Scene, L: int, last_delta: int) -> int:
 
 
 class _RowScores:
-    """The four metrics of any (K+1, Lw) filter and delay, from the two sources alone.
+    """The four metrics of any (K+1, Lw) filter and delay, and its run, from the two sources alone.
 
     The error microphone hears each source through one overall response.
-    With ``sources`` the (2, N) stack of the speech and of the noise at
-    its SNR gain, h_k the scene's responses of a source at microphone k
-    and a filter w, u = q + g * w (the primary sample plus the secondary
-    path applied to every channel), that response is
+    With ``sources`` the (2, N) stack of the speech and of the noise, h_k
+    the scene's responses of a source at microphone k (the noise's at its
+    SNR gain) and a filter w, u = q + g * w (the primary sample plus the
+    secondary path applied to every channel), that response is
 
         f = sum_k u_k * h_k = g * d + h_K,     d = sum_k w_k * h_k
 
@@ -166,13 +168,14 @@ class _RowScores:
     spectra taken once, so no filter is convolved with a response and a
     delay costs a few transforms of that grid, however long the
     responses.  The residual's spectrum cancels before it is squared, so
-    an SDI near its rounding floor keeps its digits.  The error signal
-    is e = sum f * source, from the sources' block spectra in the
-    ``convmat.Blocks`` layout of f, taken once; each delay's target is a
-    view of one zero-led copy of the target microphone's speech row,
-    rendered as ``render_mics`` renders it (``scene._led_speech_row``), as
-    ``simulate.simulate_sources`` renders its target.  NR divides the
-    energy of the error microphone's noise, h_K on the noise, by e_v's.
+    an SDI near its rounding floor keeps its digits.  Signals are
+    simulated (``signals``) from the sources' block spectra in the
+    ``convmat.Blocks`` layout of f, taken once: the error signal alone
+    for a row's quality proxy, and y, e_s and e_v for a run (``run``).
+    Each delay's target is a view of one zero-led copy of the target
+    microphone's speech row, rendered as ``render_mics`` renders it
+    (``scene._led_speech_row``).  NR divides ``noise_energy``, that of
+    the error microphone's noise, h_K on the noise, by e_v's.
     """
 
     def __init__(self, energy: _FilteredEnergy, sources: np.ndarray, scene: Scene, Lw: int, last_delta: int, mic: int):
@@ -198,18 +201,32 @@ class _RowScores:
         D = np.einsum("kf,skf->sf", np.fft.rfft(w, self.energy.nfft), self.H)
         return D, D * self.G + self.H[:, -1]
 
-    def error(self, F: np.ndarray) -> np.ndarray:
-        """The error signal sum f * source of the spectra F of f (``responses``), from the
-        sources' block spectra."""
-        F = np.fft.rfft(np.fft.irfft(F, self.energy.nfft)[:, : self.taps], self.blocks.nfft)
-        e = np.empty(self.blocks.N)
+    def signals(self, F: np.ndarray) -> np.ndarray:
+        """The (m, N) signals sum_s f_s * source_s of the (m, 2, bins) spectra F of
+        two-source responses of at most f's taps on the energy's grid (``responses``),
+        from the sources' block spectra, one signal of one chunk at a time."""
+        F = np.fft.rfft(np.fft.irfft(F, self.energy.nfft)[..., : self.taps], self.blocks.nfft)
+        out = np.empty((F.shape[0], self.blocks.N))
         for chunk in self.blocks.chunks:
-            self.blocks.put(e, chunk, np.einsum("sb,snb->nb", F, self.X[:, chunk]))
-        return e
+            for row, spectra in zip(out, F):
+                self.blocks.put(row, chunk, np.einsum("sb,snb->nb", spectra, self.X[:, chunk]))
+        return out
+
+    def _target(self, delta: int) -> np.ndarray:
+        """The target microphone's speech delayed by delta, a view of ``target``."""
+        return self.target[self.last_delta - delta :][: self.blocks.N]
+
+    def run(self, w: np.ndarray, delta: int) -> RunResult:
+        """The simulation run of filter w at delay delta: y = d on both sources,
+        e_s = f_s on the speech, e_v = f_v on the noise, and the target t."""
+        D, F = self.responses(w)
+        zero = np.zeros_like(F[0])
+        y, e_s, e_v = self.signals(np.stack([D, [F[0], zero], [zero, F[1]]]))
+        return RunResult(y=y, e_s=e_s, e_v=e_v, t=self._target(delta))
 
     def __call__(self, w: np.ndarray, delta: int) -> MetricBundle:
         """The metrics of filter w whose target is the target microphone's speech delayed by delta."""
-        t = self.target[self.last_delta - delta :][: self.blocks.N]
+        t = self._target(delta)
         D, F = self.responses(w)
         nfft = self.energy.nfft
         # the delay as a phase, its angle reduced to one turn so it keeps its digits
@@ -223,5 +240,5 @@ class _RowScores:
             nr_db=_nr_db(self.noise_energy, float(noise)),
             sdi_db=_sdi_db(float(residual), float(np.einsum("i,i", t, t))),
             effort=float(effort),
-            quality_db=quality_proxy(t, self.error(F)),
+            quality_db=quality_proxy(t, self.signals(F[None])[0]),
         )

@@ -265,9 +265,9 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
     sources are independent, so they are convolved at once, the speech
     on the calling thread and the noise on another
     (``threads.thread_map``), and joined before the scaling.  No command
-    renders the stacks (``sweep._source_stack`` renders the error
-    microphone's two rows alone, ``_error_rows``): this stays as the
-    tests' oracle and for the benchmark's traced pass.
+    renders the stacks (``sweep._sources`` takes the gain from the
+    sources' lag correlations): this stays as the tests' oracle and for
+    the benchmark's traced pass.
     """
     speech = np.asarray(speech, dtype=float).ravel()
     N = speech.shape[0]
@@ -285,16 +285,16 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
         raise ValueError(f"speech and noise lengths differ: {N} vs {noise.shape[0]}")
     s, v = thread_map(_convolved, (scene.ir_speech, scene.ir_noise), (speech, noise))
     if snr_db is not None:
-        v *= snr_gain(s[-1], v[-1], snr_db)
+        v *= snr_gain(float(np.vdot(s[-1], s[-1])), float(np.vdot(v[-1], v[-1])), snr_db)
     return MicSignals(s=s, v=v)
 
 
-def snr_gain(p_s: np.ndarray, p_v: np.ndarray, snr_db: float) -> float:
+def snr_gain(es: float, ev: float, snr_db: float) -> float:
     """The gain that scales the noise to a speech-to-noise energy ratio of snr_db at
-    the error microphone, whose unscaled speech and noise rows are p_s and p_v; a
-    ``ConfigError`` if either is silent.  The one rule of ``render_mics`` and of every
-    command, which renders those two rows alone (``_error_rows``)."""
-    es, ev = float(np.vdot(p_s, p_s)), float(np.vdot(p_v, p_v))
+    the error microphone, where the unscaled speech and noise have the energies es
+    and ev; a ``ConfigError`` if either is silent.  The one rule of ``render_mics``,
+    which passes the energies of its rows, and of every command, which takes them
+    from the sources' lag correlations (``sweep._sources``)."""
     if ev <= 0.0:
         raise ConfigError("noise component at the error microphone is silent; cannot set SNR")
     if es <= 0.0:
@@ -302,21 +302,11 @@ def snr_gain(p_s: np.ndarray, p_v: np.ndarray, snr_db: float) -> float:
     return float(np.sqrt(es / (ev * 10.0 ** (snr_db / 10.0))))
 
 
-def _error_rows(scene: Scene, speech: np.ndarray, noise: np.ndarray) -> list[np.ndarray]:
-    """The error microphone's rows of ``render_mics``' unscaled speech and noise stacks,
-    bit for bit, without the other rows: each response is zero-padded to the longest
-    of its source's, so each row is convolved on the ``Blocks`` layout of its stack,
-    and the two on two threads at once."""
-    def row(irs, x):
-        return _convolved((np.pad(irs[-1], (0, max(map(len, irs)) - len(irs[-1]))),), x)[0]
-
-    return thread_map(row, (scene.ir_speech, scene.ir_noise), (speech, noise))
-
-
 def _led_speech_row(scene: Scene, speech: np.ndarray, mic: int, lead: int) -> np.ndarray:
     """Microphone mic's row of ``render_mics``' speech stack, bit for bit, led by lead
-    zeros: lead + N samples.  Like ``_error_rows``, its response is zero-padded to
-    the longest speech response, so the row is convolved on the stack's layout."""
+    zeros: lead + N samples.  Its response is zero-padded to the longest speech
+    response, so the row is convolved on the stack's layout.  The one convolution
+    of a source any command makes: the target of ``metrics._RowScores``."""
     ir, longest = scene.ir_speech[mic], max(map(len, scene.ir_speech))
     row = np.zeros(lead + speech.shape[0])
     _convolved((np.pad(ir, (0, longest - len(ir))),), speech, out=row[None, lead:])

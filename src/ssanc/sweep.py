@@ -5,35 +5,32 @@ range, build the spatial constraint, design the control filter,
 score it on the scene's two sources and collect the metric row.
 Results go to CSV with a fixed column order.
 
-The speech and noise sources are independent until their SNR scaling,
-so every command draws (or loads) and convolves the two at once, the
-speech on the calling thread and the noise on another
-(``threads.thread_map``).
+The speech and noise sources are independent, so every command draws
+(or loads) the two at once, the speech on the calling thread and the
+noise on another (``threads.thread_map``), and takes their lag
+correlations once (``_sources``); the SNR gain is read from them and
+scales the scene's noise responses.
 
-``ssanc design`` and ``ssanc sweep`` render no microphone stack: the
-design reads the stacks only through lag correlations, which follow
-from the two sources' lag correlations, taken once, and the scene's
-responses.  Only the target vector depends on the delay.  A sweep
-therefore stacks the target vectors of its delays and designs their
-filters in a few multi-right-hand-side solves.  Each delay's row is
-then one task, ``metrics._RowScores``, which reads the same source
-correlations: NR, SDI and control effort are quadratic forms in the
-responses the filter gives the drive and the error microphone, and only
-the error signal is simulated, for the quality proxy, from the sources'
-block spectra taken once.
+No command renders a microphone stack: the design reads the stacks
+only through lag correlations, which follow from the two sources' lag
+correlations and the scene's responses.  Only the target vector
+depends on the delay.  A sweep therefore stacks the target vectors of
+its delays and designs their filters in a few multi-right-hand-side
+solves.  Each delay's row is then one task, ``metrics._RowScores``,
+which reads the same source correlations: NR, SDI and control effort
+are quadratic forms in the responses the filter gives the drive and
+the error microphone, and only the error signal is simulated, for the
+quality proxy, from the sources' block spectra taken once.
 The tasks are numpy transforms and ufuncs that release the GIL, so they
 run on one thread per CPU, by the same ``thread_map``, after the sweep
 has freed the design.
-``ssanc simulate`` renders no microphone stack either: it forms the
-drive, the error signal's speech and noise components and the target
-from the same two sources, through the responses the filter gives the
-drive and the error microphone (``simulate.simulate_sources``), frees
-the sources, writes the WAVs and prints the four metrics of the sweep's
-row for its delay, by the functions ``evaluate_run`` (the oracle the
-sweep's scores are tested against) composes.  ``prepare_scene``, which
-renders the stacks (``render_mics``), and ``apply_control`` stay only as
-the tests' oracle and for the benchmark's traced pass
-(``perfbench/traced.py``).
+``ssanc simulate`` builds the same ``_RowScores`` for its one delay,
+frees the sources, writes the WAVs of its run (``_RowScores.run``: the
+drive, the error signal's speech and noise components and the target,
+by the same overlap-save loop) and prints the sweep's row for that
+delay.  ``prepare_scene``, which renders the stacks (``render_mics``),
+``apply_control`` and ``evaluate_run`` stay only as the tests' oracle
+and for the benchmark's traced pass (``perfbench/traced.py``).
 The default configuration is desk-scale (short filters, K = 2,
 synthetic scene) and sweeps in under a second; the paper-scale
 configuration (280-tap filters, K = 4, 141 delays) works the same way
@@ -55,16 +52,13 @@ import numpy as np
 
 from ssanc import signals, wavio
 from ssanc.convmat import _TRIANGULAR_BLOCK, Blocks, build_conv_matrix, build_q, next_fast_len, per_channel
-from ssanc.metrics import (
-    _QUALITY_BLOCK, QUALITY_FRAME, _FilteredEnergy, _lag_span, _nr_db, _RowScores, control_effort, quality_proxy,
-    speech_distortion_index,
-)
+from ssanc.metrics import _QUALITY_BLOCK, QUALITY_FRAME, _FilteredEnergy, _lag_span, _RowScores
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
-    ConfigError, MicSignals, Scene, _error_rows, _responses, default_ir_len, integer, load_scene_wav, render_mics,
-    snr_gain, synth_scene,
+    ConfigError, MicSignals, Scene, _responses, default_ir_len, integer, load_scene_wav, render_mics, snr_gain,
+    synth_scene,
 )
-from ssanc.simulate import export_run_wavs, simulate_sources
+from ssanc.simulate import export_run_wavs
 from ssanc.solver import (
     DesignContext,
     DesignParams,
@@ -101,7 +95,7 @@ NUMERIC_ERRORS = (
 )
 
 
-# render_mics scales the noise by 10**(-snr_db/20), which leaves float64
+# the SNR gain (``scene.snr_gain``) scales the noise by 10**(-snr_db/20), which leaves float64
 # range near +-3000 dB; physical SNRs lie far inside this bound
 MAX_SNR_DB = 300.0
 
@@ -410,21 +404,16 @@ def _memory_need(
     scene responses of at most ir_len taps: the largest of its phases.
 
     Every command draws its two n-sample sources at once, on two threads,
-    about three n-sample arrays each (``signals.speech_shaped_noise``).
-    Each convolution of a source, on the ``convmat.Blocks`` layout of its
-    longest response, holds per thread one chunk of overlap-save
-    temporaries (the block spectra, their product with one response, its
-    inverse transform and, at the edges, a copied span: four arrays of a
-    chunk's samples).  No command renders a microphone stack: each
-    convolves the error microphone's two rows alone, for the SNR gain,
-    next to both sources.  A design (``design``, ``sweep``) never forms
-    Phi_xx or H.  Next to the sources it then takes their lag
-    correlations over P lags (``metrics._lag_span``), P floats per
+    about three n-sample arrays each (``signals.speech_shaped_noise``),
+    and renders no microphone stack.  Next to the sources it takes their
+    lag correlations over P lags (``metrics._lag_span``), P floats per
     channel pair, with one chunk of ``lagged_products``' temporaries, and
     forms them as eight complex values per bin of an nfft >= 2P - 1 point
-    grid, with three times four while it does; from those it takes S, ((K+1) Lw)^2 floats, with two
-    (K+1)^2 arrays of the grid's bins.  A design alone then frees the
-    sources, a sweep keeps them and their correlations.  The ReIR fit
+    grid, with three times four while it does (``_sources``); the SNR gain
+    is read from them.  A design (``design``, ``sweep``) never forms
+    Phi_xx or H: from the correlations it takes S, ((K+1) Lw)^2 floats,
+    with two (K+1)^2 arrays of the grid's bins.  A design alone then frees
+    the sources, a sweep keeps them and their correlations.  The ReIR fit
     holds less.  While it factorizes (``DesignContext``) it holds the
     matrices of ``_design_bytes``, each factorized or substituted in its
     own place (no copy, no LU factor and no A), and one panel of the
@@ -432,60 +421,54 @@ def _memory_need(
     F floats; or, as it solves, about three vectors of (K+1) Lw and three
     of F floats per target vector, one for ``design`` and ``_SOLVE_BATCH``
     at most for ``sweep``, which keeps every delay's filter.
-    ``simulate`` of sim_taps-tap filters (``simulate.simulate_sources``)
-    holds both sources and the four n-sample signals it fills (t, then y,
-    e_s and e_v) next to one chunk of both sources' block spectra in the
+    ``sweep`` frees the design after its solve, and it and ``simulate`` of
+    sim_taps-tap filters score from the sources alone
+    (``metrics._RowScores``): next to the sweep's filters and the sources'
+    correlations they take the spectra of the scene's 2 (K+1) responses
+    and of g on their grid, the block spectra of both sources in the
     ``convmat.Blocks`` layout of the response f the filter gives the
-    error microphone, sim_taps + Lg + ir_len - 2 taps, with their product
-    with one response and its inverse transform.  It then frees the
-    sources: the error signal e and the quality proxy's three
-    (``_QUALITY_BLOCK``, ``QUALITY_FRAME``) frame batches sit on top of
-    the four signals, and the SDI's one n-sample difference comes and
-    goes before e.  ``sweep`` frees the design after its solve and
-    scores from the sources alone (``metrics._RowScores``): next to its
-    filters and the sources' correlations it takes the spectra of the
-    scene's 2 (K+1) responses and of g on their grid, the block spectra
-    of both sources in the layout of f, and one copy of the target
-    microphone's speech row led by the last delay's zeros, and frees the
-    sources.  Each of its ``workers`` threads then holds the e of one
-    delay and either one chunk of e's spectra and their inverse transform
-    or the quality proxy's three frame batches.
+    error microphone, sim_taps + Lg + ir_len - 2 taps, and one copy of the
+    target microphone's speech row led by the last delay's zeros, the
+    one convolution of a source, on one thread, with one chunk of its
+    overlap-save temporaries (the block spectra, their product with the
+    response, its inverse transform and, at the edges, a copied span: four
+    arrays of a chunk's samples); then they free the sources.  ``simulate``
+    then fills the run's y, e_s and e_v (``_RowScores.run``) and forms e
+    as it writes them.  Each of a sweep's ``workers`` threads, and
+    ``simulate``'s one, then holds the e of one delay and either one chunk
+    of e's spectra and their inverse transform or the quality proxy's
+    three (``_QUALITY_BLOCK``, ``QUALITY_FRAME``) frame batches.
     A command is refused only if its need on one thread does not fit, and
     a sweep starts as many threads as fit (``_workers``).
     """
     C = K + 1
     sources = 16 * n
-    render = Blocks(n, ir_len - 1)
-    temporaries = 2 * 32 * render.per_chunk * render.nfft  # one chunk of a convolution's, on each of two threads
-    phases = [3 * sources, 2 * sources + temporaries]
     sweep = design and sim_taps is not None
     filters = 8 * C * config.Lw * len(config.deltas()) if sweep else 0
-    kept = sources if sweep else 0
     last = config.delta_range[1]
-    P = ir_len - 1 + max(config.Lg + config.Lw - 1, last + 1)
+    P = ir_len - 1 + max(config.Lg + (config.Lw if sim_taps is None else sim_taps) - 1, last + 1)
     bins = next_fast_len(2 * P - 1) // 2 + 1
     correlations = 16 * 8 * bins
+    lags = Blocks(n, min(P, n) - 1)
+    phases = [3 * sources, sources + 8 * 4 * P + max(16 * 12 * bins, 8 * 4 * 2 * lags.per_chunk * lags.nfft)]
     if design:
         dim, F = C * config.Lw, config.Lh + config.Lg + config.Lw - 2
         targets = min(len(config.deltas()), _SOLVE_BATCH) if sweep else 1
-        lags = Blocks(n, min(P, n) - 1)
         phases += [
-            sources + 8 * 4 * P + max(16 * 12 * bins, 8 * 4 * 2 * lags.per_chunk * lags.nfft),
             sources + correlations + 8 * dim**2 + 16 * 2 * C**2 * bins,
-            kept + _design_bytes(config, K) + max(8 * _TRIANGULAR_BLOCK * F, 24 * targets * (dim + F) + filters),
+            (sources if sweep else 0) + _design_bytes(config, K)
+            + max(8 * _TRIANGULAR_BLOCK * F, 24 * targets * (dim + F) + filters),
         ]
     if sim_taps is not None:
         blocks = Blocks(n, sim_taps + config.Lg + ir_len - 3)  # the layout of f, less one tap
+        render = Blocks(n, ir_len - 1)  # the target's
+        spectra = 16 * 2 * blocks.count * (blocks.nfft // 2 + 1)
+        held = filters + correlations + 16 * (2 * C + 1) * bins + spectra + 8 * (n + last)
         frames = 3 * 8 * _QUALITY_BLOCK * QUALITY_FRAME
-        if sweep:
-            spectra = 16 * 2 * blocks.count * (blocks.nfft // 2 + 1)
-            held = filters + correlations + 16 * (2 * C + 1) * bins + spectra + 8 * (n + last)
-            chunk = blocks.per_chunk * blocks.nfft
-            per_worker = 8 * n + max(16 * chunk, frames)
-            phases += [sources + held, held + workers * per_worker]
-        else:
-            chunk = 16 * 2 * blocks.per_chunk * (blocks.nfft // 2 + 1)  # one chunk of both sources' block spectra
-            phases += [sources + 8 * 4 * n + 2 * chunk, 8 * 5 * n + frames]
+        per_worker = 8 * n + max(16 * blocks.per_chunk * blocks.nfft, frames)
+        phases += [sources + held + 32 * render.per_chunk * render.nfft, held + workers * per_worker]
+        if not design:
+            phases.append(held + 8 * 4 * n)  # the run's y, e_s, e_v and e
     return max(phases)
 
 
@@ -536,25 +519,22 @@ def _draw_sources(config: SweepConfig, scene: Scene, n: int) -> tuple[np.ndarray
     return speech[:m], noise[:m]
 
 
-def _source_stack(config: SweepConfig, scene: Scene, n: int) -> tuple[np.ndarray, float]:
-    """The (2, N) stack of the speech and of the noise at its SNR gain, and the energy
-    of the error microphone's noise at that gain, which NR divides by.
+def _sources(config: SweepConfig, scene: Scene, n: int, P: int) -> tuple[np.ndarray, _FilteredEnergy, Scene]:
+    """The (2, N) stack of the speech and noise sources (``_draw_sources``), their lag
+    correlations over P lags (``convmat._FilteredEnergy``), and the scene with its
+    noise responses scaled by the SNR gain.
 
-    The sources are drawn (``_draw_sources``), and the gain of
-    ``render_mics`` is taken from the error microphone's two rows alone
-    (``scene._error_rows``), which are freed before the stack is formed;
-    the noise row is scaled as ``render_mics`` scales it, so its energy
-    keeps the bits ``noise_reduction`` reads from a rendered stack.
+    The gain is ``render_mics``' rule, of the energies of the unscaled
+    speech and noise at the error microphone, h_K on each source: the
+    correlations' energies at lag 0, so no row is convolved.  It scales
+    the scene's noise responses, not the N-sample noise.
     """
-    speech, noise = _draw_sources(config, scene, n)
-    p_s, p_v = _error_rows(scene, speech, noise)
-    gain = snr_gain(p_s, p_v, config.snr_db)
-    noise *= gain
-    p_v *= gain
-    noise_energy = float(np.vdot(p_v, p_v))
-    del p_s, p_v
-    sources = np.stack([speech, noise])
-    return sources, noise_energy
+    sources = np.stack(_draw_sources(config, scene, n))
+    energy = _FilteredEnergy(sources, P)
+    h = _responses(scene)[:, -1]
+    # source s through h_K of source s, and the other source through nothing
+    gain = snr_gain(*energy(np.fft.rfft(np.eye(2)[:, :, None] * h, energy.nfft)), config.snr_db)
+    return sources, energy, replace(scene, ir_noise=tuple(gain * ir for ir in scene.ir_noise))
 
 
 def prepare_scene(config: SweepConfig, simulate: bool = True) -> PreparedScene:
@@ -633,17 +613,16 @@ def _prepare_design(config: SweepConfig, simulate: bool = True) -> tuple[Prepare
     (``_filtered_correlations``), and those follow from the two sources
     through the scene's responses: one ``lagged_products`` pass over the
     sources (``convmat._FilteredEnergy``), over the lags the sweep's
-    scores read too (``metrics._lag_span``), gives them.  The SNR gain
-    comes from the error microphone's two rows alone (``scene._error_rows``).
-    A sweep (``simulate``) keeps the sources and their correlations for its
-    rows; a design alone frees them before the ReIRs are fitted.
+    scores read too (``metrics._lag_span``), gives them, and the SNR gain
+    (``_sources``).  A sweep (``simulate``) keeps the sources and their
+    correlations for its rows; a design alone frees them before the ReIRs
+    are fitted.
     """
     scene, n = _checked_scene(config, design=True, sim_taps=config.Lw if simulate else None)
     psi = _psi(config)  # first, while little is held: its transforms are 2^17 points on paper_scale
     L = config.Lg + config.Lw - 1
-    sources, _ = _source_stack(config, scene, n)  # _RowScores takes NR's energy from the correlations
+    sources, energy, scene = _sources(config, scene, n, _lag_span(scene, L, config.deltas()[-1]))
     N = sources.shape[1]
-    energy = _FilteredEnergy(sources, _lag_span(scene, L, config.deltas()[-1]))
     # each microphone's responses to the two sources, (K+1, 2) spectra on the energy's grid
     H = np.fft.rfft(_responses(scene), energy.nfft).transpose(1, 0, 2)
     S, phi, power = _filtered_correlations(*energy.products(H, L), scene.g, config.Lw)
@@ -835,17 +814,21 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(
             f"filter {args.filter} has {w.shape[0] - 1} reference channels, the scene has {scene.K}"
         )
-    sources, noise_energy = _source_stack(config, scene, n)
-    run = simulate_sources(w, sources, scene, config.target_kind, args.delta)
-    del sources  # evaluate_run's four scores read only the run and the noise energy
-    nr_db = _nr_db(noise_energy, float(np.vdot(run.e_v, run.e_v)))
-    sdi_db, effort = speech_distortion_index(run.t, run.e_s), control_effort(run.y)
+    if n > wavio.MAX_FRAMES:
+        raise ConfigError(
+            f"{n}-sample signals overflow the 32-bit sizes of a float64 WAV file, which holds at most "
+            f"{wavio.MAX_FRAMES} samples ({wavio.MAX_FRAMES / config.fs:.6g} s at {config.fs} Hz)"
+        )
+    sources, energy, scene = _sources(config, scene, n, _lag_span(scene, config.Lg + w.shape[1] - 1, args.delta))
+    mic = target_mic(config.target_kind, scene.spatial_ref)
+    score = _RowScores(energy, sources, scene, w.shape[1], args.delta, mic)
+    del sources  # the run and the scores read only their spectra and correlations
     out = args.out or "simulation"
-    export_run_wavs(run, out, config.fs)
-    quality_db = quality_proxy(run.t, run.e)
+    export_run_wavs(score.run(w, args.delta), out, config.fs)
+    row = score(w, args.delta)  # the sweep's row for this delay
     print(
-        f"NR={nr_db:.2f} dB SDI={sdi_db:.2f} dB quality={quality_db:.2f} dB "
-        f"effort={effort:.6g} -> {out}/"
+        f"NR={row.nr_db:.2f} dB SDI={row.sdi_db:.2f} dB quality={row.quality_db:.2f} dB "
+        f"effort={row.effort:.6g} -> {out}/"
     )
     return 0
 

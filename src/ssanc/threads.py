@@ -2,8 +2,9 @@
 
 numpy's transforms and ufuncs release the GIL, so tasks that spend
 their time in them run in parallel on Python threads.  ``thread_map``
-is the one place the package starts threads: the render of the speech
-and noise sources and the sweep's per-delay scoring use it.
+is the one place the package starts threads: the draw of the speech
+and noise sources, ``scene.render_mics`` and the sweep's per-delay
+scoring use it.
 """
 
 import contextvars

@@ -80,6 +80,10 @@ def _sample_format(fmt: bytes, order: str) -> tuple[int, np.dtype]:
     return fs, np.dtype(order + _SAMPLE_TYPES[tag, bits])
 
 
+# the most samples of one float64 channel whose file's 32-bit RIFF size, 50 header bytes and the data, holds
+MAX_FRAMES = (2**32 - 1 - 50) // 8
+
+
 def write_wav(path, fs: int, data: np.ndarray) -> None:
     """Write ``data`` as float64 WAV, creating the parent directory.
 

@@ -13,10 +13,8 @@ from ssanc.scene import (
     ConfigError,
     Scene,
     _convolved,
-    _error_rows,
     load_scene_wav,
     render_mics,
-    snr_gain,
     synth_scene,
 )
 from ssanc.signals import speech_shaped_noise, white_noise
@@ -94,23 +92,6 @@ def test_secondary_path_has_latency():
     scene = default_scene(tail_amp=0.2, seed=5)
     assert scene.g[0] == 0.0
     assert scene.g[2] == 1.0
-
-
-def test_error_rows_are_the_rendered_rows_bit_for_bit():
-    """``_error_rows`` convolves the error microphone's speech and noise responses
-    alone, on the layouts of their stacks, so they equal the stacks' last rows bit
-    for bit, also where that response is shorter than its stack's longest; and
-    ``snr_gain`` of them is the gain ``render_mics`` scales the noise by."""
-    rng = np.random.default_rng(8)
-    speech_irs = tuple(rng.standard_normal(n) for n in (30, 70, 12))
-    noise_irs = tuple(rng.standard_normal(n) for n in (5, 44, 9))
-    scene = Scene(K=2, ir_speech=speech_irs, ir_noise=noise_irs, g=np.ones(1), fs=16000, spatial_ref=0)
-    speech, noise = white_noise(20000, 1), white_noise(20000, 2)
-    p_s, p_v = _error_rows(scene, speech, noise)
-    unscaled = render_mics(scene, speech, noise)
-    np.testing.assert_array_equal(p_s, unscaled.p_s)
-    np.testing.assert_array_equal(p_v, unscaled.p_v)
-    np.testing.assert_array_equal(render_mics(scene, speech, noise, snr_db=-5.0).v, unscaled.v * snr_gain(p_s, p_v, -5.0))
 
 
 def test_render_mics_snr_is_exact():

@@ -210,19 +210,15 @@ def test_run_sweep_programming_error_in_the_pool_propagates(monkeypatch, stage):
         run_sweep(cfg)
 
 
-@pytest.mark.parametrize("stage", ["draw", "convolution"])
+@pytest.mark.parametrize("stage", ["draw"])
 def test_render_thread_keeps_the_callers_numpy_error_state(tmp_path, monkeypatch, capsys, stage):
     """Under np.errstate(divide="raise") a division by zero while the noise
-    source is drawn or convolved, on the render's second thread, is a
-    FloatingPointError: ``ssanc design`` exits 2, as it would if the noise
-    were rendered on the calling thread."""
-    import ssanc.scene
-
+    source is drawn, on the draw's second thread, is a FloatingPointError:
+    ``ssanc design`` exits 2, as it would if the noise were drawn on the
+    calling thread."""
     config = quick_config()
-    noise = ssanc.signals.speech_shaped_noise(round(config.duration_s * config.fs), config.fs, config.seed + 1)
     module, name, is_noise = {
         "draw": (ssanc.signals, "speech_shaped_noise", lambda n, fs, seed: seed == config.seed + 1),
-        "convolution": (ssanc.scene, "_convolved", lambda irs, x: np.array_equal(x, noise)),
     }[stage]
     real, threads = getattr(module, name), []
 
@@ -507,10 +503,11 @@ def test_cli_simulate_renders_without_reir_estimation(tmp_path, monkeypatch):
 def test_every_command_renders_once(tmp_path, monkeypatch, command):
     """No command renders a microphone stack: with any convolution of a source
     with more than one response made to raise, wherever ``ssanc`` names it,
-    each convolves the error microphone's speech and noise rows alone, for
-    the SNR gain, and ``ssanc simulate`` and ``ssanc sweep`` the target
-    microphone's speech row too, for the target.  The ReIR fit reads the
-    white noise through its correlations, unrendered."""
+    ``ssanc design`` convolves nothing, its SNR gain read from the sources'
+    lag correlations, and ``ssanc simulate`` and ``ssanc sweep`` convolve the
+    target microphone's speech row alone, for the target
+    (``scene._led_speech_row``).  The ReIR fit reads the white noise through
+    its correlations, unrendered."""
     cfg = write_quick_config(tmp_path)
     flt = tmp_path / "filter.json"
     assert cli_main(["design", "--config", str(cfg), "--delta", "1", "--out", str(flt)]) == 0
@@ -533,12 +530,12 @@ def test_every_command_renders_once(tmp_path, monkeypatch, command):
     }[command]
     assert cli_main([command, "--config", str(cfg), *extra]) == 0
     n = int(round(SweepConfig.from_json(cfg).duration_s * 16000))
-    assert rows == [(n,)] * (2 if command == "design" else 3)
+    assert rows == ([] if command == "design" else [(n,)])
 
 
 def test_simulate_never_renders_or_applies_control(tmp_path, monkeypatch):
     """``ssanc simulate`` forms its run from the two sources
-    (``simulate.simulate_sources``): with ``render_mics`` and
+    (``metrics._RowScores.run``): with ``render_mics`` and
     ``apply_control`` made to raise wherever ``ssanc`` names them, it still
     writes its five WAVs."""
     cfg = write_quick_config(tmp_path)
@@ -882,23 +879,22 @@ def test_synthetic_design_matrices_are_refused_before_rendering(tmp_path, monkey
 
 
 def test_simulation_spectra_that_cannot_fit_are_refused(tmp_path, monkeypatch, capsys):
-    """One chunk of the overlap-save spectra of both sources (``convmat.Blocks``)
-    counts toward the memory ``ssanc simulate`` must fit in: room for the
-    draw and the SNR gain's two rows alone is refused."""
+    """The block spectra of both sources (``convmat.Blocks``) and the run's four
+    signals count toward the memory ``ssanc simulate`` must fit in: room for
+    the draw alone is refused."""
     monkeypatch.chdir(tmp_path)
     cfg = write_quick_config(tmp_path, duration_s=10.0)
     config = SweepConfig.from_json(cfg)
     n = int(config.duration_s * config.fs)
     signals = sweep_mod._memory_need(config, 2, n, design=False, sim_taps=None, ir_len=longest_response(config))
     need = sweep_mod._memory_need(config, 2, n, design=False, sim_taps=config.Lw, ir_len=longest_response(config))
-    # the two rows next to both sources, and on each of the two threads that
-    # convolve them four arrays of one chunk of 16 blocks of 4096 samples
-    assert signals == 4 * 8 * n + 2 * 4 * 8 * 16 * 4096
-    # 160000 samples in 4016-sample hops of f's 81 taps: 40 blocks, of which
-    # one chunk of 16 blocks of 2049 bins, speech and noise, is held at a
-    # time, with its product and inverse transform, next to both sources and
-    # the four signals a run fills
-    assert need == 2 * 8 * n + 4 * 8 * n + 2 * 2 * 16 * 2049 * 16 > signals
+    # three n-sample arrays on each of the two threads that draw the sources
+    assert signals == 6 * 8 * n
+    # 160000 samples in 4016-sample hops of f's 81 taps: 40 blocks of 2049
+    # bins, speech and noise; the sources' correlations over 81 lags, eight
+    # arrays of 82 bins, and the spectra of the scene's six responses and of
+    # g; the target led by the last delay's 3 zeros; and the run's four signals
+    assert need == 2 * 40 * 2049 * 16 + 16 * (8 + 7) * 82 + 8 * (n + 3) + 4 * 8 * n > signals
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps({"K": 2, "Lw": 12, "w": np.zeros((3, 12)).tolist()}))
     argv = ["simulate", "--config", str(cfg), "--filter", str(zero)]
@@ -1269,8 +1265,8 @@ def test_every_command_peaks_under_its_bound_on_long_20s(tmp_path, monkeypatch, 
     ``ssanc design`` is at most 16 MiB, that of ``ssanc sweep`` at most 18 MiB
     and that of ``ssanc simulate`` at most 20 MiB: none renders a microphone
     stack, so the design peaks while it draws its two sources, the sweep
-    while it scores, and ``simulate`` while it simulates from the sources,
-    next to the four signals it fills.  On the host's own CPUs, where a sweep
+    while it scores, and ``simulate`` while it writes the four signals of
+    its run, next to the sources' block spectra.  On the host's own CPUs, where a sweep
     may score on more threads than two, its peak lies within 0.75 and 1.25 of
     the ``_memory_need`` of the ``_workers`` it starts."""
     monkeypatch.chdir(tmp_path)
@@ -1537,7 +1533,7 @@ def test_predicted_error_power_is_simulated_error_power(name):
     mic = target_mic(config.target_kind, prep.scene.spatial_ref)
     score = _RowScores(prep.energy, prep.sources, prep.scene, config.Lw, config.deltas()[-1], mic)
     for delta, res in solve_every_delay(prep, ctx, config):
-        e = score.error(score.responses(res.filter)[1])
+        e = score.signals(score.responses(res.filter)[1][None])[0]
         simulated = np.mean(e[prep.L - 1 :] ** 2)
         assert abs(res.predicted_error_power - simulated) <= 1e-10 * simulated, delta
 
@@ -1599,20 +1595,19 @@ def test_design_and_simulate_match_captured_reference(tmp_path, name):
 
 def test_sweep_never_runs_the_full_simulation(shipped_rows, monkeypatch):
     """The sweep scores NR, SDI and effort from lag correlations and simulates
-    e alone: with the five-signal run, its metric bundle and the scores
-    ``ssanc simulate`` takes of it made to raise, fig3 gives the same rows."""
+    e alone: with the run of ``ssanc simulate`` (``_RowScores.run``), the
+    rendered run and the scores of a run's signals made to raise, fig3
+    gives the same rows."""
     import ssanc.metrics
     import ssanc.simulate
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the sweep left its fast path")
 
-    for module in (ssanc.simulate, sweep_mod):
-        monkeypatch.setattr(module, "simulate_sources", forbidden)
+    monkeypatch.setattr(ssanc.metrics._RowScores, "run", forbidden)
     monkeypatch.setattr(ssanc.simulate, "apply_control", forbidden)
-    monkeypatch.setattr(ssanc.metrics, "evaluate_run", forbidden)
-    for name in ("_nr_db", "speech_distortion_index", "control_effort"):
-        monkeypatch.setattr(sweep_mod, name, forbidden)
+    for name in ("evaluate_run", "noise_reduction", "speech_distortion_index", "control_effort"):
+        monkeypatch.setattr(ssanc.metrics, name, forbidden)
     rows = run_sweep(SweepConfig.from_json(ROOT / "configs" / "fig3_synthetic.json"))
     untimed = [replace(r, design_ms=0.0) for r in rows]  # the unset design_ms is NaN
     assert untimed == [replace(r, design_ms=0.0) for r in shipped_rows("fig3_synthetic")]
@@ -1780,8 +1775,8 @@ def test_simulate_reports_the_sweep_row(shipped_rows, tmp_path, capsys, name):
 
 
 def test_simulate_prints_the_row_of_evaluate_run(tmp_path, capsys):
-    """``ssanc simulate`` scores its run from the two sources by the functions
-    ``evaluate_run`` composes: on fig3 at delta = 4 its printed line is the
+    """``ssanc simulate`` prints the sweep's row for its delay
+    (``metrics._RowScores``): on fig3 at delta = 4 its printed line is the
     one formatted from ``evaluate_run`` of ``apply_control`` on the rendered
     stacks, its y, e, e_s and e_v WAVs lie within 1e-12 of each file's peak
     of those ``export_run_wavs`` writes of that run, and its t.wav is that
@@ -1835,19 +1830,9 @@ def write_uneven_manifest_scene(directory) -> dict:
     return {"kind": "manifest", "dir": str(directory), "manifest": "scene.json"}
 
 
-@pytest.mark.parametrize("name, delta", [
-    ("fig3_synthetic", 4), ("fig5_synthetic", 6), ("fig3_synthetic", "last"), ("uneven_manifest", 3),
-])
-def test_simulating_from_the_sources_matches_the_rendered_stacks(tmp_path, name, delta):
-    """``simulate.simulate_sources`` on ``sweep._source_stack``'s sources gives
-    the run ``apply_control`` gives on ``render_mics``' stacks of the same draw,
-    for the designed filter: y, e_s and e_v within 1e-12 of each signal's peak
-    and t bit for bit, for the error target (fig3), the reference target
-    (fig5), the last delay of fig3's range, and a manifest scene whose
-    responses differ in length; ``_source_stack``'s noise energy is the
-    rendered error microphone's, bit for bit."""
-    from ssanc.simulate import apply_control, simulate_sources
-
+def designed_case(tmp_path, name, delta):
+    """The config of a shipped name or of the uneven manifest scene (reference
+    target), the delay ("last": the range's last), and its designed filter."""
     if name == "uneven_manifest":
         config = quick_config(scene=write_uneven_manifest_scene(tmp_path), target_kind="reference_mic")
     else:
@@ -1856,16 +1841,131 @@ def test_simulating_from_the_sources_matches_the_rendered_stacks(tmp_path, name,
         delta = config.delta_range[1]
     prep, ctx = sweep_mod._prepare_design(config, simulate=False)
     w = ctx.solve(sweep_mod._constraint_vector(prep.reirs, prep.psi, config.target_kind, delta, prep.L)).filter
+    return config, delta, w
+
+
+def row_scores(config, last_delta):
+    """The checked scene and ``_sources``' scene, sources and ``_RowScores`` of a
+    config's filters up to last_delta, as ``ssanc simulate`` builds them."""
+    from ssanc.metrics import _lag_span, _RowScores
+
     scene, n = sweep_mod._checked_scene(config, design=False, sim_taps=config.Lw)
-    sources, noise_energy = sweep_mod._source_stack(config, scene, n)
-    got = simulate_sources(w, sources, scene, config.target_kind, delta)
-    mics = render_sources(config, scene, n)
+    P = _lag_span(scene, config.Lg + config.Lw - 1, last_delta)
+    sources, energy, scaled = sweep_mod._sources(config, scene, n, P)
+    mic = target_mic(config.target_kind, scene.spatial_ref)
+    return scene, scaled, sources, _RowScores(energy, sources, scaled, config.Lw, last_delta, mic)
+
+
+@pytest.mark.parametrize("name, delta", [
+    ("fig3_synthetic", 4), ("fig5_synthetic", 6), ("fig3_synthetic", "last"), ("uneven_manifest", 3),
+])
+def test_simulating_from_the_sources_matches_the_rendered_stacks(tmp_path, name, delta):
+    """``metrics._RowScores.run`` on ``sweep._sources``' sources gives the run
+    ``apply_control`` gives on ``render_mics``' stacks of the same draw, for
+    the designed filter: y, e_s and e_v within 1e-12 of each signal's peak
+    and t bit for bit, for the error target (fig3), the reference target
+    (fig5), the last delay of fig3's range, and a manifest scene whose
+    responses differ in length; NR's denominator, ``noise_energy``, is the
+    rendered error microphone's noise energy to 1e-12."""
+    from ssanc.simulate import apply_control
+
+    config, delta, w = designed_case(tmp_path, name, delta)
+    scene, _, sources, score = row_scores(config, delta)
+    got = score.run(w, delta)
+    mics = render_mics(scene, *sources, config.snr_db)
     want = apply_control(w, mics, scene.g, config.target_kind, delta, scene.spatial_ref)
     for signal in ("y", "e_s", "e_v"):
         a, b = getattr(got, signal), getattr(want, signal)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), signal
     assert np.array_equal(got.t, want.t)
-    assert noise_energy == float(np.vdot(mics.p_v, mics.p_v))
+    assert score.noise_energy == pytest.approx(float(np.vdot(mics.p_v, mics.p_v)), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["fig3_synthetic", "fig5_synthetic", "uneven_manifest"])
+def test_the_run_scores_to_the_row(tmp_path, name):
+    """``_RowScores.run``'s signals, scored by ``evaluate_run`` against the stacks
+    of ``_sources``' scaled scene, give ``_RowScores``' four metrics within 1e-12
+    of each one's magnitude, at the first, a middle and the last delay of
+    scores built for the last, as a sweep builds them."""
+    from ssanc.metrics import evaluate_run
+
+    config, last, w = designed_case(tmp_path, name, "last")
+    _, scaled, sources, score = row_scores(config, last)
+    mics = render_mics(scaled, *sources)
+    for delta in (0, last // 2, last):
+        row, oracle = score(w, delta), evaluate_run(score.run(w, delta), mics)
+        for metric in ("nr_db", "sdi_db", "effort", "quality_db"):
+            a, b = getattr(row, metric), getattr(oracle, metric)
+            assert abs(a - b) <= 1e-12 * abs(b), (delta, metric, a, b)
+
+
+@pytest.mark.parametrize("name", ["fig3_synthetic", "uneven_manifest"])
+def test_the_lag_pass_gain_is_the_rendered_gain(tmp_path, monkeypatch, name):
+    """``sweep._sources`` takes the SNR gain from the sources' lag correlations
+    at lag 0, the energies of the error microphone's speech and noise: it is
+    the gain ``render_mics`` takes from its rendered rows to four ulp, also where
+    the error microphone's responses are shorter than their stacks' longest;
+    it scales the scene's noise responses, and ``render_mics`` scales its
+    noise stack by its own.  A silent component at the error microphone is
+    refused."""
+    from ssanc.metrics import _lag_span
+    from ssanc.scene import snr_gain
+
+    config, _, _ = designed_case(tmp_path, name, 0)
+    gains = []
+
+    def recorded(es, ev, snr_db):
+        gains.append(snr_gain(es, ev, snr_db))
+        return gains[-1]
+
+    monkeypatch.setattr(sweep_mod, "snr_gain", recorded)
+    scene, scaled, sources, _ = row_scores(config, config.delta_range[1])
+    unscaled = render_mics(scene, *sources)
+    rendered = snr_gain(float(np.vdot(unscaled.p_s, unscaled.p_s)), float(np.vdot(unscaled.p_v, unscaled.p_v)), config.snr_db)
+    (gain,) = gains
+    assert abs(gain - rendered) <= 4 * np.spacing(rendered), (gain, rendered)
+    assert all(np.array_equal(a, gain * b) for a, b in zip(scaled.ir_noise, scene.ir_noise))
+    assert all(np.array_equal(a, b) for a, b in zip(scaled.ir_speech, scene.ir_speech))
+    np.testing.assert_array_equal(render_mics(scene, *sources, config.snr_db).v, unscaled.v * rendered)
+    n, P = sources.shape[1], _lag_span(scene, config.Lg + config.Lw - 1, 0)
+    for role, component in (("ir_speech", "speech"), ("ir_noise", "noise")):
+        irs = getattr(scene, role)
+        silent = replace(scene, **{role: (*irs[:-1], np.zeros(len(irs[-1])))})
+        with pytest.raises(ConfigError, match=f"{component} component at the error microphone is silent"):
+            sweep_mod._sources(config, silent, n, P)
+
+
+def test_simulate_refuses_a_wav_too_long_for_riff_before_drawing(tmp_path, monkeypatch, capsys):
+    """A float64 WAV of N samples takes 8 N + 50 bytes after its RIFF size field,
+    which holds less than 2^32: ``ssanc simulate`` of more than ``wavio.MAX_FRAMES``
+    samples, about 9.3 h at 16 kHz, exits 1 with one config-error line before it
+    draws a source, and one of exactly that many samples goes on to draw them."""
+    from ssanc.wavio import MAX_FRAMES
+
+    assert 8 * MAX_FRAMES + 50 < 2**32 <= 8 * (MAX_FRAMES + 1) + 50
+
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(sweep_mod, "_available_memory", lambda: 2**50)
+    monkeypatch.setattr(sweep_mod, "_draw_sources", drawn)
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"K": 2, "Lw": 12, "w": [[0.0] * 12] * 3}))
+    for n in (MAX_FRAMES + 1, MAX_FRAMES):
+        cfg = write_quick_config(tmp_path, duration_s=n / 16000)
+        assert round(SweepConfig.from_json(cfg).duration_s * 16000) == n
+        argv = ["simulate", "--config", str(cfg), "--filter", str(zero), "--out", str(tmp_path / "sim")]
+        if n > MAX_FRAMES:
+            assert cli_main(argv) == 1
+            err = one_config_error(capsys)
+            assert f"{n}-sample" in err and "WAV" in err
+        else:
+            with pytest.raises(Drawn):
+                cli_main(argv)
+    assert not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize("name, best, at_best, other, at_other", [
