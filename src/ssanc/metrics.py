@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ssanc.convmat import Blocks, _FilteredEnergy
-from ssanc.scene import MicSignals, Scene, _led_speech_row, _responses
+from ssanc.scene import MicSignals, Scene, _convolved
 from ssanc.simulate import RunResult
 
 SDI_FLOOR_DB = -120.0
@@ -143,7 +143,7 @@ def _lag_span(scene: Scene, L: int, last_delta: int) -> int:
     the scores of its filters up to last_delta both read: those of a microphone's
     response over one frame and of f, L + Lir - 1, or of the target's response delayed
     by last_delta, last_delta + Lir, for Lir the scene's longest response."""
-    return max(map(len, (*scene.ir_speech, *scene.ir_noise))) - 1 + max(L, last_delta + 1)
+    return scene.h.shape[-1] - 1 + max(L, last_delta + 1)
 
 
 class _RowScores:
@@ -172,25 +172,25 @@ class _RowScores:
     simulated (``signals``) from the sources' block spectra in the
     ``convmat.Blocks`` layout of f, taken once: the error signal alone
     for a row's quality proxy, and y, e_s and e_v for a run (``run``).
-    Each delay's target is a view of one zero-led copy of the target
-    microphone's speech row, rendered as ``render_mics`` renders it
-    (``scene._led_speech_row``).  NR divides ``noise_energy``, that of
+    Each delay's target is a view of one copy of the target microphone's
+    speech row, rendered as ``render_mics`` renders it and led by
+    last_delta zeros.  NR divides ``noise_energy``, that of
     the error microphone's noise, h_K on the noise, by e_v's.
     """
 
     def __init__(self, energy: _FilteredEnergy, sources: np.ndarray, scene: Scene, Lw: int, last_delta: int, mic: int):
         N = sources.shape[1]
-        h = _responses(scene)
         g = np.asarray(scene.g, dtype=float).ravel()
-        self.taps = Lw + g.shape[0] + h.shape[-1] - 2  # those of f
+        self.taps = Lw + g.shape[0] + scene.h.shape[-1] - 2  # those of f
         self.energy = energy
-        self.H = np.fft.rfft(h, self.energy.nfft)
+        self.H = np.fft.rfft(scene.h, self.energy.nfft)
         self.G = np.fft.rfft(g, self.energy.nfft)
         self.blocks = Blocks(N, self.taps - 1)
         self.X = self.blocks.all_spectra(sources)
         self.mic, self.last_delta = mic, last_delta
         self.noise_energy = float(energy(np.stack([np.zeros_like(self.G), self.H[1, -1]])))
-        self.target = _led_speech_row(scene, sources[0], mic, last_delta)
+        self.target = np.zeros(last_delta + N)
+        _convolved(scene.h[0, mic, None], sources[0], out=self.target[None, last_delta:])
 
     def responses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The spectra of d and f of filter w on the energy's grid, a row per source:

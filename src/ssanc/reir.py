@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ssanc.convmat import _cholesky, _FilteredEnergy, _substitute, edge_products, frames_from_first_rows
-from ssanc.scene import Scene, _responses
+from ssanc.scene import Scene
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +73,7 @@ def estimate_reirs(scene: Scene, source, Lh: int, reg: float | None = None) -> R
     if N < 4 * Lh:
         raise ValueError(f"need N >> Lh; got N={N} for Lh={Lh}")
 
-    irs, ref = _responses(scene)[0], scene.spatial_ref  # the speech responses, Lir taps each
+    irs, ref = scene.h[0], scene.spatial_ref  # the speech responses, Lir taps each
     energy = _FilteredEnergy(w[None], irs.shape[1] + 2 * Lh - 2)
 
     def frame_products(filters):

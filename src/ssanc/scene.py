@@ -1,11 +1,12 @@
 """Acoustic scenes: impulse responses, secondary path, microphone rendering.
 
 A scene holds one impulse response per (source, microphone) pair for a
-speech and a noise source, plus the secondary path from the loudspeaker
-to the error microphone.  Channel layout is fixed throughout the
-package: indices 0..K-1 are the reference microphones, index K is the
-error microphone.  Rendered signals keep that layout as two (K+1, N)
-stacks, speech and noise, so every consumer takes rows of one array.
+speech and a noise source, as one (2, K+1, Lir) array, plus the
+secondary path from the loudspeaker to the error microphone.  Channel
+layout is fixed throughout the package: indices 0..K-1 are the
+reference microphones, index K is the error microphone.  Rendered
+signals keep that layout as two (K+1, N) stacks, speech and noise, so
+every consumer takes rows of one array.
 
 ``ConfigError`` refuses every input from outside the program (the CLI's one
 ``config error:`` line, exit 1); ``synth_scene`` and ``Scene`` refuse bad
@@ -42,26 +43,30 @@ def integer(key: str, value) -> int:
 class Scene:
     """Impulse-response description of one acoustic setup.
 
-    ir_speech / ir_noise hold K+1 responses each (error microphone
-    last); g is the secondary path from the loudspeaker to the error
-    microphone; spatial_ref is the 0-based reference-microphone index
-    used as the anchor for relative impulse responses.
+    h is the (2, K+1, Lir) array of the speech's, then the noise's,
+    responses at each microphone (error microphone last), zero-padded to
+    the longest, Lir taps; g is the secondary path from the loudspeaker
+    to the error microphone; spatial_ref is the 0-based
+    reference-microphone index used as the anchor for relative impulse
+    responses.
     """
 
-    K: int
-    ir_speech: tuple[np.ndarray, ...]
-    ir_noise: tuple[np.ndarray, ...]
+    h: np.ndarray
     g: np.ndarray
     fs: int
     spatial_ref: int
 
+    @property
+    def K(self) -> int:
+        return self.h.shape[1] - 1
+
     def __post_init__(self):
+        if self.h.ndim != 3 or self.h.shape[0] != 2:
+            raise ValueError(f"need a (2, K+1, Lir) array of responses, error mic last; got {self.h.shape}")
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
-        if len(self.ir_speech) != self.K + 1 or len(self.ir_noise) != self.K + 1:
-            raise ValueError("need K+1 impulse responses per source (error mic last)")
-        for ir in (*self.ir_speech, *self.ir_noise, self.g):
-            if len(ir) < 1:
+        for ir in (self.h, self.g):
+            if ir.shape[-1] < 1:
                 raise ValueError("impulse responses and the secondary path need at least one tap")
             if not np.all(np.isfinite(ir)):
                 raise ValueError("impulse responses must be finite-valued")
@@ -172,18 +177,12 @@ def synth_scene(
         spatial_ref = int(np.argmin(speech_delays[:K]))
 
     rng = np.random.default_rng(seed)
-    ir_speech = tuple(
-        _pulse_ir(gains[k][0], speech_delays[k], ir_len, tail_amp, tail_decay, rng)
-        for k in range(K + 1)
-    )
-    ir_noise = tuple(
-        _pulse_ir(gains[k][1], noise_delays[k], ir_len, tail_amp, tail_decay, rng)
-        for k in range(K + 1)
-    )
+    h = np.array([
+        [_pulse_ir(gains[k][s], delays[k], ir_len, tail_amp, tail_decay, rng) for k in range(K + 1)]
+        for s, delays in enumerate((speech_delays, noise_delays))
+    ])
     g = _pulse_ir(1.0, sec_delay, sec_ir_len, tail_amp, tail_decay, rng)
-    return Scene(
-        K=K, ir_speech=ir_speech, ir_noise=ir_noise, g=g, fs=int(fs), spatial_ref=spatial_ref
-    )
+    return Scene(h=h, g=g, fs=int(fs), spatial_ref=spatial_ref)
 
 
 def load_scene_wav(directory, manifest) -> Scene:
@@ -193,8 +192,10 @@ def load_scene_wav(directory, manifest) -> Scene:
     (= K+1), speech_irs, noise_irs (lists of K+1 filenames, error mic
     last), secondary, spatial_ref (0-based reference index).  fs, mics
     and spatial_ref must be integers by ``integer``'s rule.  Filenames
-    resolve relative to ``directory``.  An unreadable or inconsistent
-    manifest or impulse-response file raises ``ConfigError``.
+    resolve relative to ``directory``.  Responses of unequal length are
+    zero-padded to the longest.  An unreadable or inconsistent manifest
+    or an unreadable or empty impulse-response file raises
+    ``ConfigError``.
     """
     directory = Path(directory)
     if not isinstance(manifest, dict):
@@ -203,7 +204,7 @@ def load_scene_wav(directory, manifest) -> Scene:
             manifest_path = directory / manifest_path
         try:
             manifest = json.loads(manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
             raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
 
     try:
@@ -238,15 +239,17 @@ def load_scene_wav(directory, manifest) -> Scene:
             raise ConfigError(f"{path}: {exc}") from exc
         if wav_fs != fs:
             raise ConfigError(f"{path}: sample rate {wav_fs} != manifest fs {fs}")
+        if data.shape[0] < 1:
+            raise ConfigError(f"{path}: empty impulse response; it needs at least one tap")
         return data
 
-    ir_speech = tuple(load_ir(n) for n in speech_names)
-    ir_noise = tuple(load_ir(n) for n in noise_names)
+    irs = [load_ir(n) for n in (*speech_names, *noise_names)]
     g = load_ir(secondary_name)
+    h = np.zeros((2 * mics, max(ir.shape[0] for ir in irs)))
+    for row, ir in zip(h, irs):
+        row[: ir.shape[0]] = ir
     try:
-        return Scene(
-            K=mics - 1, ir_speech=ir_speech, ir_noise=ir_noise, g=g, fs=fs, spatial_ref=spatial_ref
-        )
+        return Scene(h=h.reshape(2, mics, -1), g=g, fs=fs, spatial_ref=spatial_ref)
     except ValueError as exc:
         raise ConfigError(f"manifest scene in {directory}: {exc}") from exc
 
@@ -271,19 +274,18 @@ def render_mics(scene: Scene, speech, noise=None, snr_db: float | None = None) -
     """
     speech = np.asarray(speech, dtype=float).ravel()
     N = speech.shape[0]
-    max_ir = max(len(ir) for ir in (*scene.ir_speech, *scene.ir_noise))
-    if N <= max_ir:
-        raise ValueError(f"signal length {N} must exceed the longest IR ({max_ir} taps)")
+    if N <= scene.h.shape[-1]:
+        raise ValueError(f"signal length {N} must exceed the longest IR ({scene.h.shape[-1]} taps)")
 
     if noise is None:
-        s = _convolved(scene.ir_speech, speech)
+        s = _convolved(scene.h[0], speech)
         # np.zeros, not zeros_like: the pages are calloc'd and never written
         return MicSignals(s=s, v=np.zeros(s.shape))
 
     noise = np.asarray(noise, dtype=float).ravel()
     if noise.shape[0] != N:
         raise ValueError(f"speech and noise lengths differ: {N} vs {noise.shape[0]}")
-    s, v = thread_map(_convolved, (scene.ir_speech, scene.ir_noise), (speech, noise))
+    s, v = thread_map(_convolved, scene.h, (speech, noise))
     if snr_db is not None:
         v *= snr_gain(float(np.vdot(s[-1], s[-1])), float(np.vdot(v[-1], v[-1])), snr_db)
     return MicSignals(s=s, v=v)
@@ -302,40 +304,19 @@ def snr_gain(es: float, ev: float, snr_db: float) -> float:
     return float(np.sqrt(es / (ev * 10.0 ** (snr_db / 10.0))))
 
 
-def _led_speech_row(scene: Scene, speech: np.ndarray, mic: int, lead: int) -> np.ndarray:
-    """Microphone mic's row of ``render_mics``' speech stack, bit for bit, led by lead
-    zeros: lead + N samples.  Its response is zero-padded to the longest speech
-    response, so the row is convolved on the stack's layout.  The one convolution
-    of a source any command makes: the target of ``metrics._RowScores``."""
-    ir, longest = scene.ir_speech[mic], max(map(len, scene.ir_speech))
-    row = np.zeros(lead + speech.shape[0])
-    _convolved((np.pad(ir, (0, longest - len(ir))),), speech, out=row[None, lead:])
-    return row
-
-
-def _responses(scene: Scene) -> np.ndarray:
-    """The (2, K+1, Lir) responses of the speech, then of the noise, at each microphone,
-    zero-padded to the longest, Lir taps."""
-    h = np.zeros((2, scene.K + 1, max(map(len, (*scene.ir_speech, *scene.ir_noise)))))
-    for rows, irs in zip(h, (scene.ir_speech, scene.ir_noise)):
-        for row, ir in zip(rows, irs):
-            row[: len(ir)] = ir
-    return h
-
-
-def _convolved(irs, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _convolved(irs: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The (len(irs), N) stack whose row k is ``np.convolve(irs[k], x)[:N]``, by overlap-save,
-    written to out if given.
+    for irs a 2-D array of responses, written to out if given.
 
-    x runs through the ``convmat.Blocks`` layout of the longest
-    response.  Each chunk's block spectra are taken once and multiplied
+    x runs through the ``convmat.Blocks`` layout of the responses'
+    length.  Each chunk's block spectra are taken once and multiplied
     by every response's, and each response's product is inverted on its
     own straight into its row of the result, so the temporaries do not
     grow with N or with the number of responses, and the cost per
     sample grows with log(nfft), not with the responses' length.
     """
-    blocks = Blocks(x.shape[0], max(len(ir) for ir in irs) - 1)
-    spectra = [np.fft.rfft(ir, blocks.nfft) for ir in irs]
+    blocks = Blocks(x.shape[0], irs.shape[-1] - 1)
+    spectra = np.fft.rfft(irs, blocks.nfft)
     if out is None:
         out = np.empty((len(irs), x.shape[0]))
     for chunk in blocks.chunks:

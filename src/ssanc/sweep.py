@@ -55,7 +55,7 @@ from ssanc.convmat import _TRIANGULAR_BLOCK, Blocks, build_conv_matrix, build_q,
 from ssanc.metrics import _QUALITY_BLOCK, QUALITY_FRAME, _FilteredEnergy, _lag_span, _RowScores
 from ssanc.reir import ReIRSet, design_min_phase_highpass, estimate_reirs
 from ssanc.scene import (
-    ConfigError, MicSignals, Scene, _responses, default_ir_len, integer, load_scene_wav, render_mics, snr_gain,
+    ConfigError, MicSignals, Scene, default_ir_len, integer, load_scene_wav, render_mics, snr_gain,
     synth_scene,
 )
 from ssanc.simulate import export_run_wavs
@@ -213,7 +213,7 @@ class SweepConfig:
     def from_json(cls, path) -> "SweepConfig":
         try:
             payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(payload)
 
@@ -314,12 +314,11 @@ def _checked_scene(config: SweepConfig, design: bool, sim_taps: int | None) -> t
         scene = load_scene_wav(directory, manifest)
         if scene.fs != config.fs:
             raise ConfigError(f"scene fs {scene.fs} != config fs {config.fs}")
-        ir_len = max(map(len, (*scene.ir_speech, *scene.ir_noise)))
-        _check_signal_length(config, n, ir_len)
-        _refuse_unless_fits(config, scene.K, n, design, sim_taps, ir_len)
+        _check_signal_length(config, n, scene.h.shape[-1])
+        _refuse_unless_fits(config, scene.K, n, design, sim_taps, scene.h.shape[-1])
     else:
         scene = _synthetic_scene(config, sc, n, design, sim_taps)
-    if not np.any(scene.ir_speech[scene.spatial_ref]):
+    if not np.any(scene.h[0, scene.spatial_ref]):
         raise ConfigError(
             f"the speech response at the spatial reference microphone {scene.spatial_ref} "
             "is silent: its ReIRs and target are undefined"
@@ -515,7 +514,7 @@ def _draw_sources(config: SweepConfig, scene: Scene, n: int) -> tuple[np.ndarray
     speech, noise = thread_map(source, (config.speech_wav, config.noise_wav), (config.seed, config.seed + 1))
     m = min(speech.shape[0], noise.shape[0])
     if m < n:
-        _check_signal_length(config, m, max(map(len, (*scene.ir_speech, *scene.ir_noise))))
+        _check_signal_length(config, m, scene.h.shape[-1])
     return speech[:m], noise[:m]
 
 
@@ -531,10 +530,9 @@ def _sources(config: SweepConfig, scene: Scene, n: int, P: int) -> tuple[np.ndar
     """
     sources = np.stack(_draw_sources(config, scene, n))
     energy = _FilteredEnergy(sources, P)
-    h = _responses(scene)[:, -1]
     # source s through h_K of source s, and the other source through nothing
-    gain = snr_gain(*energy(np.fft.rfft(np.eye(2)[:, :, None] * h, energy.nfft)), config.snr_db)
-    return sources, energy, replace(scene, ir_noise=tuple(gain * ir for ir in scene.ir_noise))
+    gain = snr_gain(*energy(np.fft.rfft(np.eye(2)[:, :, None] * scene.h[:, -1], energy.nfft)), config.snr_db)
+    return sources, energy, replace(scene, h=np.stack([scene.h[0], gain * scene.h[1]]))
 
 
 def prepare_scene(config: SweepConfig, simulate: bool = True) -> PreparedScene:
@@ -624,7 +622,7 @@ def _prepare_design(config: SweepConfig, simulate: bool = True) -> tuple[Prepare
     sources, energy, scene = _sources(config, scene, n, _lag_span(scene, L, config.deltas()[-1]))
     N = sources.shape[1]
     # each microphone's responses to the two sources, (K+1, 2) spectra on the energy's grid
-    H = np.fft.rfft(_responses(scene), energy.nfft).transpose(1, 0, 2)
+    H = np.fft.rfft(scene.h, energy.nfft).transpose(1, 0, 2)
     S, phi, power = _filtered_correlations(*energy.products(H, L), scene.g, config.Lw)
     if not simulate:
         sources = energy = None
@@ -686,8 +684,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     del ctx  # only the solve needs the factorized design
 
     scene = prep.scene
-    ir_len = max(map(len, (*scene.ir_speech, *scene.ir_noise)))
-    workers = _workers(config, scene.K, prep.sources.shape[1], ir_len)
+    workers = _workers(config, scene.K, prep.sources.shape[1], scene.h.shape[-1])
     mic = target_mic(config.target_kind, scene.spatial_ref)
     score = _RowScores(prep.energy, prep.sources, scene, config.Lw, deltas[-1], mic)
     del prep  # the sources: _RowScores keeps only their spectra and correlations

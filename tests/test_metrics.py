@@ -247,8 +247,8 @@ def test_row_scores_keep_the_metric_semantics():
     against that target; silent noise gives inf NR, and a silent target
     raises as speech_distortion_index does."""
     rng = np.random.default_rng(3)
-    speech_irs, noise_irs = (tuple(rng.standard_normal(4) for _ in range(3)) for _ in range(2))
-    scene = Scene(K=2, ir_speech=speech_irs, ir_noise=noise_irs, g=np.array([0.0, 1.0, 0.5]), fs=16000, spatial_ref=0)
+    h = rng.standard_normal((2, 3, 4))  # the speech's, then the noise's, responses at three microphones
+    scene = Scene(h=h, g=np.array([0.0, 1.0, 0.5]), fs=16000, spatial_ref=0)
     sources = rng.standard_normal((2, 1024))
     mics = render_mics(scene, *sources)
     w = np.zeros((3, 5))
@@ -266,6 +266,8 @@ def test_row_scores_keep_the_metric_semantics():
     assert row.quality_db == pytest.approx(quality_proxy(mics.p_s, mics.p_s + mics.p_v), rel=1e-12)
     quiet = scores(np.stack([sources[0], np.zeros(1024)]), scene, -1)
     assert quiet(w, 0).nr_db == float("inf")
-    silent = replace(scene, ir_speech=(np.zeros(4), *speech_irs[1:]))
+    h = h.copy()
+    h[0, 0] = 0.0  # the speech response at microphone 0, the target
+    silent = replace(scene, h=h)
     with pytest.raises(ValueError, match="zero energy"):
         scores(sources, silent, 0)(w, 0)

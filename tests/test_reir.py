@@ -118,9 +118,9 @@ def test_rejects_bad_spatial_ref():
 
 def test_silent_reference_channel_is_singular():
     scene = pure_delay_scene()
-    silent = replace(scene, ir_speech=tuple(
-        np.zeros_like(a) if k == scene.spatial_ref else a for k, a in enumerate(scene.ir_speech)
-    ))
+    h = scene.h.copy()
+    h[0, scene.spatial_ref] = 0.0
+    silent = replace(scene, h=h)
     with pytest.raises(np.linalg.LinAlgError, match="singular ReIR normal equations"):
         estimate_reirs(silent, white_noise(8000, 13), 16)
 
@@ -142,9 +142,10 @@ def fit_cases(draw):
     irs = [rng.standard_normal(length) * np.exp(-np.arange(length) / 50.0) for length in lengths]
     # the reference's leading tap dominates, so its normal matrix stays well conditioned
     irs[spatial_ref][0] = 4.0 * np.sqrt(np.sum(irs[spatial_ref][1:] ** 2)) + 1.0
-    scene = Scene(
-        K=K, ir_speech=tuple(irs), ir_noise=tuple(irs), g=np.ones(1), fs=16000, spatial_ref=spatial_ref
-    )
+    h = np.zeros((K + 1, max(lengths)))
+    for row, ir in zip(h, irs):
+        row[: ir.shape[0]] = ir
+    scene = Scene(h=np.stack([h, h]), g=np.ones(1), fs=16000, spatial_ref=spatial_ref)
     return scene, Lh, white_noise(N, seed)
 
 

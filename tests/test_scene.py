@@ -40,14 +40,14 @@ def test_synth_scene_known_acoustic_delay():
     scene = default_scene()
     assert scene.spatial_ref == 0  # smallest speech delay
     # speech acoustic delay from spatial ref to error mic is 10 - 6 = 4
-    d_ref = int(np.argmax(np.abs(scene.ir_speech[scene.spatial_ref])))
-    d_err = int(np.argmax(np.abs(scene.ir_speech[scene.K])))
+    d_ref = int(np.argmax(np.abs(scene.h[0, scene.spatial_ref])))
+    d_err = int(np.argmax(np.abs(scene.h[0, scene.K])))
     assert d_err - d_ref == 4
 
 
 def test_synth_scene_pure_pulses_without_tails():
     scene = default_scene(tail_amp=0.0)
-    for ir, delay, gain in zip(scene.ir_speech, [6, 8, 9, 11, 10], [1.0, 0.8, 0.7, 0.9, 0.6]):
+    for ir, delay, gain in zip(scene.h[0], [6, 8, 9, 11, 10], [1.0, 0.8, 0.7, 0.9, 0.6]):
         assert ir[delay] == gain
         assert np.count_nonzero(ir) == 1
 
@@ -63,14 +63,14 @@ def test_synth_scene_identical_pulses_trivial_case():
         fs=16000,
         seed=1,
     )
-    for ir in (*scene.ir_speech, *scene.ir_noise):
-        np.testing.assert_array_equal(ir, scene.ir_speech[0])
+    for ir in scene.h.reshape(-1, scene.h.shape[-1]):
+        np.testing.assert_array_equal(ir, scene.h[0, 0])
 
 
 def test_synth_scene_deterministic_given_seed():
     a = default_scene(tail_amp=0.1, seed=42)
     b = default_scene(tail_amp=0.1, seed=42)
-    for ia, ib in zip((*a.ir_speech, *a.ir_noise, a.g), (*b.ir_speech, *b.ir_noise, b.g)):
+    for ia, ib in ((a.h, b.h), (a.g, b.g)):
         np.testing.assert_array_equal(ia, ib)
 
 
@@ -126,7 +126,7 @@ def test_render_matches_convolution_matrix_form():
     scene = default_scene(tail_amp=0.1, seed=7)
     speech = white_noise(400, 2)
     mics = render_mics(scene, speech)
-    ir = scene.ir_speech[1]
+    ir = scene.h[0, 1]
     full = build_conv_matrix(ir, len(speech)) @ speech
     np.testing.assert_allclose(mics.s[1], full[: len(speech)], atol=1e-10)
     # the layout: one row per scene response, reference mics first, error mic last
@@ -134,7 +134,7 @@ def test_render_matches_convolution_matrix_form():
     mics = render_mics(scene, speech, noise)
     assert mics.s.shape == mics.v.shape == (scene.K + 1, len(speech))
     for k in range(scene.K + 1):
-        for row, ir, source in ((mics.s[k], scene.ir_speech[k], speech), (mics.v[k], scene.ir_noise[k], noise)):
+        for row, ir, source in ((mics.s[k], scene.h[0, k], speech), (mics.v[k], scene.h[1, k], noise)):
             ref = np.convolve(ir, source)[:400]
             np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
     assert np.shares_memory(mics.p_s, mics.s) and np.shares_memory(mics.p_v, mics.v)
@@ -151,7 +151,10 @@ def test_render_matches_direct_convolution(n, lengths):
     responses of unequal lengths, speech and noise each."""
     rng = np.random.default_rng(n)
     irs = tuple(rng.standard_normal(m) * np.exp(-np.arange(m) / 300.0) for m in lengths)
-    scene = Scene(K=len(lengths) - 1, ir_speech=irs, ir_noise=irs[::-1], g=np.ones(1), fs=16000, spatial_ref=0)
+    h = np.zeros((len(lengths), max(lengths)))
+    for row, ir in zip(h, irs):
+        row[: ir.shape[0]] = ir
+    scene = Scene(h=np.stack([h, h[::-1]]), g=np.ones(1), fs=16000, spatial_ref=0)
     speech, noise = white_noise(n, 1), white_noise(n, 2)
     mics = render_mics(scene, speech, noise)
     for stack, responses, source in ((mics.s, irs, speech), (mics.v, irs[::-1], noise)):
@@ -213,40 +216,28 @@ def test_convolution_temporaries_do_not_grow_with_the_responses(traced_peak):
     config = SweepConfig.from_json(Path(__file__).parents[1] / "configs" / "paper_scale.json")
     scene, n = _checked_scene(config, design=True, sim_taps=None)
     x = speech_shaped_noise(n, config.fs, 0)
-    expected = _convolved(scene.ir_speech, x)
-    out, peak = traced_peak(lambda: _convolved(scene.ir_speech, x))
+    expected = _convolved(scene.h[0], x)
+    out, peak = traced_peak(lambda: _convolved(scene.h[0], x))
     np.testing.assert_array_equal(out, expected)
     assert peak - out.nbytes < 2.5 * 2**20, (peak - out.nbytes) / 2**20
 
 
 def test_scene_validation():
-    with pytest.raises(ValueError):
-        Scene(
-            K=1,
-            ir_speech=(np.ones(2),),  # wrong count
-            ir_noise=(np.ones(2), np.ones(2)),
-            g=np.ones(2),
-            fs=16000,
-            spatial_ref=0,
-        )
-    with pytest.raises(ValueError):
-        Scene(
-            K=1,
-            ir_speech=(np.array([np.nan]), np.ones(1)),
-            ir_noise=(np.ones(1), np.ones(1)),
-            g=np.ones(2),
-            fs=16000,
-            spatial_ref=0,
-        )
-    with pytest.raises(ValueError, match="at least one tap"):
-        Scene(
-            K=1,
-            ir_speech=(np.ones(1), np.zeros(0)),
-            ir_noise=(np.ones(1), np.ones(1)),
-            g=np.ones(2),
-            fs=16000,
-            spatial_ref=0,
-        )
+    """Scene refuses a response array that is not (2, K+1, Lir), K < 1, an empty
+    response or secondary path, and a non-finite tap of either."""
+    nan_tap = np.ones((2, 2, 2))
+    nan_tap[1, 0, 1] = np.nan
+    for h, g, match in (
+        (np.ones((2, 2)), np.ones(2), "array of responses"),  # no source axis
+        (np.ones((3, 2, 2)), np.ones(2), "array of responses"),  # three sources
+        (np.ones((2, 1, 2)), np.ones(2), "K must be >= 1, got 0"),
+        (np.ones((2, 2, 0)), np.ones(2), "at least one tap"),
+        (np.ones((2, 2, 2)), np.zeros(0), "at least one tap"),
+        (nan_tap, np.ones(2), "finite"),
+        (np.ones((2, 2, 2)), np.array([1.0, np.inf]), "finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            Scene(h=h, g=g, fs=16000, spatial_ref=0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +276,7 @@ def test_load_scene_manifest_of_eleven_files(tmp_path):
     assert scene.K == 4
     assert scene.spatial_ref == 2
     assert scene.fs == 16000
-    assert len(scene.ir_speech) == 5
+    assert scene.h.shape == (2, 5, 32)
 
 
 def test_load_scene_unit_impulse_wav(tmp_path):
@@ -294,7 +285,7 @@ def test_load_scene_unit_impulse_wav(tmp_path):
     pulse[0] = 1.0
     wavio.write_wav(tmp_path / "speech_0.wav", 16000, pulse)
     scene = load_scene_wav(tmp_path, manifest)
-    np.testing.assert_array_equal(scene.ir_speech[0], pulse)
+    np.testing.assert_array_equal(scene.h[0, 0], np.pad(pulse, (0, 24)))
 
 
 def test_load_scene_missing_file(tmp_path):

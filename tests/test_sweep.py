@@ -506,7 +506,7 @@ def test_every_command_renders_once(tmp_path, monkeypatch, command):
     ``ssanc design`` convolves nothing, its SNR gain read from the sources'
     lag correlations, and ``ssanc simulate`` and ``ssanc sweep`` convolve the
     target microphone's speech row alone, for the target
-    (``scene._led_speech_row``).  The ReIR fit reads the white noise through
+    (``metrics._RowScores``).  The ReIR fit reads the white noise through
     its correlations, unrendered."""
     cfg = write_quick_config(tmp_path)
     flt = tmp_path / "filter.json"
@@ -1085,6 +1085,17 @@ def edited_manifest(tmp_path, **fields) -> dict:
     return {"scene": scene}
 
 
+def manifest_with(tmp_path, name, data) -> dict:
+    """Config keys of ``write_manifest_scene``'s scene with its file name replaced by
+    data's bytes or by a WAV of its samples."""
+    scene = write_manifest_scene(tmp_path)
+    if isinstance(data, bytes):
+        (tmp_path / name).write_bytes(data)
+    else:
+        wavio.write_wav(tmp_path / name, 16000, data)
+    return {"scene": scene}
+
+
 def synthetic(**keys) -> dict:
     return {"scene": {**default_scene_dict(), **keys}}
 
@@ -1099,10 +1110,12 @@ def speech_source(tmp_path, samples, fs=16000) -> dict:
     return {"speech_wav": str(path)}
 
 
-# refusal -> (the quick config's overrides, made in a test directory, and
-# the text of its one config-error line); the filter case runs simulate
+# refusal -> (the quick config's overrides, made in a test directory, or the
+# config file's whole JSON value or bytes, and the text of its one
+# config-error line); the filter case runs simulate
 REFUSALS = {
     "config-not-an-object": (lambda tmp: [1, 2], "config must be a JSON object, got list"),
+    "config-not-utf8": (lambda tmp: b"\xff\xfe{}", "cannot read config"),
     "fs": (lambda tmp: {"fs": 0}, "fs must be positive, got 0"),
     "Lw": (lambda tmp: {"Lw": 0}, "Lw, Lg, Lh must all be >= 1"),
     "duration": (lambda tmp: {"duration_s": 0.5}, "signals must be at least 1 s, got 0.5 s"),
@@ -1126,6 +1139,8 @@ REFUSALS = {
     "manifest-unreadable": (
         lambda tmp: {"scene": {**write_manifest_scene(tmp), "manifest": "missing.json"}}, "cannot read manifest"
     ),
+    "manifest-not-utf8": (lambda tmp: manifest_with(tmp, "scene.json", b"\xff\xfe{}"), "cannot read manifest"),
+    "manifest-empty-ir": (lambda tmp: manifest_with(tmp, "speech_1.wav", np.zeros(0)), "at least one tap"),
     "manifest-field": (
         lambda tmp: edited_manifest(tmp, secondary=None), "manifest missing or malformed field: 'secondary'"
     ),
@@ -1164,7 +1179,7 @@ def test_every_refusal_is_one_config_error_line(tmp_path, monkeypatch, capsys, c
         config = write_quick_config(tmp_path, **overrides)
     else:
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(overrides))
+        config.write_bytes(overrides if isinstance(overrides, bytes) else json.dumps(overrides).encode())
     argv = ["sweep", "--config", str(config)]
     if case == "filter-nan":
         w = np.zeros((3, 12))
@@ -1698,7 +1713,7 @@ def long_double_sdi(scene, speech, w, mic, delta):
     """SDI of filter w at delay delta, with every signal simulated in np.longdouble by
     direct convolution: the speech stack, the drive, e_s and the target t."""
     ld, N = np.longdouble, speech.shape[0]
-    s = [np.convolve(np.asarray(a, ld), speech.astype(ld))[:N] for a in scene.ir_speech]
+    s = [np.convolve(np.asarray(a, ld), speech.astype(ld))[:N] for a in scene.h[0]]
     y = sum(np.convolve(np.asarray(w_k, ld), s_k)[:N] for w_k, s_k in zip(w, s))
     e_s = s[-1] + np.convolve(np.asarray(scene.g, ld), y)[:N]
     t = np.zeros(N, ld)
@@ -1924,13 +1939,14 @@ def test_the_lag_pass_gain_is_the_rendered_gain(tmp_path, monkeypatch, name):
     rendered = snr_gain(float(np.vdot(unscaled.p_s, unscaled.p_s)), float(np.vdot(unscaled.p_v, unscaled.p_v)), config.snr_db)
     (gain,) = gains
     assert abs(gain - rendered) <= 4 * np.spacing(rendered), (gain, rendered)
-    assert all(np.array_equal(a, gain * b) for a, b in zip(scaled.ir_noise, scene.ir_noise))
-    assert all(np.array_equal(a, b) for a, b in zip(scaled.ir_speech, scene.ir_speech))
+    assert np.array_equal(scaled.h[1], gain * scene.h[1])
+    assert np.array_equal(scaled.h[0], scene.h[0])
     np.testing.assert_array_equal(render_mics(scene, *sources, config.snr_db).v, unscaled.v * rendered)
     n, P = sources.shape[1], _lag_span(scene, config.Lg + config.Lw - 1, 0)
-    for role, component in (("ir_speech", "speech"), ("ir_noise", "noise")):
-        irs = getattr(scene, role)
-        silent = replace(scene, **{role: (*irs[:-1], np.zeros(len(irs[-1])))})
+    for source, component in enumerate(("speech", "noise")):
+        h = scene.h.copy()
+        h[source, -1] = 0.0
+        silent = replace(scene, h=h)
         with pytest.raises(ConfigError, match=f"{component} component at the error microphone is silent"):
             sweep_mod._sources(config, silent, n, P)
 
@@ -2054,7 +2070,7 @@ def test_signals_design_statistics_equal_the_dense_projections(tmp_path, monkeyp
     if name == "g_taps_lag0":
         assert prep.scene.g[0] != 0.0
     if name == "long_responses":
-        assert prep.scene.ir_speech[0].shape[0] > 10 * prep.L
+        assert prep.scene.h.shape[-1] > 10 * prep.L
     if name == "short_wav":
         assert prep.mics.N == 19200 < round(config.duration_s * config.fs)
     phi_xx, H = dense_inputs(prep)
